@@ -19,8 +19,9 @@ Every public function takes a target precision in decimal digits and
 computes with ``GUARD_DIGITS`` extra working digits; results are correct to
 at least the requested precision.  Values are cached per (symbol, precision)
 and cache hits return bit-identical numbers.  The mpmath working context is
-global, so a module lock serializes precision changes; all entry points are
-safe to call from multiple threads.
+global, so a module lock, which :mod:`arcmellin.quadrature` holds as well,
+serializes precision changes; all entry points of both modules are safe to
+call from multiple threads.
 """
 
 from __future__ import annotations

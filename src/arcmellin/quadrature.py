@@ -18,12 +18,23 @@ algebraic/logarithmic behaviour at 0, so the node map
 turns the trapezoid sum into a double-exponentially convergent rule.  Levels
 halve the mesh; each level reuses the previous sum and adds the odd
 multiples of the new spacing, extending each wing adaptively until terms are
-negligible.  The reported error estimate is the last level-to-level change
-plus a geometric bound on the truncated tails; it is computed, never asserted.
+negligible.  A level cap reached before the target raises
+:class:`PrecisionError`.  The reported error estimate is the last
+level-to-level change plus a geometric bound on the truncated tails; it is
+computed, never asserted.
+
+Every node is t = k 2^-level, so every integrand samples the same grid.  A
+node table, one for the current working precision and replaced when the
+precision changes, keeps the integrand-independent values u = exp(-t),
+tanh z and sech z at each node, keyed by the integer t 2^MAX_LEVEL.  Each
+integrand is then written in those values: the Mellin and sinh/z families
+become tanh^a z sech^b z (1 + u), the log family uses ln z = t - u, and only
+the log family and the two constants compute z itself.
 
 Results are cached per (family, parameters, precision); cached replies are
-bit-identical.  A module lock serializes the global mpmath context, so the
-evaluators are safe to call concurrently.
+bit-identical.  The global mpmath context, and with it the node table, is
+guarded by the one lock that :mod:`arcmellin.lfuncs` also holds, so the
+evaluators of both modules are safe to call concurrently.
 """
 
 from __future__ import annotations
@@ -35,13 +46,17 @@ from fractions import Fraction
 from mpmath import mp, mpf
 
 from .exact import DomainError, PrecisionError, bernoulli
+from .lfuncs import _MP_LOCK
 
 DEFAULT_PREC = 30
 MAX_PREC = 100
+MAX_LEVEL = 12
 
-_MP_LOCK = threading.RLock()
 _cache_lock = threading.Lock()
 _quad_cache: dict[tuple, "QuadResult"] = {}
+# {mp.prec: {t * 2^MAX_LEVEL: (exp(-t), tanh z, sech z) as raw _mpf_ tuples}},
+# holding one precision at a time; filled and read by _de_halfline.
+_node_tables: dict[int, dict[int, tuple]] = {}
 
 
 @dataclass(frozen=True)
@@ -70,27 +85,47 @@ def _as_mpf(x) -> mpf:
     return mp.mpmathify(x)
 
 
-def _de_halfline(f, prec: int, max_level: int = 12) -> QuadResult:
-    """Integrate f over (0, oo) with the exp(t - exp(-t)) node map.
+def _de_halfline(term, prec: int, max_level: int = MAX_LEVEL) -> QuadResult:
+    """Integrate over (0, oo) with the z = exp(t - exp(-t)) node map.
 
-    Must be called inside the working-precision context.
+    ``term(t, u, tanh_z, sech_z)`` must return f(z) dz/dt = f(z) (1 + u) z,
+    where u = exp(-t) and z = exp(t - u); z itself is left to the few
+    integrands that need it.  ``max_level`` may not exceed ``MAX_LEVEL``.
+    Raises :class:`PrecisionError` when ``max_level`` is reached before the
+    level-to-level change meets the target.
+
+    Must be called under ``_MP_LOCK``, which also guards the node table,
+    inside the working-precision context.
     """
     eps_term = mpf(10) ** (-(mp.dps + 5))
     target = mpf(10) ** (-(prec + 2))
+    table = _node_tables.get(mp.prec)
+    if table is None:  # one precision at a time keeps the memory bounded
+        _node_tables.clear()
+        table = _node_tables[mp.prec] = {}
+    make_mpf = mp.make_mpf
     nodes = 0
     tail_mag = mpf(0)
 
-    def term(t: mpf) -> mpf:
-        u = mp.exp(-t)
-        z = mp.exp(t - u)
-        return f(z) * (1 + u) * z
+    def node(key: int) -> mpf:
+        """term at t = key * 2^-MAX_LEVEL, from the table or filling it."""
+        t = mp.ldexp(key, -MAX_LEVEL)
+        cached = table.get(key)
+        if cached is None:
+            u = mp.exp(-t)
+            z = mp.exp(t - u)
+            cached = table[key] = (u._mpf_, mp.tanh(z)._mpf_, mp.sech(z)._mpf_)
+        u, tanh_z, sech_z = cached
+        return term(t, make_mpf(u), make_mpf(tanh_z), make_mpf(sech_z))
 
-    def wing(h: mpf, start: int, step: int) -> tuple[mpf, mpf, int]:
-        """Sum term(k*h) for k = start, start+step, ... on both sides.
+    def wing(level: int, start: int, step: int) -> tuple[mpf, mpf, int]:
+        """Sum the terms at t = k * 2^-level for k = start, start+step, ...
+        on both sides.
 
         Also returns the larger of the two truncation-boundary magnitudes
         (the last term on each side still above the negligibility cutoff).
         """
+        shift = MAX_LEVEL - level
         total = mpf(0)
         last = mpf(0)
         count = 0
@@ -99,7 +134,7 @@ def _de_halfline(f, prec: int, max_level: int = 12) -> QuadResult:
             k = start
             boundary = mpf(0)
             while consec < 3:
-                val = term(sign * k * h)
+                val = node((sign * k) << shift)
                 total += val
                 count += 1
                 mag = abs(val)
@@ -115,18 +150,17 @@ def _de_halfline(f, prec: int, max_level: int = 12) -> QuadResult:
         return total, last, count
 
     h = mpf(1)
-    center = term(mpf(0))
+    center = node(0)
     nodes += 1
-    wing_sum, last_mag, n = wing(h, 1, 1)
+    wing_sum, last_mag, n = wing(0, 1, 1)
     nodes += n
     tail_mag = last_mag
     value = h * (center + wing_sum)
     prev = value
-    level = 0
     change = abs(value)
     for level in range(1, max_level + 1):
         h = h / 2
-        odd_sum, last_mag, n = wing(h, 1, 2)
+        odd_sum, last_mag, n = wing(level, 1, 2)
         nodes += n
         tail_mag = max(tail_mag, last_mag)
         value = prev / 2 + h * odd_sum
@@ -134,6 +168,11 @@ def _de_halfline(f, prec: int, max_level: int = 12) -> QuadResult:
         if change < target * max(mpf(1), abs(value)):
             break
         prev = value
+    else:
+        raise PrecisionError(
+            f"double-exponential quadrature missed its target 1e-{prec + 2} "
+            f"after {max_level} levels (last change {mp.nstr(change, 3)})"
+        )
     # tails decay far faster than geometrically; ratio 1/2 is conservative
     error = change + 2 * h * tail_mag
     return QuadResult(value=value, error_estimate=error, nodes_used=nodes, levels=level)
@@ -165,14 +204,13 @@ def quad_phi(which: int, s, prec: int = DEFAULT_PREC) -> QuadResult:
             raise DomainError(f"Phi_{which} converges only for s > 1, got s={s}")
 
     def make():
-        sv = _as_mpf(s)
-        power = sv - 1
+        power = _as_mpf(s) - 1
         sech_exp = 3 - which  # 2 for Phi_1, 1 for Phi_2
 
-        def f(z: mpf) -> mpf:
-            return mp.tanh(z) ** power * mp.sech(z) ** sech_exp / z
+        def term(t: mpf, u: mpf, tanh_z: mpf, sech_z: mpf) -> mpf:
+            return tanh_z ** power * sech_z ** sech_exp * (1 + u)
 
-        return f
+        return term
 
     return _cached_quad(("phi", which, s, prec), prec, make)
 
@@ -188,10 +226,11 @@ def quad_log_family(q: int, n_exponent: int, prec: int = DEFAULT_PREC) -> QuadRe
     def make():
         decay = n_exponent - 2 * q - 1
 
-        def f(z: mpf) -> mpf:
-            return mp.tanh(z) ** (2 * q + 1) * mp.sech(z) ** decay * mp.log(z)
+        def term(t: mpf, u: mpf, tanh_z: mpf, sech_z: mpf) -> mpf:
+            log_z = t - u
+            return tanh_z ** (2 * q + 1) * sech_z ** decay * log_z * (1 + u) * mp.exp(log_z)
 
-        return f
+        return term
 
     return _cached_quad(("log", q, n_exponent, prec), prec, make)
 
@@ -207,10 +246,10 @@ def quad_sinh_over_z(q: int, n_exponent: int, prec: int = DEFAULT_PREC) -> QuadR
     def make():
         decay = n_exponent - 2 * q
 
-        def f(z: mpf) -> mpf:
-            return mp.tanh(z) ** (2 * q) * mp.sech(z) ** decay / z
+        def term(t: mpf, u: mpf, tanh_z: mpf, sech_z: mpf) -> mpf:
+            return tanh_z ** (2 * q) * sech_z ** decay * (1 + u)
 
-        return f
+        return term
 
     return _cached_quad(("soz", q, n_exponent, prec), prec, make)
 
@@ -231,10 +270,10 @@ def quad_integral(spec, prec: int = DEFAULT_PREC) -> QuadResult:
     raise DomainError(f"unknown integral family {spec.family!r}")
 
 
-def _one_over_z_minus_coth(z: mpf) -> mpf:
+def _one_over_z_minus_coth(z: mpf, tanh_z: mpf) -> mpf:
     """1/z - coth(z), evaluated without subtractive cancellation near 0."""
     if z > mpf(3) / 4:
-        return 1 / z - mp.cosh(z) / mp.sinh(z)
+        return 1 / z - 1 / tanh_z
     # 1/z - coth z = -sum_{k>=1} 4^k B_{2k} z^{2k-1} / (2k)!
     eps = mpf(10) ** (-(mp.dps + 5))
     total = mpf(0)
@@ -254,10 +293,10 @@ def _one_over_z_minus_coth(z: mpf) -> mpf:
         k += 1
 
 
-def _sinh_minus_z(z: mpf) -> mpf:
+def _sinh_minus_z(z: mpf, tanh_z: mpf, sech_z: mpf) -> mpf:
     """sinh(z) - z without cancellation near 0."""
     if z > mpf(3) / 4:
-        return mp.sinh(z) - z
+        return tanh_z / sech_z - z
     eps = mpf(10) ** (-(mp.dps + 5))
     total = mpf(0)
     k = 1
@@ -284,16 +323,17 @@ def quad_c_constant(which: int, prec: int = DEFAULT_PREC) -> QuadResult:
 
     def make():
         if which == 1:
-            def f(z: mpf) -> mpf:
-                return _one_over_z_minus_coth(z) * mp.sech(z) ** 2
+            def term(t: mpf, u: mpf, tanh_z: mpf, sech_z: mpf) -> mpf:
+                z = mp.exp(t - u)
+                return _one_over_z_minus_coth(z, tanh_z) * sech_z ** 2 * (1 + u) * z
 
-            return f
+            return term
 
-        def f(z: mpf) -> mpf:
-            # cosh z / z - coth z = cosh(z) (sinh z - z) / (z sinh z)
-            bracket = mp.cosh(z) * _sinh_minus_z(z) / (z * mp.sinh(z))
-            return bracket * mp.sech(z) ** 2
+        def term(t: mpf, u: mpf, tanh_z: mpf, sech_z: mpf) -> mpf:
+            # (cosh z / z - coth z) sech^2 z * z = (sinh z - z) sech^2 z / tanh z
+            z = mp.exp(t - u)
+            return _sinh_minus_z(z, tanh_z, sech_z) * sech_z ** 2 / tanh_z * (1 + u)
 
-        return f
+        return term
 
     return _cached_quad(("c_constant", which, prec), prec, make)

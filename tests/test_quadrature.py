@@ -1,5 +1,7 @@
 """Quadrature oracle: agreement with closed forms, convergence, domains."""
 
+import sys
+import threading
 from fractions import Fraction
 
 import pytest
@@ -7,6 +9,8 @@ from mpmath import mp, mpf
 
 from arcmellin import (
     DomainError,
+    PrecisionError,
+    beta_prime_value,
     eval_closed_form,
     log_integral_even_cosh,
     log_integral_odd_cosh,
@@ -17,6 +21,7 @@ from arcmellin import (
     sinh_over_z_integral,
     phi_odd_closed_form,
 )
+from arcmellin import quadrature
 from arcmellin.catalog import C1_CLOSED_FORM, C1_DECIMAL, C2_CLOSED_FORM, C2_DECIMAL
 
 
@@ -152,6 +157,16 @@ class TestConvergenceBehaviour:
             assert cur.error_estimate < prev.error_estimate
             prev = cur
 
+    def test_unmet_target_raises(self):
+        # one level halving cannot reach 102 digits; the answer must not
+        # come back silently
+        def term(t, u, tanh_z, sech_z):
+            return tanh_z ** 2 * sech_z ** 2 * (1 + u)
+
+        with quadrature._MP_LOCK, mp.workdps(115):
+            with pytest.raises(PrecisionError):
+                quadrature._de_halfline(term, 100, max_level=1)
+
     def test_nodes_are_counted(self):
         result = quad_phi(2, 5, 25)
         assert result.nodes_used > 50
@@ -161,3 +176,58 @@ class TestConvergenceBehaviour:
         closed = eval_closed_form(phi_odd_closed_form(2, 2), 30)
         quad = quad_phi(2, 5, 30).value
         assert abs(closed - quad) < TOL25
+
+
+MIXED_INTEGRALS = [
+    lambda prec: quad_phi(1, 3, prec),
+    lambda prec: quad_phi(2, 3, prec),
+    lambda prec: quad_phi(1, Fraction(7, 2), prec),
+    lambda prec: quad_phi(2, Fraction(5, 2), prec),
+    lambda prec: quad_log_family(0, 3, prec),
+    lambda prec: quad_log_family(1, 4, prec),
+    lambda prec: quad_sinh_over_z(1, 4, prec),
+    lambda prec: quad_c_constant(1, prec),
+    lambda prec: quad_c_constant(2, prec),
+]
+
+
+class TestSharedState:
+    def test_node_table_across_precisions_and_families(self):
+        def run(prec):
+            quadrature._quad_cache.clear()
+            return [integral(prec) for integral in MIXED_INTEGRALS]
+
+        reference = {}
+        for prec in (100, 30):
+            quadrature._node_tables.clear()
+            reference[prec] = run(prec)
+        # the table filled at 30 digits must give way to one at 100 and back
+        for prec in (100, 30):
+            assert run(prec) == reference[prec]
+            assert len(quadrature._node_tables) == 1
+
+    def test_quadrature_and_basis_values_share_the_mpmath_lock(self):
+        # a 20-digit quadrature must not lower the working precision of a
+        # 200-digit basis evaluation running in another thread
+        ks = [2, 3, 4, 5, 6, 7]
+        svals = [Fraction(3 + j, 2) + Fraction(1, 7) for j in range(12)]
+        expected_beta = [beta_prime_value(k, 200) for k in ks]
+        expected_quad = [quad_phi(1, s, 20) for s in svals]
+        quadrature._quad_cache.clear()
+        got_beta, got_quad = [], []
+        threads = [
+            threading.Thread(target=lambda: got_beta.extend(beta_prime_value(k, 200) for k in ks)),
+            threading.Thread(target=lambda: got_quad.extend(quad_phi(1, s, 20) for s in svals)),
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert got_beta == expected_beta
+        assert got_quad == expected_quad
