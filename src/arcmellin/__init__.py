@@ -31,7 +31,6 @@ from .series import (
     PowerSeries,
     ReciprocalArctanhCoeffs,
     RootProductTables,
-    arctanh_squared_coeff,
     binomial_power_sum,
     reciprocal_arctanh_coeffs,
     root_product_tables,
@@ -112,7 +111,6 @@ __all__ = [
     "PowerSeries",
     "ReciprocalArctanhCoeffs",
     "RootProductTables",
-    "arctanh_squared_coeff",
     "binomial_power_sum",
     "reciprocal_arctanh_coeffs",
     "root_product_tables",

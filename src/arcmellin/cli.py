@@ -45,12 +45,6 @@ from .exact import DomainError, PrecisionError
 from .lfuncs import eval_closed_form, euler_gamma, ln2, ln_pi
 from .quadrature import quad_c_constant
 
-_SUITES = [fam.value for fam in verify.IdentityFamily] + [
-    "asymptotic",
-    "even-relations",
-    "all",
-]
-
 
 def _load_config(path: str | None) -> dict[str, str]:
     if not path:
@@ -97,7 +91,9 @@ def _build_parser() -> argparse.ArgumentParser:
     out.add_argument("--latex", action="store_true")
 
     p_ver = sub.add_parser("verify", help="run a verification suite")
-    p_ver.add_argument("suite", choices=_SUITES)
+    p_ver.add_argument(
+        "suite", choices=[fam.value for fam in verify.IdentityFamily] + ["all"]
+    )
     p_ver.add_argument("--range", type=_parse_range, default=None, dest="n_range")
     p_ver.add_argument("--prec", type=int, default=None)
     p_ver.add_argument("--json", action="store_true", help="emit the JSON report")
@@ -129,15 +125,6 @@ def _emit_form(form: ClosedForm, args) -> None:
 def _run_suite(suite: str, n_range, prec: int, as_json: bool) -> int:
     if suite == "all":
         reports = verify.all_suites(prec=prec)
-    elif suite == "asymptotic":
-        reports = [verify.check_asymptotic_constants(prec=prec)]
-    elif suite == "even-relations":
-        reports = [verify.check_even_argument_relations(prec=prec)]
-    elif suite == verify.IdentityFamily.BOUNDS.value:
-        reports = [verify.check_bounds(prec=prec)]
-    elif suite == verify.IdentityFamily.CROSS_REP.value:
-        n_max = n_range[1] if n_range else 6
-        reports = [verify.check_cross_representation(n_max=n_max, prec=prec)]
     else:
         reports = [verify.run_identity(suite, n_range=n_range, prec=prec)]
     failed = False

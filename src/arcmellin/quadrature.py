@@ -41,12 +41,11 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from fractions import Fraction
 
 from mpmath import mp, mpf
 
 from .exact import DomainError, PrecisionError, bernoulli
-from .lfuncs import _MP_LOCK
+from .lfuncs import _MP_LOCK, _as_mpf
 
 DEFAULT_PREC = 30
 MAX_PREC = 100
@@ -75,14 +74,6 @@ class QuadResult:
 def _check_prec(prec: int) -> None:
     if not 1 <= prec <= MAX_PREC:
         raise DomainError(f"quadrature precision must be in [1, {MAX_PREC}], got {prec}")
-
-
-def _as_mpf(x) -> mpf:
-    if isinstance(x, Fraction):
-        return mpf(x.numerator) / x.denominator
-    if isinstance(x, float):
-        return mpf(x)
-    return mp.mpmathify(x)
 
 
 def _de_halfline(term, prec: int, max_level: int = MAX_LEVEL) -> QuadResult:

@@ -18,7 +18,6 @@ The coefficient families produced here feed the closed-form assembly:
   the normalized even-order derivative of sinh^{2q+1} at its imaginary poles.
 * ``reciprocal_arctanh_coeffs(N)`` -- expansion coefficients of 1/arctanh(x)
   and 1/(sqrt(1-x^2) arctanh(x)) as sums of x^{2n-1}.
-* ``arctanh_squared_coeff(n)`` -- [x^{2n}] arctanh(x)^2.
 """
 
 from __future__ import annotations
@@ -47,13 +46,6 @@ class PowerSeries:
         if not 0 <= k < self.order:
             raise IndexError(f"coefficient {k} not computed (order {self.order})")
         return self.coeffs[k]
-
-    def truncate(self, length: int) -> "PowerSeries":
-        if length > self.order:
-            raise DomainError(
-                f"cannot truncate to {length} coefficients, only {self.order} known"
-            )
-        return PowerSeries(self.coeffs[:length])
 
     def __add__(self, other: "PowerSeries") -> "PowerSeries":
         n = min(self.order, other.order)
@@ -101,15 +93,6 @@ class PowerSeries:
             base = base * base if e > 1 else base
             e >>= 1
         return result
-
-    def compose_x_squared(self) -> "PowerSeries":
-        """Substitute x -> x^2; the result keeps the same number of coefficients."""
-        out = [Fraction(0)] * self.order
-        for k, a in enumerate(self.coeffs):
-            if 2 * k >= self.order:
-                break
-            out[2 * k] = a
-        return PowerSeries(tuple(out))
 
 
 def sinh_x_over_x_series(order: int) -> PowerSeries:
@@ -243,12 +226,3 @@ def reciprocal_arctanh_coeffs(order: int) -> ReciprocalArctanhCoeffs:
         inv_arctanh=tuple(plain.coeffs[2 * i] for i in range(order + 1)),
         inv_sqrt_arctanh=tuple(weighted.coeffs[2 * i] for i in range(order + 1)),
     )
-
-
-def arctanh_squared_coeff(n: int) -> Fraction:
-    """[x^{2n}] arctanh(x)^2: 0 for n = 0, else (1/n) sum_{k=1}^{n} 1/(2k-1)."""
-    if n < 0:
-        raise DomainError("index must be >= 0")
-    if n == 0:
-        return Fraction(0)
-    return Fraction(1, n) * sum(Fraction(1, 2 * k - 1) for k in range(1, n + 1))

@@ -3,13 +3,17 @@
 The exact suites evaluate combinatorial identities in rational arithmetic
 and compare against their stated closed values -- no floats anywhere.  The
 numeric suites (bounds, coupled series, asymptotic constants, cross
-representation) declare a working precision and tolerance in their reports.
+representation, even-argument relations) declare a working precision and
+tolerance in their reports, and change the mpmath precision only under the
+lock that :mod:`arcmellin.lfuncs` and :mod:`arcmellin.quadrature` hold.
 
-Every suite returns a :class:`VerifyReport` whose cells are ordered by
-parameter tuple, so reports are deterministic for fixed inputs; wall-clock
-timing is carried on the object but excluded from the canonical JSON.
-Cells are independent pure computations and may be dispatched to a thread
-pool; results are merged in grid order, never completion order.
+Every suite is named by one :class:`IdentityFamily` member and dispatched
+through :data:`SUITES`, which maps it to a runner ``(n_range, prec)``;
+:func:`run_identity` looks one up and :func:`all_suites` runs them all in
+registry order.  Each runner returns a :class:`VerifyReport` whose cells are
+ordered by parameter tuple, so reports are deterministic for fixed inputs;
+wall-clock timing is carried on the object but excluded from the canonical
+JSON.
 """
 
 from __future__ import annotations
@@ -17,8 +21,8 @@ from __future__ import annotations
 import json
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from collections.abc import Callable
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from fractions import Fraction
 
@@ -35,6 +39,8 @@ from .closedform import (
 )
 from .exact import DomainError, bernoulli, binomial, eulerian, euler_number
 from .lfuncs import (
+    _MP_LOCK,
+    _frac,
     beta_value,
     eta_value,
     eval_closed_form,
@@ -57,25 +63,11 @@ class IdentityFamily(str, Enum):
     ZETA2_COEFF = "zeta2-coeff"
     D_IDENTITY = "d-identity"
     EULER_BERNOULLI = "euler-bernoulli"
-    COUPLED_SERIES = "coupled"
     BOUNDS = "bounds"
+    COUPLED_SERIES = "coupled"
+    ASYMPTOTIC = "asymptotic"
     CROSS_REP = "cross-rep"
-
-
-#: Default n-ranges sized so a full run stays comfortably inside desk scale.
-DEFAULT_RANGES: dict[IdentityFamily, tuple[int, int]] = {
-    IdentityFamily.ALT_BINOM_ODD: (1, 25),
-    IdentityFamily.ALT_BINOM_EVEN: (1, 25),
-    IdentityFamily.C_ODD_POWER: (1, 25),
-    IdentityFamily.EULERIAN_A_SUM: (1, 25),
-    IdentityFamily.EULERIAN_B_SUM: (1, 25),
-    IdentityFamily.BINOM_COSH_SUM: (1, 25),
-    IdentityFamily.VANISHING: (1, 20),
-    IdentityFamily.ETA_COEFF: (1, 50),
-    IdentityFamily.ZETA2_COEFF: (2, 25),
-    IdentityFamily.D_IDENTITY: (0, 15),
-    IdentityFamily.EULER_BERNOULLI: (1, 15),
-}
+    EVEN_RELATIONS = "even-relations"
 
 
 @dataclass(frozen=True)
@@ -147,13 +139,8 @@ def _report(family: str, cells, precision=None, tolerance=None, started=None) ->
 
 
 # ---------------------------------------------------------------------------
-# exact identity families: (parameter grid, single-cell evaluator)
+# exact identity families: single-cell evaluators
 # ---------------------------------------------------------------------------
-
-def _grid_n_sub(lo: int, hi: int, inner_len):
-    """All (n, j) with lo <= n <= hi and 0 <= j <= inner_len(n)."""
-    return [(n, j) for n in range(lo, hi + 1) for j in range(inner_len(n) + 1)]
-
 
 def _alt_binom_odd_cell(params: tuple) -> CellResult:
     n, j = params
@@ -321,96 +308,6 @@ def _euler_bernoulli_cell(params: tuple) -> CellResult:
     return CellResult(params, ok, f"line1={line1}, line2={line2}")
 
 
-_EXACT_FAMILIES = {
-    IdentityFamily.ALT_BINOM_ODD: (
-        lambda lo, hi: _grid_n_sub(max(1, lo), hi, lambda n: n),
-        _alt_binom_odd_cell,
-    ),
-    IdentityFamily.ALT_BINOM_EVEN: (
-        lambda lo, hi: _grid_n_sub(max(1, lo), hi, lambda n: n),
-        _alt_binom_even_cell,
-    ),
-    IdentityFamily.C_ODD_POWER: (
-        lambda lo, hi: _grid_n_sub(max(1, lo), hi, lambda n: n),
-        _c_odd_power_cell,
-    ),
-    IdentityFamily.EULERIAN_A_SUM: (
-        lambda lo, hi: _grid_n_sub(max(1, lo), hi, lambda n: n),
-        _eulerian_a_cell,
-    ),
-    IdentityFamily.EULERIAN_B_SUM: (
-        lambda lo, hi: _grid_n_sub(max(1, lo), hi, lambda n: n),
-        _eulerian_b_cell,
-    ),
-    IdentityFamily.BINOM_COSH_SUM: (
-        lambda lo, hi: _grid_n_sub(max(1, lo), hi, lambda n: n),
-        _binom_cosh_cell,
-    ),
-    IdentityFamily.VANISHING: (
-        lambda lo, hi: _grid_n_sub(max(1, lo), hi, lambda n: n - 1),
-        _vanishing_cell,
-    ),
-    IdentityFamily.ETA_COEFF: (
-        lambda lo, hi: [(n,) for n in range(max(1, lo), hi + 1)],
-        _eta_coeff_cell,
-    ),
-    IdentityFamily.ZETA2_COEFF: (
-        lambda lo, hi: [(n,) for n in range(max(2, lo), hi + 1)],
-        _zeta2_coeff_cell,
-    ),
-    IdentityFamily.D_IDENTITY: (
-        lambda lo, hi: [(n,) for n in range(max(0, lo), hi + 1)],
-        _d_identity_cell,
-    ),
-    IdentityFamily.EULER_BERNOULLI: (
-        lambda lo, hi: _grid_n_sub(max(1, lo), hi, lambda n: n - 1),
-        _euler_bernoulli_cell,
-    ),
-}
-
-
-def run_identity(
-    family: IdentityFamily | str,
-    n_range: tuple[int, int] | None = None,
-    prec: int = 30,
-    workers: int = 1,
-) -> VerifyReport:
-    """Run one suite over its parameter grid.
-
-    Exact families take an inclusive n-range; the numeric families ignore
-    it and use their own grids.  ``workers`` > 1 evaluates cells on a
-    thread pool, merged back in grid order.
-    """
-    family = IdentityFamily(family)
-    if family is IdentityFamily.BOUNDS:
-        return check_bounds(prec=prec)
-    if family is IdentityFamily.COUPLED_SERIES:
-        report = None
-        for s in (2, 4, 6):
-            part = check_coupled(s, truncation=30, prec=prec)
-            report = part if report is None else _merge(report, part)
-        return report
-    if family is IdentityFamily.CROSS_REP:
-        return check_cross_representation(n_max=(n_range or (1, 6))[1], prec=prec)
-
-    grid_fn, cell_fn = _EXACT_FAMILIES[family]
-    lo, hi = n_range if n_range is not None else DEFAULT_RANGES[family]
-    started = time.perf_counter()
-    grid = grid_fn(lo, hi)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            cells = list(pool.map(cell_fn, grid))
-    else:
-        cells = [cell_fn(p) for p in grid]
-    return _report(family.value, cells, started=started)
-
-
-def _merge(a: VerifyReport, b: VerifyReport) -> VerifyReport:
-    a.cells.extend(b.cells)
-    a.elapsed_seconds += b.elapsed_seconds
-    return a
-
-
 # ---------------------------------------------------------------------------
 # numeric suites
 # ---------------------------------------------------------------------------
@@ -475,7 +372,7 @@ def check_coupled(s, truncation: int = 30, prec: int = 30) -> VerifyReport:
     sf = Fraction(str(s))
     if not sf > 1:
         raise DomainError(f"coupled series require s > 1, got {s}")
-    with mp.workdps(prec + 15):
+    with _MP_LOCK, mp.workdps(prec + 15):
         phi1_s = quad_phi(1, sf, prec).value
         phi2_s = quad_phi(2, sf, prec).value
         acc2 = mpf(0)
@@ -512,7 +409,7 @@ def check_coupled(s, truncation: int = 30, prec: int = 30) -> VerifyReport:
 def _prefix_matches(value: mpf, printed: str) -> bool:
     # within one unit in the last printed decimal place
     decimals = len(printed.split(".")[1])
-    with mp.workdps(decimals + 25):
+    with _MP_LOCK, mp.workdps(decimals + 25):
         return abs(value - mpf(printed)) < mpf(10) ** (-decimals)
 
 
@@ -546,7 +443,7 @@ def check_asymptotic_constants(prec: int = 30) -> VerifyReport:
                 f"printed={printed[which]}",
             )
         )
-        with mp.workdps(prec + 15):
+        with _MP_LOCK, mp.workdps(prec + 15):
             errors = []
             for k in range(1, 7):
                 eps = Fraction(1, 10**k)
@@ -616,15 +513,15 @@ def check_even_argument_relations(cap: int = 40, prec: int = 30) -> VerifyReport
     """
     started = time.perf_counter()
     cells = []
-    with mp.workdps(prec + 15):
+    with _MP_LOCK, mp.workdps(prec + 15):
         for rel in catalog.EVEN_ARGUMENT_RELATIONS:
             zeta_combo = mpf(0)
             for k, coeff in sorted(rel["zeta"].items()):
                 zeta_k = eta_value(k, prec) / (1 - mpf(2) ** (1 - k))
-                zeta_combo += _frac_to_mpf(coeff) * zeta_k / mp.pi ** (k - 1)
+                zeta_combo += _frac(coeff) * zeta_k / mp.pi ** (k - 1)
             beta_combo = mpf(0)
             for k, coeff in sorted(rel["beta"].items()):
-                beta_combo += _frac_to_mpf(coeff) * beta_value(k, prec) / mp.pi ** (k - 1)
+                beta_combo += _frac(coeff) * beta_value(k, prec) / mp.pi ** (k - 1)
             which = rel["which"]
             head = mpf(0)
             for n in range(rel["start"], cap):
@@ -648,10 +545,6 @@ def check_even_argument_relations(cap: int = 40, prec: int = 30) -> VerifyReport
         tolerance=f"residual below analytic tail bound at cap {cap}",
         started=started,
     )
-
-
-def _frac_to_mpf(value: Fraction) -> mpf:
-    return mpf(value.numerator) / value.denominator
 
 
 # ---------------------------------------------------------------------------
@@ -692,14 +585,93 @@ def reproduce_reference_tables(prec: int = 30) -> VerifyReport:
     )
 
 
+# ---------------------------------------------------------------------------
+# suite registry
+# ---------------------------------------------------------------------------
+
+_Runner = Callable[[tuple[int, int] | None, int], VerifyReport]
+
+
+def _exact_suite(
+    family: IdentityFamily, cell_fn, n_min: int, inner: int | None, default_range
+) -> tuple[IdentityFamily, _Runner]:
+    """An exact family's registry entry.
+
+    The grid is n over the inclusive range (``default_range`` unless one is
+    given) clipped below at ``n_min``; with an ``inner`` offset each n
+    expands to the cells (n, j) for 0 <= j <= n + inner, otherwise to (n,).
+    """
+
+    def run(n_range, prec):
+        lo, hi = n_range if n_range is not None else default_range
+        started = time.perf_counter()
+        ns = range(max(n_min, lo), hi + 1)
+        if inner is None:
+            grid = [(n,) for n in ns]
+        else:
+            grid = [(n, j) for n in ns for j in range(n + inner + 1)]
+        return _report(family.value, [cell_fn(p) for p in grid], started=started)
+
+    return family, run
+
+
+def _coupled_suite(prec: int) -> VerifyReport:
+    """The coupled-series identities at s = 2, 4, 6 as one report."""
+    parts = [check_coupled(s, truncation=30, prec=prec) for s in (2, 4, 6)]
+    return replace(
+        parts[0],
+        cells=[cell for part in parts for cell in part.cells],
+        elapsed_seconds=sum(part.elapsed_seconds for part in parts),
+    )
+
+
+#: The one suite registry, in ``verify all`` order.  Exact families take an
+#: inclusive n-range (default sized to stay inside desk scale); the numeric
+#: suites use their own grids, except that cross-rep reads n_max from it.
+SUITES: dict[IdentityFamily, _Runner] = dict(
+    [
+        _exact_suite(IdentityFamily.ALT_BINOM_ODD, _alt_binom_odd_cell, 1, 0, (1, 25)),
+        _exact_suite(IdentityFamily.ALT_BINOM_EVEN, _alt_binom_even_cell, 1, 0, (1, 25)),
+        _exact_suite(IdentityFamily.C_ODD_POWER, _c_odd_power_cell, 1, 0, (1, 25)),
+        _exact_suite(IdentityFamily.EULERIAN_A_SUM, _eulerian_a_cell, 1, 0, (1, 25)),
+        _exact_suite(IdentityFamily.EULERIAN_B_SUM, _eulerian_b_cell, 1, 0, (1, 25)),
+        _exact_suite(IdentityFamily.BINOM_COSH_SUM, _binom_cosh_cell, 1, 0, (1, 25)),
+        _exact_suite(IdentityFamily.VANISHING, _vanishing_cell, 1, -1, (1, 20)),
+        _exact_suite(IdentityFamily.ETA_COEFF, _eta_coeff_cell, 1, None, (1, 50)),
+        _exact_suite(IdentityFamily.ZETA2_COEFF, _zeta2_coeff_cell, 2, None, (2, 25)),
+        _exact_suite(IdentityFamily.D_IDENTITY, _d_identity_cell, 0, None, (0, 15)),
+        _exact_suite(IdentityFamily.EULER_BERNOULLI, _euler_bernoulli_cell, 1, -1, (1, 15)),
+        (IdentityFamily.BOUNDS, lambda n_range, prec: check_bounds(prec=prec)),
+        (IdentityFamily.COUPLED_SERIES, lambda n_range, prec: _coupled_suite(prec)),
+        (
+            IdentityFamily.ASYMPTOTIC,
+            lambda n_range, prec: check_asymptotic_constants(prec=prec),
+        ),
+        (
+            IdentityFamily.CROSS_REP,
+            lambda n_range, prec: check_cross_representation(
+                n_max=n_range[1] if n_range is not None else 6, prec=prec
+            ),
+        ),
+        (
+            IdentityFamily.EVEN_RELATIONS,
+            lambda n_range, prec: check_even_argument_relations(prec=prec),
+        ),
+    ]
+)
+
+
+def run_identity(
+    family: IdentityFamily | str,
+    n_range: tuple[int, int] | None = None,
+    prec: int = 30,
+) -> VerifyReport:
+    """Run one registered suite; ``n_range`` is ignored by suites without one."""
+    return SUITES[IdentityFamily(family)](n_range, prec)
+
+
 def all_suites(prec: int = 30) -> list[VerifyReport]:
-    """Every suite at its default range, identity suites first."""
-    reports = [run_identity(fam, prec=prec) for fam in _EXACT_FAMILIES]
-    reports.append(check_bounds(prec=prec))
-    for s in (2, 4, 6):
-        reports.append(check_coupled(s, truncation=30, prec=prec))
-    reports.append(check_asymptotic_constants(prec=prec))
-    reports.append(check_cross_representation(n_max=6, prec=prec))
-    reports.append(check_even_argument_relations(prec=prec))
+    """Every registered suite at its default range, then the reference tables."""
+    reports = [run_identity(family, prec=prec) for family in SUITES]
     reports.append(reproduce_reference_tables(prec=prec))
     return reports

@@ -147,4 +147,11 @@ class TestVerifyAll:
         code, out, _ = run(capsys, "verify", "all", "--prec", "25")
         assert code == 0
         assert "FAIL" not in out
-        assert out.count("PASS") >= 16
+        lines = out.splitlines()
+        assert [line.split(":")[0] for line in lines] == [
+            "alt-binom-odd", "alt-binom-even", "c-odd-power", "eulerian-a",
+            "eulerian-b", "binom-cosh", "vanishing", "eta-coeff", "zeta2-coeff",
+            "d-identity", "euler-bernoulli", "bounds", "coupled",
+            "asymptotic-constants", "cross-rep", "even-relations", "reference-tables",
+        ]
+        assert lines[12].startswith("coupled: PASS (6 cells")

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from arcmellin import (
     DomainError,
     PowerSeries,
-    arctanh_squared_coeff,
     bernoulli,
     binomial,
     binomial_power_sum,
@@ -36,14 +35,6 @@ class TestPowerSeriesArithmetic:
         prod = s * s.reciprocal()
         assert prod.coeffs[0] == 1
         assert all(c == 0 for c in prod.coeffs[1:])
-
-    def test_truncate_cannot_extend(self):
-        with pytest.raises(DomainError):
-            sinh_x_over_x_series(4).truncate(10)
-
-    def test_compose_x_squared(self):
-        s = PowerSeries((Fraction(1), Fraction(2), Fraction(3)))
-        assert s.compose_x_squared().coeffs == (Fraction(1), Fraction(0), Fraction(2))
 
     @settings(max_examples=50)
     @given(st.lists(st.fractions(), min_size=3, max_size=6),
@@ -201,21 +192,3 @@ class TestReciprocalArctanhCoeffs:
         )
         weighted = plain * inv_sqrt_one_minus_x2_series(2 * n)
         assert tuple(weighted.coeffs[2 * i] for i in range(n + 1)) == rc.inv_sqrt_arctanh
-
-
-class TestArctanhSquaredCoeff:
-    def test_zero(self):
-        assert arctanh_squared_coeff(0) == 0
-
-    def test_one(self):
-        assert arctanh_squared_coeff(1) == 1
-
-    def test_two(self):
-        assert arctanh_squared_coeff(2) == Fraction(2, 3)
-
-    @pytest.mark.parametrize("n", range(1, 14))
-    def test_cauchy_square_oracle(self, n):
-        cauchy = sum(
-            Fraction(1, (2 * m + 1) * (2 * (n - m) - 1)) for m in range(n)
-        )
-        assert arctanh_squared_coeff(n) == cauchy

@@ -2,12 +2,15 @@
 
 import json
 import math
+import sys
+import threading
 from fractions import Fraction
 
 import pytest
 
 from arcmellin import (
     IdentityFamily,
+    beta_prime_value,
     binomial,
     check_asymptotic_constants,
     check_bounds,
@@ -17,7 +20,9 @@ from arcmellin import (
     reproduce_reference_tables,
     run_identity,
 )
+from arcmellin import quadrature
 from arcmellin.verify import (
+    SUITES,
     _alt_binom_even_cell,
     _alt_binom_odd_cell,
     _d_identity_cell,
@@ -88,11 +93,19 @@ class TestExactSuites:
     def test_accepts_string_names(self):
         assert run_identity("alt-binom-odd", n_range=(1, 4)).passed
 
-    def test_workers_merge_in_grid_order(self):
-        seq = run_identity(IdentityFamily.ALT_BINOM_ODD, n_range=(1, 6))
-        par = run_identity(IdentityFamily.ALT_BINOM_ODD, n_range=(1, 6), workers=4)
-        assert [c.params for c in par.cells] == [c.params for c in seq.cells]
-        assert par.passed
+
+class TestRegistry:
+    def test_every_family_has_one_runner(self):
+        assert list(SUITES) == list(IdentityFamily)
+
+    @pytest.mark.parametrize("name", ["asymptotic", "even-relations"])
+    def test_numeric_suites_run_by_name(self, name):
+        assert run_identity(name, prec=25).passed
+
+    def test_cross_rep_reads_n_max_from_range(self):
+        report = run_identity(IdentityFamily.CROSS_REP, n_range=(1, 2), prec=25)
+        assert report.passed
+        assert [c.params for c in report.cells] == [(1, 1), (2, 1), (1, 2), (2, 2)]
 
 
 class TestNumericSuites:
@@ -131,6 +144,38 @@ class TestNumericSuites:
         assert report.passed
         kinds = {params[1] for params in (c.params for c in report.cells)}
         assert kinds == {"closed-vs-quad", "printed-prefix", "limit-trend"}
+
+    def test_coupled_shares_the_mpmath_lock(self):
+        # a 20-digit suite must not lower the working precision of a
+        # 200-digit basis evaluation running in another thread
+        svals, ks = (3, 5, 7), [2, 3, 4, 5, 6, 7] * 3
+
+        def coupled_details():
+            details = []
+            for s in svals:
+                quadrature._quad_cache.clear()
+                details += [c.detail for c in check_coupled(s, truncation=8, prec=20).cells]
+            return details
+
+        expected_beta = [beta_prime_value(k, 200) for k in ks]
+        expected_coupled = coupled_details()
+        got_beta, got_coupled = [], []
+        threads = [
+            threading.Thread(target=lambda: got_beta.extend(beta_prime_value(k, 200) for k in ks)),
+            threading.Thread(target=lambda: got_coupled.extend(coupled_details())),
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert got_beta == expected_beta
+        assert got_coupled == expected_coupled
 
     def test_even_argument_relations(self):
         report = check_even_argument_relations(cap=40, prec=25)
