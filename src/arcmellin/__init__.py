@@ -37,7 +37,6 @@ from .series import (
     x_over_sinh_coeffs,
 )
 from .closedform import (
-    IntegralSpec,
     LN2,
     LNPI,
     ONE,
@@ -79,7 +78,6 @@ from .lfuncs import (
 from .quadrature import (
     QuadResult,
     quad_c_constant,
-    quad_integral,
     quad_log_family,
     quad_phi,
     quad_sinh_over_z,
@@ -120,7 +118,6 @@ __all__ = [
     "ONE",
     "BasisSymbol",
     "ClosedForm",
-    "IntegralSpec",
     "beta_prime_neg_coeffs",
     "beta_prime_neg_symbol",
     "beta_prime_ratio",
@@ -153,7 +150,6 @@ __all__ = [
     "zeta_prime_even",
     "QuadResult",
     "quad_c_constant",
-    "quad_integral",
     "quad_log_family",
     "quad_phi",
     "quad_sinh_over_z",

@@ -205,14 +205,6 @@ class ClosedForm:
 
     __rmul__ = __mul__
 
-    @staticmethod
-    def combine(pairs: Iterable[tuple[Fraction, "ClosedForm"]]) -> "ClosedForm":
-        """sum of coeff * form over the given pairs."""
-        total = ClosedForm()
-        for coeff, form in pairs:
-            total = total + form.scale(coeff)
-        return total
-
     def to_json(self) -> str:
         terms = []
         for sym, coeff in self.items():
@@ -456,66 +448,6 @@ def phi_odd_closed_form(which: int, n: int) -> ClosedForm:
         return ClosedForm((eta_prime_neg_symbol(i), c) for i, c in enumerate(coeffs))
     coeffs = beta_prime_neg_coeffs(n)
     return ClosedForm((beta_prime_neg_symbol(i), c) for i, c in enumerate(coeffs))
-
-
-@dataclass(frozen=True)
-class IntegralSpec:
-    """Tagged description of one integral request.
-
-    Families and parameters (mirroring the construction functions):
-
-    * ``"log-odd"``: sinh^{2q+1} ln z / cosh^{2n+1}, needs 0 <= q <= n-1;
-    * ``"log-even"``: sinh^{2q+1} ln z / cosh^{2n}, needs 0 <= q <= n-1;
-    * ``"sinh-over-z"``: sinh^{2q} / (z cosh^n) with the full exponent in
-      ``n``, needs 0 < 2q < n;
-    * ``"phi1"`` / ``"phi2"``: the Mellin transform at argument ``s`` > 1.
-
-    Construction is validated eagerly, so holding an IntegralSpec means the
-    request converges.
-    """
-
-    family: str
-    q: int | None = None
-    n: int | None = None
-    s: object = None
-
-    _LOG_FAMILIES = ("log-odd", "log-even")
-
-    def __post_init__(self) -> None:
-        if self.family in self._LOG_FAMILIES:
-            if self.q is None or self.n is None or not 0 <= self.q <= self.n - 1:
-                raise DomainError(
-                    f"{self.family} requires 0 <= q <= n-1, got q={self.q}, n={self.n}"
-                )
-        elif self.family == "sinh-over-z":
-            if self.q is None or self.n is None or not 0 < 2 * self.q < self.n:
-                raise DomainError(
-                    f"sinh-over-z requires 0 < 2q < n, got q={self.q}, n={self.n}"
-                )
-        elif self.family in ("phi1", "phi2"):
-            if self.s is None or not Fraction(str(self.s)) > 1:
-                raise DomainError(f"{self.family} requires s > 1, got s={self.s}")
-        else:
-            raise DomainError(f"unknown integral family {self.family!r}")
-
-    def closed_form(self) -> ClosedForm:
-        """The exact closed form, where one exists.
-
-        Mellin-transform requests admit a finite closed form only at odd
-        integer arguments s = 2n+1 >= 3; anything else raises.
-        """
-        if self.family == "log-odd":
-            return log_integral_odd_cosh(self.q, self.n)
-        if self.family == "log-even":
-            return log_integral_even_cosh(self.q, self.n)
-        if self.family == "sinh-over-z":
-            return sinh_over_z_integral(self.q, self.n)
-        s = Fraction(str(self.s))
-        if s.denominator != 1 or s < 3 or s.numerator % 2 == 0:
-            raise DomainError(
-                f"no finite closed form at s={self.s}; odd integers s >= 3 only"
-            )
-        return phi_odd_closed_form(1 if self.family == "phi1" else 2, (s.numerator - 1) // 2)
 
 
 def mellin_even_partial(which: int, m: int, terms: int) -> list[Fraction]:

@@ -18,15 +18,18 @@ All basis symbols reduce to four ingredients:
 Every public function takes a target precision in decimal digits and
 computes with ``GUARD_DIGITS`` extra working digits; results are correct to
 at least the requested precision.  Values are cached per (symbol, precision)
-and cache hits return bit-identical numbers.  The mpmath working context is
-global, so a module lock, which :mod:`arcmellin.quadrature` holds as well,
-serializes precision changes; all entry points of both modules are safe to
-call from multiple threads.
+and cache hits return bit-identical numbers; a miss runs its builder inside
+the working precision.  The mpmath working context is global, so
+``_working(digits)`` is the one place in the package that sets it: it holds
+the module lock at ``digits + GUARD_DIGITS``, and :mod:`arcmellin.quadrature`
+and :mod:`arcmellin.verify` enter it too.  All entry points of these modules
+are therefore safe to call from multiple threads.
 """
 
 from __future__ import annotations
 
 import threading
+from contextlib import contextmanager
 from fractions import Fraction
 
 from mpmath import mp, mpf
@@ -57,16 +60,28 @@ def _as_mpf(x) -> mpf:
     return mp.mpmathify(x)
 
 
-def _frac(x: Fraction) -> mpf:
-    return mpf(x.numerator) / x.denominator
+@contextmanager
+def _working(digits: int):
+    """Hold ``_MP_LOCK`` with the mpmath context at ``digits + GUARD_DIGITS``.
+
+    The one way this package sets the working precision: the basis numerics
+    here, :mod:`arcmellin.quadrature` and the numeric :mod:`arcmellin.verify`
+    suites all enter it.  The lock is re-entrant, so nested entries at the
+    same ``digits`` leave every value unchanged.
+    """
+    with _MP_LOCK, mp.workdps(digits + GUARD_DIGITS):
+        yield
 
 
-def _cached(key: tuple, builder):
+def _cached(key: tuple, prec: int, builder):
+    """The cached value for ``key``; a miss runs ``builder()`` inside
+    ``_working(prec)``."""
     with _cache_lock:
         hit = _constant_cache.get(key)
     if hit is not None:
         return hit
-    value = builder()
+    with _working(prec):
+        value = builder()
     with _cache_lock:
         return _constant_cache.setdefault(key, value)
 
@@ -109,7 +124,7 @@ def _require_s_ge_1(s: mpf) -> None:
 def eta_value(s, prec: int, max_terms: int | None = None) -> mpf:
     """Dirichlet eta(s) = sum (-1)^{n-1} n^{-s} for real s >= 1."""
     _check_prec(prec)
-    with _MP_LOCK, mp.workdps(prec + GUARD_DIGITS):
+    with _working(prec):
         sv = _as_mpf(s)
         _require_s_ge_1(sv)
         return alternating_sum(lambda k: (k + 1) ** -sv, prec, max_terms)
@@ -118,7 +133,7 @@ def eta_value(s, prec: int, max_terms: int | None = None) -> mpf:
 def eta_prime(s, prec: int, max_terms: int | None = None) -> mpf:
     """eta'(s) = sum (-1)^n ln(n) n^{-s} (n >= 1), accelerated, s >= 1."""
     _check_prec(prec)
-    with _MP_LOCK, mp.workdps(prec + GUARD_DIGITS):
+    with _working(prec):
         sv = _as_mpf(s)
         _require_s_ge_1(sv)
         return -alternating_sum(
@@ -129,7 +144,7 @@ def eta_prime(s, prec: int, max_terms: int | None = None) -> mpf:
 def beta_value(s, prec: int, max_terms: int | None = None) -> mpf:
     """Dirichlet beta(s) = sum (-1)^n (2n+1)^{-s} for real s >= 1."""
     _check_prec(prec)
-    with _MP_LOCK, mp.workdps(prec + GUARD_DIGITS):
+    with _working(prec):
         sv = _as_mpf(s)
         _require_s_ge_1(sv)
         return alternating_sum(lambda k: (2 * k + 1) ** -sv, prec, max_terms)
@@ -138,7 +153,7 @@ def beta_value(s, prec: int, max_terms: int | None = None) -> mpf:
 def beta_prime_value(s, prec: int, max_terms: int | None = None) -> mpf:
     """beta'(s) = sum (-1)^{n+1} ln(2n+1) (2n+1)^{-s}, accelerated, s >= 1."""
     _check_prec(prec)
-    with _MP_LOCK, mp.workdps(prec + GUARD_DIGITS):
+    with _working(prec):
         sv = _as_mpf(s)
         _require_s_ge_1(sv)
         return -alternating_sum(
@@ -158,11 +173,10 @@ def zeta_even_value(k: int, prec: int) -> mpf:
     if k < 1:
         raise DomainError("zeta_even_value requires k >= 1")
     def build():
-        with _MP_LOCK, mp.workdps(prec + GUARD_DIGITS):
-            b = bernoulli(2 * k)
-            sign = 1 if k % 2 else -1
-            return sign * _frac(b) * (2 * mp.pi) ** (2 * k) / (2 * mp.factorial(2 * k))
-    return _cached(("zeta_even", k, prec), build)
+        b = bernoulli(2 * k)
+        sign = 1 if k % 2 else -1
+        return sign * _as_mpf(b) * (2 * mp.pi) ** (2 * k) / (2 * mp.factorial(2 * k))
+    return _cached(("zeta_even", k, prec), prec, build)
 
 
 def beta_odd_value(k: int, prec: int) -> mpf:
@@ -171,15 +185,14 @@ def beta_odd_value(k: int, prec: int) -> mpf:
     if k < 0:
         raise DomainError("beta_odd_value requires k >= 0")
     def build():
-        with _MP_LOCK, mp.workdps(prec + GUARD_DIGITS):
-            sign = -1 if k % 2 else 1
-            return (
-                sign
-                * euler_number(2 * k)
-                * mp.pi ** (2 * k + 1)
-                / (4 ** (k + 1) * mp.factorial(2 * k))
-            )
-    return _cached(("beta_odd", k, prec), build)
+        sign = -1 if k % 2 else 1
+        return (
+            sign
+            * euler_number(2 * k)
+            * mp.pi ** (2 * k + 1)
+            / (4 ** (k + 1) * mp.factorial(2 * k))
+        )
+    return _cached(("beta_odd", k, prec), prec, build)
 
 
 def eta_at_negative_odd(i: int) -> Fraction:
@@ -199,64 +212,57 @@ def beta_at_negative_even(i: int) -> Fraction:
 
 def ln2(prec: int) -> mpf:
     _check_prec(prec)
-    return _cached(("ln2", prec), lambda: _with_work(prec, lambda: mp.log(2)))
+    return _cached(("ln2", prec), prec, lambda: mp.log(2))
 
 
 def ln_pi(prec: int) -> mpf:
     _check_prec(prec)
-    return _cached(("lnpi", prec), lambda: _with_work(prec, lambda: mp.log(mp.pi)))
+    return _cached(("lnpi", prec), prec, lambda: mp.log(mp.pi))
 
 
 def euler_gamma(prec: int) -> mpf:
     """Euler-Mascheroni constant, cached alongside the basis constants."""
     _check_prec(prec)
-    return _cached(("gamma", prec), lambda: _with_work(prec, lambda: +mp.euler))
-
-
-def _with_work(prec: int, thunk):
-    with _MP_LOCK, mp.workdps(prec + GUARD_DIGITS):
-        return thunk()
+    return _cached(("gamma", prec), prec, lambda: +mp.euler)
 
 
 # ---------------------------------------------------------------------------
 # derivatives at the paper-facing argument families
 # ---------------------------------------------------------------------------
 
-def zeta_prime_even(p: int, prec: int, max_terms: int | None = None) -> mpf:
+def zeta_prime_even(p: int, prec: int) -> mpf:
     """zeta'(2p+2), from eta'(s) = 2^{1-s} ln2 zeta(s) + (1-2^{1-s}) zeta'(s)."""
     _check_prec(prec)
     if p < 0:
         raise DomainError("zeta_prime_even requires p >= 0")
     def build():
         s = 2 * p + 2
-        ep = eta_prime(s, prec, max_terms)
-        with _MP_LOCK, mp.workdps(prec + GUARD_DIGITS):
-            two = mpf(2) ** (1 - s)
-            return (ep - two * mp.log(2) * zeta_even_value(p + 1, prec)) / (1 - two)
-    return _cached(("zeta_prime_even", p, prec), build)
+        ep = eta_prime(s, prec)
+        two = mpf(2) ** (1 - s)
+        return (ep - two * mp.log(2) * zeta_even_value(p + 1, prec)) / (1 - two)
+    return _cached(("zeta_prime_even", p, prec), prec, build)
 
 
-def beta_prime_odd(p: int, prec: int, max_terms: int | None = None) -> mpf:
+def beta_prime_odd(p: int, prec: int) -> mpf:
     """beta'(2p+1) by the accelerated alternating sum."""
     if p < 0:
         raise DomainError("beta_prime_odd requires p >= 0")
     return _cached(
-        ("beta_prime_odd", p, prec),
-        lambda: beta_prime_value(2 * p + 1, prec, max_terms),
+        ("beta_prime_odd", p, prec), prec, lambda: beta_prime_value(2 * p + 1, prec)
     )
 
 
 def _zeta_prime_at_negative_odd(k: int, prec: int) -> mpf:
     # zeta'(1-2k) = -B_{2k}/(2k) (ln 2pi + gamma - H_{2k-1})
     #              + (-1)^{k+1} 2 (2k-1)! zeta'(2k) / (2 pi)^{2k}
+    # Called only from a cache builder, so already inside _working(prec).
     zp = zeta_prime_even(k - 1, prec)
-    with _MP_LOCK, mp.workdps(prec + GUARD_DIGITS):
-        b_term = _frac(-bernoulli(2 * k) / (2 * k))
-        h = _frac(harmonic(2 * k - 1))
-        first = b_term * (mp.log(2 * mp.pi) + mp.euler - h)
-        sign = 1 if k % 2 else -1
-        second = sign * 2 * mp.factorial(2 * k - 1) * zp / (2 * mp.pi) ** (2 * k)
-        return first + second
+    b_term = _as_mpf(-bernoulli(2 * k) / (2 * k))
+    h = _as_mpf(harmonic(2 * k - 1))
+    first = b_term * (mp.log(2 * mp.pi) + mp.euler - h)
+    sign = 1 if k % 2 else -1
+    second = sign * 2 * mp.factorial(2 * k - 1) * zp / (2 * mp.pi) ** (2 * k)
+    return first + second
 
 
 def eta_prime_neg(i: int, prec: int, via: str = "zeta") -> mpf:
@@ -273,17 +279,15 @@ def eta_prime_neg(i: int, prec: int, via: str = "zeta") -> mpf:
         raise DomainError("eta_prime_neg requires i >= 0")
     if via == "zeta":
         def build():
-            k = i + 1
-            zp_neg = _zeta_prime_at_negative_odd(k, prec)
-            with _MP_LOCK, mp.workdps(prec + GUARD_DIGITS):
-                zeta_neg = _frac(-bernoulli(2 * i + 2) / (2 * i + 2))
-                scale = mpf(2) ** (2 * i + 2)
-                return scale * mp.log(2) * zeta_neg + (1 - scale) * zp_neg
-        return _cached(("eta_prime_neg", i, prec), build)
+            zp_neg = _zeta_prime_at_negative_odd(i + 1, prec)
+            zeta_neg = _as_mpf(-bernoulli(2 * i + 2) / (2 * i + 2))
+            scale = mpf(2) ** (2 * i + 2)
+            return scale * mp.log(2) * zeta_neg + (1 - scale) * zp_neg
+        return _cached(("eta_prime_neg", i, prec), prec, build)
     if via == "eta":
         ev = eta_value(2 * i + 2, prec)
         ep = eta_prime(2 * i + 2, prec)
-        with _MP_LOCK, mp.workdps(prec + GUARD_DIGITS):
+        with _working(prec):
             s0 = -2 * i - 1
             sin_half = -mpf(1) if i % 2 == 0 else mpf(1)  # sin(pi s0 / 2)
             pow_hi = mpf(2) ** (1 - s0)
@@ -320,24 +324,23 @@ def beta_prime_neg(i: int, prec: int, via: str = "odd") -> mpf:
     if via == "odd":
         def build():
             bp = beta_prime_odd(i, prec)
-            with _MP_LOCK, mp.workdps(prec + GUARD_DIGITS):
-                e_half = _frac(beta_at_negative_even(i))
-                h = _frac(harmonic(2 * i))
-                sign = -1 if i % 2 else 1
-                first = e_half * (mp.log(mp.pi / 2) + mp.euler - h)
-                second = (
-                    sign
-                    * mpf(2) ** (2 * i + 1)
-                    * mp.factorial(2 * i)
-                    * bp
-                    / mp.pi ** (2 * i + 1)
-                )
-                return first - second
-        return _cached(("beta_prime_neg", i, prec), build)
+            e_half = _as_mpf(beta_at_negative_even(i))
+            h = _as_mpf(harmonic(2 * i))
+            sign = -1 if i % 2 else 1
+            first = e_half * (mp.log(mp.pi / 2) + mp.euler - h)
+            second = (
+                sign
+                * mpf(2) ** (2 * i + 1)
+                * mp.factorial(2 * i)
+                * bp
+                / mp.pi ** (2 * i + 1)
+            )
+            return first - second
+        return _cached(("beta_prime_neg", i, prec), prec, build)
     if via == "reflection":
         bv = beta_value(2 * i + 1, prec)
         bp = beta_prime_value(2 * i + 1, prec)
-        with _MP_LOCK, mp.workdps(prec + GUARD_DIGITS):
+        with _working(prec):
             s0 = -2 * i
             sign = -1 if i % 2 else 1
             g = (mp.pi / 2) ** (s0 - 1) * mp.gamma(1 - s0) * sign
@@ -360,17 +363,17 @@ def symbol_value(kind: str, index: int | None, prec: int) -> mpf:
     if kind == "lnpi":
         return ln_pi(prec)
     if kind == "zeta_prime_ratio":
-        def build():
-            zp = zeta_prime_even(index, prec)
-            with _MP_LOCK, mp.workdps(prec + GUARD_DIGITS):
-                return zp / mp.pi ** (2 * index + 2)
-        return _cached(("zeta_prime_ratio", index, prec), build)
+        return _cached(
+            ("zeta_prime_ratio", index, prec),
+            prec,
+            lambda: zeta_prime_even(index, prec) / mp.pi ** (2 * index + 2),
+        )
     if kind == "beta_prime_ratio":
-        def build():
-            bp = beta_prime_odd(index, prec)
-            with _MP_LOCK, mp.workdps(prec + GUARD_DIGITS):
-                return bp / mp.pi ** (2 * index + 1)
-        return _cached(("beta_prime_ratio", index, prec), build)
+        return _cached(
+            ("beta_prime_ratio", index, prec),
+            prec,
+            lambda: beta_prime_odd(index, prec) / mp.pi ** (2 * index + 1),
+        )
     if kind == "eta_prime_neg":
         return eta_prime_neg(index, prec)
     if kind == "beta_prime_neg":
@@ -382,17 +385,17 @@ def eval_closed_form(form: ClosedForm, prec: int) -> mpf:
     """Evaluate a closed form numerically; deterministic for fixed prec."""
     _check_prec(prec)
     values = [(coeff, symbol_value(sym.kind, sym.index, prec)) for sym, coeff in form.items()]
-    with _MP_LOCK, mp.workdps(prec + GUARD_DIGITS):
+    with _working(prec):
         total = mpf(0)
         for coeff, value in values:
-            total += _frac(coeff) * value
+            total += _as_mpf(coeff) * value
         return total
 
 
 def phi1_bounds(s, prec: int) -> tuple[mpf, mpf]:
     """Strict enclosure 2/(s^2-1) < Phi_1(s) < 1/(s-1) for s > 1."""
     _check_prec(prec)
-    with _MP_LOCK, mp.workdps(prec + GUARD_DIGITS):
+    with _working(prec):
         sv = _as_mpf(s)
         if not sv > 1:
             raise DomainError(f"bounds require s > 1, got {s}")
@@ -405,7 +408,7 @@ def mellin_bound_gamma_ratio(s, prec: int) -> tuple[mpf, mpf]:
     sqrt(pi)/(2s) * G < Phi_2(s) < sqrt(pi)/2 * G,  G = Gamma((s-1)/2)/Gamma(s/2).
     """
     _check_prec(prec)
-    with _MP_LOCK, mp.workdps(prec + GUARD_DIGITS):
+    with _working(prec):
         sv = _as_mpf(s)
         if not sv > 1:
             raise DomainError(f"bounds require s > 1, got {s}")

@@ -32,9 +32,10 @@ become tanh^a z sech^b z (1 + u), the log family uses ln z = t - u, and only
 the log family and the two constants compute z itself.
 
 Results are cached per (family, parameters, precision); cached replies are
-bit-identical.  The global mpmath context, and with it the node table, is
-guarded by the one lock that :mod:`arcmellin.lfuncs` also holds, so the
-evaluators of both modules are safe to call concurrently.
+bit-identical.  Every integral runs inside ``lfuncs._working(prec)``, at
+``prec + lfuncs.GUARD_DIGITS`` working digits under the one lock on the
+global mpmath context, which also guards the node table, so the evaluators
+of this module and :mod:`arcmellin.lfuncs` are safe to call concurrently.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ from dataclasses import dataclass
 from mpmath import mp, mpf
 
 from .exact import DomainError, PrecisionError, bernoulli
-from .lfuncs import _MP_LOCK, _as_mpf
+from .lfuncs import _as_mpf, _working
 
 DEFAULT_PREC = 30
 MAX_PREC = 100
@@ -85,8 +86,8 @@ def _de_halfline(term, prec: int, max_level: int = MAX_LEVEL) -> QuadResult:
     Raises :class:`PrecisionError` when ``max_level`` is reached before the
     level-to-level change meets the target.
 
-    Must be called under ``_MP_LOCK``, which also guards the node table,
-    inside the working-precision context.
+    Must be called inside ``lfuncs._working``, whose lock also guards the
+    node table.
     """
     eps_term = mpf(10) ** (-(mp.dps + 5))
     target = mpf(10) ** (-(prec + 2))
@@ -174,7 +175,7 @@ def _cached_quad(key: tuple, prec: int, make_integrand) -> QuadResult:
         hit = _quad_cache.get(key)
     if hit is not None:
         return hit
-    with _MP_LOCK, mp.workdps(prec + 15):
+    with _working(prec):
         result = _de_halfline(make_integrand(), prec)
     with _cache_lock:
         return _quad_cache.setdefault(key, result)
@@ -189,7 +190,7 @@ def quad_phi(which: int, s, prec: int = DEFAULT_PREC) -> QuadResult:
     _check_prec(prec)
     if which not in (1, 2):
         raise DomainError(f"which must be 1 or 2, got {which}")
-    with _MP_LOCK, mp.workdps(prec + 15):
+    with _working(prec):
         sv = _as_mpf(s)
         if not sv > 1:
             raise DomainError(f"Phi_{which} converges only for s > 1, got s={s}")
@@ -243,22 +244,6 @@ def quad_sinh_over_z(q: int, n_exponent: int, prec: int = DEFAULT_PREC) -> QuadR
         return term
 
     return _cached_quad(("soz", q, n_exponent, prec), prec, make)
-
-
-def quad_integral(spec, prec: int = DEFAULT_PREC) -> QuadResult:
-    """Quadrature of the integral described by an
-    :class:`~arcmellin.closedform.IntegralSpec`."""
-    if spec.family == "log-odd":
-        return quad_log_family(spec.q, 2 * spec.n + 1, prec)
-    if spec.family == "log-even":
-        return quad_log_family(spec.q, 2 * spec.n, prec)
-    if spec.family == "sinh-over-z":
-        return quad_sinh_over_z(spec.q, spec.n, prec)
-    if spec.family == "phi1":
-        return quad_phi(1, spec.s, prec)
-    if spec.family == "phi2":
-        return quad_phi(2, spec.s, prec)
-    raise DomainError(f"unknown integral family {spec.family!r}")
 
 
 def _one_over_z_minus_coth(z: mpf, tanh_z: mpf) -> mpf:

@@ -4,8 +4,9 @@ The exact suites evaluate combinatorial identities in rational arithmetic
 and compare against their stated closed values -- no floats anywhere.  The
 numeric suites (bounds, coupled series, asymptotic constants, cross
 representation, even-argument relations) declare a working precision and
-tolerance in their reports, and change the mpmath precision only under the
-lock that :mod:`arcmellin.lfuncs` and :mod:`arcmellin.quadrature` hold.
+tolerance in their reports, and set the mpmath precision only through
+``lfuncs._working``: the one lock on the global context, at
+``lfuncs.GUARD_DIGITS`` digits above the suite's precision.
 
 Every suite is named by one :class:`IdentityFamily` member and dispatched
 through :data:`SUITES`, which maps it to a runner ``(n_range, prec)``;
@@ -39,8 +40,8 @@ from .closedform import (
 )
 from .exact import DomainError, bernoulli, binomial, eulerian, euler_number
 from .lfuncs import (
-    _MP_LOCK,
-    _frac,
+    _as_mpf,
+    _working,
     beta_value,
     eta_value,
     eval_closed_form,
@@ -372,7 +373,7 @@ def check_coupled(s, truncation: int = 30, prec: int = 30) -> VerifyReport:
     sf = Fraction(str(s))
     if not sf > 1:
         raise DomainError(f"coupled series require s > 1, got {s}")
-    with _MP_LOCK, mp.workdps(prec + 15):
+    with _working(prec):
         phi1_s = quad_phi(1, sf, prec).value
         phi2_s = quad_phi(2, sf, prec).value
         acc2 = mpf(0)
@@ -407,9 +408,9 @@ def check_coupled(s, truncation: int = 30, prec: int = 30) -> VerifyReport:
 
 
 def _prefix_matches(value: mpf, printed: str) -> bool:
-    # within one unit in the last printed decimal place
+    # within one unit in the last printed decimal place, at decimals + 25 digits
     decimals = len(printed.split(".")[1])
-    with _MP_LOCK, mp.workdps(decimals + 25):
+    with _working(decimals + 10):
         return abs(value - mpf(printed)) < mpf(10) ** (-decimals)
 
 
@@ -443,7 +444,7 @@ def check_asymptotic_constants(prec: int = 30) -> VerifyReport:
                 f"printed={printed[which]}",
             )
         )
-        with _MP_LOCK, mp.workdps(prec + 15):
+        with _working(prec):
             errors = []
             for k in range(1, 7):
                 eps = Fraction(1, 10**k)
@@ -475,7 +476,10 @@ def check_cross_representation(n_max: int = 6, prec: int = 30) -> VerifyReport:
     the positive-argument derivative form assembled through the sinh/z
     bridge, and direct quadrature must agree pairwise to 10^{-(prec-5)}.
     Agreement validates the differentiated reflection formulas numerically.
+    Raises :class:`DomainError` for ``n_max < 1``, which holds no n.
     """
+    if n_max < 1:
+        raise DomainError(f"cross-rep needs n_max >= 1, got {n_max}")
     started = time.perf_counter()
     tol = mpf(10) ** (-(prec - 5))
     cells = []
@@ -513,15 +517,15 @@ def check_even_argument_relations(cap: int = 40, prec: int = 30) -> VerifyReport
     """
     started = time.perf_counter()
     cells = []
-    with _MP_LOCK, mp.workdps(prec + 15):
+    with _working(prec):
         for rel in catalog.EVEN_ARGUMENT_RELATIONS:
             zeta_combo = mpf(0)
             for k, coeff in sorted(rel["zeta"].items()):
                 zeta_k = eta_value(k, prec) / (1 - mpf(2) ** (1 - k))
-                zeta_combo += _frac(coeff) * zeta_k / mp.pi ** (k - 1)
+                zeta_combo += _as_mpf(coeff) * zeta_k / mp.pi ** (k - 1)
             beta_combo = mpf(0)
             for k, coeff in sorted(rel["beta"].items()):
-                beta_combo += _frac(coeff) * beta_value(k, prec) / mp.pi ** (k - 1)
+                beta_combo += _as_mpf(coeff) * beta_value(k, prec) / mp.pi ** (k - 1)
             which = rel["which"]
             head = mpf(0)
             for n in range(rel["start"], cap):
@@ -600,12 +604,18 @@ def _exact_suite(
     The grid is n over the inclusive range (``default_range`` unless one is
     given) clipped below at ``n_min``; with an ``inner`` offset each n
     expands to the cells (n, j) for 0 <= j <= n + inner, otherwise to (n,).
+    A range that holds no n raises :class:`DomainError` rather than passing
+    with no cells.
     """
 
     def run(n_range, prec):
         lo, hi = n_range if n_range is not None else default_range
         started = time.perf_counter()
         ns = range(max(n_min, lo), hi + 1)
+        if not ns:
+            raise DomainError(
+                f"{family.value}: range {lo}..{hi} holds no n >= {n_min}"
+            )
         if inner is None:
             grid = [(n,) for n in ns]
         else:

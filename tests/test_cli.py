@@ -1,6 +1,12 @@
 """Command-line surface: output formats, exit codes, config handling."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
 
 from arcmellin import ClosedForm, cli_main, log_integral_odd_cosh
 
@@ -78,6 +84,16 @@ class TestVerifyCommand:
         code, _, _ = run(capsys, "verify", "not-a-suite")
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "suite, n_range",
+        [("alt-binom-odd", "5..1"), ("alt-binom-odd", "0..0"), ("cross-rep", "1..0")],
+    )
+    def test_range_holding_no_n_exit_2(self, capsys, suite, n_range):
+        code, out, err = run(capsys, "verify", suite, "--range", n_range)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ")
+
 
 class TestEvalCommand:
     def test_evaluates_file(self, capsys, tmp_path):
@@ -140,6 +156,18 @@ class TestReproduceCommand:
         assert code == 0
         assert out.count("[ok ]") == 35
         assert "FAIL" not in out
+
+
+class TestModuleEntryPoint:
+    def test_python_m_arcmellin_reproduces_paper(self):
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        proc = subprocess.run(
+            [sys.executable, "-m", "arcmellin", "reproduce-paper", "--prec", "25"],
+            env=env, capture_output=True, text=True, timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.count("[ok ]") == 35
 
 
 class TestVerifyAll:

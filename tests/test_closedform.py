@@ -75,15 +75,6 @@ class TestClosedFormAlgebra:
         rhs = x.scale(b) + y.scale(b)
         assert lhs == rhs
 
-    def test_combine(self):
-        total = ClosedForm.combine(
-            [
-                (Fraction(2), cf([(ONE, 1), (LN2, "1/2")])),
-                (Fraction(-1), cf([(LN2, 1)])),
-            ]
-        )
-        assert total == cf([(ONE, 2)])
-
     def test_json_round_trip_is_exact(self):
         form = log_integral_odd_cosh(1, 2)
         again = ClosedForm.from_json(form.to_json())
@@ -324,44 +315,6 @@ class TestTopCoefficientLaws:
         for q in range(n):
             top = log_integral_even_cosh(q, n).coefficient(beta_prime_ratio(n - 1))
             assert top == (-1) ** (q + 1) * Fraction(4**n, 2 * n - 1)
-
-
-class TestIntegralSpec:
-    def test_log_families_dispatch(self):
-        from arcmellin import IntegralSpec
-
-        assert IntegralSpec("log-odd", q=0, n=1).closed_form() == log_integral_odd_cosh(0, 1)
-        assert IntegralSpec("log-even", q=1, n=2).closed_form() == log_integral_even_cosh(1, 2)
-        assert IntegralSpec("sinh-over-z", q=1, n=4).closed_form() == sinh_over_z_integral(1, 4)
-
-    def test_phi_at_odd_integers(self):
-        from arcmellin import IntegralSpec
-
-        assert IntegralSpec("phi2", s=5).closed_form() == phi_odd_closed_form(2, 2)
-
-    @pytest.mark.parametrize(
-        "kwargs",
-        [
-            {"family": "log-odd", "q": 3, "n": 2},
-            {"family": "sinh-over-z", "q": 0, "n": 5},
-            {"family": "sinh-over-z", "q": 3, "n": 6},
-            {"family": "phi1", "s": 1},
-            {"family": "no-such-family"},
-        ],
-    )
-    def test_convergence_validated_at_construction(self, kwargs):
-        from arcmellin import IntegralSpec
-
-        with pytest.raises(DomainError):
-            IntegralSpec(**kwargs)
-
-    def test_phi_closed_form_only_at_odd_integers(self):
-        from arcmellin import IntegralSpec
-
-        for s in ("2.5", 4, 2):
-            spec = IntegralSpec("phi1", s=s)
-            with pytest.raises(DomainError, match="odd integers"):
-                spec.closed_form()
 
 
 class TestCatalogReplay:

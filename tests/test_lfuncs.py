@@ -13,6 +13,7 @@ from arcmellin import (
     beta_odd_value,
     beta_prime_neg,
     beta_prime_odd,
+    beta_prime_value,
     beta_value,
     eta_at_negative_odd,
     eta_prime,
@@ -94,9 +95,14 @@ class TestAlternatingSums:
         hi = beta_prime_odd(1, 55)
         assert abs(lo - hi) < mpf(10) ** -25
 
-    def test_max_terms_cap_fails_loudly(self):
+    @pytest.mark.parametrize(
+        "func", [eta_value, eta_prime, beta_value, beta_prime_value], ids=lambda f: f.__name__
+    )
+    def test_max_terms_cap_fails_loudly(self, func):
+        # uncapped first: the cap must hold even after the same value was computed
+        func(2, 50)
         with pytest.raises(PrecisionError):
-            eta_prime(2, 50, max_terms=10)
+            func(2, 50, max_terms=10)
 
     def test_domain_below_one(self):
         with pytest.raises(DomainError):

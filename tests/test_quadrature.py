@@ -122,23 +122,6 @@ class TestQuadCConstant:
         assert abs(quad - closed) < TOL25
 
 
-class TestQuadIntegralDispatch:
-    def test_every_family_routes_to_its_oracle(self):
-        from arcmellin import IntegralSpec, quad_integral
-
-        cases = [
-            IntegralSpec("log-odd", q=0, n=1),
-            IntegralSpec("log-even", q=1, n=2),
-            IntegralSpec("sinh-over-z", q=1, n=4),
-            IntegralSpec("phi1", s=3),
-            IntegralSpec("phi2", s=5),
-        ]
-        for spec in cases:
-            closed = eval_closed_form(spec.closed_form(), 25)
-            quad = quad_integral(spec, 25)
-            assert abs(closed - quad.value) < mpf(10) ** -20
-
-
 class TestConvergenceBehaviour:
     def test_error_estimate_is_honest(self):
         # the reported estimate must dominate the distance to a
@@ -163,7 +146,7 @@ class TestConvergenceBehaviour:
         def term(t, u, tanh_z, sech_z):
             return tanh_z ** 2 * sech_z ** 2 * (1 + u)
 
-        with quadrature._MP_LOCK, mp.workdps(115):
+        with quadrature._working(100):
             with pytest.raises(PrecisionError):
                 quadrature._de_halfline(term, 100, max_level=1)
 
