@@ -21,13 +21,16 @@ reproduce-paper [--prec P]
     19-digit constants; exit 0 only if everything matches.
 
 Exit codes: 0 all checks passed, 1 a verification mismatch, 2 usage or
-domain error.  An optional ``--config FILE`` (key=value lines) supplies
-defaults for ``prec`` and ``range``.
+domain error, 141 (128 + SIGPIPE, as a shell reports a program that SIGPIPE
+ended) when the reader of stdout closes it early, as ``| head`` does.  An
+optional ``--config FILE`` (key=value lines) supplies defaults for ``prec``
+and ``range``.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from pathlib import Path
 
@@ -212,7 +215,16 @@ def cli_main(argv: list[str] | None = None) -> int:
 
 
 def main() -> None:
-    sys.exit(cli_main())
+    try:
+        code = cli_main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed the pipe.  Point stdout at devnull so the
+        # interpreter's final flush cannot raise again, and exit quietly.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        sys.exit(141)
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -406,32 +406,39 @@ def sinh_over_z_integral(q: int, n_exponent: int) -> ClosedForm:
 
 def eta_prime_neg_coeffs(n: int) -> tuple[Fraction, ...]:
     """Coefficients of eta'(-2i-1), i = 0..n, in the odd Mellin value of
-    the 1/arctanh transform at s = 2n+1."""
+    the 1/arctanh transform at s = 2n+1:
+
+        c_i = sum_{k=i}^{n} C(n, k) 2^{2k+2} / (2k+1)! * integer_root(i, k).
+    """
     if n < 1:
         raise DomainError("odd Mellin values require n >= 1 (s = 1 is a pole)")
     tables = root_product_tables(n)
+    # integer numerators over the common denominator (2n+1)!
+    denom = math.factorial(2 * n + 1)
+    weights = [
+        binomial(n, k) * 2 ** (2 * k + 2) * (denom // math.factorial(2 * k + 1))
+        for k in range(n + 1)
+    ]
     return tuple(
-        sum(
-            Fraction(binomial(n, k) * 2 ** (2 * k + 2), math.factorial(2 * k + 1))
-            * tables.integer_root(i, k)
-            for k in range(i, n + 1)
-        )
+        Fraction(sum(weights[k] * tables.integer_root(i, k) for k in range(i, n + 1)), denom)
         for i in range(n + 1)
     )
 
 
 def beta_prime_neg_coeffs(n: int) -> tuple[Fraction, ...]:
     """Coefficients of beta'(-2i), i = 0..n, in the odd Mellin value of the
-    1/(sqrt(1-x^2) arctanh) transform at s = 2n+1."""
+    1/(sqrt(1-x^2) arctanh) transform at s = 2n+1:
+
+        c_i = sum_{k=i}^{n} 2 C(n, k) / (2k)! * odd_root(i, k).
+    """
     if n < 1:
         raise DomainError("odd Mellin values require n >= 1 (s = 1 is a pole)")
     tables = root_product_tables(n)
+    # integer numerators over the common denominator (2n)!
+    denom = math.factorial(2 * n)
+    weights = [binomial(n, k) * 2 * (denom // math.factorial(2 * k)) for k in range(n + 1)]
     return tuple(
-        sum(
-            Fraction(binomial(n, k) * 2, math.factorial(2 * k))
-            * tables.odd_root(i, k)
-            for k in range(i, n + 1)
-        )
+        Fraction(sum(weights[k] * tables.odd_root(i, k) for k in range(i, n + 1)), denom)
         for i in range(n + 1)
     )
 

@@ -8,14 +8,19 @@ silently, so the set of known-correct coefficients is always explicit.
 The coefficient families produced here feed the closed-form assembly:
 
 * ``x_over_sinh_coeffs(e, K)`` -- Taylor coefficients of (x / sinh x)^e,
-  the kernel weights of the residue expansion of 1 / cosh^e at its poles.
+  the kernel weights of the residue expansion of 1 / cosh^e at its poles,
+  by J.C.P. Miller's power recurrence on sinh(x)/x = sum a_j x^{2j} with
+  exponent -e: b_0 = 1, b_m = (1/m) sum_{j=1}^{m} ((1-e) j - m) a_j b_{m-j}.
+  ``PowerSeries.pow`` is kept as the independent route the tests compare
+  against.
 * ``root_product_tables(n)`` -- integer coefficient triangles of the
   polynomials x * prod_{i<=n} (x^2 - i^2)  and  prod_{i<=n} (y^2 - (2i-1)^2),
   generated by the two-term recurrences
       g[k][n] = g[k-1][n-1] - n^2 g[k][n-1],
       h[k][n] = h[k-1][n-1] - (2n-1)^2 h[k][n-1].
 * ``binomial_power_sum(q, p)`` -- 4^{-q} sum_{k=0}^{q} C(2q+1,k) (2q+1-2k)^{2p},
-  the normalized even-order derivative of sinh^{2q+1} at its imaginary poles.
+  the normalized even-order derivative of sinh^{2q+1} at its imaginary poles
+  (memoised: the closed forms and suites ask for few distinct (q, p) often).
 * ``reciprocal_arctanh_coeffs(N)`` -- expansion coefficients of 1/arctanh(x)
   and 1/(sqrt(1-x^2) arctanh(x)) as sums of x^{2n-1}.
 """
@@ -130,13 +135,23 @@ def inv_sqrt_one_minus_x2_series(order: int) -> PowerSeries:
 def x_over_sinh_coeffs(power: int, order: int) -> tuple[Fraction, ...]:
     """Taylor coefficients 0..order of (x / sinh x)^power.
 
-    Computed as the ``power``-th power of the exact reciprocal of sinh(x)/x.
-    Odd-index coefficients are identically zero (the function is even).
+    J.C.P. Miller's power recurrence (Knuth, TAOCP vol. 2, sec. 4.7) applied
+    to sinh(x)/x = sum a_j t^j, t = x^2, a_j = 1/(2j+1)!, with exponent
+    -power: b_0 = 1 and
+        b_m = (1/m) sum_{j=1}^{m} ((1 - power) j - m) a_j b_{m-j},
+    where b_m is the x^{2m} coefficient.  Odd-index coefficients are
+    identically zero (the function is even).
     """
     if power < 0 or order < 0:
         raise DomainError("x_over_sinh_coeffs requires power >= 0 and order >= 0")
-    base = sinh_x_over_x_series(order).reciprocal()
-    return base.pow(power).coeffs
+    a = sinh_x_over_x_series(order).coeffs[::2]
+    b = [Fraction(1)]
+    for m in range(1, order // 2 + 1):
+        acc = sum(((1 - power) * j - m) * a[j] * b[m - j] for j in range(1, m + 1))
+        b.append(acc / m)
+    coeffs = [Fraction(0)] * (order + 1)
+    coeffs[::2] = b
+    return tuple(coeffs)
 
 
 _tables_lock = threading.RLock()
@@ -194,6 +209,7 @@ def root_product_tables(n_max: int) -> RootProductTables:
     return RootProductTables(n_max)
 
 
+@lru_cache(maxsize=None)
 def binomial_power_sum(q: int, p: int) -> Fraction:
     """4^{-q} sum_{k=0}^{q} C(2q+1, k) (2q+1-2k)^{2p}, exactly."""
     if q < 0 or p < 0:

@@ -187,10 +187,11 @@ def _c_odd_power_cell(params: tuple) -> CellResult:
 def _eulerian_a_cell(params: tuple) -> CellResult:
     n, p = params
     c = x_over_sinh_coeffs(2 * n + 1, 2 * n)
+    row = [eulerian("A", 2 * n, k) for k in range(n)]
     lhs = sum(
         c[2 * n - 2 * p - 2 * r]
         / math.factorial(2 * r)
-        * sum(eulerian("A", 2 * n, n - 1 - k) * (2 * k + 1) ** (2 * r) for k in range(n))
+        * sum(row[n - 1 - k] * (2 * k + 1) ** (2 * r) for k in range(n))
         for r in range(n - p + 1)
     )
     rhs = Fraction(math.factorial(2 * n), 2) if p == n else Fraction(0)
@@ -200,10 +201,11 @@ def _eulerian_a_cell(params: tuple) -> CellResult:
 def _eulerian_b_cell(params: tuple) -> CellResult:
     n, p = params
     d = x_over_sinh_coeffs(2 * n, 2 * n)
+    row = [eulerian("B", 2 * n - 1, k) for k in range(n)]
     lhs = sum(
         d[2 * n - 2 * m - 2 * p]
         / math.factorial(2 * m)
-        * sum(eulerian("B", 2 * n - 1, k) * (2 * n - 1 - 2 * k) ** (2 * m) for k in range(n))
+        * sum(row[k] * (2 * n - 1 - 2 * k) ** (2 * m) for k in range(n))
         for m in range(n - p + 1)
     )
     if p == 0:

@@ -169,6 +169,25 @@ class TestModuleEntryPoint:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.count("[ok ]") == 35
 
+    def test_closed_stdout_exits_without_traceback(self):
+        # `constants` prints between slow quadratures, so closing the read
+        # end after the first line makes a later print hit a broken pipe.
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = {**os.environ, "PYTHONPATH": str(src), "PYTHONUNBUFFERED": "1"}
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "arcmellin", "constants", "--prec", "30"],
+            env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        )
+        try:
+            assert proc.stdout.readline().startswith("ln 2")
+            proc.stdout.close()
+            _, err = proc.communicate(timeout=300)
+        finally:
+            proc.kill()
+        assert "Traceback" not in err
+        assert "Exception ignored" not in err
+        assert proc.returncode in (0, 141), err
+
 
 class TestVerifyAll:
     def test_every_suite_passes(self, capsys):

@@ -1,5 +1,6 @@
 """Closed-form assembly: worked values, preconditions, serialization."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -13,6 +14,7 @@ from arcmellin import (
     BasisSymbol,
     ClosedForm,
     DomainError,
+    beta_prime_neg_coeffs,
     beta_prime_ratio,
     eta_prime_neg_coeffs,
     eta_prime_neg_symbol,
@@ -21,6 +23,7 @@ from arcmellin import (
     log_integral_odd_cosh,
     mellin_even_partial,
     phi_odd_closed_form,
+    root_product_tables,
     s_coeff,
     sinh_over_z_integral,
     zeta_prime_ratio,
@@ -281,6 +284,33 @@ class TestPhiOddClosedForm:
     def test_leading_coefficient_law(self):
         for n in range(1, 51):
             assert eta_prime_neg_coeffs(n)[0] == Fraction(4, 2 * n + 1)
+
+    @pytest.mark.parametrize("n", range(1, 41))
+    def test_coefficients_equal_docstring_sums(self, n):
+        tables = root_product_tables(n)
+        eta = [
+            sum(
+                (
+                    Fraction(math.comb(n, k) * 2 ** (2 * k + 2), math.factorial(2 * k + 1))
+                    * tables.integer_root(i, k)
+                    for k in range(i, n + 1)
+                ),
+                Fraction(0),
+            )
+            for i in range(n + 1)
+        ]
+        beta = [
+            sum(
+                (
+                    Fraction(2 * math.comb(n, k), math.factorial(2 * k)) * tables.odd_root(i, k)
+                    for k in range(i, n + 1)
+                ),
+                Fraction(0),
+            )
+            for i in range(n + 1)
+        ]
+        assert eta_prime_neg_coeffs(n) == tuple(eta)
+        assert beta_prime_neg_coeffs(n) == tuple(beta)
 
 
 class TestMellinEvenPartial:

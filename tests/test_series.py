@@ -72,12 +72,30 @@ class TestXOverSinhCoeffs:
 
     @pytest.mark.parametrize("power", [3, 7, 12, 25])
     def test_dual_path_power_vs_reciprocal(self, power):
-        # path A: (reciprocal of sinh x/x) ** power, the production path
-        # path B: reciprocal of (sinh x/x) ** power
+        # Miller's recurrence (the production path) against the reciprocal
+        # of (sinh x/x) ** power, which shares only the sinh x/x series
         order = 24
         base = sinh_x_over_x_series(order)
         path_b = base.pow(power).reciprocal()
         assert x_over_sinh_coeffs(power, order) == path_b.coeffs
+
+    @pytest.fixture(scope="class")
+    def binary_power_oracle(self):
+        # (reciprocal of sinh x/x) ** e by binary exponentiation, to order 60
+        base = sinh_x_over_x_series(60).reciprocal()
+        return {e: base.pow(e).coeffs for e in range(62)}
+
+    @pytest.mark.parametrize("power", range(62))
+    def test_miller_matches_binary_power(self, power, binary_power_oracle):
+        # every order for the end powers; elsewhere small, odd, near-power
+        # (order < power) and the largest orders
+        if power in (0, 1, 2, 61):
+            orders = range(61)
+        else:
+            near = {0, 1, 2, 3, power - 1, power, power + 1, 29, 30, 59, 60}
+            orders = sorted(near & set(range(61)))
+        for order in orders:
+            assert x_over_sinh_coeffs(power, order) == binary_power_oracle[power][: order + 1]
 
 
 class TestRootProductTables:
@@ -142,6 +160,13 @@ class TestBinomialPowerSum:
 
     def test_q_zero_column(self):
         assert all(binomial_power_sum(0, p) == 1 for p in range(10))
+
+    def test_negative_argument_raises_after_cache_hit(self):
+        assert binomial_power_sum(2, 3) == binomial_power_sum(2, 3)
+        with pytest.raises(DomainError):
+            binomial_power_sum(-1, 3)
+        with pytest.raises(DomainError):
+            binomial_power_sum(2, -3)
 
     def test_1_1_direct(self):
         assert binomial_power_sum(1, 1) == Fraction(binomial(3, 0) * 9 + binomial(3, 1), 4) == 3
