@@ -46,7 +46,7 @@ from dataclasses import dataclass
 from mpmath import mp, mpf
 
 from .exact import DomainError, PrecisionError, bernoulli
-from .lfuncs import _as_mpf, _working
+from .lfuncs import _as_mpf, _precision_table, _working
 
 DEFAULT_PREC = 30
 MAX_PREC = 100
@@ -91,10 +91,7 @@ def _de_halfline(term, prec: int, max_level: int = MAX_LEVEL) -> QuadResult:
     """
     eps_term = mpf(10) ** (-(mp.dps + 5))
     target = mpf(10) ** (-(prec + 2))
-    table = _node_tables.get(mp.prec)
-    if table is None:  # one precision at a time keeps the memory bounded
-        _node_tables.clear()
-        table = _node_tables[mp.prec] = {}
+    table = _precision_table(_node_tables)
     make_mpf = mp.make_mpf
     nodes = 0
     tail_mag = mpf(0)

@@ -1,5 +1,7 @@
 """Numeric basis evaluation: frozen references, dual paths, precision contract."""
 
+import sys
+import threading
 from fractions import Fraction
 
 import pytest
@@ -26,8 +28,15 @@ from arcmellin import (
     zeta_even_value,
     zeta_prime_even,
 )
-from arcmellin.closedform import LN2, LNPI, ONE, beta_prime_ratio, zeta_prime_ratio
-from arcmellin.lfuncs import ln2, ln_pi, symbol_value
+from arcmellin.closedform import (
+    LN2,
+    LNPI,
+    ONE,
+    beta_prime_ratio,
+    phi_odd_closed_form,
+    zeta_prime_ratio,
+)
+from arcmellin.lfuncs import GUARD_DIGITS, ln2, ln_pi, symbol_value
 
 
 def zeta_prime_euler_maclaurin(s: int, dps: int, head: int = 50, order: int = 30) -> mpf:
@@ -107,6 +116,83 @@ class TestAlternatingSums:
     def test_domain_below_one(self):
         with pytest.raises(DomainError):
             eta_value("0.5", 30)
+
+
+def per_call_alternating_sum(term):
+    """The accelerated sum with its Chebyshev weights rebuilt on every call:
+    a bit-identity oracle for the kernel tables."""
+    n = int(mp.dps / 0.75) + 8
+    d = (3 + mp.sqrt(8)) ** n
+    d = (d + 1 / d) / 2
+    b, c, s = mpf(-1), -d, mpf(0)
+    for k in range(n):
+        c = b - c
+        s += c * term(k)
+        b = (k + n) * (k - n) * b / ((k + mpf(1) / 2) * (k + 1))
+    return s / d
+
+
+def per_term_log_value(func, s: Fraction, prec: int) -> mpf:
+    """``func(s, prec)`` with one mp.log per term and per-call weights."""
+    with mp.workdps(prec + GUARD_DIGITS):
+        sv = mpf(s.numerator) / s.denominator
+        if func is eta_value:
+            return per_call_alternating_sum(lambda k: (k + 1) ** -sv)
+        if func is eta_prime:
+            return -per_call_alternating_sum(
+                lambda k: mp.log(k + 1) * (k + 1) ** -sv if k else mpf(0)
+            )
+        if func is beta_value:
+            return per_call_alternating_sum(lambda k: (2 * k + 1) ** -sv)
+        return -per_call_alternating_sum(
+            lambda k: mp.log(2 * k + 1) * (2 * k + 1) ** -sv if k else mpf(0)
+        )
+
+
+DIRICHLET_SUMS = [eta_value, eta_prime, beta_value, beta_prime_value]
+KERNEL_ARGS = [Fraction(1), Fraction(2), Fraction(7, 2), Fraction(7), Fraction(26)]
+
+
+class TestKernelTable:
+    @pytest.mark.parametrize("prec", [10, 100, 500])
+    def test_bit_identical_to_per_term_logs(self, prec):
+        for func in DIRICHLET_SUMS:
+            for s in KERNEL_ARGS:
+                expected = per_term_log_value(func, s, prec)
+                assert func(s, prec)._mpf_ == expected._mpf_, (func.__name__, s)
+
+    def test_table_follows_the_precision(self):
+        # a table kept across a precision change would hand 500-digit weights
+        # and logs to the second 30-digit round
+        for prec in (30, 500, 30):
+            for func in DIRICHLET_SUMS:
+                for s in (Fraction(2), Fraction(7, 2)):
+                    expected = per_term_log_value(func, s, prec)
+                    assert func(s, prec)._mpf_ == expected._mpf_, (func.__name__, prec)
+
+    def test_two_precisions_in_two_threads(self):
+        # each 20-digit eta' replaces the table that the 500-digit beta'
+        # sums fill; the lock must keep every value equal to its serial one
+        ks, svals = [3, 4, 5, 6], [2, 3, 4, 5] * 5
+        expected_beta = [beta_prime_value(k, 500) for k in ks]
+        expected_eta = [eta_prime(s, 20) for s in svals]
+        got_beta, got_eta = [], []
+        threads = [
+            threading.Thread(target=lambda: got_beta.extend(beta_prime_value(k, 500) for k in ks)),
+            threading.Thread(target=lambda: got_eta.extend(eta_prime(s, 20) for s in svals)),
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert [v._mpf_ for v in got_beta] == [v._mpf_ for v in expected_beta]
+        assert [v._mpf_ for v in got_eta] == [v._mpf_ for v in expected_eta]
 
 
 class TestZetaPrimeEven:
@@ -222,6 +308,35 @@ class TestEvalClosedForm:
                 + mpf(b.numerator) / b.denominator * eval_closed_form(y, prec)
             )
             assert abs(lhs - rhs) < mpf(10) ** -(prec + 5)
+
+    def test_phi_odd_250_keeps_the_precision_contract(self):
+        # the alternating coefficients cancel about 22 digits, more than the
+        # guard holds; a fixed guard left a relative error of 3e-5 at prec 10
+        form = phi_odd_closed_form(1, 250)
+        got = eval_closed_form(form, 10)
+        values = [(coeff, symbol_value(sym.kind, sym.index, 60)) for sym, coeff in form.items()]
+        with mp.workdps(90):
+            reference = mp.fsum(mpf(c.numerator) / c.denominator * v for c, v in values)
+            assert abs(got - reference) < mpf(10) ** -10 * abs(reference)
+
+    @staticmethod
+    def ln2_minus_rational(digits: int) -> tuple[ClosedForm, Fraction]:
+        """ln 2 - r, where r is ln 2 cut to ``digits`` decimals."""
+        with mp.workdps(digits + 20):
+            r = Fraction(int(mp.log(2) * 10**digits), 10**digits)
+        return ClosedForm([(LN2, Fraction(1)), (ONE, -r)]), r
+
+    def test_cancellation_is_re_evaluated(self):
+        form, r = self.ln2_minus_rational(22)
+        got = eval_closed_form(form, 10)
+        with mp.workdps(60):
+            exact = mp.log(2) - mpf(r.numerator) / r.denominator
+            assert abs(got - exact) < mpf(10) ** -10 * abs(exact)
+
+    def test_cancellation_past_the_cap_fails_loudly(self):
+        form, _ = self.ln2_minus_rational(30)
+        with pytest.raises(PrecisionError):
+            eval_closed_form(form, 980)
 
     def test_cache_hits_are_bit_identical(self):
         first = symbol_value("beta_prime_ratio", 1, 30)
