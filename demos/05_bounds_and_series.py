@@ -1,18 +1,20 @@
-"""Walkthrough: bounds, the coupled series, and even-argument partial sums.
+"""Walkthrough: bounds, the coupled series, and exact even-argument values.
 
 Both transforms are pinched between elementary envelopes, satisfy a pair of
-mutually recursive series identities, and admit central-binomial series at
-even arguments whose exact summands this package produces.
+mutually recursive series identities, and take exact values at even
+arguments: rational combinations of zeta(2p+3)/pi^{2p+2} for Phi_1 and of
+beta(2p+2)/pi^{2p+1} for Phi_2.
 Run:  python demos/05_bounds_and_series.py
 """
 
-from mpmath import mp, mpf
+from mpmath import mp
 
 from arcmellin import (
     check_asymptotic_constants,
     check_bounds,
     check_coupled,
-    mellin_even_partial,
+    eval_closed_form,
+    phi_even_closed_form,
     quad_phi,
 )
 
@@ -33,20 +35,14 @@ def main():
             print(f"  {cell.params[0]} |Phi(1+eps) - 1/eps - C| for eps = 1e-1..1e-6:")
             print(f"    {cell.detail}")
 
-    print("\nEven arguments: partial sums of the central-binomial series.")
-    print("Phi_2(4) = pi 2^{-3} * sum of exact terms; the terms decay slowly,")
-    print("so a couple of hundred still only give two digits:")
-    m = 2
-    terms = mellin_even_partial(2, m, 200)
-    with mp.workdps(40):
-        partial = mp.pi * mpf(2) ** (1 - 2 * m) * sum(
-            mpf(t.numerator) / t.denominator for t in terms
-        )
-        direct = quad_phi(2, 2 * m, 25).value
-        print(f"  partial sum (200 terms) = {mp.nstr(partial, 12)}")
-        print(f"  quadrature              = {mp.nstr(direct, 12)}")
-        print(f"  |difference|            = {mp.nstr(abs(partial - direct), 3)}")
-
+    print("\nEven arguments: Phi_2(4) in closed form, beside its quadrature:")
+    form = phi_even_closed_form(2, 2)
+    exact = eval_closed_form(form, 25)
+    direct = quad_phi(2, 4, 25).value
+    print(f"  Phi_2(4)     = {form.latex()}")
+    print(f"  closed form  = {mp.nstr(exact, 25)}")
+    print(f"  quadrature   = {mp.nstr(direct, 25)}")
+    print(f"  |difference| = {mp.nstr(abs(exact - direct), 3)}")
 
 if __name__ == "__main__":
     main()

@@ -15,7 +15,8 @@ The package is organized in layers:
 * :mod:`arcmellin.quadrature` -- double-exponential quadrature oracles;
 * :mod:`arcmellin.verify` -- identity suites, bounds and coupled-series
   checks, cross-representation consistency, and reference-table replay;
-* :mod:`arcmellin.cli` -- the ``arcmellin`` command-line front end.
+* :mod:`arcmellin.cli` -- the ``arcmellin`` command-line front end (not
+  imported here, so ``python -m arcmellin.cli`` runs it without a warning).
 """
 
 from .exact import (
@@ -29,10 +30,8 @@ from .exact import (
 )
 from .series import (
     PowerSeries,
-    ReciprocalArctanhCoeffs,
     RootProductTables,
     binomial_power_sum,
-    reciprocal_arctanh_coeffs,
     root_product_tables,
     x_over_sinh_coeffs,
 )
@@ -44,15 +43,17 @@ from .closedform import (
     ClosedForm,
     beta_prime_neg_coeffs,
     beta_prime_neg_symbol,
+    beta_even_ratio,
     beta_prime_ratio,
     eta_prime_neg_coeffs,
     eta_prime_neg_symbol,
     log_integral_even_cosh,
     log_integral_odd_cosh,
-    mellin_even_partial,
+    phi_even_closed_form,
     phi_odd_closed_form,
     s_coeff,
     sinh_over_z_integral,
+    zeta_odd_ratio,
     zeta_prime_ratio,
 )
 from .lfuncs import (
@@ -94,7 +95,6 @@ from .verify import (
     reproduce_reference_tables,
     run_identity,
 )
-from .cli import cli_main
 
 __version__ = "0.1.0"
 
@@ -107,10 +107,8 @@ __all__ = [
     "eulerian",
     "harmonic",
     "PowerSeries",
-    "ReciprocalArctanhCoeffs",
     "RootProductTables",
     "binomial_power_sum",
-    "reciprocal_arctanh_coeffs",
     "root_product_tables",
     "x_over_sinh_coeffs",
     "LN2",
@@ -120,15 +118,17 @@ __all__ = [
     "ClosedForm",
     "beta_prime_neg_coeffs",
     "beta_prime_neg_symbol",
+    "beta_even_ratio",
     "beta_prime_ratio",
     "eta_prime_neg_coeffs",
     "eta_prime_neg_symbol",
     "log_integral_even_cosh",
     "log_integral_odd_cosh",
-    "mellin_even_partial",
+    "phi_even_closed_form",
     "phi_odd_closed_form",
     "s_coeff",
     "sinh_over_z_integral",
+    "zeta_odd_ratio",
     "zeta_prime_ratio",
     "beta_at_negative_even",
     "beta_odd_value",
@@ -163,5 +163,4 @@ __all__ = [
     "check_even_argument_relations",
     "reproduce_reference_tables",
     "run_identity",
-    "cli_main",
 ]

@@ -4,7 +4,8 @@ These are the worked evaluations that the construction pipeline must
 reproduce exactly: twelve log-weighted hyperbolic integrals, thirteen
 sinh/z integrals (including the odd Mellin values they specialize to),
 the odd-Mellin-value tables over the negative-argument derivative basis,
-and the two asymptotic constants with their published 19-digit decimals.
+the two asymptotic constants with their published 19-digit decimals, and
+the even-argument relations between odd zeta and even beta values.
 
 Each entry is transcribed literally from the published tables, so an exact
 match against the assembled :class:`~arcmellin.closedform.ClosedForm` is a
@@ -123,8 +124,8 @@ def phi_odd_as_sinh_over_z(which: int, n: int) -> tuple[int, int]:
 #:     = sum_k beta[k] beta(k)/pi^{k-1} - sum_{n>=start} w_n Phi_which(2n+offset)
 #:
 #: with w_n = C(2n,n)/4^n for which=1 and C(2n,n)/(4^n (2n-1)) for which=2.
-#: The leading rational blocks absorb low-index transform values at even
-#: arguments; only the infinite tail needs quadrature.
+#: ``verify even-relations`` rebuilds each block exactly from the even-argument
+#: closed forms, closing the tail with the coupled series.
 EVEN_ARGUMENT_RELATIONS = (
     {
         "name": "zeta3",

@@ -6,6 +6,7 @@ combination of the basis symbols
     1,  ln 2,  ln pi,
     zeta'(2p+2) / pi^{2p+2},   beta'(2p+1) / pi^{2p+1}      (p >= 0),
     eta'(-2i-1),               beta'(-2i)                   (i >= 0),
+    zeta(2p+3) / pi^{2p+2},    beta(2p+2) / pi^{2p+1}       (p >= 0),
 
 and a :class:`ClosedForm` is exactly such a combination: a map from
 :class:`BasisSymbol` to ``Fraction`` with no zero entries.  Equality is exact
@@ -39,6 +40,10 @@ The three integral families and their coefficient pipelines:
       int_0^1 x^{2n} / (sqrt(1-x^2) arctanh(x)) dx    (which = 2),
   expanded over eta'(-2i-1) resp. beta'(-2i) with coefficients built from the
   root-product triangles.
+
+* ``phi_even_closed_form(which, m)``: the same transforms at s = 2m, expanded
+  over zeta(2p+3)/pi^{2p+2} resp. beta(2p+2)/pi^{2p+1} by closing the contour
+  over the poles of 1/cosh^N.
 """
 
 from __future__ import annotations
@@ -51,12 +56,7 @@ from functools import lru_cache
 from typing import Iterable, Iterator, Mapping
 
 from .exact import DomainError, bernoulli, binomial, euler_number, harmonic
-from .series import (
-    binomial_power_sum,
-    reciprocal_arctanh_coeffs,
-    root_product_tables,
-    x_over_sinh_coeffs,
-)
+from .series import binomial_power_sum, root_product_tables, x_over_sinh_coeffs
 
 _KINDS = (
     "zeta_prime_ratio",
@@ -66,15 +66,19 @@ _KINDS = (
     "one",
     "lnpi",
     "ln2",
+    "zeta_odd_ratio",
+    "beta_even_ratio",
 )
 _RANK = {kind: i for i, kind in enumerate(_KINDS)}
-_INDEXED = frozenset(_KINDS[:4])
 _INDEX_KEY = {
     "zeta_prime_ratio": "p",
     "beta_prime_ratio": "p",
     "eta_prime_neg": "i",
     "beta_prime_neg": "i",
+    "zeta_odd_ratio": "p",
+    "beta_even_ratio": "p",
 }
+_INDEXED = frozenset(_INDEX_KEY)
 
 
 @dataclass(frozen=True, order=False)
@@ -111,6 +115,13 @@ class BasisSymbol:
             return rf"\eta'({-(2 * self.index + 1)})"
         if self.kind == "beta_prime_neg":
             return rf"\beta'({-2 * self.index})"
+        if self.kind == "zeta_odd_ratio":
+            e = 2 * self.index + 2
+            return rf"\frac{{\zeta({e + 1})}}{{\pi^{{{e}}}}}"
+        if self.kind == "beta_even_ratio":
+            e = 2 * self.index + 1
+            denom = r"\pi" if e == 1 else rf"\pi^{{{e}}}"
+            return rf"\frac{{\beta({e + 1})}}{{{denom}}}"
         if self.kind == "lnpi":
             return r"\ln \pi"
         if self.kind == "ln2":
@@ -141,6 +152,16 @@ def eta_prime_neg_symbol(i: int) -> BasisSymbol:
 def beta_prime_neg_symbol(i: int) -> BasisSymbol:
     """beta'(-2i)."""
     return BasisSymbol("beta_prime_neg", i)
+
+
+def zeta_odd_ratio(p: int) -> BasisSymbol:
+    """zeta(2p+3) / pi^{2p+2}."""
+    return BasisSymbol("zeta_odd_ratio", p)
+
+
+def beta_even_ratio(p: int) -> BasisSymbol:
+    """beta(2p+2) / pi^{2p+1}."""
+    return BasisSymbol("beta_even_ratio", p)
 
 
 class ClosedForm:
@@ -230,7 +251,8 @@ class ClosedForm:
 
     def latex(self) -> str:
         """Render in display style: derivative ratios ascending, then the
-        rational constant, then ln pi, then ln 2."""
+        rational constant, then ln pi, then ln 2, then the zeta and beta value
+        ratios ascending."""
         if not self._terms:
             return "0"
         parts: list[str] = []
@@ -457,26 +479,37 @@ def phi_odd_closed_form(which: int, n: int) -> ClosedForm:
     return ClosedForm((beta_prime_neg_symbol(i), c) for i, c in enumerate(coeffs))
 
 
-def mellin_even_partial(which: int, m: int, terms: int) -> list[Fraction]:
-    """Exact leading summands of the even-argument Mellin value series.
+def phi_even_closed_form(which: int, m: int) -> ClosedForm:
+    """Even-argument Mellin value Phi_which(2m) over zeta(2p+3)/pi^{2p+2}
+    (which=1) or beta(2p+2)/pi^{2p+1} (which=2).
 
-    For which=2 the series for Phi_2(2m) / (pi 2^{1-2m}) has terms
-        p_n 4^{-n} C(2(m+n-1), m+n-1),
-    and for which=1 the series for Phi_1(2m) / (pi 2^{1-2m}) has terms
-        q_n 4^{-n} C(2(m+n-1), m+n-1) / (2(m+n)),
-    where p_n, q_n are the reciprocal-arctanh expansion coefficients.  The
-    caller supplies the pi 2^{1-2m} prefactor at evaluation time.
+    x = tanh z turns Phi_which(2m) into int_0^oo sinh^{2m-1} z / (z cosh^N z) dz
+    with N = 2m+1 (which=1) or N = 2m (which=2).  Closing the contour over the
+    poles i pi (k + 1/2) of 1/cosh^N gives
+
+        sum_{j even, k = N-j >= 2} (-1)^{m-1-j/2} 2^k d_j L(k) / pi^{k-1},
+
+    with d_j = [w^j] cosh^{2m-1}(w) (w/sinh w)^N, and L(k) = (1-2^{-k}) zeta(k)
+    for odd N, beta(k) for even N.  The k = 1 coefficient must vanish because
+    the integrand decays; it is checked here rather than assumed.
     """
     if which not in (1, 2):
         raise DomainError(f"which must be 1 or 2, got {which}")
-    if m < 1 or terms < 1:
-        raise DomainError("requires m >= 1 and terms >= 1")
-    rc = reciprocal_arctanh_coeffs(terms - 1)
-    out = []
-    for n in range(terms):
-        central = Fraction(binomial(2 * (m + n - 1), m + n - 1), 4**n)
-        if which == 2:
-            out.append(rc.inv_arctanh[n] * central)
+    if m < 1:
+        raise DomainError("m must be >= 1: the transforms converge only for s > 1")
+    N = 2 * m + 1 if which == 1 else 2 * m
+    kernel = x_over_sinh_coeffs(N, N)
+    # the w^{2i} coefficient of cosh^{2m-1}(w)
+    cosh = [binomial_power_sum(m - 1, i) / math.factorial(2 * i) for i in range((N + 1) // 2)]
+    pairs: list[tuple[BasisSymbol, Fraction]] = []
+    for j in range(0, N, 2):
+        d = sum(cosh[i] * kernel[j - 2 * i] for i in range(j // 2 + 1))
+        k = N - j
+        if k == 1:
+            if d != 0:
+                raise AssertionError(f"lambda(1) coefficient failed to vanish for m={m}: {d}")
+        elif which == 1:  # 2^k lambda(k) = (2^k - 1) zeta(k)
+            pairs.append((zeta_odd_ratio((k - 3) // 2), _sign(m - 1 - j // 2) * (2**k - 1) * d))
         else:
-            out.append(rc.inv_sqrt_arctanh[n] * central / (2 * (m + n)))
-    return out
+            pairs.append((beta_even_ratio((k - 2) // 2), _sign(m - 1 - j // 2) * 2**k * d))
+    return ClosedForm(pairs)

@@ -56,10 +56,14 @@ def bernoulli(n: int) -> Fraction:
     with _lock:
         while len(_bernoulli_cache) <= n:
             m = len(_bernoulli_cache)
-            # sum_{k=0}^{m} C(m+1,k) B_k = 0 for m >= 1
+            if m > 1 and m % 2:
+                _bernoulli_cache.append(Fraction(0))
+                continue
+            # sum_{k=0}^{m} C(m+1,k) B_k = 0 for m >= 1; the odd B_k past B_1 vanish
             acc = sum(
-                Fraction(math.comb(m + 1, k)) * _bernoulli_cache[k]
+                math.comb(m + 1, k) * _bernoulli_cache[k]
                 for k in range(m)
+                if k < 2 or k % 2 == 0
             )
             _bernoulli_cache.append(-acc / (m + 1))
     return _bernoulli_cache[n]

@@ -440,6 +440,20 @@ def symbol_value(kind: str, index: int | None, prec: int) -> mpf:
         return eta_prime_neg(index, prec)
     if kind == "beta_prime_neg":
         return beta_prime_neg(index, prec)
+    if kind == "zeta_odd_ratio":
+        # zeta(s) = eta(s) / (1 - 2^{1-s}) at s = 2p+3
+        return _cached(
+            ("zeta_odd_ratio", index, prec),
+            prec,
+            lambda: eta_value(2 * index + 3, prec)
+            / ((1 - mpf(2) ** (-2 * index - 2)) * mp.pi ** (2 * index + 2)),
+        )
+    if kind == "beta_even_ratio":
+        return _cached(
+            ("beta_even_ratio", index, prec),
+            prec,
+            lambda: beta_value(2 * index + 2, prec) / mp.pi ** (2 * index + 1),
+        )
     raise DomainError(f"unsupported basis symbol {kind!r}")
 
 

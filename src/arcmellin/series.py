@@ -1,9 +1,11 @@
 """Exact formal power series and the coefficient families built from them.
 
-A :class:`PowerSeries` holds finitely many exact Taylor coefficients.  All
-arithmetic (addition, multiplication, reciprocal, powers) is closed over
-``Fraction`` and truncates to the shortest operand; nothing is extended
-silently, so the set of known-correct coefficients is always explicit.
+A :class:`PowerSeries` holds finitely many exact Taylor coefficients.  Its
+arithmetic (multiplication, reciprocal, powers) is closed over ``Fraction``
+and truncates to the shortest operand; nothing is extended silently, so the
+set of known-correct coefficients is always explicit.  The production
+kernels below use their own recurrences; ``PowerSeries`` is the independent
+route the tests check them against.
 
 The coefficient families produced here feed the closed-form assembly:
 
@@ -21,8 +23,6 @@ The coefficient families produced here feed the closed-form assembly:
 * ``binomial_power_sum(q, p)`` -- 4^{-q} sum_{k=0}^{q} C(2q+1,k) (2q+1-2k)^{2p},
   the normalized even-order derivative of sinh^{2q+1} at its imaginary poles
   (memoised: the closed forms and suites ask for few distinct (q, p) often).
-* ``reciprocal_arctanh_coeffs(N)`` -- expansion coefficients of 1/arctanh(x)
-  and 1/(sqrt(1-x^2) arctanh(x)) as sums of x^{2n-1}.
 """
 
 from __future__ import annotations
@@ -51,18 +51,6 @@ class PowerSeries:
         if not 0 <= k < self.order:
             raise IndexError(f"coefficient {k} not computed (order {self.order})")
         return self.coeffs[k]
-
-    def __add__(self, other: "PowerSeries") -> "PowerSeries":
-        n = min(self.order, other.order)
-        return PowerSeries(tuple(self.coeffs[i] + other.coeffs[i] for i in range(n)))
-
-    def __sub__(self, other: "PowerSeries") -> "PowerSeries":
-        n = min(self.order, other.order)
-        return PowerSeries(tuple(self.coeffs[i] - other.coeffs[i] for i in range(n)))
-
-    def scale(self, c) -> "PowerSeries":
-        c = Fraction(c)
-        return PowerSeries(tuple(c * a for a in self.coeffs))
 
     def __mul__(self, other: "PowerSeries") -> "PowerSeries":
         n = min(self.order, other.order)
@@ -112,22 +100,6 @@ def cosh_series(order: int) -> PowerSeries:
     coeffs = [Fraction(0)] * (order + 1)
     for k in range(0, order + 1, 2):
         coeffs[k] = Fraction(1, math.factorial(k))
-    return PowerSeries(tuple(coeffs))
-
-
-def arctanh_over_x_series(order: int) -> PowerSeries:
-    """arctanh(x)/x = sum x^{2k} / (2k+1)."""
-    coeffs = [Fraction(0)] * (order + 1)
-    for k in range(0, order + 1, 2):
-        coeffs[k] = Fraction(1, k + 1)
-    return PowerSeries(tuple(coeffs))
-
-
-def inv_sqrt_one_minus_x2_series(order: int) -> PowerSeries:
-    """(1-x^2)^{-1/2} = sum C(2k,k) x^{2k} / 4^k."""
-    coeffs = [Fraction(0)] * (order + 1)
-    for k in range(0, order + 1, 2):
-        coeffs[k] = Fraction(binomial(k, k // 2), 4 ** (k // 2))
     return PowerSeries(tuple(coeffs))
 
 
@@ -216,29 +188,3 @@ def binomial_power_sum(q: int, p: int) -> Fraction:
         raise DomainError("binomial_power_sum requires q >= 0 and p >= 0")
     total = sum(binomial(2 * q + 1, k) * (2 * q + 1 - 2 * k) ** (2 * p) for k in range(q + 1))
     return Fraction(total, 4**q)
-
-
-@dataclass(frozen=True)
-class ReciprocalArctanhCoeffs:
-    """Coefficients of the two reciprocal expansions around 0.
-
-    ``inv_arctanh[n]`` is the x^{2n-1} coefficient of 1/arctanh(x);
-    ``inv_sqrt_arctanh[n]`` that of 1/(sqrt(1-x^2) arctanh(x)).  Both lead
-    with coefficient 1 (each function behaves like 1/x at the origin).
-    """
-
-    inv_arctanh: tuple[Fraction, ...]
-    inv_sqrt_arctanh: tuple[Fraction, ...]
-
-
-def reciprocal_arctanh_coeffs(order: int) -> ReciprocalArctanhCoeffs:
-    """First ``order``+1 coefficients of both reciprocal expansions."""
-    if order < 0:
-        raise DomainError("order must be >= 0")
-    k = 2 * order
-    plain = arctanh_over_x_series(k).reciprocal()
-    weighted = plain * inv_sqrt_one_minus_x2_series(k)
-    return ReciprocalArctanhCoeffs(
-        inv_arctanh=tuple(plain.coeffs[2 * i] for i in range(order + 1)),
-        inv_sqrt_arctanh=tuple(weighted.coeffs[2 * i] for i in range(order + 1)),
-    )

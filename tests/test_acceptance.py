@@ -22,6 +22,7 @@ from arcmellin import (
     beta_prime_odd,
     log_integral_even_cosh,
     log_integral_odd_cosh,
+    phi_even_closed_form,
     phi_odd_closed_form,
     quad_c_constant,
     quad_log_family,
@@ -198,3 +199,24 @@ def test_criterion_9_property_suites():
     ok = ok and high.error_estimate < low.error_estimate
     elapsed = time.perf_counter() - started
     _announce(9, "dual-path series, precision monotonicity, quadrature convergence", ok, elapsed)
+
+
+def test_criterion_10_even_mellin_values():
+    started = time.perf_counter()
+    prec, tol = 30, mpf(10) ** -25
+    worst = mpf(0)
+    for m in range(1, 13):
+        for which in (1, 2):
+            diff = abs(
+                eval_closed_form(phi_even_closed_form(which, m), prec)
+                - quad_phi(which, 2 * m, prec).value
+            )
+            worst = max(worst, diff)
+    elapsed = time.perf_counter() - started
+    _announce(
+        10,
+        f"even Mellin values m <= 12, both transforms, |exact - quadrature| < 1e-25 "
+        f"(worst {mp.nstr(worst, 3)})",
+        worst < tol,
+        elapsed,
+    )

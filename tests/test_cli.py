@@ -8,7 +8,8 @@ from pathlib import Path
 
 import pytest
 
-from arcmellin import ClosedForm, cli_main, log_integral_odd_cosh
+from arcmellin import ClosedForm, log_integral_odd_cosh
+from arcmellin.cli import cli_main
 
 
 def run(capsys, *argv):
@@ -169,6 +170,17 @@ class TestModuleEntryPoint:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.count("[ok ]") == 35
 
+    def test_python_m_arcmellin_cli_warns_nothing(self):
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        proc = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-m", "arcmellin.cli",
+             "reproduce-paper", "--prec", "25"],
+            env=env, capture_output=True, text=True, timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == ""
+
     def test_closed_stdout_exits_without_traceback(self):
         # `constants` prints between slow quadratures, so closing the read
         # end after the first line makes a later print hit a broken pipe.
@@ -187,6 +199,29 @@ class TestModuleEntryPoint:
         assert "Traceback" not in err
         assert "Exception ignored" not in err
         assert proc.returncode in (0, 141), err
+
+
+class TestPrecisionFloor:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "bounds", "--prec", "10"],
+            ["verify", "asymptotic", "--prec", "3"],
+            ["reproduce-paper", "--prec", "3"],
+            ["verify", "cross-rep", "--prec", "5"],
+            ["verify", "all", "--prec", "11"],
+        ],
+    )
+    def test_below_the_floor_exits_2(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert "prec >= 12" in err
+
+    def test_all_passes_at_the_floor(self, capsys):
+        code, out, _ = run(capsys, "verify", "all", "--prec", "12")
+        assert code == 0
+        assert "FAIL" not in out
 
 
 class TestVerifyAll:

@@ -14,6 +14,7 @@ from arcmellin import (
     BasisSymbol,
     ClosedForm,
     DomainError,
+    beta_even_ratio,
     beta_prime_neg_coeffs,
     beta_prime_ratio,
     eta_prime_neg_coeffs,
@@ -21,11 +22,12 @@ from arcmellin import (
     beta_prime_neg_symbol,
     log_integral_even_cosh,
     log_integral_odd_cosh,
-    mellin_even_partial,
+    phi_even_closed_form,
     phi_odd_closed_form,
     root_product_tables,
     s_coeff,
     sinh_over_z_integral,
+    zeta_odd_ratio,
     zeta_prime_ratio,
 )
 from arcmellin import catalog
@@ -313,20 +315,47 @@ class TestPhiOddClosedForm:
         assert beta_prime_neg_coeffs(n) == tuple(beta)
 
 
-class TestMellinEvenPartial:
-    def test_leading_terms(self):
-        assert mellin_even_partial(2, 1, 1) == [Fraction(1)]
-        assert mellin_even_partial(1, 1, 1) == [Fraction(1, 2)]
+class TestPhiEvenClosedForm:
+    def test_phi1_at_2_is_7_zeta3_over_pi2(self):
+        assert phi_even_closed_form(1, 1) == cf([(zeta_odd_ratio(0), 7)])
 
-    def test_second_term_which2(self):
-        # p_1 * (1/4) * C(2,1) = (-1/3)(1/4)(2) = -1/6
-        assert mellin_even_partial(2, 1, 2)[1] == Fraction(-1, 6)
+    def test_phi2_at_2_is_4_catalan_over_pi(self):
+        assert phi_even_closed_form(2, 1) == cf([(beta_even_ratio(0), 4)])
 
-    def test_bad_arguments(self):
+    def test_phi1_at_4(self):
+        # the zeta block of the published relation "zeta3-zeta5"
+        assert phi_even_closed_form(1, 2) == cf([(zeta_odd_ratio(0), "14/3"), (zeta_odd_ratio(1), -31)])
+
+    def test_top_coefficient(self):
+        # only j = 0, with d_0 = 1, reaches the top index: the coefficient is
+        # (-1)^{m-1} 2^N lambda(N) resp. (-1)^{m-1} 2^N beta(N)
+        for m in range(1, 10):
+            sign = (-1) ** (m - 1)
+            assert phi_even_closed_form(1, m).coefficient(zeta_odd_ratio(m - 1)) == sign * (2 * 4**m - 1)
+            assert phi_even_closed_form(2, m).coefficient(beta_even_ratio(m - 1)) == sign * 4**m
+
+    def test_json_round_trip_of_both_kinds(self):
+        for form in (phi_even_closed_form(1, 3), phi_even_closed_form(2, 3)):
+            again = ClosedForm.from_json(form.to_json())
+            assert again == form
+            assert again.to_json() == form.to_json()
+        assert '"symbol": "beta_even_ratio", "p": 0' in phi_even_closed_form(2, 1).to_json()
+
+    def test_latex(self):
+        assert phi_even_closed_form(1, 1).latex() == r"7\,\frac{\zeta(3)}{\pi^{2}}"
+        assert phi_even_closed_form(2, 2).latex() == (
+            r"\frac{10}{3}\,\frac{\beta(2)}{\pi} - 16\,\frac{\beta(4)}{\pi^{3}}"
+        )
+
+    def test_new_kinds_sort_after_the_old(self):
+        assert sorted([beta_even_ratio(0), zeta_odd_ratio(1), LN2, zeta_odd_ratio(0)]) == [
+            LN2, zeta_odd_ratio(0), zeta_odd_ratio(1), beta_even_ratio(0),
+        ]
+
+    @pytest.mark.parametrize("which, m", [(0, 1), (3, 1), (1, 0), (2, 0), (2, -1)])
+    def test_bad_arguments(self, which, m):
         with pytest.raises(DomainError):
-            mellin_even_partial(3, 1, 1)
-        with pytest.raises(DomainError):
-            mellin_even_partial(1, 0, 1)
+            phi_even_closed_form(which, m)
 
 
 class TestTopCoefficientLaws:

@@ -392,6 +392,25 @@ class TestExactSpecialValues:
             assert abs(got - mp.pi**3 / 32) < mpf(10) ** -40
 
 
+class TestEvenArgumentSymbols:
+    @pytest.mark.parametrize("p", [0, 1, 4])
+    def test_zeta_odd_ratio_against_mpmath_zeta(self, p):
+        got = symbol_value("zeta_odd_ratio", p, 40)
+        with mp.workdps(60):
+            assert abs(got - mp.zeta(2 * p + 3) / mp.pi ** (2 * p + 2)) < mpf(10) ** -40
+
+    @pytest.mark.parametrize("p", [0, 1, 4])
+    def test_beta_even_ratio_against_mpmath_dirichlet(self, p):
+        got = symbol_value("beta_even_ratio", p, 40)
+        with mp.workdps(60):
+            beta = mp.dirichlet(2 * p + 2, [0, 1, 0, -1])
+            assert abs(got - beta / mp.pi ** (2 * p + 1)) < mpf(10) ** -40
+
+    def test_catalan_constant(self):
+        with mp.workdps(45):
+            assert abs(symbol_value("beta_even_ratio", 0, 30) * mp.pi - mp.catalan) < mpf(10) ** -30
+
+
 def test_global_context_is_restored():
     from arcmellin import quad_phi, sinh_over_z_integral
 

@@ -13,16 +13,10 @@ from arcmellin import (
     bernoulli,
     binomial,
     binomial_power_sum,
-    reciprocal_arctanh_coeffs,
     root_product_tables,
     x_over_sinh_coeffs,
 )
-from arcmellin.series import (
-    arctanh_over_x_series,
-    cosh_series,
-    inv_sqrt_one_minus_x2_series,
-    sinh_x_over_x_series,
-)
+from arcmellin.series import cosh_series, sinh_x_over_x_series
 
 
 class TestPowerSeriesArithmetic:
@@ -178,42 +172,3 @@ class TestBinomialPowerSum:
         # imaginary pole, i.e. (2p)! [w^{2p}] cosh^{2q+1}(w)
         series = cosh_series(2 * p).pow(2 * q + 1)
         assert binomial_power_sum(q, p) == math.factorial(2 * p) * series.coefficient(2 * p)
-
-
-class TestReciprocalArctanhCoeffs:
-    def test_leading_coefficients(self):
-        rc = reciprocal_arctanh_coeffs(1)
-        assert rc.inv_arctanh[0] == 1
-        assert rc.inv_sqrt_arctanh[0] == 1
-
-    def test_first_corrections(self):
-        rc = reciprocal_arctanh_coeffs(2)
-        # oracle: reciprocal of (1 + x^2/3 + x^4/5 + ...) to order 2
-        assert rc.inv_arctanh[1] == Fraction(-1, 3)
-        # then multiplied by sum C(2n,n) x^{2n} / 4^n
-        assert rc.inv_sqrt_arctanh[1] == Fraction(-1, 3) + Fraction(1, 2) == Fraction(1, 6)
-
-    def test_product_identity_exact(self):
-        n = 18
-        rc = reciprocal_arctanh_coeffs(n)
-        series = PowerSeries(
-            tuple(
-                rc.inv_arctanh[k // 2] if k % 2 == 0 else Fraction(0)
-                for k in range(2 * n + 1)
-            )
-        )
-        product = series * arctanh_over_x_series(2 * n)
-        assert product.coeffs[0] == 1
-        assert all(c == 0 for c in product.coeffs[1:])
-
-    def test_weighted_equals_plain_times_binomial_series(self):
-        n = 10
-        rc = reciprocal_arctanh_coeffs(n)
-        plain = PowerSeries(
-            tuple(
-                rc.inv_arctanh[k // 2] if k % 2 == 0 else Fraction(0)
-                for k in range(2 * n + 1)
-            )
-        )
-        weighted = plain * inv_sqrt_one_minus_x2_series(2 * n)
-        assert tuple(weighted.coeffs[2 * i] for i in range(n + 1)) == rc.inv_sqrt_arctanh

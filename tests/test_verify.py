@@ -9,6 +9,7 @@ from fractions import Fraction
 import pytest
 
 from arcmellin import (
+    DomainError,
     IdentityFamily,
     beta_prime_value,
     binomial,
@@ -20,8 +21,9 @@ from arcmellin import (
     reproduce_reference_tables,
     run_identity,
 )
-from arcmellin import quadrature
+from arcmellin import catalog, quadrature
 from arcmellin.verify import (
+    MIN_PREC,
     SUITES,
     _alt_binom_even_cell,
     _alt_binom_odd_cell,
@@ -105,7 +107,10 @@ class TestRegistry:
     def test_cross_rep_reads_n_max_from_range(self):
         report = run_identity(IdentityFamily.CROSS_REP, n_range=(1, 2), prec=25)
         assert report.passed
-        assert [c.params for c in report.cells] == [(1, 1), (2, 1), (1, 2), (2, 2)]
+        assert [c.params for c in report.cells] == [
+            (1, 1), (2, 1), (1, 2), (2, 2),
+            ("phi-even", 1, 1), ("phi-even", 2, 1), ("phi-even", 1, 2), ("phi-even", 2, 2),
+        ]
 
 
 class TestNumericSuites:
@@ -178,15 +183,45 @@ class TestNumericSuites:
         assert got_coupled == expected_coupled
 
     def test_even_argument_relations(self):
-        report = check_even_argument_relations(cap=40, prec=25)
+        report = check_even_argument_relations()
         assert report.passed
         assert len(report.cells) == 7
-        # the residual is the dropped tail itself, so it must sit well under
-        # the bound, not just scrape past it
-        for cell in report.cells:
-            residual = float(cell.detail.split("residual=")[1].split(" ")[0])
-            bound = float(cell.detail.split("bound=")[1])
-            assert residual < bound / 2
+        assert report.tolerance == "exact rational equality"
+        assert report.precision is None
+        assert all(cell.detail == "difference=0" for cell in report.cells)
+
+    @pytest.mark.parametrize("index", range(len(catalog.EVEN_ARGUMENT_RELATIONS)))
+    def test_even_relation_perturbed_by_1e20_fails(self, monkeypatch, index):
+        # a relative change of 1e-20 to one published rational must fail its
+        # cell, and only its cell
+        relations = [dict(rel) for rel in catalog.EVEN_ARGUMENT_RELATIONS]
+        zeta = dict(relations[index]["zeta"])
+        k = min(zeta)
+        zeta[k] *= 1 + Fraction(1, 10**20)
+        relations[index]["zeta"] = zeta
+        monkeypatch.setattr(catalog, "EVEN_ARGUMENT_RELATIONS", tuple(relations))
+        report = check_even_argument_relations()
+        assert [cell.ok for cell in report.cells] == [i != index for i in range(len(relations))]
+
+
+class TestPrecisionFloor:
+    @pytest.mark.parametrize(
+        "suite",
+        [
+            lambda prec: check_bounds(prec=prec),
+            lambda prec: check_coupled(2, prec=prec),
+            lambda prec: check_asymptotic_constants(prec=prec),
+            lambda prec: check_cross_representation(prec=prec),
+            lambda prec: reproduce_reference_tables(prec=prec),
+        ],
+    )
+    def test_below_the_floor_is_a_domain_error(self, suite):
+        with pytest.raises(DomainError, match=f"prec >= {MIN_PREC}"):
+            suite(MIN_PREC - 1)
+
+    def test_exact_suites_take_no_precision(self):
+        assert run_identity("alt-binom-odd", n_range=(1, 3), prec=3).passed
+        assert run_identity("even-relations", prec=3).passed
 
 
 class TestReports:
