@@ -32,6 +32,7 @@ from .series import (
     PowerSeries,
     RootProductTables,
     binomial_power_sum,
+    cosh_kernel_coeffs,
     root_product_tables,
     x_over_sinh_coeffs,
 )
@@ -51,19 +52,16 @@ from .closedform import (
     log_integral_odd_cosh,
     phi_even_closed_form,
     phi_odd_closed_form,
-    s_coeff,
     sinh_over_z_integral,
     zeta_odd_ratio,
     zeta_prime_ratio,
 )
 from .lfuncs import (
     beta_at_negative_even,
-    beta_odd_value,
     beta_prime_neg,
     beta_prime_odd,
     beta_prime_value,
     beta_value,
-    eta_at_negative_odd,
     eta_prime,
     eta_prime_neg,
     eta_value,
@@ -109,6 +107,7 @@ __all__ = [
     "PowerSeries",
     "RootProductTables",
     "binomial_power_sum",
+    "cosh_kernel_coeffs",
     "root_product_tables",
     "x_over_sinh_coeffs",
     "LN2",
@@ -126,17 +125,14 @@ __all__ = [
     "log_integral_odd_cosh",
     "phi_even_closed_form",
     "phi_odd_closed_form",
-    "s_coeff",
     "sinh_over_z_integral",
     "zeta_odd_ratio",
     "zeta_prime_ratio",
     "beta_at_negative_even",
-    "beta_odd_value",
     "beta_prime_neg",
     "beta_prime_odd",
     "beta_prime_value",
     "beta_value",
-    "eta_at_negative_odd",
     "eta_prime",
     "eta_prime_neg",
     "eta_value",

@@ -12,20 +12,32 @@ and a :class:`ClosedForm` is exactly such a combination: a map from
 :class:`BasisSymbol` to ``Fraction`` with no zero entries.  Equality is exact
 and structural; nothing in this module ever touches floating point.
 
-The three integral families and their coefficient pipelines:
+Every residue weight below, at the poles i pi (k + 1/2) of 1/cosh^N, is a
+Taylor coefficient of one kernel, read from ``series.cosh_kernel_coeffs``:
+
+    K_{N,q}(w) = (w / sinh w)^N * cosh^{2q+1}(w).
+
+The integral families and their coefficient pipelines:
 
 * ``log_integral_odd_cosh(q, n)``:
       I(q, n) = int_0^oo sinh^{2q+1}(z) ln(z) / cosh^{2n+1}(z) dz
               = sum_p H[p] zeta'(2p+2)/pi^{2p+2} + I0 + J ln(pi) + (K - J) ln(2)
-  where, with S[p] = sum_{m=p+1}^{n} c[2n-2m] / (2m)! * C(2m, 2p+2) * W(q, m-p-1),
-  c[j] the x^j coefficient of (x/sinh x)^{2n+1} and W the binomial power sum,
+  where, with S[p] = [w^{2n-2p-2}] K_{2n+1,q}(w) / (2p+2)!,
       H[p] = (-1)^{q+n+p} 2 (2p+1)! (2^{2p+2} - 1) S[p],
       J    = (-1)^{q+n+1} sum_p 2^{2p+1} (2^{2p+2}-1) B_{2p+2} S[p] / (p+1),
       K    = (-1)^{q+n}   sum_p 2^{2p+1}              B_{2p+2} S[p] / (p+1),
       I0   = (-1)^{q+n}   sum_p 2^{2p+1} (2^{2p+2}-1) B_{2p+2} H_{2p+1} S[p] / (p+1).
 
-* ``log_integral_even_cosh(q, n)``: the cosh^{2n} analogue, expanding over
-  beta'(2p+1)/pi^{2p+1} with Euler-number coefficients in place of Bernoulli.
+* ``log_integral_even_cosh(q, n)``: the cosh^{2n} analogue,
+      int_0^oo sinh^{2q+1}(z) ln(z) / cosh^{2n}(z) dz
+              = sum_p L[p] beta'(2p+1)/pi^{2p+1} + M + N ln(pi) - N ln(2)
+  where, with U[p] = [w^{2n-2p-2}] K_{2n,q}(w) / (2p+1)!,
+      L[p] = (-1)^{q+n+p} 2^{2p+2} (2p)! U[p],
+      N    = (-1)^{q+n+1} sum_p E_{2p} U[p],
+      M    = (-1)^{q+n}   sum_p H_{2p} E_{2p} U[p].
+  J and N are the beta integrals int_0^oo sinh^{2q+1} / cosh^{2n+1 or 2n} dz
+  times (-1)^{q+n+1}; the ``euler-bernoulli`` suite checks them against their
+  closed values.
 
 * ``sinh_over_z_integral(q, N)``:
       int_0^oo sinh^{2q}(z) / (z cosh^N(z)) dz
@@ -43,7 +55,7 @@ The three integral families and their coefficient pipelines:
 
 * ``phi_even_closed_form(which, m)``: the same transforms at s = 2m, expanded
   over zeta(2p+3)/pi^{2p+2} resp. beta(2p+2)/pi^{2p+1} by closing the contour
-  over the poles of 1/cosh^N.
+  over the poles of 1/cosh^N, with weights [w^j] K_{N,m-1}(w).
 """
 
 from __future__ import annotations
@@ -56,7 +68,7 @@ from functools import lru_cache
 from typing import Iterable, Iterator, Mapping
 
 from .exact import DomainError, bernoulli, binomial, euler_number, harmonic
-from .series import binomial_power_sum, root_product_tables, x_over_sinh_coeffs
+from .series import cosh_kernel_coeffs, root_product_tables
 
 _KINDS = (
     "zeta_prime_ratio",
@@ -92,8 +104,8 @@ class BasisSymbol:
         if self.kind not in _RANK:
             raise DomainError(f"unknown basis symbol kind {self.kind!r}")
         if self.kind in _INDEXED:
-            if self.index is None or self.index < 0:
-                raise DomainError(f"{self.kind} requires an index >= 0")
+            if not isinstance(self.index, int) or isinstance(self.index, bool) or self.index < 0:
+                raise DomainError(f"{self.kind} requires an integer index >= 0")
         elif self.index is not None:
             raise DomainError(f"{self.kind} takes no index")
 
@@ -239,14 +251,24 @@ class ClosedForm:
     @staticmethod
     def from_json(text: str) -> "ClosedForm":
         data = json.loads(text)
+        if not isinstance(data, dict) or not isinstance(data.get("terms"), list):
+            raise DomainError('a JSON closed form is an object with a "terms" list')
         pairs = []
         for entry in data["terms"]:
+            if not isinstance(entry, dict):
+                raise DomainError(f"JSON closed-form term {entry!r} is not an object")
             kind = entry["symbol"]
-            if kind not in _RANK:
+            if not isinstance(kind, str) or kind not in _RANK:
                 raise DomainError(f"unknown symbol {kind!r} in JSON closed form")
             index = entry.get(_INDEX_KEY[kind]) if kind in _INDEXED else None
-            num, _, den = entry["coeff"].partition("/")
-            pairs.append((BasisSymbol(kind, index), Fraction(int(num), int(den or "1"))))
+            coeff = entry["coeff"]
+            if not isinstance(coeff, str):
+                raise DomainError(f"coefficient {coeff!r} is not a string 'num/den'")
+            num, _, den = coeff.partition("/")
+            num, den = int(num), int(den or "1")
+            if den == 0:
+                raise DomainError(f"coefficient {coeff!r} has a zero denominator")
+            pairs.append((BasisSymbol(kind, index), Fraction(num, den)))
         return ClosedForm(pairs)
 
     def latex(self) -> str:
@@ -281,28 +303,6 @@ class ClosedForm:
         return f"ClosedForm({{{inner}}})"
 
 
-def s_coeff(p: int, q: int, n: int) -> Fraction:
-    """Weighted kernel sum S(p, q, n) feeding every cosh^{2n+1} coefficient.
-
-    S = sum_{m=p+1}^{n} c[2n-2m] / (2m)! * C(2m, 2p+2) * W(q, m-p-1), with
-    c the (x/sinh x)^{2n+1} coefficients and W the binomial power sum.
-    """
-    if q < 0:
-        raise DomainError("s_coeff requires q >= 0")
-    if not 0 <= p <= n - 1:
-        raise DomainError(f"s_coeff requires 0 <= p <= n-1, got p={p}, n={n}")
-    c = x_over_sinh_coeffs(2 * n + 1, 2 * n)
-    return sum(
-        (
-            c[2 * n - 2 * m]
-            / math.factorial(2 * m)
-            * binomial(2 * m, 2 * p + 2)
-            * binomial_power_sum(q, m - p - 1)
-        )
-        for m in range(p + 1, n + 1)
-    )
-
-
 def _sign(e: int) -> int:
     return -1 if e % 2 else 1
 
@@ -311,13 +311,19 @@ def _sign(e: int) -> int:
 def log_integral_odd_cosh(q: int, n: int) -> ClosedForm:
     """Closed form of int_0^oo sinh^{2q+1}(z) ln(z) / cosh^{2n+1}(z) dz.
 
-    Requires 2q+1 < 2n+1 (i.e. 0 <= q <= n-1) for convergence.
+    Requires 2q+1 < 2n+1 (i.e. 0 <= q <= n-1) for convergence.  Memoised;
+    ``_log_odd_form`` builds it without keeping it.
     """
+    return _log_odd_form(q, n)
+
+
+def _log_odd_form(q: int, n: int) -> ClosedForm:
     if n < 1 or q < 0 or q > n - 1:
         raise DomainError(
             f"convergence requires 2q+1 < 2n+1 with q >= 0, n >= 1; got q={q}, n={n}"
         )
-    s_vals = [s_coeff(p, q, n) for p in range(n)]
+    kernel = cosh_kernel_coeffs(2 * n + 1, q, 2 * n)
+    s_vals = [kernel[2 * n - 2 * p - 2] / math.factorial(2 * p + 2) for p in range(n)]
     pairs: list[tuple[BasisSymbol, Fraction]] = []
     for p, s in enumerate(s_vals):
         h_coeff = (
@@ -351,50 +357,26 @@ def log_integral_odd_cosh(q: int, n: int) -> ClosedForm:
 def log_integral_even_cosh(q: int, n: int) -> ClosedForm:
     """Closed form of int_0^oo sinh^{2q+1}(z) ln(z) / cosh^{2n}(z) dz.
 
-    Requires 2q+1 < 2n (i.e. 0 <= q <= n-1) for convergence.
+    Requires 2q+1 < 2n (i.e. 0 <= q <= n-1) for convergence.  Memoised;
+    ``_log_even_form`` builds it without keeping it.
     """
+    return _log_even_form(q, n)
+
+
+def _log_even_form(q: int, n: int) -> ClosedForm:
     if n < 1 or q < 0 or q > n - 1:
         raise DomainError(
             f"convergence requires 2q+1 < 2n with q >= 0, n >= 1; got q={q}, n={n}"
         )
-    d = x_over_sinh_coeffs(2 * n, 2 * n)
-    pairs: list[tuple[BasisSymbol, Fraction]] = []
-    for p in range(n):
-        l_coeff = (
-            _sign(q + n + p)
-            * 2 ** (2 * p + 2)
-            * math.factorial(2 * p)
-            * sum(
-                d[2 * n - 2 * m - 2]
-                / math.factorial(2 * m + 1)
-                * binomial(2 * m + 1, 2 * m - 2 * p)
-                * binomial_power_sum(q, m - p)
-                for m in range(p, n)
-            )
-        )
-        pairs.append((beta_prime_ratio(p), l_coeff))
-    n_coeff = _sign(q + n + 1) * sum(
-        d[2 * n - 2 * m - 2]
-        / math.factorial(2 * m + 1)
-        * sum(
-            binomial(2 * m + 1, 2 * m - 2 * p)
-            * binomial_power_sum(q, m - p)
-            * euler_number(2 * p)
-            for p in range(m + 1)
-        )
-        for m in range(n)
-    )
+    kernel = cosh_kernel_coeffs(2 * n, q, 2 * n)
+    u_vals = [kernel[2 * n - 2 * p - 2] / math.factorial(2 * p + 1) for p in range(n)]
+    pairs = [
+        (beta_prime_ratio(p), _sign(q + n + p) * 2 ** (2 * p + 2) * math.factorial(2 * p) * u)
+        for p, u in enumerate(u_vals)
+    ]
+    n_coeff = _sign(q + n + 1) * sum(euler_number(2 * p) * u for p, u in enumerate(u_vals))
     m_coeff = _sign(q + n) * sum(
-        d[2 * n - 2 * m - 2]
-        / math.factorial(2 * m + 1)
-        * sum(
-            binomial(2 * m + 1, 2 * m - 2 * p)
-            * binomial_power_sum(q, m - p)
-            * harmonic(2 * p)
-            * euler_number(2 * p)
-            for p in range(m + 1)
-        )
-        for m in range(n)
+        harmonic(2 * p) * euler_number(2 * p) * u for p, u in enumerate(u_vals)
     )
     pairs += [(ONE, m_coeff), (LNPI, n_coeff), (LN2, -n_coeff)]
     return ClosedForm(pairs)
@@ -489,21 +471,20 @@ def phi_even_closed_form(which: int, m: int) -> ClosedForm:
 
         sum_{j even, k = N-j >= 2} (-1)^{m-1-j/2} 2^k d_j L(k) / pi^{k-1},
 
-    with d_j = [w^j] cosh^{2m-1}(w) (w/sinh w)^N, and L(k) = (1-2^{-k}) zeta(k)
-    for odd N, beta(k) for even N.  The k = 1 coefficient must vanish because
-    the integrand decays; it is checked here rather than assumed.
+    with d_j = [w^j] K_{N,m-1}(w) = [w^j] cosh^{2m-1}(w) (w/sinh w)^N, and
+    L(k) = (1-2^{-k}) zeta(k) for odd N, beta(k) for even N.  The k = 1
+    coefficient must vanish because the integrand decays; it is checked here
+    rather than assumed.
     """
     if which not in (1, 2):
         raise DomainError(f"which must be 1 or 2, got {which}")
     if m < 1:
         raise DomainError("m must be >= 1: the transforms converge only for s > 1")
     N = 2 * m + 1 if which == 1 else 2 * m
-    kernel = x_over_sinh_coeffs(N, N)
-    # the w^{2i} coefficient of cosh^{2m-1}(w)
-    cosh = [binomial_power_sum(m - 1, i) / math.factorial(2 * i) for i in range((N + 1) // 2)]
+    kernel = cosh_kernel_coeffs(N, m - 1, N)
     pairs: list[tuple[BasisSymbol, Fraction]] = []
     for j in range(0, N, 2):
-        d = sum(cosh[i] * kernel[j - 2 * i] for i in range(j // 2 + 1))
+        d = kernel[j]
         k = N - j
         if k == 1:
             if d != 0:

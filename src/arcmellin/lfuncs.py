@@ -241,30 +241,6 @@ def zeta_even_value(k: int, prec: int) -> mpf:
     return _cached(("zeta_even", k, prec), prec, build)
 
 
-def beta_odd_value(k: int, prec: int) -> mpf:
-    """beta(2k+1) = (-1)^k E_{2k} pi^{2k+1} / (4^{k+1} (2k)!), k >= 0."""
-    _check_prec(prec)
-    if k < 0:
-        raise DomainError("beta_odd_value requires k >= 0")
-    def build():
-        sign = -1 if k % 2 else 1
-        return (
-            sign
-            * euler_number(2 * k)
-            * mp.pi ** (2 * k + 1)
-            / (4 ** (k + 1) * mp.factorial(2 * k))
-        )
-    return _cached(("beta_odd", k, prec), prec, build)
-
-
-def eta_at_negative_odd(i: int) -> Fraction:
-    """Exact rational eta(-2i-1) = (1 - 2^{2i+2}) zeta(-2i-1)."""
-    if i < 0:
-        raise DomainError("index must be >= 0")
-    zeta_neg = -bernoulli(2 * i + 2) / (2 * i + 2)
-    return (1 - Fraction(2) ** (2 * i + 2)) * zeta_neg
-
-
 def beta_at_negative_even(i: int) -> Fraction:
     """Exact rational beta(-2i) = E_{2i} / 2."""
     if i < 0:

@@ -23,6 +23,13 @@ The coefficient families produced here feed the closed-form assembly:
 * ``binomial_power_sum(q, p)`` -- 4^{-q} sum_{k=0}^{q} C(2q+1,k) (2q+1-2k)^{2p},
   the normalized even-order derivative of sinh^{2q+1} at its imaginary poles
   (memoised: the closed forms and suites ask for few distinct (q, p) often).
+* ``cosh_kernel_coeffs(e, q, K)`` -- Taylor coefficients of
+  (x / sinh x)^e * cosh^{2q+1}(x), the one residue kernel of every closed
+  form: its x^{2i} coefficient is the convolution of ``x_over_sinh_coeffs``
+  with cosh^{2q+1}(x) = sum_i binomial_power_sum(q, i) x^{2i} / (2i)!
+  (memoised, but in a bounded cache: the log-integral forms are memoised
+  themselves, so a table is asked for again only by the even Mellin values,
+  and an unbounded cache would keep every table of a suite sweep alive).
 """
 
 from __future__ import annotations
@@ -188,3 +195,20 @@ def binomial_power_sum(q: int, p: int) -> Fraction:
         raise DomainError("binomial_power_sum requires q >= 0 and p >= 0")
     total = sum(binomial(2 * q + 1, k) * (2 * q + 1 - 2 * k) ** (2 * p) for k in range(q + 1))
     return Fraction(total, 4**q)
+
+
+@lru_cache(maxsize=32)
+def cosh_kernel_coeffs(power: int, q: int, order: int) -> tuple[Fraction, ...]:
+    """Taylor coefficients 0..order of (x / sinh x)^power * cosh^{2q+1}(x).
+
+    The x^{2j} coefficient is sum_{i=0}^{j} W(q, i) / (2i)! * b[2j-2i], with
+    b = ``x_over_sinh_coeffs(power, order)`` and W the binomial power sum;
+    odd-index coefficients are identically zero (the function is even).
+    """
+    if power < 0 or q < 0 or order < 0:
+        raise DomainError("cosh_kernel_coeffs requires power, q and order >= 0")
+    b = x_over_sinh_coeffs(power, order)[::2]
+    cosh = [binomial_power_sum(q, i) / math.factorial(2 * i) for i in range(len(b))]
+    coeffs = [Fraction(0)] * (order + 1)
+    coeffs[::2] = [sum(cosh[i] * b[j - i] for i in range(j + 1)) for j in range(len(b))]
+    return tuple(coeffs)

@@ -32,7 +32,10 @@ from mpmath import mp, mpf
 
 from . import catalog
 from .closedform import (
+    LNPI,
     ClosedForm,
+    _log_even_form,
+    _log_odd_form,
     beta_even_ratio,
     eta_prime_neg_coeffs,
     log_integral_even_cosh,
@@ -43,7 +46,7 @@ from .closedform import (
     zeta_odd_ratio,
     zeta_prime_ratio,
 )
-from .exact import DomainError, bernoulli, binomial, eulerian, euler_number
+from .exact import DomainError, bernoulli, binomial, eulerian
 from .lfuncs import _working, eval_closed_form, mellin_bound_gamma_ratio, phi1_bounds
 from .quadrature import quad_c_constant, quad_phi
 from .series import binomial_power_sum, x_over_sinh_coeffs
@@ -220,7 +223,8 @@ def _binom_cosh_cell(params: tuple) -> CellResult:
     lhs = sum(
         c[2 * n - 2 * m]
         / math.factorial(2 * m)
-        * sum(binomial(2 * q + 1, k) * (2 * q + 1 - 2 * k) ** (2 * m) for k in range(q + 1))
+        * 4**q
+        * binomial_power_sum(q, m)
         for m in range(n + 1)
     )
     rhs = Fraction(4**n) if q == n else Fraction(0)
@@ -265,39 +269,20 @@ def _d_identity_cell(params: tuple) -> CellResult:
 
 
 def _euler_bernoulli_cell(params: tuple) -> CellResult:
-    # Both beta-integral evaluations of int_0^oo sinh^{2q+1}/cosh^N dz:
-    # the N = 2n+1 line pairs Bernoulli weights with the odd-cosh kernel,
-    # the N = 2n line pairs Euler numbers with the even-cosh kernel.
+    # Both beta-integral evaluations of int_0^oo sinh^{2q+1}/cosh^N dz: it is
+    # (-1)^{q+n+1} times the ln(pi) coefficient of the log integral over the
+    # same cosh^N, so each line reads the production form (Bernoulli weights
+    # for N = 2n+1, Euler numbers for N = 2n).  The forms are built unmemoised:
+    # the suite reads one coefficient of each and should not keep 2 sum(n) of
+    # them alive.
     n, q = params
-    c = x_over_sinh_coeffs(2 * n + 1, 2 * n)
-    d = x_over_sinh_coeffs(2 * n, 2 * n)
-    line1 = sum(
-        c[2 * n - 2 * m]
-        / math.factorial(2 * m)
-        * sum(
-            binomial(2 * m, 2 * m - 2 * p)
-            * binomial_power_sum(q, m - p)
-            * Fraction(2 ** (2 * p - 1) * (2 ** (2 * p) - 1), p)
-            * bernoulli(2 * p)
-            for p in range(1, m + 1)
-        )
-        for m in range(n + 1)
-    )
-    rhs1 = Fraction((-1) ** (q + n + 1), 2) * Fraction(
+    sign = (-1) ** (q + n + 1)
+    line1 = sign * _log_odd_form(q, n).coefficient(LNPI)
+    rhs1 = Fraction(sign, 2) * Fraction(
         math.factorial(q) * math.factorial(n - q - 1), math.factorial(n)
     )
-    line2 = sum(
-        d[2 * n - 2 * m - 2]
-        / math.factorial(2 * m + 1)
-        * sum(
-            binomial(2 * m + 1, 2 * m - 2 * p)
-            * binomial_power_sum(q, m - p)
-            * euler_number(2 * p)
-            for p in range(m + 1)
-        )
-        for m in range(n)
-    )
-    rhs2 = (-1) ** (q + n + 1) * Fraction(
+    line2 = sign * _log_even_form(q, n).coefficient(LNPI)
+    rhs2 = sign * Fraction(
         2 ** (2 * q + 1)
         * math.factorial(q)
         * math.factorial(n)

@@ -115,6 +115,22 @@ class TestEvalCommand:
         code, _, err = run(capsys, "eval", "--json-file", str(path))
         assert code == 2
         assert "invalid input" in err
+        # wrong shapes and types are input errors too, never a traceback
+        # (exit 1 would read as a verification mismatch)
+        for text in (
+            '{"terms": 5}',
+            "[1, 2]",
+            '{"terms": [5]}',
+            '{"terms": [{"symbol": "one", "coeff": "1/0"}]}',
+            '{"terms": [{"symbol": "one", "coeff": 3}]}',
+            '{"terms": [{"symbol": ["one"], "coeff": "1"}]}',
+            '{"terms": [{"symbol": "zeta_prime_ratio", "p": "1", "coeff": "1/2"}]}',
+            '{"terms": [{"symbol": "zeta_prime_ratio", "p": true, "coeff": "1/2"}]}',
+        ):
+            path.write_text(text)
+            code, _, err = run(capsys, "eval", "--json-file", str(path))
+            assert code == 2, text
+            assert err.startswith("error:") and err.count("\n") == 1, text
 
 
 class TestConstantsCommand:

@@ -20,13 +20,18 @@ from arcmellin import (
     eta_prime_neg_coeffs,
     eta_prime_neg_symbol,
     beta_prime_neg_symbol,
+    binomial,
+    binomial_power_sum,
+    cosh_kernel_coeffs,
+    euler_number,
+    harmonic,
     log_integral_even_cosh,
     log_integral_odd_cosh,
     phi_even_closed_form,
     phi_odd_closed_form,
     root_product_tables,
-    s_coeff,
     sinh_over_z_integral,
+    x_over_sinh_coeffs,
     zeta_odd_ratio,
     zeta_prime_ratio,
 )
@@ -122,18 +127,28 @@ class TestClosedFormAlgebra:
 
 
 class TestSCoeff:
+    """S[p] = [w^{2n-2p-2}] (w/sinh w)^{2n+1} cosh^{2q+1}(w) / (2p+2)!, the
+    kernel value behind every zeta'(2p+2) coefficient of the odd family."""
+
+    @staticmethod
+    def s_value(p, q, n):
+        return cosh_kernel_coeffs(2 * n + 1, q, 2 * n)[2 * n - 2 * p - 2] / math.factorial(2 * p + 2)
+
     def test_boundary_rejected(self):
-        with pytest.raises(DomainError):
-            s_coeff(1, 0, 1)  # p = n is an empty sum, outside the contract
+        # the kernel takes power, q and order >= 0
+        for args in ((-1, 0, 4), (3, -1, 4), (3, 0, -1)):
+            with pytest.raises(DomainError):
+                cosh_kernel_coeffs(*args)
 
     def test_seed_value(self):
         # feeds the (q=0, n=1) closed form whose leading coefficient is -3
-        assert s_coeff(0, 0, 1) == Fraction(1, 2)
+        assert self.s_value(0, 0, 1) == Fraction(1, 2)
 
     def test_consistency_with_worked_coefficient(self):
         # H = (-1)^{q+n+p} 2 (2p+1)! (2^{2p+2}-1) S must give -2 at (p,q,n)=(0,1,2)
-        assert s_coeff(0, 1, 2) == Fraction(1, 3)
-        assert (-1) ** (1 + 2 + 0) * 2 * 1 * 3 * s_coeff(0, 1, 2) == -2
+        assert self.s_value(0, 1, 2) == Fraction(1, 3)
+        assert (-1) ** (1 + 2 + 0) * 2 * 1 * 3 * self.s_value(0, 1, 2) == -2
+        assert log_integral_odd_cosh(1, 2).coefficient(zeta_prime_ratio(0)) == -2
 
 
 class TestLogIntegralOddCosh:
@@ -201,6 +216,45 @@ class TestLogIntegralEvenCosh:
     def test_divergent_rejected(self):
         with pytest.raises(DomainError, match="convergence"):
             log_integral_even_cosh(2, 2)
+
+    @staticmethod
+    def double_sum_form(q, n):
+        # The published assembly: for each coefficient, a double sum over the
+        # (x/sinh x)^{2n} coefficients d and the binomial power sums, without
+        # the shared kernel table.
+        d = x_over_sinh_coeffs(2 * n, 2 * n)
+
+        def inner(m, p):
+            return binomial(2 * m + 1, 2 * m - 2 * p) * binomial_power_sum(q, m - p)
+
+        pairs = [
+            (
+                beta_prime_ratio(p),
+                (-1) ** (q + n + p)
+                * 2 ** (2 * p + 2)
+                * math.factorial(2 * p)
+                * sum(d[2 * n - 2 * m - 2] / math.factorial(2 * m + 1) * inner(m, p) for m in range(p, n)),
+            )
+            for p in range(n)
+        ]
+        n_coeff = (-1) ** (q + n + 1) * sum(
+            d[2 * n - 2 * m - 2]
+            / math.factorial(2 * m + 1)
+            * sum(inner(m, p) * euler_number(2 * p) for p in range(m + 1))
+            for m in range(n)
+        )
+        m_coeff = (-1) ** (q + n) * sum(
+            d[2 * n - 2 * m - 2]
+            / math.factorial(2 * m + 1)
+            * sum(inner(m, p) * harmonic(2 * p) * euler_number(2 * p) for p in range(m + 1))
+            for m in range(n)
+        )
+        return ClosedForm(pairs + [(ONE, m_coeff), (LNPI, n_coeff), (LN2, -n_coeff)])
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_kernel_table_matches_published_double_sums(self, n):
+        for q in range(n):
+            assert log_integral_even_cosh(q, n) == self.double_sum_form(q, n)
 
 
 class TestSinhOverZIntegral:

@@ -12,12 +12,10 @@ from arcmellin import (
     DomainError,
     PrecisionError,
     beta_at_negative_even,
-    beta_odd_value,
     beta_prime_neg,
     beta_prime_odd,
     beta_prime_value,
     beta_value,
-    eta_at_negative_odd,
     eta_prime,
     eta_prime_neg,
     eta_value,
@@ -226,10 +224,6 @@ class TestZetaPrimeEven:
 
 
 class TestNegativeArguments:
-    def test_eta_side_products(self):
-        assert eta_at_negative_odd(0) == Fraction(1, 4)
-        assert eta_at_negative_odd(1) == Fraction(-1, 8)
-
     def test_beta_side_products(self):
         assert beta_at_negative_even(0) == Fraction(1, 2)
         assert beta_at_negative_even(1) == Fraction(-1, 2)
@@ -383,13 +377,6 @@ class TestBounds:
     def test_s_at_most_one_rejected(self):
         with pytest.raises(DomainError):
             mellin_bound_gamma_ratio(1, 20)
-
-
-class TestExactSpecialValues:
-    def test_beta_odd_value_vs_sum(self):
-        got = beta_odd_value(1, 40)  # beta(3) = pi^3 / 32
-        with mp.workdps(60):
-            assert abs(got - mp.pi**3 / 32) < mpf(10) ** -40
 
 
 class TestEvenArgumentSymbols:

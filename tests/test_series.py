@@ -13,6 +13,7 @@ from arcmellin import (
     bernoulli,
     binomial,
     binomial_power_sum,
+    cosh_kernel_coeffs,
     root_product_tables,
     x_over_sinh_coeffs,
 )
@@ -172,3 +173,16 @@ class TestBinomialPowerSum:
         # imaginary pole, i.e. (2p)! [w^{2p}] cosh^{2q+1}(w)
         series = cosh_series(2 * p).pow(2 * q + 1)
         assert binomial_power_sum(q, p) == math.factorial(2 * p) * series.coefficient(2 * p)
+
+
+class TestCoshKernelCoeffs:
+    @pytest.mark.parametrize("power, q", [(0, 0), (1, 0), (3, 1), (4, 2), (7, 0), (9, 3), (12, 5), (21, 10)])
+    def test_matches_power_series_route(self, power, q):
+        # (sinh x/x)^{-e} times cosh^{2q+1} by PowerSeries arithmetic, which
+        # shares neither Miller's recurrence nor the binomial power sums
+        order = 22
+        oracle = sinh_x_over_x_series(order).pow(power).reciprocal() * cosh_series(order).pow(2 * q + 1)
+        assert cosh_kernel_coeffs(power, q, order) == oracle.coeffs
+
+    def test_prefix_consistency_across_orders(self):
+        assert cosh_kernel_coeffs(5, 2, 6) == cosh_kernel_coeffs(5, 2, 20)[:7]

@@ -11,15 +11,21 @@ import pytest
 from arcmellin import (
     DomainError,
     IdentityFamily,
+    bernoulli,
     beta_prime_value,
     binomial,
+    binomial_power_sum,
     check_asymptotic_constants,
     check_bounds,
     check_coupled,
     check_cross_representation,
     check_even_argument_relations,
+    euler_number,
+    log_integral_even_cosh,
+    log_integral_odd_cosh,
     reproduce_reference_tables,
     run_identity,
+    x_over_sinh_coeffs,
 )
 from arcmellin import catalog, quadrature
 from arcmellin.verify import (
@@ -61,6 +67,41 @@ class TestSpotValues:
         # ((n-q-1)! (2n)!) = 2 * 1 * 1 * 1 / (1 * 2) = 1
         assert "line2=1" in cell.detail
 
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_euler_bernoulli_matches_published_double_sums(self, n):
+        # The two lines as the paper states them, double sums over the
+        # (x/sinh x)^N coefficients; the cell reads the ln(pi) coefficients of
+        # the production log-integral forms instead.
+        c = x_over_sinh_coeffs(2 * n + 1, 2 * n)
+        d = x_over_sinh_coeffs(2 * n, 2 * n)
+        for q in range(n):
+            line1 = sum(
+                c[2 * n - 2 * m]
+                / math.factorial(2 * m)
+                * sum(
+                    binomial(2 * m, 2 * m - 2 * p)
+                    * binomial_power_sum(q, m - p)
+                    * Fraction(2 ** (2 * p - 1) * (2 ** (2 * p) - 1), p)
+                    * bernoulli(2 * p)
+                    for p in range(1, m + 1)
+                )
+                for m in range(n + 1)
+            )
+            line2 = sum(
+                d[2 * n - 2 * m - 2]
+                / math.factorial(2 * m + 1)
+                * sum(
+                    binomial(2 * m + 1, 2 * m - 2 * p)
+                    * binomial_power_sum(q, m - p)
+                    * euler_number(2 * p)
+                    for p in range(m + 1)
+                )
+                for m in range(n)
+            )
+            cell = _euler_bernoulli_cell((n, q))
+            assert cell.ok
+            assert cell.detail == f"line1={line1}, line2={line2}"
+
 
 class TestExactSuites:
     @pytest.mark.parametrize(
@@ -91,6 +132,14 @@ class TestExactSuites:
 
     def test_euler_bernoulli_small(self):
         assert run_identity(IdentityFamily.EULER_BERNOULLI, n_range=(1, 8)).passed
+
+    def test_euler_bernoulli_keeps_no_forms(self):
+        # each cell reads one coefficient of two forms; memoising all 2 sum(n)
+        # of them would hold them for the life of the process
+        caches = (log_integral_odd_cosh, log_integral_even_cosh)
+        before = [f.cache_info().currsize for f in caches]
+        assert run_identity(IdentityFamily.EULER_BERNOULLI, n_range=(30, 31)).passed
+        assert [f.cache_info().currsize for f in caches] == before
 
     def test_accepts_string_names(self):
         assert run_identity("alt-binom-odd", n_range=(1, 4)).passed
