@@ -307,12 +307,13 @@ def _sign(e: int) -> int:
     return -1 if e % 2 else 1
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)
 def log_integral_odd_cosh(q: int, n: int) -> ClosedForm:
     """Closed form of int_0^oo sinh^{2q+1}(z) ln(z) / cosh^{2n+1}(z) dz.
 
-    Requires 2q+1 < 2n+1 (i.e. 0 <= q <= n-1) for convergence.  Memoised;
-    ``_log_odd_form`` builds it without keeping it.
+    Requires 2q+1 < 2n+1 (i.e. 0 <= q <= n-1) for convergence.  Memoised,
+    keeping the 256 most recent forms; ``_log_odd_form`` builds it without
+    keeping it.
     """
     return _log_odd_form(q, n)
 
@@ -353,12 +354,13 @@ def _log_odd_form(q: int, n: int) -> ClosedForm:
     return ClosedForm(pairs)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)
 def log_integral_even_cosh(q: int, n: int) -> ClosedForm:
     """Closed form of int_0^oo sinh^{2q+1}(z) ln(z) / cosh^{2n}(z) dz.
 
-    Requires 2q+1 < 2n (i.e. 0 <= q <= n-1) for convergence.  Memoised;
-    ``_log_even_form`` builds it without keeping it.
+    Requires 2q+1 < 2n (i.e. 0 <= q <= n-1) for convergence.  Memoised,
+    keeping the 256 most recent forms; ``_log_even_form`` builds it without
+    keeping it.
     """
     return _log_even_form(q, n)
 
@@ -382,13 +384,14 @@ def _log_even_form(q: int, n: int) -> ClosedForm:
     return ClosedForm(pairs)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)
 def sinh_over_z_integral(q: int, n_exponent: int) -> ClosedForm:
     """Closed form of int_0^oo sinh^{2q}(z) / (z cosh^N(z)) dz, N = n_exponent.
 
     Requires 0 < 2q < N.  Built from the two neighbouring log-integral closed
     forms; the resulting ln(pi) coefficient must cancel to exactly zero and is
-    verified here rather than assumed.
+    verified here rather than assumed.  Memoised, keeping the 256 most recent
+    forms.
     """
     N = n_exponent
     if not 0 < 2 * q < N:

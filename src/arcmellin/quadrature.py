@@ -25,11 +25,17 @@ computed, never asserted.
 
 Every node is t = k 2^-level, so every integrand samples the same grid.  A
 node table, one for the current working precision and replaced when the
-precision changes, keeps the integrand-independent values u = exp(-t),
-tanh z and sech z at each node, keyed by the integer t 2^MAX_LEVEL.  Each
-integrand is then written in those values: the Mellin and sinh/z families
-become tanh^a z sech^b z (1 + u), the log family uses ln z = t - u, and only
-the log family and the two constants compute z itself.
+precision changes, keeps the integrand-independent values ln z = t - u,
+w = 1 + u (with u = exp(-t)), tanh z, sech z and z at each node, keyed by
+the integer t 2^MAX_LEVEL, as raw ``_mpf_`` tuples.  One monomial kernel,
+``_monomial``, writes every family but the two constants in those values:
+the Mellin and sinh/z families are tanh^a z sech^b z w, the log family
+tanh^a z sech^b z ln z w z.  The kernel and the wing sums run on the raw
+tuples through the ``mpmath.libmp`` functions that the ``mpf`` operators
+call, at the working precision with rounding to nearest and in the order
+the written product gives, so they skip building an ``mpf`` per operation
+and still return the value, bit for bit, that the ``mpf`` expression
+would.
 
 Results are cached per (family, parameters, precision); cached replies are
 bit-identical.  Every integral runs inside ``lfuncs._working(prec)``, at
@@ -44,6 +50,9 @@ import threading
 from dataclasses import dataclass
 
 from mpmath import mp, mpf
+from mpmath.libmp import (
+    fzero, mpf_abs, mpf_add, mpf_lt, mpf_mul, mpf_pow, mpf_pow_int, round_nearest,
+)
 
 from .exact import DomainError, PrecisionError, bernoulli
 from .lfuncs import _as_mpf, _precision_table, _working
@@ -54,8 +63,9 @@ MAX_LEVEL = 12
 
 _cache_lock = threading.Lock()
 _quad_cache: dict[tuple, "QuadResult"] = {}
-# {mp.prec: {t * 2^MAX_LEVEL: (exp(-t), tanh z, sech z) as raw _mpf_ tuples}},
-# holding one precision at a time; filled and read by _de_halfline.
+# {mp.prec: {t * 2^MAX_LEVEL: (ln z, 1 + exp(-t), tanh z, sech z, z) as raw
+# _mpf_ tuples}}, holding one precision at a time; filled and read by
+# _de_halfline.
 _node_tables: dict[int, dict[int, tuple]] = {}
 
 
@@ -80,32 +90,36 @@ def _check_prec(prec: int) -> None:
 def _de_halfline(term, prec: int, max_level: int = MAX_LEVEL) -> QuadResult:
     """Integrate over (0, oo) with the z = exp(t - exp(-t)) node map.
 
-    ``term(t, u, tanh_z, sech_z)`` must return f(z) dz/dt = f(z) (1 + u) z,
-    where u = exp(-t) and z = exp(t - u); z itself is left to the few
-    integrands that need it.  ``max_level`` may not exceed ``MAX_LEVEL``.
-    Raises :class:`PrecisionError` when ``max_level`` is reached before the
-    level-to-level change meets the target.
+    ``term(ln_z, w, tanh_z, sech_z, z)`` takes the raw ``_mpf_`` tuples of
+    one node table entry, with w = 1 + u and u = exp(-t), and must return
+    f(z) dz/dt = f(z) w z as a raw tuple at ``mp.prec``.  ``max_level`` may
+    not exceed ``MAX_LEVEL``.  Raises :class:`PrecisionError` when
+    ``max_level`` is reached before the level-to-level change meets the
+    target.
 
     Must be called inside ``lfuncs._working``, whose lock also guards the
     node table.
     """
-    eps_term = mpf(10) ** (-(mp.dps + 5))
+    eps_term = (mpf(10) ** (-(mp.dps + 5)))._mpf_
     target = mpf(10) ** (-(prec + 2))
     table = _precision_table(_node_tables)
+    wprec = mp.prec
     make_mpf = mp.make_mpf
     nodes = 0
     tail_mag = mpf(0)
 
-    def node(key: int) -> mpf:
+    def node(key: int) -> tuple:
         """term at t = key * 2^-MAX_LEVEL, from the table or filling it."""
-        t = mp.ldexp(key, -MAX_LEVEL)
-        cached = table.get(key)
-        if cached is None:
+        entry = table.get(key)
+        if entry is None:
+            t = mp.ldexp(key, -MAX_LEVEL)
             u = mp.exp(-t)
-            z = mp.exp(t - u)
-            cached = table[key] = (u._mpf_, mp.tanh(z)._mpf_, mp.sech(z)._mpf_)
-        u, tanh_z, sech_z = cached
-        return term(t, make_mpf(u), make_mpf(tanh_z), make_mpf(sech_z))
+            log_z = t - u
+            z = mp.exp(log_z)
+            entry = table[key] = (
+                log_z._mpf_, (1 + u)._mpf_, mp.tanh(z)._mpf_, mp.sech(z)._mpf_, z._mpf_
+            )
+        return term(*entry)
 
     def wing(level: int, start: int, step: int) -> tuple[mpf, mpf, int]:
         """Sum the terms at t = k * 2^-level for k = start, start+step, ...
@@ -115,19 +129,19 @@ def _de_halfline(term, prec: int, max_level: int = MAX_LEVEL) -> QuadResult:
         (the last term on each side still above the negligibility cutoff).
         """
         shift = MAX_LEVEL - level
-        total = mpf(0)
-        last = mpf(0)
+        total = fzero
+        last = fzero
         count = 0
         for sign in (1, -1):
             consec = 0
             k = start
-            boundary = mpf(0)
+            boundary = fzero
             while consec < 3:
                 val = node((sign * k) << shift)
-                total += val
+                total = mpf_add(total, val, wprec, round_nearest)
                 count += 1
-                mag = abs(val)
-                if mag < eps_term:
+                mag = mpf_abs(val)
+                if mpf_lt(mag, eps_term):
                     consec += 1
                 else:
                     consec = 0
@@ -135,11 +149,12 @@ def _de_halfline(term, prec: int, max_level: int = MAX_LEVEL) -> QuadResult:
                 k += step
                 if k > 600_000:
                     raise PrecisionError("double-exponential wing failed to terminate")
-            last = max(last, boundary)
-        return total, last, count
+            if mpf_lt(last, boundary):
+                last = boundary
+        return make_mpf(total), make_mpf(last), count
 
     h = mpf(1)
-    center = node(0)
+    center = make_mpf(node(0))
     nodes += 1
     wing_sum, last_mag, n = wing(0, 1, 1)
     nodes += n
@@ -178,6 +193,31 @@ def _cached_quad(key: tuple, prec: int, make_integrand) -> QuadResult:
         return _quad_cache.setdefault(key, result)
 
 
+def _monomial(tanh_power, sech_power: int, log_z: bool = False):
+    """The term tanh^a z sech^b z w, or tanh^a z sech^b z ln z w z with
+    ``log_z``, on the raw tuples of a node table entry.
+
+    a = ``tanh_power`` is an int or an mpf, b = ``sech_power`` an int.  Each
+    operation is the ``mpmath.libmp`` call the ``mpf`` operators make, at
+    ``mp.prec`` with rounding to nearest, in the left-to-right order of the
+    written product, so the value is the one the ``mpf`` expression gives.
+    Must be called inside ``lfuncs._working``.
+    """
+    prec, rnd = mp.prec, round_nearest
+    if isinstance(tanh_power, int):
+        pow_a, a = mpf_pow_int, tanh_power
+    else:
+        pow_a, a = mpf_pow, tanh_power._mpf_
+
+    def term(ln_z, w, tanh_z, sech_z, z):
+        val = mpf_mul(pow_a(tanh_z, a, prec, rnd), mpf_pow_int(sech_z, sech_power, prec, rnd), prec, rnd)
+        if log_z:
+            return mpf_mul(mpf_mul(mpf_mul(val, ln_z, prec, rnd), w, prec, rnd), z, prec, rnd)
+        return mpf_mul(val, w, prec, rnd)
+
+    return term
+
+
 def quad_phi(which: int, s, prec: int = DEFAULT_PREC) -> QuadResult:
     """Mellin transform value Phi_which(s), s > 1.
 
@@ -193,13 +233,8 @@ def quad_phi(which: int, s, prec: int = DEFAULT_PREC) -> QuadResult:
             raise DomainError(f"Phi_{which} converges only for s > 1, got s={s}")
 
     def make():
-        power = _as_mpf(s) - 1
-        sech_exp = 3 - which  # 2 for Phi_1, 1 for Phi_2
-
-        def term(t: mpf, u: mpf, tanh_z: mpf, sech_z: mpf) -> mpf:
-            return tanh_z ** power * sech_z ** sech_exp * (1 + u)
-
-        return term
+        # sech^2 for Phi_1, sech^1 for Phi_2
+        return _monomial(_as_mpf(s) - 1, 3 - which)
 
     return _cached_quad(("phi", which, s, prec), prec, make)
 
@@ -213,13 +248,7 @@ def quad_log_family(q: int, n_exponent: int, prec: int = DEFAULT_PREC) -> QuadRe
         )
 
     def make():
-        decay = n_exponent - 2 * q - 1
-
-        def term(t: mpf, u: mpf, tanh_z: mpf, sech_z: mpf) -> mpf:
-            log_z = t - u
-            return tanh_z ** (2 * q + 1) * sech_z ** decay * log_z * (1 + u) * mp.exp(log_z)
-
-        return term
+        return _monomial(2 * q + 1, n_exponent - 2 * q - 1, log_z=True)
 
     return _cached_quad(("log", q, n_exponent, prec), prec, make)
 
@@ -233,12 +262,7 @@ def quad_sinh_over_z(q: int, n_exponent: int, prec: int = DEFAULT_PREC) -> QuadR
         )
 
     def make():
-        decay = n_exponent - 2 * q
-
-        def term(t: mpf, u: mpf, tanh_z: mpf, sech_z: mpf) -> mpf:
-            return tanh_z ** (2 * q) * sech_z ** decay * (1 + u)
-
-        return term
+        return _monomial(2 * q, n_exponent - 2 * q)
 
     return _cached_quad(("soz", q, n_exponent, prec), prec, make)
 
@@ -294,18 +318,20 @@ def quad_c_constant(which: int, prec: int = DEFAULT_PREC) -> QuadResult:
     if which not in (1, 2):
         raise DomainError(f"which must be 1 or 2, got {which}")
 
+    make_mpf = mp.make_mpf
+
     def make():
         if which == 1:
-            def term(t: mpf, u: mpf, tanh_z: mpf, sech_z: mpf) -> mpf:
-                z = mp.exp(t - u)
-                return _one_over_z_minus_coth(z, tanh_z) * sech_z ** 2 * (1 + u) * z
+            def term(ln_z, w, tanh_z, sech_z, z):
+                tanh_z, sech_z, z = make_mpf(tanh_z), make_mpf(sech_z), make_mpf(z)
+                return (_one_over_z_minus_coth(z, tanh_z) * sech_z ** 2 * make_mpf(w) * z)._mpf_
 
             return term
 
-        def term(t: mpf, u: mpf, tanh_z: mpf, sech_z: mpf) -> mpf:
+        def term(ln_z, w, tanh_z, sech_z, z):
             # (cosh z / z - coth z) sech^2 z * z = (sinh z - z) sech^2 z / tanh z
-            z = mp.exp(t - u)
-            return _sinh_minus_z(z, tanh_z, sech_z) * sech_z ** 2 / tanh_z * (1 + u)
+            tanh_z, sech_z, z = make_mpf(tanh_z), make_mpf(sech_z), make_mpf(z)
+            return (_sinh_minus_z(z, tanh_z, sech_z) * sech_z ** 2 / tanh_z * make_mpf(w))._mpf_
 
         return term
 

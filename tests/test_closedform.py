@@ -430,6 +430,35 @@ class TestTopCoefficientLaws:
             assert top == (-1) ** (q + 1) * Fraction(4**n, 2 * n - 1)
 
 
+class TestFormCaches:
+    # A long-lived process must not keep every form it ever built: each
+    # memoised builder holds its 256 most recent forms.
+
+    @pytest.mark.parametrize(
+        "build, args",
+        [
+            (log_integral_odd_cosh, [(q, n) for n in range(1, 26) for q in range(n)]),
+            (log_integral_even_cosh, [(q, n) for n in range(1, 26) for q in range(n)]),
+            (sinh_over_z_integral, [(q, big) for big in range(3, 40) for q in range(1, (big + 1) // 2)]),
+        ],
+        ids=["log-odd", "log-even", "sinh-over-z"],
+    )
+    def test_bounded_and_evicted_forms_rebuild_equal(self, build, args):
+        first, others = args[0], args[1:301]
+        assert len(set(others)) == 300 and first not in others
+        bound = build.cache_info().maxsize
+        assert bound == 256
+        build.cache_clear()
+        original = build(*first)
+        for a in others:
+            build(*a)
+            assert build.cache_info().currsize <= bound
+        misses = build.cache_info().misses
+        rebuilt = build(*first)
+        assert build.cache_info().misses == misses + 1  # it was evicted
+        assert rebuilt == original and rebuilt is not original
+
+
 class TestCatalogReplay:
     @pytest.mark.parametrize("key", sorted(catalog.LOG_ODD_COSH))
     def test_log_odd(self, key):

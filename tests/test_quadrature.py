@@ -1,5 +1,6 @@
 """Quadrature oracle: agreement with closed forms, convergence, domains."""
 
+import hashlib
 import sys
 import threading
 from fractions import Fraction
@@ -143,12 +144,9 @@ class TestConvergenceBehaviour:
     def test_unmet_target_raises(self):
         # one level halving cannot reach 102 digits; the answer must not
         # come back silently
-        def term(t, u, tanh_z, sech_z):
-            return tanh_z ** 2 * sech_z ** 2 * (1 + u)
-
         with quadrature._working(100):
             with pytest.raises(PrecisionError):
-                quadrature._de_halfline(term, 100, max_level=1)
+                quadrature._de_halfline(quadrature._monomial(2, 2), 100, max_level=1)
 
     def test_nodes_are_counted(self):
         result = quad_phi(2, 5, 25)
@@ -214,3 +212,55 @@ class TestSharedState:
         assert not any(thread.is_alive() for thread in threads)
         assert got_beta == expected_beta
         assert got_quad == expected_quad
+
+
+# Recorded with the integrands written as mpf expressions,
+# tanh_z ** a * sech_z ** b * (1 + u) [* ln z * z]: the raw-tuple kernel must
+# reproduce every bit.  Each entry is the fingerprint of the value and error
+# estimate, the node count and the level.
+RECORDED = {
+    ("phi(1, 3)", 30): ("640d65e0ef506c8d", 295, 5),
+    ("phi(1, 3)", 100): ("65427d3bade6a22f", 1309, 7),
+    ("phi(2, 7/2)", 30): ("c11bbc1d2ed37d46", 309, 5),
+    ("phi(2, 7/2)", 100): ("61ac9ff39cf434b2", 1367, 7),
+    ("phi(1, 1 + 1e-6)", 30): ("5288589f6b7d4f06", 765, 5),
+    ("phi(1, 1 + 1e-6)", 100): ("5d2a172845d7eed5", 3177, 7),
+    ("log(2, 7)", 30): ("8338db5081b148a0", 260, 5),
+    ("log(2, 7)", 100): ("118335a623e1cf02", 1167, 7),
+    ("log(1, 6)", 30): ("dee3aa33357219ee", 261, 5),
+    ("log(1, 6)", 100): ("7addad865b3c1a21", 1170, 7),
+    ("soz(3, 9)", 30): ("41a5b2c5171603af", 245, 5),
+    ("soz(3, 9)", 100): ("c6cb71a8d1b49a28", 1111, 7),
+    ("c(1)", 30): ("cb0681a89934e3bc", 296, 5),
+    ("c(1)", 100): ("d79b60ed9ab55e76", 1311, 7),
+    ("c(2)", 30): ("7e4eb63ce2f83ced", 317, 5),
+    ("c(2)", 100): ("da9afdcaf3fb7cef", 1396, 7),
+}
+RECORDED_INTEGRALS = {
+    "phi(1, 3)": lambda prec: quad_phi(1, 3, prec),
+    "phi(2, 7/2)": lambda prec: quad_phi(2, Fraction(7, 2), prec),
+    "phi(1, 1 + 1e-6)": lambda prec: quad_phi(1, 1 + Fraction(1, 10**6), prec),
+    "log(2, 7)": lambda prec: quad_log_family(2, 7, prec),
+    "log(1, 6)": lambda prec: quad_log_family(1, 6, prec),
+    "soz(3, 9)": lambda prec: quad_sinh_over_z(3, 9, prec),
+    "c(1)": lambda prec: quad_c_constant(1, prec),
+    "c(2)": lambda prec: quad_c_constant(2, prec),
+}
+
+
+def fingerprint(result) -> str:
+    """SHA-256 of (sign, int(man), exp, bc) of the value and of the error
+    estimate; int() keeps it independent of mpmath's backend."""
+    raw = [
+        (sign, int(man), exp, bc)
+        for sign, man, exp, bc in (result.value._mpf_, result.error_estimate._mpf_)
+    ]
+    return hashlib.sha256(repr(raw).encode()).hexdigest()[:16]
+
+
+class TestBitIdentity:
+    @pytest.mark.parametrize("name, prec", sorted(RECORDED))
+    def test_matches_recorded_result(self, name, prec):
+        quadrature._quad_cache.clear()
+        result = RECORDED_INTEGRALS[name](prec)
+        assert (fingerprint(result), result.nodes_used, result.levels) == RECORDED[name, prec]
