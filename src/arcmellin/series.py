@@ -15,6 +15,18 @@ The coefficient families produced here feed the closed-form assembly:
   exponent -e: b_0 = 1, b_m = (1/m) sum_{j=1}^{m} ((1-e) j - m) a_j b_{m-j}.
   ``PowerSeries.pow`` is kept as the independent route the tests compare
   against.
+* ``_x_over_sinh_row(e, K)`` -- the same coefficients as one integer row,
+  (D, (D (2m)! b_m for m = 0..K/2)), which the recurrence runs on and
+  ``x_over_sinh_coeffs`` only divides out.  Scaled by (2m)! (the
+  exponential generating function) they are 2^{2m} times Noerlund's
+  generalised Bernoulli values B_{2m}^{(e)}(e/2), and the factorial that
+  swells the denominators of the b_m is gone: D is a product of primes up
+  to K+1, mostly to the first power, with at most 16 digits for e <= 41
+  and K = 40, where the b_m themselves carry denominators of up to 53
+  digits.  Every product of such a row with another even exponential
+  series is then a binomial convolution sum_i C(2j, 2i) row[j-i] u[i] of
+  integers (``_egf_convolution``), divided once at the end.  Memoised per
+  (e, K) and unbounded, like ``x_over_sinh_coeffs``.
 * ``root_product_tables(n)`` -- integer coefficient triangles of the
   polynomials x * prod_{i<=n} (x^2 - i^2)  and  prod_{i<=n} (y^2 - (2i-1)^2),
   generated by the two-term recurrences
@@ -25,11 +37,13 @@ The coefficient families produced here feed the closed-form assembly:
   (memoised: the closed forms and suites ask for few distinct (q, p) often).
 * ``cosh_kernel_coeffs(e, q, K)`` -- Taylor coefficients of
   (x / sinh x)^e * cosh^{2q+1}(x), the one residue kernel of every closed
-  form: its x^{2i} coefficient is the convolution of ``x_over_sinh_coeffs``
-  with cosh^{2q+1}(x) = sum_i binomial_power_sum(q, i) x^{2i} / (2i)!
-  (memoised, but in a bounded cache: the log-integral forms are memoised
-  themselves, so a table is asked for again only by the even Mellin values,
-  and an unbounded cache would keep every table of a suite sweep alive).
+  form.  cosh^{2q+1}(x) = sum_i binomial_power_sum(q, i) x^{2i} / (2i)!, and
+  4^q binomial_power_sum(q, i) is an integer, so (2j)! D 4^q times the
+  x^{2j} coefficient is the integer binomial convolution of the scaled row
+  with those sums: one ``Fraction`` per coefficient (memoised, but in a
+  bounded cache: the log-integral forms are memoised themselves, so a table
+  is asked for again only by the even Mellin values, and an unbounded cache
+  would keep every table of a suite sweep alive).
 """
 
 from __future__ import annotations
@@ -111,6 +125,42 @@ def cosh_series(order: int) -> PowerSeries:
 
 
 @lru_cache(maxsize=None)
+def _x_over_sinh_row(power: int, order: int) -> tuple[int, tuple[int, ...]]:
+    """(D, row) with row[m] = D (2m)! b_m for m = 0..order//2, all integers.
+
+    b_m is the x^{2m} coefficient of (x / sinh x)^power and D the lcm of the
+    denominators of the (2m)! b_m.  Miller's recurrence scaled by (2m)!
+    (with (2m)! / ((2j+1)! (2m-2j)!) = C(2m+1, 2j+1) / (2m+1)) reads
+        (2m)! b_m = sum_{j=1}^{m} ((1 - power) j - m) C(2m+1, 2j+1)
+                    (2m-2j)! b_{m-j} / (m (2m+1)),
+    so each coefficient costs one integer sum and one ``Fraction``, and D
+    grows only when a new denominator appears.
+    """
+    denom, row = 1, [1]
+    for m in range(1, order // 2 + 1):
+        acc = sum(
+            ((1 - power) * j - m) * math.comb(2 * m + 1, 2 * j + 1) * row[m - j]
+            for j in range(1, m + 1)
+        )
+        scaled = Fraction(acc, denom * m * (2 * m + 1))
+        grow = scaled.denominator // math.gcd(denom, scaled.denominator)
+        if grow > 1:
+            denom *= grow
+            row = [r * grow for r in row]
+        row.append(scaled.numerator * (denom // scaled.denominator))
+    return denom, tuple(row)
+
+
+def _egf_convolution(row, moments, j: int) -> int:
+    """sum_{i=0}^{j} C(2j, 2i) row[j-i] moments[i].
+
+    (2j)! times the x^{2j} coefficient of the product of
+    sum_m row[m] x^{2m} / (2m)!  and  sum_i moments[i] x^{2i} / (2i)!.
+    """
+    return sum(math.comb(2 * j, 2 * i) * row[j - i] * moments[i] for i in range(j + 1))
+
+
+@lru_cache(maxsize=None)
 def x_over_sinh_coeffs(power: int, order: int) -> tuple[Fraction, ...]:
     """Taylor coefficients 0..order of (x / sinh x)^power.
 
@@ -118,18 +168,15 @@ def x_over_sinh_coeffs(power: int, order: int) -> tuple[Fraction, ...]:
     to sinh(x)/x = sum a_j t^j, t = x^2, a_j = 1/(2j+1)!, with exponent
     -power: b_0 = 1 and
         b_m = (1/m) sum_{j=1}^{m} ((1 - power) j - m) a_j b_{m-j},
-    where b_m is the x^{2m} coefficient.  Odd-index coefficients are
+    where b_m is the x^{2m} coefficient, run on the integer row
+    (2m)! D b_m of ``_x_over_sinh_row``.  Odd-index coefficients are
     identically zero (the function is even).
     """
     if power < 0 or order < 0:
         raise DomainError("x_over_sinh_coeffs requires power >= 0 and order >= 0")
-    a = sinh_x_over_x_series(order).coeffs[::2]
-    b = [Fraction(1)]
-    for m in range(1, order // 2 + 1):
-        acc = sum(((1 - power) * j - m) * a[j] * b[m - j] for j in range(1, m + 1))
-        b.append(acc / m)
+    denom, row = _x_over_sinh_row(power, order)
     coeffs = [Fraction(0)] * (order + 1)
-    coeffs[::2] = b
+    coeffs[::2] = [Fraction(r, denom * math.factorial(2 * m)) for m, r in enumerate(row)]
     return tuple(coeffs)
 
 
@@ -197,18 +244,36 @@ def binomial_power_sum(q: int, p: int) -> Fraction:
     return Fraction(total, 4**q)
 
 
+def _cosh_moments(q: int, count: int) -> list[int]:
+    """4^q ``binomial_power_sum(q, i)`` for i < count: (2i)! [x^{2i}] of
+    4^q cosh^{2q+1}(x), integers."""
+    scale = 4**q
+    moments = []
+    for i in range(count):
+        w = binomial_power_sum(q, i)
+        moments.append(w.numerator * (scale // w.denominator))
+    return moments
+
+
 @lru_cache(maxsize=32)
 def cosh_kernel_coeffs(power: int, q: int, order: int) -> tuple[Fraction, ...]:
     """Taylor coefficients 0..order of (x / sinh x)^power * cosh^{2q+1}(x).
 
     The x^{2j} coefficient is sum_{i=0}^{j} W(q, i) / (2i)! * b[2j-2i], with
-    b = ``x_over_sinh_coeffs(power, order)`` and W the binomial power sum;
-    odd-index coefficients are identically zero (the function is even).
+    b = ``x_over_sinh_coeffs(power, order)`` and W the binomial power sum.
+    It is summed in integers as one binomial convolution of the scaled row
+    of ``_x_over_sinh_row`` with 4^q W(q, i), and divided once by
+    D 4^q (2j)!; odd-index coefficients are identically zero (the function
+    is even).
     """
     if power < 0 or q < 0 or order < 0:
         raise DomainError("cosh_kernel_coeffs requires power, q and order >= 0")
-    b = x_over_sinh_coeffs(power, order)[::2]
-    cosh = [binomial_power_sum(q, i) / math.factorial(2 * i) for i in range(len(b))]
+    denom, row = _x_over_sinh_row(power, order)
+    moments = _cosh_moments(q, len(row))
+    denom *= 4**q
     coeffs = [Fraction(0)] * (order + 1)
-    coeffs[::2] = [sum(cosh[i] * b[j - i] for i in range(j + 1)) for j in range(len(b))]
+    coeffs[::2] = [
+        Fraction(_egf_convolution(row, moments, j), denom * math.factorial(2 * j))
+        for j in range(len(row))
+    ]
     return tuple(coeffs)

@@ -27,6 +27,7 @@ from collections.abc import Callable
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from fractions import Fraction
+from functools import lru_cache
 
 from mpmath import mp, mpf
 
@@ -49,7 +50,7 @@ from .closedform import (
 from .exact import DomainError, bernoulli, binomial, eulerian
 from .lfuncs import _working, eval_closed_form, mellin_bound_gamma_ratio, phi1_bounds
 from .quadrature import quad_c_constant, quad_phi
-from .series import binomial_power_sum, x_over_sinh_coeffs
+from .series import _cosh_moments, _egf_convolution, _x_over_sinh_row
 
 
 class IdentityFamily(str, Enum):
@@ -173,41 +174,57 @@ def _alt_binom_even_cell(params: tuple) -> CellResult:
     return CellResult(params, lhs == rhs, f"lhs={lhs}")
 
 
+# The cells below sum in integers.  With (D, row) = ``_x_over_sinh_row(e, K)``
+# the x^{2m} coefficient of (x/sinh x)^e is row[m] / (D (2m)!), so a sum of
+# c[2j-2i] / (2i)! * moment[i] is the binomial convolution
+# ``_egf_convolution(row, moments, j)`` over D (2j)!, one Fraction per cell.
+
+def _even_moments(terms, count: int) -> list[int]:
+    """[sum_k w_k x_k^{2r} for r < count] for ``terms`` = [(w_k, x_k)]."""
+    weights = [w for w, _ in terms]
+    squares = [x * x for _, x in terms]
+    moments = []
+    for _ in range(count):
+        moments.append(sum(weights))
+        weights = [w * s for w, s in zip(weights, squares)]
+    return moments
+
+
+@lru_cache(maxsize=4)
+def _eulerian_moments(kind: str, n: int) -> tuple[int, ...]:
+    """sum_k E(kind, k) (2n-1-2k)^{2r} for r = 0..n over the Eulerian row of
+    order 2n (kind "A") or 2n-1 (kind "B"): shared by every p of one n."""
+    order = 2 * n if kind == "A" else 2 * n - 1
+    terms = [(eulerian(kind, order, k), 2 * n - 1 - 2 * k) for k in range(n)]
+    return tuple(_even_moments(terms, n + 1))
+
+
 def _c_odd_power_cell(params: tuple) -> CellResult:
+    # sum_m c[2m] (2k+1)^{2n-2m} / (2n-2m)!,  c = (x/sinh x)^{2n+1}
     n, k = params
-    c = x_over_sinh_coeffs(2 * n + 1, 2 * n)
-    lhs = sum(
-        c[2 * m] / math.factorial(2 * n - 2 * m) * (2 * k + 1) ** (2 * n - 2 * m)
-        for m in range(n + 1)
-    )
+    denom, row = _x_over_sinh_row(2 * n + 1, 2 * n)
+    total = _egf_convolution(row, _even_moments([(1, 2 * k + 1)], n + 1), n)
+    lhs = Fraction(total, denom * math.factorial(2 * n))
     rhs = Fraction(4**n) if k == n else Fraction(0)
     return CellResult(params, lhs == rhs, f"lhs={lhs}")
 
 
 def _eulerian_a_cell(params: tuple) -> CellResult:
+    # sum_r c[2n-2p-2r] / (2r)! sum_k A(2n, n-1-k) (2k+1)^{2r},  c = (x/sinh x)^{2n+1}
     n, p = params
-    c = x_over_sinh_coeffs(2 * n + 1, 2 * n)
-    row = [eulerian("A", 2 * n, k) for k in range(n)]
-    lhs = sum(
-        c[2 * n - 2 * p - 2 * r]
-        / math.factorial(2 * r)
-        * sum(row[n - 1 - k] * (2 * k + 1) ** (2 * r) for k in range(n))
-        for r in range(n - p + 1)
-    )
+    denom, row = _x_over_sinh_row(2 * n + 1, 2 * n)
+    total = _egf_convolution(row, _eulerian_moments("A", n), n - p)
+    lhs = Fraction(total, denom * math.factorial(2 * n - 2 * p))
     rhs = Fraction(math.factorial(2 * n), 2) if p == n else Fraction(0)
     return CellResult(params, lhs == rhs, f"lhs={lhs}")
 
 
 def _eulerian_b_cell(params: tuple) -> CellResult:
+    # sum_m d[2n-2p-2m] / (2m)! sum_k B(2n-1, k) (2n-1-2k)^{2m},  d = (x/sinh x)^{2n}
     n, p = params
-    d = x_over_sinh_coeffs(2 * n, 2 * n)
-    row = [eulerian("B", 2 * n - 1, k) for k in range(n)]
-    lhs = sum(
-        d[2 * n - 2 * m - 2 * p]
-        / math.factorial(2 * m)
-        * sum(row[k] * (2 * n - 1 - 2 * k) ** (2 * m) for k in range(n))
-        for m in range(n - p + 1)
-    )
+    denom, row = _x_over_sinh_row(2 * n, 2 * n)
+    total = _egf_convolution(row, _eulerian_moments("B", n), n - p)
+    lhs = Fraction(total, denom * math.factorial(2 * n - 2 * p))
     if p == 0:
         rhs = Fraction(2 ** (2 * n - 2) * (2 ** (2 * n - 1) - 1)) * bernoulli(2 * n) / n
     elif p == n:
@@ -217,27 +234,26 @@ def _eulerian_b_cell(params: tuple) -> CellResult:
     return CellResult(params, lhs == rhs, f"lhs={lhs}")
 
 
+def _binom_cosh_sum(n: int, q: int) -> tuple[int, int]:
+    """(S, D (2n)!) with S / (D (2n)!) = sum_m c[2n-2m] / (2m)! 4^q W(q, m),
+    c = (x/sinh x)^{2n+1} and W = ``binomial_power_sum``: the binom-cosh lhs,
+    and 4^q times the vanishing lhs."""
+    denom, row = _x_over_sinh_row(2 * n + 1, 2 * n)
+    return _egf_convolution(row, _cosh_moments(q, n + 1), n), denom * math.factorial(2 * n)
+
+
 def _binom_cosh_cell(params: tuple) -> CellResult:
     n, q = params
-    c = x_over_sinh_coeffs(2 * n + 1, 2 * n)
-    lhs = sum(
-        c[2 * n - 2 * m]
-        / math.factorial(2 * m)
-        * 4**q
-        * binomial_power_sum(q, m)
-        for m in range(n + 1)
-    )
+    total, denom = _binom_cosh_sum(n, q)
+    lhs = Fraction(total, denom)
     rhs = Fraction(4**n) if q == n else Fraction(0)
     return CellResult(params, lhs == rhs, f"lhs={lhs}")
 
 
 def _vanishing_cell(params: tuple) -> CellResult:
     n, q = params
-    c = x_over_sinh_coeffs(2 * n + 1, 2 * n)
-    lhs = sum(
-        c[2 * n - 2 * m] / math.factorial(2 * m) * binomial_power_sum(q, m)
-        for m in range(n + 1)
-    )
+    total, denom = _binom_cosh_sum(n, q)
+    lhs = Fraction(total, denom * 4**q)
     return CellResult(params, lhs == 0, f"lhs={lhs}")
 
 
@@ -254,17 +270,12 @@ def _zeta2_coeff_cell(params: tuple) -> CellResult:
 
 
 def _d_identity_cell(params: tuple) -> CellResult:
+    # sum_m d[2m] / (2n-2m)! sum_k C(4n+2, 2n-2k) (2k+1)^{2n-2m},  d = (x/sinh x)^{2n+2}
     (n,) = params
-    d = x_over_sinh_coeffs(2 * n + 2, 2 * n)
-    lhs = sum(
-        d[2 * m]
-        / math.factorial(2 * n - 2 * m)
-        * sum(
-            binomial(4 * n + 2, 2 * n - 2 * k) * (2 * k + 1) ** (2 * n - 2 * m)
-            for k in range(n + 1)
-        )
-        for m in range(n + 1)
-    )
+    denom, row = _x_over_sinh_row(2 * n + 2, 2 * n)
+    terms = [(binomial(4 * n + 2, 2 * n - 2 * k), 2 * k + 1) for k in range(n + 1)]
+    total = _egf_convolution(row, _even_moments(terms, n + 1), n)
+    lhs = Fraction(total, denom * math.factorial(2 * n))
     return CellResult(params, lhs == Fraction(4**n, 2 * n + 1), f"lhs={lhs}")
 
 

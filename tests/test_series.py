@@ -17,7 +17,31 @@ from arcmellin import (
     root_product_tables,
     x_over_sinh_coeffs,
 )
-from arcmellin.series import cosh_series, sinh_x_over_x_series
+from arcmellin.series import _x_over_sinh_row, cosh_series, sinh_x_over_x_series
+
+
+def _fraction_miller(power, order):
+    # Miller's recurrence on Fractions, as it ran before the integer row:
+    # b_m = (1/m) sum_j ((1 - power) j - m) b_{m-j} / (2j+1)!
+    b = [Fraction(1)]
+    for m in range(1, order // 2 + 1):
+        acc = sum(
+            ((1 - power) * j - m) * Fraction(1, math.factorial(2 * j + 1)) * b[m - j]
+            for j in range(1, m + 1)
+        )
+        b.append(acc / m)
+    coeffs = [Fraction(0)] * (order + 1)
+    coeffs[::2] = b
+    return tuple(coeffs)
+
+
+def _fraction_kernel(power, q, order):
+    # the Fraction convolution of the kernel as it ran before the integer row
+    b = _fraction_miller(power, order)[::2]
+    cosh = [binomial_power_sum(q, i) / math.factorial(2 * i) for i in range(len(b))]
+    coeffs = [Fraction(0)] * (order + 1)
+    coeffs[::2] = [sum(cosh[i] * b[j - i] for i in range(j + 1)) for j in range(len(b))]
+    return tuple(coeffs)
 
 
 class TestPowerSeriesArithmetic:
@@ -91,6 +115,26 @@ class TestXOverSinhCoeffs:
             orders = sorted(near & set(range(61)))
         for order in orders:
             assert x_over_sinh_coeffs(power, order) == binary_power_oracle[power][: order + 1]
+
+
+class TestScaledXOverSinhRow:
+    @pytest.mark.parametrize("power", [0, 1, 2, 3, 7, 21])
+    @pytest.mark.parametrize("order", [0, 1, 2, 9, 40])
+    def test_row_reconstructs_coefficients(self, power, order):
+        denom, row = _x_over_sinh_row(power, order)
+        assert len(row) == order // 2 + 1
+        assert all(isinstance(r, int) for r in row) and isinstance(denom, int)
+        rebuilt = [Fraction(0)] * (order + 1)
+        rebuilt[::2] = [Fraction(r, denom * math.factorial(2 * m)) for m, r in enumerate(row)]
+        assert tuple(rebuilt) == x_over_sinh_coeffs(power, order) == _fraction_miller(power, order)
+
+    @pytest.mark.parametrize("power", [0, 1, 2, 3, 7, 21])
+    @pytest.mark.parametrize("order", [0, 1, 2, 9, 40])
+    def test_denominator_is_lcm_of_scaled_denominators(self, power, order):
+        denom, _ = _x_over_sinh_row(power, order)
+        b = _fraction_miller(power, order)[::2]
+        scaled = [math.factorial(2 * m) * c for m, c in enumerate(b)]
+        assert denom == math.lcm(*(c.denominator for c in scaled))
 
 
 class TestRootProductTables:
@@ -186,3 +230,8 @@ class TestCoshKernelCoeffs:
 
     def test_prefix_consistency_across_orders(self):
         assert cosh_kernel_coeffs(5, 2, 6) == cosh_kernel_coeffs(5, 2, 20)[:7]
+
+    @pytest.mark.parametrize("order", [0, 1, 2, 3, 10, 25, 39, 40])
+    @pytest.mark.parametrize("power, q", [(0, 0), (1, 0), (2, 3), (13, 6), (21, 10), (41, 20)])
+    def test_matches_fraction_convolution(self, power, q, order):
+        assert cosh_kernel_coeffs(power, q, order) == _fraction_kernel(power, q, order)

@@ -15,6 +15,7 @@ from arcmellin import (
     beta_prime_value,
     binomial,
     binomial_power_sum,
+    eulerian,
     check_asymptotic_constants,
     check_bounds,
     check_coupled,
@@ -33,8 +34,13 @@ from arcmellin.verify import (
     SUITES,
     _alt_binom_even_cell,
     _alt_binom_odd_cell,
+    _binom_cosh_cell,
+    _c_odd_power_cell,
     _d_identity_cell,
     _euler_bernoulli_cell,
+    _eulerian_a_cell,
+    _eulerian_b_cell,
+    _vanishing_cell,
     coupled_tail_bound,
 )
 
@@ -101,6 +107,108 @@ class TestSpotValues:
             cell = _euler_bernoulli_cell((n, q))
             assert cell.ok
             assert cell.detail == f"line1={line1}, line2={line2}"
+
+
+# The six integer-row cells against their sums as Fraction formulas, written
+# out over x_over_sinh_coeffs and binomial_power_sum: each (ok, detail) must
+# be the same, since the arithmetic is exact on both sides.
+
+def _c_odd_power_fraction(n, k):
+    c = x_over_sinh_coeffs(2 * n + 1, 2 * n)
+    lhs = sum(
+        c[2 * m] / math.factorial(2 * n - 2 * m) * (2 * k + 1) ** (2 * n - 2 * m)
+        for m in range(n + 1)
+    )
+    return lhs == (4**n if k == n else 0), f"lhs={lhs}"
+
+
+def _eulerian_a_fraction(n, p):
+    c = x_over_sinh_coeffs(2 * n + 1, 2 * n)
+    row = [eulerian("A", 2 * n, k) for k in range(n)]
+    lhs = sum(
+        c[2 * n - 2 * p - 2 * r]
+        / math.factorial(2 * r)
+        * sum(row[n - 1 - k] * (2 * k + 1) ** (2 * r) for k in range(n))
+        for r in range(n - p + 1)
+    )
+    return lhs == (Fraction(math.factorial(2 * n), 2) if p == n else 0), f"lhs={lhs}"
+
+
+def _eulerian_b_fraction(n, p):
+    d = x_over_sinh_coeffs(2 * n, 2 * n)
+    row = [eulerian("B", 2 * n - 1, k) for k in range(n)]
+    lhs = sum(
+        d[2 * n - 2 * m - 2 * p]
+        / math.factorial(2 * m)
+        * sum(row[k] * (2 * n - 1 - 2 * k) ** (2 * m) for k in range(n))
+        for m in range(n - p + 1)
+    )
+    if p == 0:
+        rhs = Fraction(2 ** (2 * n - 2) * (2 ** (2 * n - 1) - 1)) * bernoulli(2 * n) / n
+    elif p == n:
+        rhs = Fraction(2 ** (2 * n - 2) * math.factorial(2 * n - 1))
+    else:
+        rhs = Fraction(0)
+    return lhs == rhs, f"lhs={lhs}"
+
+
+def _binom_cosh_fraction(n, q):
+    c = x_over_sinh_coeffs(2 * n + 1, 2 * n)
+    lhs = sum(
+        c[2 * n - 2 * m] / math.factorial(2 * m) * 4**q * binomial_power_sum(q, m)
+        for m in range(n + 1)
+    )
+    return lhs == (4**n if q == n else 0), f"lhs={lhs}"
+
+
+def _vanishing_fraction(n, q):
+    c = x_over_sinh_coeffs(2 * n + 1, 2 * n)
+    lhs = sum(
+        c[2 * n - 2 * m] / math.factorial(2 * m) * binomial_power_sum(q, m)
+        for m in range(n + 1)
+    )
+    return lhs == 0, f"lhs={lhs}"
+
+
+def _d_identity_fraction(n):
+    d = x_over_sinh_coeffs(2 * n + 2, 2 * n)
+    lhs = sum(
+        d[2 * m]
+        / math.factorial(2 * n - 2 * m)
+        * sum(
+            binomial(4 * n + 2, 2 * n - 2 * k) * (2 * k + 1) ** (2 * n - 2 * m)
+            for k in range(n + 1)
+        )
+        for m in range(n + 1)
+    )
+    return lhs == Fraction(4**n, 2 * n + 1), f"lhs={lhs}"
+
+
+class TestIntegerCellsMatchFractionFormulas:
+    @pytest.mark.parametrize("n", range(1, 13))
+    @pytest.mark.parametrize(
+        "cell, formula, inner",
+        [
+            (_c_odd_power_cell, _c_odd_power_fraction, 0),
+            (_eulerian_a_cell, _eulerian_a_fraction, 0),
+            (_eulerian_b_cell, _eulerian_b_fraction, 0),
+            (_binom_cosh_cell, _binom_cosh_fraction, 0),
+            (_vanishing_cell, _vanishing_fraction, -1),
+        ],
+        ids=["c-odd-power", "eulerian-a", "eulerian-b", "binom-cosh", "vanishing"],
+    )
+    def test_two_index_cells(self, cell, formula, inner, n):
+        # the suite's grid at n: (n, j) for 0 <= j <= n + inner
+        for j in range(n + inner + 1):
+            result = cell((n, j))
+            assert (result.ok, result.detail) == formula(n, j)
+            assert result.ok
+
+    @pytest.mark.parametrize("n", range(13))
+    def test_d_identity(self, n):
+        result = _d_identity_cell((n,))
+        assert (result.ok, result.detail) == _d_identity_fraction(n)
+        assert result.ok
 
 
 class TestExactSuites:
