@@ -28,13 +28,26 @@ are therefore safe to call from multiple threads.
 
 The accelerated sums share two kernel tables, each keyed by the binary
 precision ``mp.prec`` and holding one precision at a time: the Chebyshev
-weights (c_0 ... c_{n-1}, d) for each term count n, and ln m for every
-integer m a derivative sum has used.  They are filled lazily under
-``_MP_LOCK``, so ``alternating_sum`` must run inside ``_working``; reusing
-them leaves every value bit-identical.  Measured with tracemalloc they hold
-about 1 MB at 515 working digits and 2.3 MB at 1015.  ``eval_closed_form`` measures the digits
-its sum loses to cancellation and evaluates again at a higher precision when
-they eat into the guard.
+weights (c_0 ... c_{n-1}, d) for each term count n, and ln m = mp.log(m) for
+every integer m a real-s derivative sum has used.  They are filled lazily
+under ``_MP_LOCK``, so ``alternating_sum`` must run inside ``_working``;
+reusing them leaves every value bit-identical.  Measured with tracemalloc
+they hold about 1 MB at 515 working digits and 2.3 MB at 1015.
+
+The integer-argument sums behind the basis symbols, eta'(2p+2) (for
+zeta'(2p+2)), beta'(2p+1), eta(2p+3) (for zeta(2p+3)) and beta(2p+2), come
+from one kernel, ``_basis_sweep``.  For one family and a set of indices p it
+sums every c_k L(m) / m^{s_p} in a single sweep over k, on the same term
+count and weight table as ``alternating_sum``: t_k = c_k ln m (or c_k) is one
+mpf per k, and m^{s_p} is an exact integer, so each value depends only on
+(symbol, precision), never on which other indices shared the sweep.
+``eval_closed_form`` fills every missing sum of a form with one sweep per
+family.  The kernel reads ln p for primes p from the log table and builds
+ln m = ln p + ln(m/p) of a composite m in a dict local to the sweep, so the
+table keeps only mp.log values and the real-s sums ``eta_value``,
+``eta_prime``, ``beta_value`` and ``beta_prime_value`` stay as they were.
+``eval_closed_form`` also measures the digits its sum loses to cancellation
+and evaluates again at a higher precision when they eat into the guard.
 """
 
 from __future__ import annotations
@@ -124,6 +137,12 @@ def _precision_table(tables: dict[int, dict]) -> dict:
     return table
 
 
+def _term_count() -> int:
+    """Terms of every accelerated sum at the working precision,
+    int(working digits / 0.75) + 8: each term gains about 0.765 digits."""
+    return int(mp.dps / 0.75) + 8
+
+
 def _chebyshev_weights(n: int) -> tuple[tuple[mpf, ...], mpf]:
     """The weights (c_0 ... c_{n-1}) and divisor d of the n-term sum."""
     weights = _precision_table(_weight_tables)
@@ -159,12 +178,12 @@ def alternating_sum(term, prec: int, max_terms: int | None = None) -> mpf:
 
     ``term(k)`` must return an mpf-compatible value; the terms should decay
     like moments of a measure on [0, 1] (all the Dirichlet-type sums used
-    here qualify).  Uses int(working digits / 0.75) + 8 terms and calls
-    ``term`` once for each.  Raises :class:`PrecisionError` when that count
-    exceeds ``max_terms``; there is no cap by default.  Must be called inside
+    here qualify).  Uses ``_term_count()`` terms and calls ``term`` once for
+    each.  Raises :class:`PrecisionError` when that count exceeds
+    ``max_terms``; there is no cap by default.  Must be called inside
     ``_working``.
     """
-    n = int(mp.dps / 0.75) + 8  # ~0.765 digits gained per term
+    n = _term_count()
     if max_terms is not None and n > max_terms:
         raise PrecisionError(
             f"{n} terms needed for {mp.dps} working digits, cap is {max_terms}"
@@ -226,6 +245,101 @@ def beta_prime_value(s, prec: int, max_terms: int | None = None) -> mpf:
 
 
 # ---------------------------------------------------------------------------
+# the basis kernel: every integer-argument sum of one family in one sweep
+# ---------------------------------------------------------------------------
+
+# family -> (m = 2k+1 rather than k+1, with the ln m factor, s at p = 0); the
+# sum of index p is at s + 2p.
+_FAMILIES = {
+    "eta_prime": (False, True, 2),  # eta'(2p+2), for zeta'(2p+2)
+    "beta_prime": (True, True, 1),  # beta'(2p+1)
+    "eta": (False, False, 3),  # eta(2p+3), for zeta(2p+3)
+    "beta": (True, False, 2),  # beta(2p+2)
+}
+# The family each integer-argument symbol reads.
+_SYMBOL_FAMILY = {
+    "zeta_prime_ratio": "eta_prime",
+    "eta_prime_neg": "eta_prime",
+    "beta_prime_ratio": "beta_prime",
+    "beta_prime_neg": "beta_prime",
+    "zeta_odd_ratio": "eta",
+    "beta_even_ratio": "beta",
+}
+
+
+def _sweep_logs(top: int, odd: bool) -> dict[int, mpf]:
+    """ln m for m = 2 ... top (odd m only, if ``odd``).
+
+    Primes read ``_integer_log``; a composite m with smallest prime factor p
+    is ln p + ln(m/p), so ln m depends only on m and the precision.  The
+    composites stay in this dict, so ``_log_tables`` holds only ``mp.log``
+    values and the real-s sums that read it stay bit-identical.
+    """
+    ln = _integer_log()
+    smallest = list(range(top + 1))
+    for p in range(2, math.isqrt(top) + 1):
+        if smallest[p] == p:
+            for multiple in range(p * p, top + 1, p):
+                if smallest[multiple] == multiple:
+                    smallest[multiple] = p
+    logs = {}
+    for m in range(3 if odd else 2, top + 1, 2 if odd else 1):
+        p = smallest[m]
+        logs[m] = ln(m) if p == m else logs[p] + logs[m // p]
+    return logs
+
+
+def _basis_sweep(family: str, indices) -> dict[int, mpf]:
+    """{p: the family's sum of index p} for every p in ``indices``, in one
+    sweep over k.
+
+    Each sum is sum_k c_k L(m) / m^s / d over the weights of
+    ``_chebyshev_weights(_term_count())``, with L(m) = ln m for the
+    derivative families (negated, as in ``eta_prime``) and 1 otherwise.
+    t_k = c_k L(m) is one mpf per k and m^s an exact integer, so every value
+    depends only on (family, p, precision), never on the other indices.
+    Must be called inside ``_working``.
+    """
+    odd, with_log, s0 = _FAMILIES[family]
+    cs, d = _chebyshev_weights(_term_count())
+    ps = sorted(indices)
+    sums = [mpf(0)] * len(ps)
+    logs = _sweep_logs(2 * len(cs) - 1 if odd else len(cs), odd) if with_log else {}
+    for k, c in enumerate(cs):
+        m = 2 * k + 1 if odd else k + 1
+        if with_log:
+            if m == 1:  # ln 1 = 0
+                continue
+            c = c * logs[m]
+        for i, p in enumerate(ps):
+            sums[i] += c / m ** (s0 + 2 * p)
+    return {p: -(total / d) if with_log else total / d for p, total in zip(ps, sums)}
+
+
+def _basis_sum(family: str, p: int, prec: int) -> mpf:
+    """The family's sum of index p, cached per (family, p, prec); a miss
+    sweeps for p alone, which gives the same value as a shared sweep."""
+    return _cached((family, p, prec), prec, lambda: _basis_sweep(family, (p,))[p])
+
+
+def _fill_basis_sums(symbols, prec: int) -> None:
+    """Cache every family sum the integer-argument ``symbols`` read at
+    ``prec``: one sweep per family for all its missing indices."""
+    missing: dict[str, set[int]] = {}
+    with _cache_lock:
+        for sym in symbols:
+            family = _SYMBOL_FAMILY.get(sym.kind)
+            if family is not None and (family, sym.index, prec) not in _constant_cache:
+                missing.setdefault(family, set()).add(sym.index)
+    for family, ps in missing.items():
+        with _working(prec):
+            values = _basis_sweep(family, ps)
+        with _cache_lock:
+            for p, value in values.items():
+                _constant_cache.setdefault((family, p, prec), value)
+
+
+# ---------------------------------------------------------------------------
 # exact-rational special values and elementary constants
 # ---------------------------------------------------------------------------
 
@@ -274,20 +388,18 @@ def zeta_prime_even(p: int, prec: int) -> mpf:
     if p < 0:
         raise DomainError("zeta_prime_even requires p >= 0")
     def build():
-        s = 2 * p + 2
-        ep = eta_prime(s, prec)
-        two = mpf(2) ** (1 - s)
+        ep = _basis_sum("eta_prime", p, prec)
+        two = mpf(2) ** (-2 * p - 1)
         return (ep - two * mp.log(2) * zeta_even_value(p + 1, prec)) / (1 - two)
     return _cached(("zeta_prime_even", p, prec), prec, build)
 
 
 def beta_prime_odd(p: int, prec: int) -> mpf:
-    """beta'(2p+1) by the accelerated alternating sum."""
+    """beta'(2p+1), the basis kernel's sum."""
+    _check_prec(prec)
     if p < 0:
         raise DomainError("beta_prime_odd requires p >= 0")
-    return _cached(
-        ("beta_prime_odd", p, prec), prec, lambda: beta_prime_value(2 * p + 1, prec)
-    )
+    return _basis_sum("beta_prime", p, prec)
 
 
 def _zeta_prime_at_negative_odd(k: int, prec: int) -> mpf:
@@ -310,7 +422,8 @@ def eta_prime_neg(i: int, prec: int, via: str = "zeta") -> mpf:
     rational zeta(-2i-1); ``via="eta"`` differentiates the eta-to-eta
     reflection directly and consumes eta(2i+2), eta'(2i+2), and digamma.
     The two arrangements agree to working precision and serve as mutual
-    checks.
+    checks; the default reads the basis kernel and ``via="eta"`` the real-s
+    sums, so they also check the two summation routes against each other.
     """
     _check_prec(prec)
     if i < 0:
@@ -354,7 +467,8 @@ def beta_prime_neg(i: int, prec: int, via: str = "odd") -> mpf:
 
     ``via="odd"`` (default) uses the exact rational beta(-2i) = E_{2i}/2 and
     beta'(2i+1); ``via="reflection"`` differentiates the reflection product
-    directly, consuming beta(2i+1) from the accelerated sum and digamma.
+    directly, consuming beta(2i+1) and beta'(2i+1) from the real-s sums and
+    digamma, so it also checks the basis kernel behind the default.
     """
     _check_prec(prec)
     if i < 0:
@@ -421,14 +535,14 @@ def symbol_value(kind: str, index: int | None, prec: int) -> mpf:
         return _cached(
             ("zeta_odd_ratio", index, prec),
             prec,
-            lambda: eta_value(2 * index + 3, prec)
+            lambda: _basis_sum("eta", index, prec)
             / ((1 - mpf(2) ** (-2 * index - 2)) * mp.pi ** (2 * index + 2)),
         )
     if kind == "beta_even_ratio":
         return _cached(
             ("beta_even_ratio", index, prec),
             prec,
-            lambda: beta_value(2 * index + 2, prec) / mp.pi ** (2 * index + 1),
+            lambda: _basis_sum("beta", index, prec) / mp.pi ** (2 * index + 1),
         )
     raise DomainError(f"unsupported basis symbol {kind!r}")
 
@@ -436,7 +550,9 @@ def symbol_value(kind: str, index: int | None, prec: int) -> mpf:
 def _combine(form: ClosedForm, prec: int) -> tuple[mpf, float]:
     """sum c*v over the form at ``prec``, and the digits lost to cancellation
     in it, log10(sum |c*v| / |sum c*v|)."""
-    values = [(coeff, symbol_value(sym.kind, sym.index, prec)) for sym, coeff in form.items()]
+    items = form.items()
+    _fill_basis_sums([sym for sym, _ in items], prec)
+    values = [(coeff, symbol_value(sym.kind, sym.index, prec)) for sym, coeff in items]
     with _working(prec):
         total = scale = mpf(0)
         for coeff, value in values:

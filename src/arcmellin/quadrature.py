@@ -18,8 +18,10 @@ algebraic/logarithmic behaviour at 0, so the node map
 turns the trapezoid sum into a double-exponentially convergent rule.  Levels
 halve the mesh; each level reuses the previous sum and adds the odd
 multiples of the new spacing, extending each wing adaptively until terms are
-negligible.  A level cap reached before the target raises
-:class:`PrecisionError`.  The reported error estimate is the last
+negligible, but never ending it inside the range where level 0 found terms
+above the cutoff: for large s the first nodes of a fine level can all be
+negligible with the peak still ahead.  A level cap reached before the target
+raises :class:`PrecisionError`.  The reported error estimate is the last
 level-to-level change plus a geometric bound on the truncated tails; it is
 computed, never asserted.
 
@@ -121,42 +123,51 @@ def _de_halfline(term, prec: int, max_level: int = MAX_LEVEL) -> QuadResult:
             )
         return term(*entry)
 
-    def wing(level: int, start: int, step: int) -> tuple[mpf, mpf, int]:
+    def wing(level: int, start: int, step: int, reach=(0, 0)) -> tuple[mpf, mpf, int, list[int]]:
         """Sum the terms at t = k * 2^-level for k = start, start+step, ...
         on both sides.
 
-        Also returns the larger of the two truncation-boundary magnitudes
-        (the last term on each side still above the negligibility cutoff).
+        A side ends after 3 consecutive terms below the negligibility cutoff,
+        counted only at |t| 2^MAX_LEVEL beyond that side's ``reach``.  Also
+        returns the larger of the two truncation-boundary magnitudes (the
+        last term on each side still above the cutoff), and each side's
+        reach: the largest |t| 2^MAX_LEVEL with such a term.
         """
         shift = MAX_LEVEL - level
         total = fzero
         last = fzero
         count = 0
-        for sign in (1, -1):
+        reached = []
+        for sign, floor in zip((1, -1), reach):
             consec = 0
             k = start
             boundary = fzero
+            far = 0
             while consec < 3:
                 val = node((sign * k) << shift)
                 total = mpf_add(total, val, wprec, round_nearest)
                 count += 1
                 mag = mpf_abs(val)
                 if mpf_lt(mag, eps_term):
-                    consec += 1
+                    if k << shift > floor:
+                        consec += 1
                 else:
                     consec = 0
                     boundary = mag
+                    far = k << shift
                 k += step
                 if k > 600_000:
                     raise PrecisionError("double-exponential wing failed to terminate")
             if mpf_lt(last, boundary):
                 last = boundary
-        return make_mpf(total), make_mpf(last), count
+            reached.append(far)
+        return make_mpf(total), make_mpf(last), count, reached
 
     h = mpf(1)
     center = make_mpf(node(0))
     nodes += 1
-    wing_sum, last_mag, n = wing(0, 1, 1)
+    # the finer levels may not end a wing inside level 0's reach
+    wing_sum, last_mag, n, reach = wing(0, 1, 1)
     nodes += n
     tail_mag = last_mag
     value = h * (center + wing_sum)
@@ -164,7 +175,7 @@ def _de_halfline(term, prec: int, max_level: int = MAX_LEVEL) -> QuadResult:
     change = abs(value)
     for level in range(1, max_level + 1):
         h = h / 2
-        odd_sum, last_mag, n = wing(level, 1, 2)
+        odd_sum, last_mag, n, _ = wing(level, 1, 2, reach)
         nodes += n
         tail_mag = max(tail_mag, last_mag)
         value = prev / 2 + h * odd_sum

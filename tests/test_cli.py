@@ -77,6 +77,12 @@ class TestVerifyCommand:
         assert code == 0
         assert "even-relations: PASS (7 cells" in out
 
+    def test_cross_rep_reaches_large_n(self, capsys):
+        # Phi(2n+1) from n = 64 on needs quadrature wings that reach the peak
+        code, out, _ = run(capsys, "verify", "cross-rep", "--range", "1..80")
+        assert code == 0
+        assert "cross-rep: PASS (320 cells" in out
+
     def test_bad_range_exit_2(self, capsys):
         code, _, _ = run(capsys, "verify", "alt-binom-odd", "--range", "oops")
         assert code == 2

@@ -26,11 +26,13 @@ from arcmellin import (
     zeta_even_value,
     zeta_prime_even,
 )
+from arcmellin import lfuncs
 from arcmellin.closedform import (
     LN2,
     LNPI,
     ONE,
     beta_prime_ratio,
+    phi_even_closed_form,
     phi_odd_closed_form,
     zeta_prime_ratio,
 )
@@ -193,6 +195,134 @@ class TestKernelTable:
         assert [v._mpf_ for v in got_eta] == [v._mpf_ for v in expected_eta]
 
 
+def basis_form(n: int) -> ClosedForm:
+    """A form reading all four kernel families at every index p <= n."""
+    return (
+        phi_odd_closed_form(1, n)
+        + phi_odd_closed_form(2, n)
+        + phi_even_closed_form(1, n + 1)
+        + phi_even_closed_form(2, n + 1)
+    )
+
+
+def clear_basis_caches() -> None:
+    with lfuncs._MP_LOCK:
+        lfuncs._constant_cache.clear()
+        lfuncs._weight_tables.clear()
+        lfuncs._log_tables.clear()
+
+
+def kernel_values(prec: int, p_max: int = 12) -> dict:
+    return {
+        (family, p): lfuncs._basis_sum(family, p, prec)._mpf_
+        for family in lfuncs._FAMILIES
+        for p in range(p_max + 1)
+    }
+
+
+class TestBasisKernelOracles:
+    """The kernel against mpmath's own functions, each at its own precision:
+    zeta' against mp.zeta(s, 1, 1), beta' against the derivative of
+    4^-s (zeta(s, 1/4) - zeta(s, 3/4)) (at s = 1, where both Hurwitz values
+    have their pole, against pi/4 (gamma + 2 ln 2 + 3 ln pi - 4 ln Gamma(1/4))),
+    eta against mp.zeta and beta against mp.dirichlet."""
+
+    CASES = [(100, p) for p in range(13)] + [(500, 0), (500, 12)]
+
+    @pytest.mark.parametrize("prec, p", CASES)
+    def test_zeta_prime_even(self, prec, p):
+        got = zeta_prime_even(p, prec)
+        with mp.workdps(prec + 20):
+            assert abs(got - mp.zeta(2 * p + 2, 1, 1)) < mpf(10) ** -prec
+
+    @pytest.mark.parametrize("prec, p", CASES)
+    def test_beta_prime_odd(self, prec, p):
+        got = beta_prime_odd(p, prec)
+        s = 2 * p + 1
+        # the two Hurwitz values cancel about s log10(3) digits
+        with mp.workdps(prec + s + 20):
+            quarter, three_quarters = mpf(1) / 4, mpf(3) / 4
+            if s == 1:
+                logs = mp.euler + 2 * mp.log(2) + 3 * mp.log(mp.pi) - 4 * mp.log(mp.gamma(quarter))
+                oracle = mp.pi / 4 * logs
+            else:
+                value = mp.zeta(s, quarter) - mp.zeta(s, three_quarters)
+                slope = mp.zeta(s, quarter, 1) - mp.zeta(s, three_quarters, 1)
+                oracle = mpf(4) ** -s * (slope - mp.log(4) * value)
+            assert abs(got - oracle) < mpf(10) ** -prec
+
+    @pytest.mark.parametrize("prec, p", CASES)
+    def test_eta_odd(self, prec, p):
+        got = lfuncs._basis_sum("eta", p, prec)
+        s = 2 * p + 3
+        with mp.workdps(prec + 20):
+            assert abs(got - (1 - mpf(2) ** (1 - s)) * mp.zeta(s)) < mpf(10) ** -prec
+
+    @pytest.mark.parametrize("prec, p", CASES)
+    def test_beta_even(self, prec, p):
+        got = lfuncs._basis_sum("beta", p, prec)
+        with mp.workdps(prec + 20):
+            assert abs(got - mp.dirichlet(2 * p + 2, [0, 1, 0, -1])) < mpf(10) ** -prec
+
+
+class TestBasisKernelInvariants:
+    @pytest.mark.parametrize("prec", [100, 500])
+    def test_value_does_not_depend_on_the_sweep(self, prec):
+        clear_basis_caches()
+        alone = {}
+        for family in lfuncs._FAMILIES:
+            for p in range(13):
+                with lfuncs._cache_lock:
+                    lfuncs._constant_cache.clear()
+                alone[family, p] = lfuncs._basis_sum(family, p, prec)._mpf_
+        clear_basis_caches()
+        eval_closed_form(basis_form(12), prec)
+        assert kernel_values(prec) == alone
+        for order in ((2, 3, 10), (10, 3, 2)):
+            clear_basis_caches()
+            for n in order:
+                eval_closed_form(basis_form(n), prec)
+            assert kernel_values(prec) == alone, order
+
+    def test_log_table_keeps_only_mp_log_values(self):
+        # a composite ln p + ln(m/p) written into the shared table would
+        # reach the real-s sums, which promise one mp.log per m
+        clear_basis_caches()
+        eval_closed_form(basis_form(12), 500)
+        for func in DIRICHLET_SUMS:
+            for s in (Fraction(2), Fraction(7, 2)):
+                expected = per_term_log_value(func, s, 500)
+                assert func(s, 500)._mpf_ == expected._mpf_, (func.__name__, s)
+
+    def test_two_precisions_in_two_threads(self):
+        # every 30-digit form adds one index per family, so its sweeps keep
+        # replacing the tables that the 500-digit sweeps fill
+        forms = [basis_form(n) for n in range(1, 13)]
+        clear_basis_caches()
+        expected_high = eval_closed_form(forms[-1], 500)
+        expected_low = [eval_closed_form(form, 30) for form in forms]
+        expected_sums = kernel_values(500)
+        clear_basis_caches()
+        got_high, got_low = [], []
+        threads = [
+            threading.Thread(target=lambda: got_high.append(eval_closed_form(forms[-1], 500))),
+            threading.Thread(target=lambda: got_low.extend(eval_closed_form(f, 30) for f in forms)),
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert [v._mpf_ for v in got_high] == [expected_high._mpf_]
+        assert [v._mpf_ for v in got_low] == [v._mpf_ for v in expected_low]
+        assert kernel_values(500) == expected_sums
+
+
 class TestZetaPrimeEven:
     def test_zeta2_recovered_from_eta(self):
         got = zeta_even_value(1, 40)
@@ -249,6 +379,23 @@ class TestNegativeArguments:
         a = beta_prime_neg(i, prec, via="odd")
         b = beta_prime_neg(i, prec, via="reflection")
         assert abs(a - b) < mpf(10) ** -(prec - 3)
+
+    # The default arrangements read the basis kernel, the others the real-s
+    # sums: two summation routes.  The values grow with i, so the tolerance
+    # is relative.
+    @pytest.mark.parametrize("i", range(13))
+    def test_eta_prime_neg_dual_arrangements_at_200_digits(self, i):
+        prec = 200
+        a = eta_prime_neg(i, prec, via="zeta")
+        b = eta_prime_neg(i, prec, via="eta")
+        assert abs(a - b) < mpf(10) ** -(prec - 3) * abs(a)
+
+    @pytest.mark.parametrize("i", range(13))
+    def test_beta_prime_neg_dual_arrangements_at_200_digits(self, i):
+        prec = 200
+        a = beta_prime_neg(i, prec, via="odd")
+        b = beta_prime_neg(i, prec, via="reflection")
+        assert abs(a - b) < mpf(10) ** -(prec - 3) * abs(a)
 
     def test_cross_check_against_quadrature(self):
         # beta'(0) + beta'(-2) equals the x^2 Mellin value of the weighted

@@ -15,6 +15,7 @@ from arcmellin import (
     eval_closed_form,
     log_integral_even_cosh,
     log_integral_odd_cosh,
+    phi_even_closed_form,
     quad_c_constant,
     quad_log_family,
     quad_phi,
@@ -121,6 +122,24 @@ class TestQuadCConstant:
         quad = quad_c_constant(2, 30).value
         closed = eval_closed_form(C2_CLOSED_FORM, 30)
         assert abs(quad - closed) < TOL25
+
+
+class TestWholeSupport:
+    """For large s the integrand is negligible near z = 0.4 and peaks further
+    out, so every node a finer level starts its wing with is below the
+    cutoff; the level must still reach the peak that level 0 found."""
+
+    @pytest.mark.parametrize("which", [1, 2])
+    @pytest.mark.parametrize("s", [129, 200, 201, 300, 301])
+    def test_large_s_matches_exact_form(self, which, s):
+        prec = 30
+        quad = quad_phi(which, s, prec)
+        if s % 2:
+            form = phi_odd_closed_form(which, s // 2)
+        else:
+            form = phi_even_closed_form(which, s // 2)
+        exact = eval_closed_form(form, prec)
+        assert abs(quad.value - exact) < mpf(10) ** -(prec - 5) * abs(exact)
 
 
 class TestConvergenceBehaviour:
