@@ -20,10 +20,21 @@ halve the mesh; each level reuses the previous sum and adds the odd
 multiples of the new spacing, extending each wing adaptively until terms are
 negligible, but never ending it inside the range where level 0 found terms
 above the cutoff: for large s the first nodes of a fine level can all be
-negligible with the peak still ahead.  A level cap reached before the target
-raises :class:`PrecisionError`.  The reported error estimate is the last
-level-to-level change plus a geometric bound on the truncated tails; it is
-computed, never asserted.
+negligible with the peak still ahead.
+
+A level j >= 2 stops on a predicted error, the rule of Bailey, Jeyabalan and
+Li ("A comparison of three high-precision quadrature schemes", Exp. Math. 14,
+2005) for the double-exponential rule of Takahasi and Mori (1974).  With d1
+and d2 the relative digits of the last two level-to-level changes, I_j is
+predicted to min(d1^2/d2, 2 d1) digits (the digits at most double per level),
+and the rule stops once that reaches the working digits plus 10, so no level
+is computed only to confirm the one before.  A change below 10^-(prec+2)
+also stops it, and a level cap reached first raises :class:`PrecisionError`.
+The reported error estimate is computed, never asserted, and is meant as an
+upper bound: the same prediction with the growth capped at 1.5 instead of 2,
+min(d1^2/d2, 1.5 d1) digits, plus a rounding floor of nodes 2^-wprec times
+the sum of |terms|, plus a bound on the dropped tails, whose terms are each
+below the cutoff.
 
 Every node is t = k 2^-level, so every integrand samples the same grid.  A
 node table, one for the current working precision and replaced when the
@@ -48,12 +59,14 @@ of this module and :mod:`arcmellin.lfuncs` are safe to call concurrently.
 
 from __future__ import annotations
 
+import math
 import threading
 from dataclasses import dataclass
 
 from mpmath import mp, mpf
 from mpmath.libmp import (
-    fzero, mpf_abs, mpf_add, mpf_lt, mpf_mul, mpf_pow, mpf_pow_int, round_nearest,
+    fzero, mpf_abs, mpf_add, mpf_lt, mpf_mul, mpf_pow, mpf_pow_int, round_floor,
+    round_nearest,
 )
 
 from .exact import DomainError, PrecisionError, bernoulli
@@ -95,20 +108,21 @@ def _de_halfline(term, prec: int, max_level: int = MAX_LEVEL) -> QuadResult:
     ``term(ln_z, w, tanh_z, sech_z, z)`` takes the raw ``_mpf_`` tuples of
     one node table entry, with w = 1 + u and u = exp(-t), and must return
     f(z) dz/dt = f(z) w z as a raw tuple at ``mp.prec``.  ``max_level`` may
-    not exceed ``MAX_LEVEL``.  Raises :class:`PrecisionError` when
-    ``max_level`` is reached before the level-to-level change meets the
-    target.
+    not exceed ``MAX_LEVEL``.  Stops at the first level j >= 2 whose
+    predicted digits reach ``mp.dps + 10``, or whose level-to-level change
+    meets the target; raises :class:`PrecisionError` when ``max_level`` is
+    reached first.
 
     Must be called inside ``lfuncs._working``, whose lock also guards the
     node table.
     """
-    eps_term = (mpf(10) ** (-(mp.dps + 5)))._mpf_
+    cutoff = mpf(10) ** (-(mp.dps + 5))
+    eps_term = cutoff._mpf_
     target = mpf(10) ** (-(prec + 2))
     table = _precision_table(_node_tables)
     wprec = mp.prec
     make_mpf = mp.make_mpf
     nodes = 0
-    tail_mag = mpf(0)
 
     def node(key: int) -> tuple:
         """term at t = key * 2^-MAX_LEVEL, from the table or filling it."""
@@ -129,58 +143,71 @@ def _de_halfline(term, prec: int, max_level: int = MAX_LEVEL) -> QuadResult:
 
         A side ends after 3 consecutive terms below the negligibility cutoff,
         counted only at |t| 2^MAX_LEVEL beyond that side's ``reach``.  Also
-        returns the larger of the two truncation-boundary magnitudes (the
-        last term on each side still above the cutoff), and each side's
-        reach: the largest |t| 2^MAX_LEVEL with such a term.
+        returns the sum of the negative terms, rounded down at 53 bits, and
+        each side's reach: the largest |t| 2^MAX_LEVEL with a term above the
+        cutoff.
         """
         shift = MAX_LEVEL - level
         total = fzero
-        last = fzero
+        negative = fzero
         count = 0
         reached = []
         for sign, floor in zip((1, -1), reach):
             consec = 0
             k = start
-            boundary = fzero
             far = 0
             while consec < 3:
                 val = node((sign * k) << shift)
                 total = mpf_add(total, val, wprec, round_nearest)
+                if val[0]:
+                    negative = mpf_add(negative, val, 53, round_floor)
                 count += 1
-                mag = mpf_abs(val)
-                if mpf_lt(mag, eps_term):
+                if mpf_lt(mpf_abs(val), eps_term):
                     if k << shift > floor:
                         consec += 1
                 else:
                     consec = 0
-                    boundary = mag
                     far = k << shift
                 k += step
                 if k > 600_000:
                     raise PrecisionError("double-exponential wing failed to terminate")
-            if mpf_lt(last, boundary):
-                last = boundary
             reached.append(far)
-        return make_mpf(total), make_mpf(last), count, reached
+        return make_mpf(total), make_mpf(negative), count, reached
+
+    def digits(change: mpf, value: mpf) -> float:
+        """Relative digits of a level-to-level change, at most 2 mp.dps."""
+        if not value:
+            return 0.0
+        if not change:
+            return 2.0 * mp.dps
+        return min(math.log10(float(abs(value) / change)), 2.0 * mp.dps)
 
     h = mpf(1)
     center = make_mpf(node(0))
+    negative = center if center < 0 else mpf(0)
     nodes += 1
     # the finer levels may not end a wing inside level 0's reach
-    wing_sum, last_mag, n, reach = wing(0, 1, 1)
+    wing_sum, wing_negative, n, reach = wing(0, 1, 1)
     nodes += n
-    tail_mag = last_mag
+    negative += wing_negative
     value = h * (center + wing_sum)
     prev = value
     change = abs(value)
+    d1 = 0.0
     for level in range(1, max_level + 1):
         h = h / 2
-        odd_sum, last_mag, n, _ = wing(level, 1, 2, reach)
+        odd_sum, odd_negative, n, _ = wing(level, 1, 2, reach)
         nodes += n
-        tail_mag = max(tail_mag, last_mag)
+        negative += odd_negative
         value = prev / 2 + h * odd_sum
         change = abs(value - prev)
-        if change < target * max(mpf(1), abs(value)):
+        # d1, d2: the relative digits of the last two level-to-level changes
+        d1, d2 = digits(change, value), d1
+        # digits grow by at most a factor 2 per level, so predict I_level to
+        # min(d1^2/d2, 2 d1) digits (Bailey, Jeyabalan and Li 2005); d2 is 0
+        # at level 1
+        predicted = min(d1 * d1 / d2, 2 * d1) if d2 > 0 else 0.0
+        if predicted >= mp.dps + 10 or change < target * max(mpf(1), abs(value)):
             break
         prev = value
     else:
@@ -188,8 +215,19 @@ def _de_halfline(term, prec: int, max_level: int = MAX_LEVEL) -> QuadResult:
             f"double-exponential quadrature missed its target 1e-{prec + 2} "
             f"after {max_level} levels (last change {mp.nstr(change, 3)})"
         )
-    # tails decay far faster than geometrically; ratio 1/2 is conservative
-    error = change + 2 * h * tail_mag
+    # The same prediction with the growth capped at 1.5 instead of 2: at
+    # early levels the digits can grow by as little as 1.56 times.
+    remainder = abs(value) * mpf(10) ** -min(d1 * d1 / d2, 1.5 * d1) if d2 > 0 else change
+    # Rounding: the recursive-sum bound, nodes 2^-wprec h sum |f|, which also
+    # covers the few roundings inside each term; h sum |f| is at most
+    # |I| + 2 h |sum of the negative terms|.
+    rounding = nodes * mp.ldexp(abs(value) + 2 * h * abs(negative), -wprec)
+    # The dropped tail: on each side of each level, terms below the cutoff
+    # that shrink by at least cutoff^(2h) per step, since near either end
+    # ln|term| of a double-exponential rule falls in t at least as fast as
+    # |ln|term|| itself.
+    tail = 2 * (level + 1) * h * cutoff / (1 - cutoff ** (2 * h))
+    error = remainder + rounding + tail
     return QuadResult(value=value, error_estimate=error, nodes_used=nodes, levels=level)
 
 

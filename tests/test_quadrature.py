@@ -1,6 +1,7 @@
 """Quadrature oracle: agreement with closed forms, convergence, domains."""
 
 import hashlib
+import statistics
 import sys
 import threading
 from fractions import Fraction
@@ -25,6 +26,7 @@ from arcmellin import (
 )
 from arcmellin import quadrature
 from arcmellin.catalog import C1_CLOSED_FORM, C1_DECIMAL, C2_CLOSED_FORM, C2_DECIMAL
+from arcmellin.lfuncs import _as_mpf
 
 
 TOL25 = mpf(10) ** -25
@@ -178,6 +180,88 @@ class TestConvergenceBehaviour:
         assert abs(closed - quad) < TOL25
 
 
+class TestStoppingRule:
+    """A level j >= 2 stops when its predicted digits, min(d1^2/d2, 2 d1),
+    reach the working digits plus 10."""
+
+    @pytest.mark.parametrize(
+        "integral, form",
+        [
+            # without the 2 d1 cap, d1^2/d2 stops these at level 2 or 3
+            (lambda prec: quad_log_family(2, 7, prec), lambda: log_integral_odd_cosh(2, 3)),
+            (lambda prec: quad_log_family(2, 9, prec), lambda: log_integral_odd_cosh(2, 4)),
+            (lambda prec: quad_log_family(1, 6, prec), lambda: log_integral_even_cosh(1, 3)),
+        ],
+    )
+    def test_no_early_stop_on_a_lucky_level(self, integral, form):
+        prec = 30
+        value = integral(prec).value
+        exact = eval_closed_form(form(), prec + 20)
+        with mp.workdps(prec + 40):
+            assert abs(value - exact) < mpf(10) ** -(prec + 5) * abs(exact)
+
+    def test_stops_on_the_prediction_at_100_digits(self):
+        # the change target alone runs to level 7 with 1,309 nodes
+        quadrature._quad_cache.clear()
+        result = quad_phi(1, 3, 100)
+        assert result.levels == 6
+        assert result.nodes_used < 1309
+
+
+def _exact_phi(which: int, s: int):
+    half = s // 2
+    return phi_odd_closed_form(which, half) if s % 2 else phi_even_closed_form(which, half)
+
+
+# (integral at a precision, exact closed form): the 66 integrals of acceptance
+# criterion 5, Phi_1 and Phi_2 at seven s, and the two C constants
+HONEST_CASES = (
+    [
+        (lambda prec, q=q, n=n: quad_log_family(q, 2 * n + 1, prec), lambda q=q, n=n: log_integral_odd_cosh(q, n))
+        for n in range(1, 6)
+        for q in range(n)
+    ]
+    + [
+        (lambda prec, q=q, n=n: quad_log_family(q, 2 * n, prec), lambda q=q, n=n: log_integral_even_cosh(q, n))
+        for n in range(1, 7)
+        for q in range(n)
+    ]
+    + [
+        (lambda prec, q=q, n=n: quad_sinh_over_z(q, n, prec), lambda q=q, n=n: sinh_over_z_integral(q, n))
+        for n in range(3, 13)
+        for q in range(1, (n - 1) // 2 + 1)
+    ]
+    + [
+        (lambda prec, w=which, s=s: quad_phi(w, s, prec), lambda w=which, s=s: _exact_phi(w, s))
+        for which in (1, 2)
+        for s in (3, 4, 7, 10, 41, 129, 200)
+    ]
+    + [
+        (lambda prec: quad_c_constant(1, prec), lambda: C1_CLOSED_FORM),
+        (lambda prec: quad_c_constant(2, prec), lambda: C2_CLOSED_FORM),
+    ]
+)
+
+
+class TestHonestEstimate:
+    @pytest.mark.parametrize("prec", [10, 30, 60, 100])
+    def test_estimate_bounds_the_true_error_closely(self, prec):
+        assert len(HONEST_CASES) == 82
+        over, missed = [], []
+        for k, (integral, form) in enumerate(HONEST_CASES):
+            result = integral(prec)
+            exact = eval_closed_form(form(), prec + 20)
+            with mp.workdps(prec + 40):
+                error = abs(result.value - exact)
+                if result.error_estimate < error:
+                    missed.append(k)
+                elif error:
+                    over.append(float(mp.log10(result.error_estimate / error)))
+        assert missed == []
+        # digits by which the estimate exceeds the true error
+        assert statistics.median(over) <= 6
+
+
 MIXED_INTEGRALS = [
     lambda prec: quad_phi(1, 3, prec),
     lambda prec: quad_phi(2, 3, prec),
@@ -233,53 +317,118 @@ class TestSharedState:
         assert got_quad == expected_quad
 
 
-# Recorded with the integrands written as mpf expressions,
-# tanh_z ** a * sech_z ** b * (1 + u) [* ln z * z]: the raw-tuple kernel must
-# reproduce every bit.  Each entry is the fingerprint of the value and error
-# estimate, the node count and the level.
-RECORDED = {
-    ("phi(1, 3)", 30): ("640d65e0ef506c8d", 295, 5),
-    ("phi(1, 3)", 100): ("65427d3bade6a22f", 1309, 7),
-    ("phi(2, 7/2)", 30): ("c11bbc1d2ed37d46", 309, 5),
-    ("phi(2, 7/2)", 100): ("61ac9ff39cf434b2", 1367, 7),
-    ("phi(1, 1 + 1e-6)", 30): ("5288589f6b7d4f06", 765, 5),
-    ("phi(1, 1 + 1e-6)", 100): ("5d2a172845d7eed5", 3177, 7),
-    ("log(2, 7)", 30): ("8338db5081b148a0", 260, 5),
-    ("log(2, 7)", 100): ("118335a623e1cf02", 1167, 7),
-    ("log(1, 6)", 30): ("dee3aa33357219ee", 261, 5),
-    ("log(1, 6)", 100): ("7addad865b3c1a21", 1170, 7),
-    ("soz(3, 9)", 30): ("41a5b2c5171603af", 245, 5),
-    ("soz(3, 9)", 100): ("c6cb71a8d1b49a28", 1111, 7),
-    ("c(1)", 30): ("cb0681a89934e3bc", 296, 5),
-    ("c(1)", 100): ("d79b60ed9ab55e76", 1311, 7),
-    ("c(2)", 30): ("7e4eb63ce2f83ced", 317, 5),
-    ("c(2)", 100): ("da9afdcaf3fb7cef", 1396, 7),
-}
+def _mpf_expression(tanh_power, sech_power: int, log_z: bool = False):
+    """The monomial integrand written as mpf operations,
+    tanh_z ** a * sech_z ** b * (1 + u) [* ln z * z]: the oracle that the
+    raw-tuple kernel ``quadrature._monomial`` must match bit for bit."""
+    make_mpf = mp.make_mpf
+
+    def term(ln_z, w, tanh_z, sech_z, z):
+        val = make_mpf(tanh_z) ** tanh_power * make_mpf(sech_z) ** sech_power
+        if log_z:
+            return (val * make_mpf(ln_z) * make_mpf(w) * make_mpf(z))._mpf_
+        return (val * make_mpf(w))._mpf_
+
+    return term
+
+
+def _c_constant_expression(which: int):
+    """The integrands of ``quad_c_constant``, which are mpf expressions in
+    the package too, written out again over its cancellation-safe brackets."""
+    make_mpf = mp.make_mpf
+
+    def term(ln_z, w, tanh_z, sech_z, z):
+        tanh_z, sech_z, z, w = (make_mpf(x) for x in (tanh_z, sech_z, z, w))
+        if which == 1:
+            return (quadrature._one_over_z_minus_coth(z, tanh_z) * sech_z ** 2 * w * z)._mpf_
+        return (quadrature._sinh_minus_z(z, tanh_z, sech_z) * sech_z ** 2 / tanh_z * w)._mpf_
+
+    return term
+
+
+# name: (the package's integral at a precision, its oracle integrand, built
+# inside the working precision with the exponent s - 1 that quad_phi uses)
 RECORDED_INTEGRALS = {
-    "phi(1, 3)": lambda prec: quad_phi(1, 3, prec),
-    "phi(2, 7/2)": lambda prec: quad_phi(2, Fraction(7, 2), prec),
-    "phi(1, 1 + 1e-6)": lambda prec: quad_phi(1, 1 + Fraction(1, 10**6), prec),
-    "log(2, 7)": lambda prec: quad_log_family(2, 7, prec),
-    "log(1, 6)": lambda prec: quad_log_family(1, 6, prec),
-    "soz(3, 9)": lambda prec: quad_sinh_over_z(3, 9, prec),
-    "c(1)": lambda prec: quad_c_constant(1, prec),
-    "c(2)": lambda prec: quad_c_constant(2, prec),
+    "phi(1, 3)": (lambda prec: quad_phi(1, 3, prec), lambda: _mpf_expression(_as_mpf(3) - 1, 2)),
+    "phi(2, 7/2)": (
+        lambda prec: quad_phi(2, Fraction(7, 2), prec),
+        lambda: _mpf_expression(_as_mpf(Fraction(7, 2)) - 1, 1),
+    ),
+    "phi(1, 1 + 1e-6)": (
+        lambda prec: quad_phi(1, 1 + Fraction(1, 10**6), prec),
+        lambda: _mpf_expression(_as_mpf(1 + Fraction(1, 10**6)) - 1, 2),
+    ),
+    "log(2, 7)": (lambda prec: quad_log_family(2, 7, prec), lambda: _mpf_expression(5, 2, log_z=True)),
+    "log(1, 6)": (lambda prec: quad_log_family(1, 6, prec), lambda: _mpf_expression(3, 3, log_z=True)),
+    "soz(3, 9)": (lambda prec: quad_sinh_over_z(3, 9, prec), lambda: _mpf_expression(6, 3)),
+    "c(1)": (lambda prec: quad_c_constant(1, prec), lambda: _c_constant_expression(1)),
+    "c(2)": (lambda prec: quad_c_constant(2, prec), lambda: _c_constant_expression(2)),
 }
 
 
-def fingerprint(result) -> str:
-    """SHA-256 of (sign, int(man), exp, bc) of the value and of the error
-    estimate; int() keeps it independent of mpmath's backend."""
-    raw = [
-        (sign, int(man), exp, bc)
-        for sign, man, exp, bc in (result.value._mpf_, result.error_estimate._mpf_)
-    ]
+def oracle(name: str, prec: int):
+    """``_de_halfline`` on the oracle integrand of ``name``."""
+    with quadrature._working(prec):
+        return quadrature._de_halfline(RECORDED_INTEGRALS[name][1](), prec)
+
+
+def fingerprint(*values) -> str:
+    """SHA-256 of (sign, int(man), exp, bc) of each mpf; int() keeps it
+    independent of mpmath's backend."""
+    raw = [(sign, int(man), exp, bc) for sign, man, exp, bc in (v._mpf_ for v in values)]
     return hashlib.sha256(repr(raw).encode()).hexdigest()[:16]
+
+
+# The oracle's results: the fingerprint of the value and error estimate, the
+# node count and the level.
+RECORDED = {
+    ("phi(1, 3)", 30): ("8d591ae3b08acf28", 295, 5),
+    ("phi(1, 3)", 100): ("a56b4142f21368ff", 673, 6),
+    ("phi(2, 7/2)", 30): ("25454ca430de7879", 309, 5),
+    ("phi(2, 7/2)", 100): ("af4943de5362b437", 702, 6),
+    ("phi(1, 1 + 1e-6)", 30): ("33667ff6412780e5", 765, 5),
+    ("phi(1, 1 + 1e-6)", 100): ("fc4fc865c3ff7d50", 1607, 6),
+    ("log(2, 7)", 30): ("5756d484b5f8f0cb", 260, 5),
+    ("log(2, 7)", 100): ("c784c1799db934b9", 601, 6),
+    ("log(1, 6)", 30): ("26ec59c16556a0b7", 261, 5),
+    ("log(1, 6)", 100): ("37c4de762a0d0d66", 603, 6),
+    ("soz(3, 9)", 30): ("6458d4baee0bfc4e", 245, 5),
+    ("soz(3, 9)", 100): ("f274875f001f8601", 573, 6),
+    ("c(1)", 30): ("242a48eeff3ea718", 296, 5),
+    ("c(1)", 100): ("d3c3064e9672c311", 674, 6),
+    ("c(2)", 30): ("65af60ea51ae0a82", 317, 5),
+    ("c(2)", 100): ("410b8c833eebac4c", 716, 6),
+}
+
+# The fingerprints of the 30-digit values before the predicted-error stopping
+# rule, when every integral ran one level past the first level that met the
+# change target: at 30 digits both rules stop at the same level.
+VALUES_30 = {
+    "phi(1, 3)": "34c83a0e369d7d08",
+    "phi(2, 7/2)": "994b811287a99afd",
+    "phi(1, 1 + 1e-6)": "b06b2d44734dee72",
+    "log(2, 7)": "d2d69293fa1efefa",
+    "log(1, 6)": "b95f2655c9e283b2",
+    "soz(3, 9)": "b32f7680690cf090",
+    "c(1)": "acb3d6c3be883d47",
+    "c(2)": "e2a5ee2dbc4483b2",
+}
 
 
 class TestBitIdentity:
     @pytest.mark.parametrize("name, prec", sorted(RECORDED))
+    def test_kernel_matches_mpf_expression(self, name, prec):
+        quadrature._quad_cache.clear()
+        assert RECORDED_INTEGRALS[name][0](prec) == oracle(name, prec)
+
+    @pytest.mark.parametrize("name, prec", sorted(RECORDED))
     def test_matches_recorded_result(self, name, prec):
         quadrature._quad_cache.clear()
-        result = RECORDED_INTEGRALS[name](prec)
-        assert (fingerprint(result), result.nodes_used, result.levels) == RECORDED[name, prec]
+        result = RECORDED_INTEGRALS[name][0](prec)
+        recorded = (fingerprint(result.value, result.error_estimate), result.nodes_used, result.levels)
+        assert recorded == RECORDED[name, prec]
+
+    @pytest.mark.parametrize("name", sorted(VALUES_30))
+    def test_30_digit_values_unchanged(self, name):
+        quadrature._quad_cache.clear()
+        assert fingerprint(RECORDED_INTEGRALS[name][0](30).value) == VALUES_30[name]
