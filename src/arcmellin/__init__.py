@@ -6,8 +6,8 @@ The package is organized in layers:
 
 * :mod:`arcmellin.exact` -- arbitrary-precision integers/rationals and the
   classical number tables (Bernoulli, Euler, harmonic, Eulerian A/B);
-* :mod:`arcmellin.series` -- exact formal power series and every Taylor
-  coefficient family the closed forms consume;
+* :mod:`arcmellin.series` -- every exact Taylor coefficient family the
+  closed forms consume;
 * :mod:`arcmellin.closedform` -- symbolic closed forms over the fixed
   transcendental basis, assembled in pure rational arithmetic;
 * :mod:`arcmellin.lfuncs` -- high-precision numerics for the basis symbols
@@ -29,7 +29,6 @@ from .exact import (
     harmonic,
 )
 from .series import (
-    PowerSeries,
     RootProductTables,
     binomial_power_sum,
     cosh_kernel_coeffs,
@@ -104,7 +103,6 @@ __all__ = [
     "euler_number",
     "eulerian",
     "harmonic",
-    "PowerSeries",
     "RootProductTables",
     "binomial_power_sum",
     "cosh_kernel_coeffs",

@@ -13,20 +13,24 @@ and a :class:`ClosedForm` is exactly such a combination: a map from
 and structural; nothing in this module ever touches floating point.
 
 Every residue weight below, at the poles i pi (k + 1/2) of 1/cosh^N, is a
-Taylor coefficient of one kernel, read from ``series.cosh_kernel_coeffs``:
+Taylor coefficient of one kernel,
 
-    K_{N,q}(w) = (w / sinh w)^N * cosh^{2q+1}(w).
+    K_{N,q}(w) = (w / sinh w)^N * cosh^{2q+1}(w),
+
+which ``series.cosh_kernel_coeffs`` tabulates for the even Mellin values.
 
 The integral families and their coefficient pipelines:
 
 * ``log_integral_odd_cosh(q, n)``:
       I(q, n) = int_0^oo sinh^{2q+1}(z) ln(z) / cosh^{2n+1}(z) dz
               = sum_p H[p] zeta'(2p+2)/pi^{2p+2} + I0 + J ln(pi) + (K - J) ln(2)
-  where, with S[p] = [w^{2n-2p-2}] K_{2n+1,q}(w) / (2p+2)!,
+  where, with S[p] = [w^{2n-2p-2}] K_{2n+1,q}(w) / (2p+2)! and
+  t_p = (-1)^p T_{2p+1} = 2^{2p+1} (2^{2p+2}-1) B_{2p+2} / (p+1), the signed
+  tangent numbers (integers),
       H[p] = (-1)^{q+n+p} 2 (2p+1)! (2^{2p+2} - 1) S[p],
-      J    = (-1)^{q+n+1} sum_p 2^{2p+1} (2^{2p+2}-1) B_{2p+2} S[p] / (p+1),
-      K    = (-1)^{q+n}   sum_p 2^{2p+1}              B_{2p+2} S[p] / (p+1),
-      I0   = (-1)^{q+n}   sum_p 2^{2p+1} (2^{2p+2}-1) B_{2p+2} H_{2p+1} S[p] / (p+1).
+      J    = (-1)^{q+n+1} sum_p t_p S[p],
+      K    = (-1)^{q+n}   sum_p t_p S[p] / (2^{2p+2} - 1),
+      I0   = (-1)^{q+n}   sum_p t_p H_{2p+1} S[p].
 
 * ``log_integral_even_cosh(q, n)``: the cosh^{2n} analogue,
       int_0^oo sinh^{2q+1}(z) ln(z) / cosh^{2n}(z) dz
@@ -35,9 +39,18 @@ The integral families and their coefficient pipelines:
       L[p] = (-1)^{q+n+p} 2^{2p+2} (2p)! U[p],
       N    = (-1)^{q+n+1} sum_p E_{2p} U[p],
       M    = (-1)^{q+n}   sum_p H_{2p} E_{2p} U[p].
-  J and N are the beta integrals int_0^oo sinh^{2q+1} / cosh^{2n+1 or 2n} dz
-  times (-1)^{q+n+1}; the ``euler-bernoulli`` suite checks them against their
-  closed values.
+
+  Both families read one helper, ``_log_residues``, which returns S[p]
+  resp. U[p] as integer numerators w[p] over one denominator: with
+  T = 2n resp. 2n-1, w[p] = C(T, 2j) conv_j for j = n-1-p, the binomial
+  convolution of the integer (x/sinh x)^{T+1} row with the integer moments
+  of 4^q cosh^{2q+1}, over D 4^q T!.  J and N are then one integer sum
+  each, with the tangent resp. Euler numbers as weights; K, I0 and M are
+  one integer sum each over the lcm of their weights' denominators, and
+  every coefficient is one ``Fraction``.  J and N are the beta integrals
+  int_0^oo sinh^{2q+1} / cosh^{2n+1 or 2n} dz times (-1)^{q+n+1}; the
+  ``euler-bernoulli`` suite reads them from the same helper and checks them
+  against their closed values.
 
 * ``sinh_over_z_integral(q, N)``:
       int_0^oo sinh^{2q}(z) / (z cosh^N(z)) dz
@@ -67,8 +80,14 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Iterator, Mapping
 
-from .exact import DomainError, bernoulli, binomial, euler_number, harmonic
-from .series import cosh_kernel_coeffs, root_product_tables
+from .exact import DomainError, _signed_tangent, binomial, euler_number, harmonic
+from .series import (
+    _cosh_moments,
+    _egf_convolution,
+    _x_over_sinh_row,
+    cosh_kernel_coeffs,
+    root_product_tables,
+)
 
 _KINDS = (
     "zeta_prime_ratio",
@@ -187,7 +206,7 @@ class ClosedForm:
         for sym, coeff in items:
             coeff = Fraction(coeff)
             if coeff:
-                acc[sym] = acc.get(sym, Fraction(0)) + coeff
+                acc[sym] = acc[sym] + coeff if sym in acc else coeff
         object.__setattr__(self, "_terms", {s: c for s, c in acc.items() if c})
 
     def __setattr__(self, *_args) -> None:
@@ -307,49 +326,47 @@ def _sign(e: int) -> int:
     return -1 if e % 2 else 1
 
 
+def _log_residues(odd: bool, q: int, n: int) -> tuple[int, list[int], Fraction]:
+    """(den, w, lnpi) of the log integral over cosh^{2n+1} (``odd``) or cosh^{2n}:
+    S[p] resp. U[p] is w[p] / den, and lnpi is J resp. N (module docstring)."""
+    if n < 1 or q < 0 or q > n - 1:
+        raise DomainError(
+            f"convergence requires 2q+1 < {'2n+1' if odd else '2n'} with q >= 0, n >= 1; "
+            f"got q={q}, n={n}"
+        )
+    top = 2 * n if odd else 2 * n - 1
+    denom, row = _x_over_sinh_row(top + 1, 2 * n)
+    moments = _cosh_moments(q, n)
+    den = denom * 4**q * math.factorial(top)
+    w = [math.comb(top, 2 * j) * _egf_convolution(row, moments, j) for j in range(n - 1, -1, -1)]
+    weight = _signed_tangent if odd else (lambda p: euler_number(2 * p))
+    lnpi = Fraction(_sign(q + n + 1) * sum(weight(p) * x for p, x in enumerate(w)), den)
+    return den, w, lnpi
+
+
+def _weighted_sum(weights: list[Fraction], terms: list[int]) -> Fraction:
+    """sum_p weights[p] terms[p], one integer sum over the lcm of the weights'
+    denominators."""
+    lcm = math.lcm(*(f.denominator for f in weights))
+    return Fraction(sum(lcm // f.denominator * f.numerator * x for f, x in zip(weights, terms)), lcm)
+
+
 @lru_cache(maxsize=256)
 def log_integral_odd_cosh(q: int, n: int) -> ClosedForm:
     """Closed form of int_0^oo sinh^{2q+1}(z) ln(z) / cosh^{2n+1}(z) dz.
 
     Requires 2q+1 < 2n+1 (i.e. 0 <= q <= n-1) for convergence.  Memoised,
-    keeping the 256 most recent forms; ``_log_odd_form`` builds it without
-    keeping it.
+    keeping the 256 most recent forms.
     """
-    return _log_odd_form(q, n)
-
-
-def _log_odd_form(q: int, n: int) -> ClosedForm:
-    if n < 1 or q < 0 or q > n - 1:
-        raise DomainError(
-            f"convergence requires 2q+1 < 2n+1 with q >= 0, n >= 1; got q={q}, n={n}"
-        )
-    kernel = cosh_kernel_coeffs(2 * n + 1, q, 2 * n)
-    s_vals = [kernel[2 * n - 2 * p - 2] / math.factorial(2 * p + 2) for p in range(n)]
-    pairs: list[tuple[BasisSymbol, Fraction]] = []
-    for p, s in enumerate(s_vals):
-        h_coeff = (
-            _sign(q + n + p)
-            * 2
-            * math.factorial(2 * p + 1)
-            * (2 ** (2 * p + 2) - 1)
-            * s
-        )
-        pairs.append((zeta_prime_ratio(p), h_coeff))
-    j_coeff = _sign(q + n + 1) * sum(
-        Fraction(2 ** (2 * p + 1) * (2 ** (2 * p + 2) - 1), p + 1) * bernoulli(2 * p + 2) * s_vals[p]
-        for p in range(n)
-    )
-    k_coeff = _sign(q + n) * sum(
-        Fraction(2 ** (2 * p + 1), p + 1) * bernoulli(2 * p + 2) * s_vals[p]
-        for p in range(n)
-    )
-    i_coeff = _sign(q + n) * sum(
-        Fraction(2 ** (2 * p + 1) * (2 ** (2 * p + 2) - 1), p + 1)
-        * bernoulli(2 * p + 2)
-        * harmonic(2 * p + 1)
-        * s_vals[p]
-        for p in range(n)
-    )
+    den, w, j_coeff = _log_residues(True, q, n)
+    pairs = [
+        (zeta_prime_ratio(p),
+         Fraction(_sign(q + n + p) * 2 * math.factorial(2 * p + 1) * (4 ** (p + 1) - 1) * x, den))
+        for p, x in enumerate(w)
+    ]
+    tw = [_signed_tangent(p) * x for p, x in enumerate(w)]
+    k_coeff = _sign(q + n) * _weighted_sum([Fraction(1, 4 ** (p + 1) - 1) for p in range(n)], tw) / den
+    i_coeff = _sign(q + n) * _weighted_sum([harmonic(2 * p + 1) for p in range(n)], tw) / den
     pairs += [(ONE, i_coeff), (LNPI, j_coeff), (LN2, k_coeff - j_coeff)]
     return ClosedForm(pairs)
 
@@ -359,27 +376,15 @@ def log_integral_even_cosh(q: int, n: int) -> ClosedForm:
     """Closed form of int_0^oo sinh^{2q+1}(z) ln(z) / cosh^{2n}(z) dz.
 
     Requires 2q+1 < 2n (i.e. 0 <= q <= n-1) for convergence.  Memoised,
-    keeping the 256 most recent forms; ``_log_even_form`` builds it without
-    keeping it.
+    keeping the 256 most recent forms.
     """
-    return _log_even_form(q, n)
-
-
-def _log_even_form(q: int, n: int) -> ClosedForm:
-    if n < 1 or q < 0 or q > n - 1:
-        raise DomainError(
-            f"convergence requires 2q+1 < 2n with q >= 0, n >= 1; got q={q}, n={n}"
-        )
-    kernel = cosh_kernel_coeffs(2 * n, q, 2 * n)
-    u_vals = [kernel[2 * n - 2 * p - 2] / math.factorial(2 * p + 1) for p in range(n)]
+    den, w, n_coeff = _log_residues(False, q, n)
     pairs = [
-        (beta_prime_ratio(p), _sign(q + n + p) * 2 ** (2 * p + 2) * math.factorial(2 * p) * u)
-        for p, u in enumerate(u_vals)
+        (beta_prime_ratio(p), Fraction(_sign(q + n + p) * 2 ** (2 * p + 2) * math.factorial(2 * p) * x, den))
+        for p, x in enumerate(w)
     ]
-    n_coeff = _sign(q + n + 1) * sum(euler_number(2 * p) * u for p, u in enumerate(u_vals))
-    m_coeff = _sign(q + n) * sum(
-        harmonic(2 * p) * euler_number(2 * p) * u for p, u in enumerate(u_vals)
-    )
+    ew = [euler_number(2 * p) * x for p, x in enumerate(w)]
+    m_coeff = _sign(q + n) * _weighted_sum([harmonic(2 * p) for p in range(n)], ew) / den
     pairs += [(ONE, m_coeff), (LNPI, n_coeff), (LN2, -n_coeff)]
     return ClosedForm(pairs)
 

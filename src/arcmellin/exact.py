@@ -9,6 +9,9 @@ Python ints and ``fractions.Fraction``.  Conventions fixed here:
 * Euler numbers in the secant convention, sech x = sum E_n x^n / n!,
   so E_0 = 1, E_2 = -1, E_4 = 5, and all odd-index values vanish.
 * Harmonic numbers with H_0 = 0.
+* Signed tangent numbers (-1)^k T_{2k+1}, tan x = sum T_n x^n / n!, so
+  1, -2, 16, -272, ...: the integers 2^{2k+1} (2^{2k+2} - 1) B_{2k+2} / (k+1)
+  (Knuth and Buckholtz, Math. Comp. 21, 1967).
 * Eulerian numbers of type A (descents of permutations, row sums n!) and
   type B (descents of signed permutations, row sums 2^n n!).
 
@@ -37,6 +40,7 @@ _PREFILL = 64
 
 _bernoulli_cache: list[Fraction] = [Fraction(1)]
 _euler_cache: list[int] = [1]  # E_0, E_2, E_4, ... (even indices only)
+_tangent_cache: list[int] = [1]  # T_1, -T_3, T_5, ...
 _harmonic_cache: list[Fraction] = [Fraction(0)]
 _eulerian_a_rows: list[list[int]] = [[1]]
 _eulerian_b_rows: list[list[int]] = [[1]]
@@ -85,6 +89,17 @@ def euler_number(n: int) -> int:
             )
             _euler_cache.append(-acc)
     return _euler_cache[m]
+
+
+def _signed_tangent(k: int) -> int:
+    """(-1)^k T_{2k+1}, the signed tangent number; k >= 0."""
+    with _lock:
+        while len(_tangent_cache) <= k:
+            j = len(_tangent_cache)
+            # sin = tan * cos  =>  sum_{i=0}^{j} C(2j+1, 2i+1) (-1)^i T_{2i+1} = 1
+            acc = sum(math.comb(2 * j + 1, 2 * i + 1) * _tangent_cache[i] for i in range(j))
+            _tangent_cache.append(1 - acc)
+    return _tangent_cache[k]
 
 
 def harmonic(n: int) -> Fraction:

@@ -29,7 +29,10 @@ and d2 the relative digits of the last two level-to-level changes, I_j is
 predicted to min(d1^2/d2, 2 d1) digits (the digits at most double per level),
 and the rule stops once that reaches the working digits plus 10, so no level
 is computed only to confirm the one before.  A change below 10^-(prec+2)
-also stops it, and a level cap reached first raises :class:`PrecisionError`.
+at a level j >= 3 also stops it (at levels 1 and 2 two coarse sums can
+agree by coincidence, which below 5 requested digits ended integrals with
+under one correct digit), and a level cap reached first raises
+:class:`PrecisionError`.
 The reported error estimate is computed, never asserted, and is meant as an
 upper bound: the same prediction with the growth capped at 1.5 instead of 2,
 min(d1^2/d2, 1.5 d1) digits, plus a rounding floor of nodes 2^-wprec times
@@ -109,9 +112,9 @@ def _de_halfline(term, prec: int, max_level: int = MAX_LEVEL) -> QuadResult:
     one node table entry, with w = 1 + u and u = exp(-t), and must return
     f(z) dz/dt = f(z) w z as a raw tuple at ``mp.prec``.  ``max_level`` may
     not exceed ``MAX_LEVEL``.  Stops at the first level j >= 2 whose
-    predicted digits reach ``mp.dps + 10``, or whose level-to-level change
-    meets the target; raises :class:`PrecisionError` when ``max_level`` is
-    reached first.
+    predicted digits reach ``mp.dps + 10``, or the first level j >= 3 whose
+    level-to-level change meets the target; raises :class:`PrecisionError`
+    when ``max_level`` is reached first.
 
     Must be called inside ``lfuncs._working``, whose lock also guards the
     node table.
@@ -207,7 +210,8 @@ def _de_halfline(term, prec: int, max_level: int = MAX_LEVEL) -> QuadResult:
         # min(d1^2/d2, 2 d1) digits (Bailey, Jeyabalan and Li 2005); d2 is 0
         # at level 1
         predicted = min(d1 * d1 / d2, 2 * d1) if d2 > 0 else 0.0
-        if predicted >= mp.dps + 10 or change < target * max(mpf(1), abs(value)):
+        # levels 1 and 2 can meet a loose change target by coincidence
+        if predicted >= mp.dps + 10 or (level >= 3 and change < target * max(mpf(1), abs(value))):
             break
         prev = value
     else:

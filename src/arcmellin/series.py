@@ -1,20 +1,10 @@
-"""Exact formal power series and the coefficient families built from them.
-
-A :class:`PowerSeries` holds finitely many exact Taylor coefficients.  Its
-arithmetic (multiplication, reciprocal, powers) is closed over ``Fraction``
-and truncates to the shortest operand; nothing is extended silently, so the
-set of known-correct coefficients is always explicit.  The production
-kernels below use their own recurrences; ``PowerSeries`` is the independent
-route the tests check them against.
-
-The coefficient families produced here feed the closed-form assembly:
+"""Exact Taylor coefficient families for the closed-form assembly, each by
+its own recurrence in integer and rational arithmetic:
 
 * ``x_over_sinh_coeffs(e, K)`` -- Taylor coefficients of (x / sinh x)^e,
   the kernel weights of the residue expansion of 1 / cosh^e at its poles,
   by J.C.P. Miller's power recurrence on sinh(x)/x = sum a_j x^{2j} with
   exponent -e: b_0 = 1, b_m = (1/m) sum_{j=1}^{m} ((1-e) j - m) a_j b_{m-j}.
-  ``PowerSeries.pow`` is kept as the independent route the tests compare
-  against.
 * ``_x_over_sinh_row(e, K)`` -- the same coefficients as one integer row,
   (D, (D (2m)! b_m for m = 0..K/2)), which the recurrence runs on and
   ``x_over_sinh_coeffs`` only divides out.  Scaled by (2m)! (the
@@ -36,14 +26,14 @@ The coefficient families produced here feed the closed-form assembly:
   the normalized even-order derivative of sinh^{2q+1} at its imaginary poles
   (memoised: the closed forms and suites ask for few distinct (q, p) often).
 * ``cosh_kernel_coeffs(e, q, K)`` -- Taylor coefficients of
-  (x / sinh x)^e * cosh^{2q+1}(x), the one residue kernel of every closed
-  form.  cosh^{2q+1}(x) = sum_i binomial_power_sum(q, i) x^{2i} / (2i)!, and
-  4^q binomial_power_sum(q, i) is an integer, so (2j)! D 4^q times the
-  x^{2j} coefficient is the integer binomial convolution of the scaled row
-  with those sums: one ``Fraction`` per coefficient (memoised, but in a
-  bounded cache: the log-integral forms are memoised themselves, so a table
-  is asked for again only by the even Mellin values, and an unbounded cache
-  would keep every table of a suite sweep alive).
+  (x / sinh x)^e * cosh^{2q+1}(x), the residue kernel of the even Mellin
+  values.  cosh^{2q+1}(x) = sum_i binomial_power_sum(q, i) x^{2i} / (2i)!,
+  and 4^q binomial_power_sum(q, i) is an integer (``_cosh_moments``), so
+  (2j)! D 4^q times the x^{2j} coefficient is the integer binomial
+  convolution of the scaled row with those sums: one ``Fraction`` per
+  coefficient, memoised in a cache bounded at 32 tables.  The log-integral
+  forms read the same convolutions as integers, without the division
+  (``closedform._log_residues``).
 """
 
 from __future__ import annotations
@@ -55,73 +45,6 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .exact import DomainError, binomial
-
-
-@dataclass(frozen=True)
-class PowerSeries:
-    """Truncated exact power series; ``coeffs[k]`` is the x^k coefficient."""
-
-    coeffs: tuple[Fraction, ...]
-
-    @property
-    def order(self) -> int:
-        """Number of known coefficients (indices 0 .. order-1)."""
-        return len(self.coeffs)
-
-    def coefficient(self, k: int) -> Fraction:
-        if not 0 <= k < self.order:
-            raise IndexError(f"coefficient {k} not computed (order {self.order})")
-        return self.coeffs[k]
-
-    def __mul__(self, other: "PowerSeries") -> "PowerSeries":
-        n = min(self.order, other.order)
-        out = [Fraction(0)] * n
-        for i, a in enumerate(self.coeffs[:n]):
-            if a:
-                for j in range(n - i):
-                    b = other.coeffs[j]
-                    if b:
-                        out[i + j] += a * b
-        return PowerSeries(tuple(out))
-
-    def reciprocal(self) -> "PowerSeries":
-        """Multiplicative inverse; requires a nonzero constant term."""
-        if self.order == 0 or self.coeffs[0] == 0:
-            raise DomainError("reciprocal requires a nonzero constant term")
-        inv0 = 1 / self.coeffs[0]
-        out = [inv0] + [Fraction(0)] * (self.order - 1)
-        for m in range(1, self.order):
-            acc = sum(self.coeffs[i] * out[m - i] for i in range(1, m + 1))
-            out[m] = -acc * inv0
-        return PowerSeries(tuple(out))
-
-    def pow(self, e: int) -> "PowerSeries":
-        """e-th power by binary exponentiation, e >= 0."""
-        if e < 0:
-            raise DomainError("pow exponent must be >= 0")
-        result = PowerSeries((Fraction(1),) + (Fraction(0),) * (self.order - 1))
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base if e > 1 else base
-            e >>= 1
-        return result
-
-
-def sinh_x_over_x_series(order: int) -> PowerSeries:
-    """sinh(x)/x = sum x^{2k} / (2k+1)! up to ``order`` coefficients inclusive."""
-    coeffs = [Fraction(0)] * (order + 1)
-    for k in range(0, order + 1, 2):
-        coeffs[k] = Fraction(1, math.factorial(k + 1))
-    return PowerSeries(tuple(coeffs))
-
-
-def cosh_series(order: int) -> PowerSeries:
-    coeffs = [Fraction(0)] * (order + 1)
-    for k in range(0, order + 1, 2):
-        coeffs[k] = Fraction(1, math.factorial(k))
-    return PowerSeries(tuple(coeffs))
 
 
 @lru_cache(maxsize=None)

@@ -33,10 +33,8 @@ from mpmath import mp, mpf
 
 from . import catalog
 from .closedform import (
-    LNPI,
     ClosedForm,
-    _log_even_form,
-    _log_odd_form,
+    _log_residues,
     beta_even_ratio,
     eta_prime_neg_coeffs,
     log_integral_even_cosh,
@@ -282,17 +280,16 @@ def _d_identity_cell(params: tuple) -> CellResult:
 def _euler_bernoulli_cell(params: tuple) -> CellResult:
     # Both beta-integral evaluations of int_0^oo sinh^{2q+1}/cosh^N dz: it is
     # (-1)^{q+n+1} times the ln(pi) coefficient of the log integral over the
-    # same cosh^N, so each line reads the production form (Bernoulli weights
-    # for N = 2n+1, Euler numbers for N = 2n).  The forms are built unmemoised:
-    # the suite reads one coefficient of each and should not keep 2 sum(n) of
-    # them alive.
+    # same cosh^N, so each line reads the value the production forms read
+    # (tangent numbers for N = 2n+1, Euler numbers for N = 2n) and builds no
+    # form.
     n, q = params
     sign = (-1) ** (q + n + 1)
-    line1 = sign * _log_odd_form(q, n).coefficient(LNPI)
+    line1 = sign * _log_residues(True, q, n)[2]
     rhs1 = Fraction(sign, 2) * Fraction(
         math.factorial(q) * math.factorial(n - q - 1), math.factorial(n)
     )
-    line2 = sign * _log_even_form(q, n).coefficient(LNPI)
+    line2 = sign * _log_residues(False, q, n)[2]
     rhs2 = sign * Fraction(
         2 ** (2 * q + 1)
         * math.factorial(q)

@@ -33,7 +33,7 @@ from arcmellin import (
     zeta_prime_even,
 )
 from arcmellin import catalog
-from arcmellin.series import sinh_x_over_x_series
+from _series_oracles import sinh_x_over_x_series
 
 
 def _announce(number: int, label: str, ok: bool, elapsed: float) -> None:

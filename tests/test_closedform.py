@@ -20,6 +20,7 @@ from arcmellin import (
     eta_prime_neg_coeffs,
     eta_prime_neg_symbol,
     beta_prime_neg_symbol,
+    bernoulli,
     binomial,
     binomial_power_sum,
     cosh_kernel_coeffs,
@@ -36,6 +37,8 @@ from arcmellin import (
     zeta_prime_ratio,
 )
 from arcmellin import catalog
+from arcmellin.closedform import _log_residues
+from arcmellin.exact import _signed_tangent
 
 
 def cf(pairs):
@@ -255,6 +258,85 @@ class TestLogIntegralEvenCosh:
     def test_kernel_table_matches_published_double_sums(self, n):
         for q in range(n):
             assert log_integral_even_cosh(q, n) == self.double_sum_form(q, n)
+
+
+def _fraction_log_odd_form(q, n):
+    # The odd log form as it was assembled before the integer numerators:
+    # Fraction kernel values, Bernoulli weights and harmonic numbers.
+    kernel = cosh_kernel_coeffs(2 * n + 1, q, 2 * n)
+    s_vals = [kernel[2 * n - 2 * p - 2] / math.factorial(2 * p + 2) for p in range(n)]
+    sign = (-1) ** (q + n)
+    pairs = [
+        (zeta_prime_ratio(p), sign * (-1) ** p * 2 * math.factorial(2 * p + 1) * (2 ** (2 * p + 2) - 1) * s)
+        for p, s in enumerate(s_vals)
+    ]
+    j_coeff = -sign * sum(
+        Fraction(2 ** (2 * p + 1) * (2 ** (2 * p + 2) - 1), p + 1) * bernoulli(2 * p + 2) * s_vals[p]
+        for p in range(n)
+    )
+    k_coeff = sign * sum(
+        Fraction(2 ** (2 * p + 1), p + 1) * bernoulli(2 * p + 2) * s_vals[p] for p in range(n)
+    )
+    i_coeff = sign * sum(
+        Fraction(2 ** (2 * p + 1) * (2 ** (2 * p + 2) - 1), p + 1)
+        * bernoulli(2 * p + 2)
+        * harmonic(2 * p + 1)
+        * s_vals[p]
+        for p in range(n)
+    )
+    return ClosedForm(pairs + [(ONE, i_coeff), (LNPI, j_coeff), (LN2, k_coeff - j_coeff)])
+
+
+def _fraction_log_even_form(q, n):
+    # The even log form as it was assembled before the integer numerators.
+    kernel = cosh_kernel_coeffs(2 * n, q, 2 * n)
+    u_vals = [kernel[2 * n - 2 * p - 2] / math.factorial(2 * p + 1) for p in range(n)]
+    sign = (-1) ** (q + n)
+    pairs = [
+        (beta_prime_ratio(p), sign * (-1) ** p * 2 ** (2 * p + 2) * math.factorial(2 * p) * u)
+        for p, u in enumerate(u_vals)
+    ]
+    n_coeff = -sign * sum(euler_number(2 * p) * u for p, u in enumerate(u_vals))
+    m_coeff = sign * sum(harmonic(2 * p) * euler_number(2 * p) * u for p, u in enumerate(u_vals))
+    return ClosedForm(pairs + [(ONE, m_coeff), (LNPI, n_coeff), (LN2, -n_coeff)])
+
+
+class TestLogResidues:
+    """``_log_residues``: the integer numerators both log forms and the
+    ``euler-bernoulli`` suite read."""
+
+    @pytest.mark.parametrize("n", range(1, 21))
+    def test_forms_equal_the_fraction_assembly(self, n):
+        for q in range(n):
+            assert log_integral_odd_cosh(q, n) == _fraction_log_odd_form(q, n)
+            assert log_integral_even_cosh(q, n) == _fraction_log_even_form(q, n)
+
+    @pytest.mark.parametrize("n", range(1, 21))
+    def test_lnpi_value_is_the_form_coefficient(self, n):
+        for q in range(n):
+            for odd, form in ((True, log_integral_odd_cosh), (False, log_integral_even_cosh)):
+                den, w, lnpi = _log_residues(odd, q, n)
+                assert lnpi == form(q, n).coefficient(LNPI)
+                # w[p] / den is the kernel value S[p] resp. U[p]
+                top = 2 * n if odd else 2 * n - 1
+                kernel = cosh_kernel_coeffs(top + 1, q, 2 * n)
+                assert [Fraction(x, den) for x in w] == [
+                    kernel[2 * n - 2 * p - 2] / math.factorial(top - 2 * n + 2 * p + 2) for p in range(n)
+                ]
+
+    def test_tangent_weights_are_integers(self):
+        # 2^{2p+1} (2^{2p+2} - 1) B_{2p+2} / (p+1) = (-1)^p T_{2p+1}
+        for p in range(20):
+            t = _signed_tangent(p)
+            assert isinstance(t, int)
+            weight = Fraction(2 ** (2 * p + 1) * (2 ** (2 * p + 2) - 1), p + 1) * bernoulli(2 * p + 2)
+            assert weight.denominator == 1 and weight == t
+        assert [abs(_signed_tangent(p)) for p in range(5)] == [1, 2, 16, 272, 7936]
+
+    def test_divergent_rejected(self):
+        for odd in (True, False):
+            with pytest.raises(DomainError, match="convergence"):
+                _log_residues(odd, 2, 2)
 
 
 class TestSinhOverZIntegral:

@@ -17,7 +17,7 @@ from arcmellin import (
     eulerian,
     harmonic,
 )
-from arcmellin.series import cosh_series
+from _series_oracles import cosh_series
 
 
 def bernoulli_oracle(n_max):

@@ -207,6 +207,16 @@ class TestStoppingRule:
         assert result.levels == 6
         assert result.nodes_used < 1309
 
+    @pytest.mark.parametrize("s, prec", [(231, 4), (78, 2)])
+    def test_no_coincidental_stop_below_5_digits(self, s, prec):
+        # levels 1 and 2 of these agree to 10^-(prec+2) by coincidence; a
+        # change target met there returned 2.2 and 0.5 correct digits
+        quadrature._quad_cache.clear()
+        value = quad_phi(1, s, prec).value
+        exact = eval_closed_form(_exact_phi(1, s), 30)
+        with mp.workdps(40):
+            assert abs(value - exact) <= mpf(10) ** -prec * abs(exact)
+
 
 def _exact_phi(which: int, s: int):
     half = s // 2

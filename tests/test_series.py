@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from arcmellin import (
     DomainError,
-    PowerSeries,
     bernoulli,
     binomial,
     binomial_power_sum,
@@ -17,7 +16,8 @@ from arcmellin import (
     root_product_tables,
     x_over_sinh_coeffs,
 )
-from arcmellin.series import _x_over_sinh_row, cosh_series, sinh_x_over_x_series
+from arcmellin.series import _x_over_sinh_row
+from _series_oracles import PowerSeries, cosh_series, sinh_x_over_x_series
 
 
 def _fraction_miller(power, order):
