@@ -2,11 +2,10 @@
 
 All basis symbols reduce to four ingredients:
 
-* alternating Dirichlet sums eta(s), eta'(s), beta(s), beta'(s) for s >= 1,
-  summed with the Chebyshev-polynomial convergence acceleration of Cohen,
-  Rodriguez Villegas and Zagier (about 0.77 correct digits per retained
-  term; a caller may cap the term count with ``max_terms``, and exceeding
-  that cap raises :class:`PrecisionError` rather than degrading silently);
+* alternating Dirichlet sums eta(s), eta'(s), beta(s), beta'(s) for real
+  s >= 1, all summed by one kernel with the Chebyshev-polynomial
+  convergence acceleration of Cohen, Rodriguez Villegas and Zagier (about
+  0.77 correct digits per retained term);
 * exact special values zeta(2k) and beta(2k+1) through Bernoulli and Euler
   numbers;
 * the reflection formulas of zeta and beta, differentiated once and
@@ -26,26 +25,26 @@ the module lock at ``digits + GUARD_DIGITS``, and :mod:`arcmellin.quadrature`
 and :mod:`arcmellin.verify` enter it too.  All entry points of these modules
 are therefore safe to call from multiple threads.
 
-The accelerated sums share two kernel tables, each keyed by the binary
-precision ``mp.prec`` and holding one precision at a time: the Chebyshev
-weights (c_0 ... c_{n-1}, d) for each term count n, and ln m = mp.log(m) for
-every integer m a real-s derivative sum has used.  They are filled lazily
-under ``_MP_LOCK``, so ``alternating_sum`` must run inside ``_working``;
-reusing them leaves every value bit-identical.  Measured with tracemalloc
-they hold about 1 MB at 515 working digits and 2.3 MB at 1015.
+The kernel, ``_basis_sweep``, takes one family (eta, eta', beta or beta')
+and a list of exponents s, and sums every c_k L(m) / m^s in a single sweep
+over k, with L(m) = ln m for the derivative families and 1 otherwise.
+t_k = c_k L(m) is one mpf per k, so each value depends only on (family, s,
+precision), never on which other exponents shared the sweep.  The
+integer-argument sums behind the basis symbols, eta'(2p+2) (for
+zeta'(2p+2)), beta'(2p+1), eta(2p+3) (for zeta(2p+3)) and beta(2p+2), pass
+int exponents, so m^s is an exact integer; ``eval_closed_form`` fills every
+missing sum of a form with one sweep per family.  The real-s sums
+``eta_value``, ``eta_prime``, ``beta_value`` and ``beta_prime_value`` pass
+one mpf exponent, so m^s stays an mpf power and a huge s stays cheap.
 
-The integer-argument sums behind the basis symbols, eta'(2p+2) (for
-zeta'(2p+2)), beta'(2p+1), eta(2p+3) (for zeta(2p+3)) and beta(2p+2), come
-from one kernel, ``_basis_sweep``.  For one family and a set of indices p it
-sums every c_k L(m) / m^{s_p} in a single sweep over k, on the same term
-count and weight table as ``alternating_sum``: t_k = c_k ln m (or c_k) is one
-mpf per k, and m^{s_p} is an exact integer, so each value depends only on
-(symbol, precision), never on which other indices shared the sweep.
-``eval_closed_form`` fills every missing sum of a form with one sweep per
-family.  The kernel reads ln p for primes p from the log table and builds
-ln m = ln p + ln(m/p) of a composite m in a dict local to the sweep, so the
-table keeps only mp.log values and the real-s sums ``eta_value``,
-``eta_prime``, ``beta_value`` and ``beta_prime_value`` stay as they were.
+The kernel reads two tables, each keyed by the binary precision ``mp.prec``
+and holding one precision at a time: the Chebyshev weights
+(c_0 ... c_{n-1}, d) for each term count n, and ln p = mp.log(p) for every
+prime p a derivative sum has used.  A composite m with smallest prime
+factor p gets ln m = ln p + ln(m/p) in a dict local to the sweep, so every
+sum reads ln m one way.  The tables are filled lazily under ``_MP_LOCK``, so
+the kernel must run inside ``_working``; reusing them leaves every value
+bit-identical.
 ``eval_closed_form`` also measures the digits its sum loses to cancellation
 and evaluates again at a higher precision when they eat into the guard.
 """
@@ -75,7 +74,7 @@ _cache_lock = threading.Lock()
 _constant_cache: dict[tuple, mpf] = {}
 # The kernel tables of the accelerated sums, each {mp.prec: table} holding one
 # precision at a time: {n: (Chebyshev weights c_0 ... c_{n-1}, d)} for the
-# n-term sum, and {m: ln m}.  Filled and read only inside _working.
+# n-term sum, and {p: ln p} for primes p.  Filled and read only inside _working.
 _weight_tables: dict[int, dict[int, tuple]] = {}
 _log_tables: dict[int, dict[int, mpf]] = {}
 
@@ -120,7 +119,7 @@ def _cached(key: tuple, prec: int, builder):
 
 
 # ---------------------------------------------------------------------------
-# accelerated alternating sums
+# the accelerated Dirichlet sums: one kernel for every family and every s
 # ---------------------------------------------------------------------------
 
 def _precision_table(tables: dict[int, dict]) -> dict:
@@ -160,96 +159,8 @@ def _chebyshev_weights(n: int) -> tuple[tuple[mpf, ...], mpf]:
     return hit
 
 
-def _integer_log():
-    """m -> ln m at the working precision, memoised in ``_log_tables``."""
-    logs = _precision_table(_log_tables)
-
-    def ln(m: int) -> mpf:
-        value = logs.get(m)
-        if value is None:
-            value = logs[m] = mp.log(m)
-        return value
-
-    return ln
-
-
-def alternating_sum(term, prec: int, max_terms: int | None = None) -> mpf:
-    """sum_{k>=0} (-1)^k term(k) by Chebyshev acceleration.
-
-    ``term(k)`` must return an mpf-compatible value; the terms should decay
-    like moments of a measure on [0, 1] (all the Dirichlet-type sums used
-    here qualify).  Uses ``_term_count()`` terms and calls ``term`` once for
-    each.  Raises :class:`PrecisionError` when that count exceeds
-    ``max_terms``; there is no cap by default.  Must be called inside
-    ``_working``.
-    """
-    n = _term_count()
-    if max_terms is not None and n > max_terms:
-        raise PrecisionError(
-            f"{n} terms needed for {mp.dps} working digits, cap is {max_terms}"
-        )
-    cs, d = _chebyshev_weights(n)
-    s = mpf(0)
-    for k, c in enumerate(cs):
-        s += c * term(k)
-    return s / d
-
-
-def _require_s_ge_1(s: mpf) -> None:
-    if not s >= 1:
-        raise DomainError(f"alternating-series region requires s >= 1, got {s}")
-
-
-def eta_value(s, prec: int, max_terms: int | None = None) -> mpf:
-    """Dirichlet eta(s) = sum (-1)^{n-1} n^{-s} for real s >= 1."""
-    _check_prec(prec)
-    with _working(prec):
-        sv = _as_mpf(s)
-        _require_s_ge_1(sv)
-        return alternating_sum(lambda k: (k + 1) ** -sv, prec, max_terms)
-
-
-def eta_prime(s, prec: int, max_terms: int | None = None) -> mpf:
-    """eta'(s) = sum (-1)^n ln(n) n^{-s} (n >= 1), accelerated, s >= 1."""
-    _check_prec(prec)
-    with _working(prec):
-        sv = _as_mpf(s)
-        _require_s_ge_1(sv)
-        ln = _integer_log()
-        return -alternating_sum(
-            lambda k: ln(k + 1) * (k + 1) ** -sv if k else mpf(0), prec, max_terms
-        )
-
-
-def beta_value(s, prec: int, max_terms: int | None = None) -> mpf:
-    """Dirichlet beta(s) = sum (-1)^n (2n+1)^{-s} for real s >= 1."""
-    _check_prec(prec)
-    with _working(prec):
-        sv = _as_mpf(s)
-        _require_s_ge_1(sv)
-        return alternating_sum(lambda k: (2 * k + 1) ** -sv, prec, max_terms)
-
-
-def beta_prime_value(s, prec: int, max_terms: int | None = None) -> mpf:
-    """beta'(s) = sum (-1)^{n+1} ln(2n+1) (2n+1)^{-s}, accelerated, s >= 1."""
-    _check_prec(prec)
-    with _working(prec):
-        sv = _as_mpf(s)
-        _require_s_ge_1(sv)
-        ln = _integer_log()
-        return -alternating_sum(
-            lambda k: ln(2 * k + 1) * (2 * k + 1) ** -sv if k else mpf(0),
-            prec,
-            max_terms,
-        )
-
-
-# ---------------------------------------------------------------------------
-# the basis kernel: every integer-argument sum of one family in one sweep
-# ---------------------------------------------------------------------------
-
 # family -> (m = 2k+1 rather than k+1, with the ln m factor, s at p = 0); the
-# sum of index p is at s + 2p.
+# basis sum of index p is at s + 2p.
 _FAMILIES = {
     "eta_prime": (False, True, 2),  # eta'(2p+2), for zeta'(2p+2)
     "beta_prime": (True, True, 1),  # beta'(2p+1)
@@ -270,12 +181,11 @@ _SYMBOL_FAMILY = {
 def _sweep_logs(top: int, odd: bool) -> dict[int, mpf]:
     """ln m for m = 2 ... top (odd m only, if ``odd``).
 
-    Primes read ``_integer_log``; a composite m with smallest prime factor p
-    is ln p + ln(m/p), so ln m depends only on m and the precision.  The
-    composites stay in this dict, so ``_log_tables`` holds only ``mp.log``
-    values and the real-s sums that read it stay bit-identical.
+    A prime p reads mp.log(p) from ``_log_tables``; a composite m with
+    smallest prime factor p is ln p + ln(m/p), so ln m depends only on m and
+    the precision.
     """
-    ln = _integer_log()
+    primes = _precision_table(_log_tables)
     smallest = list(range(top + 1))
     for p in range(2, math.isqrt(top) + 1):
         if smallest[p] == p:
@@ -285,25 +195,29 @@ def _sweep_logs(top: int, odd: bool) -> dict[int, mpf]:
     logs = {}
     for m in range(3 if odd else 2, top + 1, 2 if odd else 1):
         p = smallest[m]
-        logs[m] = ln(m) if p == m else logs[p] + logs[m // p]
+        if p < m:
+            logs[m] = logs[p] + logs[m // p]
+        else:
+            if m not in primes:
+                primes[m] = mp.log(m)
+            logs[m] = primes[m]
     return logs
 
 
-def _basis_sweep(family: str, indices) -> dict[int, mpf]:
-    """{p: the family's sum of index p} for every p in ``indices``, in one
-    sweep over k.
+def _basis_sweep(family: str, exponents) -> list[mpf]:
+    """The family's sum at every s in ``exponents``, in one sweep over k.
 
     Each sum is sum_k c_k L(m) / m^s / d over the weights of
     ``_chebyshev_weights(_term_count())``, with L(m) = ln m for the
-    derivative families (negated, as in ``eta_prime``) and 1 otherwise.
-    t_k = c_k L(m) is one mpf per k and m^s an exact integer, so every value
-    depends only on (family, p, precision), never on the other indices.
-    Must be called inside ``_working``.
+    derivative families (negated, as d/ds m^-s = -ln m m^-s) and 1
+    otherwise.  t_k = c_k L(m) is one mpf per k, so every value depends only
+    on (family, s, precision), never on the other exponents.  An int s makes
+    m^s an exact integer; an mpf s keeps it an mpf power, which stays cheap
+    however large s is.  Must be called inside ``_working``.
     """
-    odd, with_log, s0 = _FAMILIES[family]
+    odd, with_log, _ = _FAMILIES[family]
     cs, d = _chebyshev_weights(_term_count())
-    ps = sorted(indices)
-    sums = [mpf(0)] * len(ps)
+    sums = [mpf(0)] * len(exponents)
     logs = _sweep_logs(2 * len(cs) - 1 if odd else len(cs), odd) if with_log else {}
     for k, c in enumerate(cs):
         m = 2 * k + 1 if odd else k + 1
@@ -311,15 +225,16 @@ def _basis_sweep(family: str, indices) -> dict[int, mpf]:
             if m == 1:  # ln 1 = 0
                 continue
             c = c * logs[m]
-        for i, p in enumerate(ps):
-            sums[i] += c / m ** (s0 + 2 * p)
-    return {p: -(total / d) if with_log else total / d for p, total in zip(ps, sums)}
+        for i, s in enumerate(exponents):
+            sums[i] += c / m ** s
+    return [-(total / d) if with_log else total / d for total in sums]
 
 
 def _basis_sum(family: str, p: int, prec: int) -> mpf:
     """The family's sum of index p, cached per (family, p, prec); a miss
     sweeps for p alone, which gives the same value as a shared sweep."""
-    return _cached((family, p, prec), prec, lambda: _basis_sweep(family, (p,))[p])
+    s = _FAMILIES[family][2] + 2 * p
+    return _cached((family, p, prec), prec, lambda: _basis_sweep(family, [s])[0])
 
 
 def _fill_basis_sums(symbols, prec: int) -> None:
@@ -331,12 +246,45 @@ def _fill_basis_sums(symbols, prec: int) -> None:
             family = _SYMBOL_FAMILY.get(sym.kind)
             if family is not None and (family, sym.index, prec) not in _constant_cache:
                 missing.setdefault(family, set()).add(sym.index)
-    for family, ps in missing.items():
+    for family, indices in missing.items():
+        ps = sorted(indices)
+        s0 = _FAMILIES[family][2]
         with _working(prec):
-            values = _basis_sweep(family, ps)
+            values = _basis_sweep(family, [s0 + 2 * p for p in ps])
         with _cache_lock:
-            for p, value in values.items():
+            for p, value in zip(ps, values):
                 _constant_cache.setdefault((family, p, prec), value)
+
+
+def _real_s_sum(family: str, s, prec: int) -> mpf:
+    """The family's sum at one real s >= 1.  s stays an mpf even when it is
+    integral, so eta_value(10**6, 30) builds no million-digit m^s."""
+    _check_prec(prec)
+    with _working(prec):
+        sv = _as_mpf(s)
+        if not sv >= 1:
+            raise DomainError(f"alternating-series region requires s >= 1, got {sv}")
+        return _basis_sweep(family, [sv])[0]
+
+
+def eta_value(s, prec: int) -> mpf:
+    """Dirichlet eta(s) = sum (-1)^{n-1} n^{-s} for real s >= 1."""
+    return _real_s_sum("eta", s, prec)
+
+
+def eta_prime(s, prec: int) -> mpf:
+    """eta'(s) = sum (-1)^n ln(n) n^{-s} (n >= 1), accelerated, s >= 1."""
+    return _real_s_sum("eta_prime", s, prec)
+
+
+def beta_value(s, prec: int) -> mpf:
+    """Dirichlet beta(s) = sum (-1)^n (2n+1)^{-s} for real s >= 1."""
+    return _real_s_sum("beta", s, prec)
+
+
+def beta_prime_value(s, prec: int) -> mpf:
+    """beta'(s) = sum (-1)^{n+1} ln(2n+1) (2n+1)^{-s}, accelerated, s >= 1."""
+    return _real_s_sum("beta_prime", s, prec)
 
 
 # ---------------------------------------------------------------------------
@@ -422,8 +370,7 @@ def eta_prime_neg(i: int, prec: int, via: str = "zeta") -> mpf:
     rational zeta(-2i-1); ``via="eta"`` differentiates the eta-to-eta
     reflection directly and consumes eta(2i+2), eta'(2i+2), and digamma.
     The two arrangements agree to working precision and serve as mutual
-    checks; the default reads the basis kernel and ``via="eta"`` the real-s
-    sums, so they also check the two summation routes against each other.
+    checks of the reflection algebra; both read the one summation kernel.
     """
     _check_prec(prec)
     if i < 0:
@@ -467,8 +414,8 @@ def beta_prime_neg(i: int, prec: int, via: str = "odd") -> mpf:
 
     ``via="odd"`` (default) uses the exact rational beta(-2i) = E_{2i}/2 and
     beta'(2i+1); ``via="reflection"`` differentiates the reflection product
-    directly, consuming beta(2i+1) and beta'(2i+1) from the real-s sums and
-    digamma, so it also checks the basis kernel behind the default.
+    directly, consuming beta(2i+1), beta'(2i+1) and digamma, so the two
+    check the reflection algebra against each other.
     """
     _check_prec(prec)
     if i < 0:

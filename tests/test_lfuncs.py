@@ -1,5 +1,6 @@
 """Numeric basis evaluation: frozen references, dual paths, precision contract."""
 
+import math
 import sys
 import threading
 from fractions import Fraction
@@ -104,49 +105,35 @@ class TestAlternatingSums:
         hi = beta_prime_odd(1, 55)
         assert abs(lo - hi) < mpf(10) ** -25
 
-    @pytest.mark.parametrize(
-        "func", [eta_value, eta_prime, beta_value, beta_prime_value], ids=lambda f: f.__name__
-    )
-    def test_max_terms_cap_fails_loudly(self, func):
-        # uncapped first: the cap must hold even after the same value was computed
-        func(2, 50)
-        with pytest.raises(PrecisionError):
-            func(2, 50, max_terms=10)
-
     def test_domain_below_one(self):
         with pytest.raises(DomainError):
             eta_value("0.5", 30)
 
 
-def per_call_alternating_sum(term):
-    """The accelerated sum with its Chebyshev weights rebuilt on every call:
-    a bit-identity oracle for the kernel tables."""
-    n = int(mp.dps / 0.75) + 8
-    d = (3 + mp.sqrt(8)) ** n
-    d = (d + 1 / d) / 2
-    b, c, s = mpf(-1), -d, mpf(0)
-    for k in range(n):
-        c = b - c
-        s += c * term(k)
-        b = (k + n) * (k - n) * b / ((k + mpf(1) / 2) * (k + 1))
-    return s / d
-
-
 def per_term_log_value(func, s: Fraction, prec: int) -> mpf:
-    """``func(s, prec)`` with one mp.log per term and per-call weights."""
+    """``func(s, prec)`` with the kernel rebuilt on every call: fresh
+    Chebyshev weights, fresh ln m by the kernel's construction (mp.log of a
+    prime, ln p + ln(m/p) for a composite m with smallest prime factor p)
+    and c_k L(m) / m^s; a bit-identity oracle for the kernel tables."""
+    odd = func in (beta_value, beta_prime_value)
+    with_log = func in (eta_prime, beta_prime_value)
     with mp.workdps(prec + GUARD_DIGITS):
         sv = mpf(s.numerator) / s.denominator
-        if func is eta_value:
-            return per_call_alternating_sum(lambda k: (k + 1) ** -sv)
-        if func is eta_prime:
-            return -per_call_alternating_sum(
-                lambda k: mp.log(k + 1) * (k + 1) ** -sv if k else mpf(0)
-            )
-        if func is beta_value:
-            return per_call_alternating_sum(lambda k: (2 * k + 1) ** -sv)
-        return -per_call_alternating_sum(
-            lambda k: mp.log(2 * k + 1) * (2 * k + 1) ** -sv if k else mpf(0)
-        )
+        n = int(mp.dps / 0.75) + 8
+        d = (3 + mp.sqrt(8)) ** n
+        d = (d + 1 / d) / 2
+        b, c, total, logs = mpf(-1), -d, mpf(0), {}
+        for k in range(n):
+            c = b - c
+            b = (k + n) * (k - n) * b / ((k + mpf(1) / 2) * (k + 1))
+            m = 2 * k + 1 if odd else k + 1
+            if not with_log:
+                total += c / m ** sv
+            elif m > 1:
+                p = next((q for q in range(2, math.isqrt(m) + 1) if m % q == 0), m)
+                logs[m] = mp.log(m) if p == m else logs[p] + logs[m // p]
+                total += c * logs[m] / m ** sv
+        return -(total / d) if with_log else total / d
 
 
 DIRICHLET_SUMS = [eta_value, eta_prime, beta_value, beta_prime_value]
@@ -171,14 +158,21 @@ class TestKernelTable:
                     assert func(s, prec)._mpf_ == expected._mpf_, (func.__name__, prec)
 
     def test_two_precisions_in_two_threads(self):
-        # each 20-digit eta' replaces the table that the 500-digit beta'
-        # sums fill; the lock must keep every value equal to its serial one
+        # each 20-digit eta' replaces the tables that the 500-digit form and
+        # beta' sums fill; the lock must keep every value equal to its serial one
         ks, svals = [3, 4, 5, 6], [2, 3, 4, 5] * 5
-        expected_beta = [beta_prime_value(k, 500) for k in ks]
+        form = basis_form(12)
+
+        def high():
+            return [eval_closed_form(form, 500)] + [beta_prime_value(k, 500) for k in ks]
+
+        clear_basis_caches()
+        expected_high = high()
         expected_eta = [eta_prime(s, 20) for s in svals]
-        got_beta, got_eta = [], []
+        clear_basis_caches()
+        got_high, got_eta = [], []
         threads = [
-            threading.Thread(target=lambda: got_beta.extend(beta_prime_value(k, 500) for k in ks)),
+            threading.Thread(target=lambda: got_high.extend(high())),
             threading.Thread(target=lambda: got_eta.extend(eta_prime(s, 20) for s in svals)),
         ]
         interval = sys.getswitchinterval()
@@ -191,7 +185,7 @@ class TestKernelTable:
         finally:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
-        assert [v._mpf_ for v in got_beta] == [v._mpf_ for v in expected_beta]
+        assert [v._mpf_ for v in got_high] == [v._mpf_ for v in expected_high]
         assert [v._mpf_ for v in got_eta] == [v._mpf_ for v in expected_eta]
 
 
@@ -220,6 +214,40 @@ def kernel_values(prec: int, p_max: int = 12) -> dict:
     }
 
 
+def beta_prime_hurwitz(s) -> mpf:
+    """beta'(s) for s > 1 as the derivative of 4^-s (zeta(s, 1/4) - zeta(s, 3/4));
+    the two Hurwitz values cancel about s log10(3) digits."""
+    quarter, three_quarters = mpf(1) / 4, mpf(3) / 4
+    value = mp.zeta(s, quarter) - mp.zeta(s, three_quarters)
+    slope = mp.zeta(s, quarter, 1) - mp.zeta(s, three_quarters, 1)
+    return mpf(4) ** -s * (slope - mp.log(4) * value)
+
+
+class TestRealSumsAgainstMpmath:
+    """The public real-s sums against mpmath: eta against mp.altzeta, eta'
+    against 2^{1-s} ln 2 zeta(s) + (1 - 2^{1-s}) zeta'(s) with
+    mp.zeta(s, 1, 1), beta against mp.dirichlet and beta' against
+    ``beta_prime_hurwitz``."""
+
+    @pytest.mark.parametrize("prec", [10, 100, 500])
+    @pytest.mark.parametrize("s", [Fraction(7, 2), Fraction(26)], ids=["7/2", "26"])
+    @pytest.mark.parametrize("func", DIRICHLET_SUMS, ids=lambda f: f.__name__)
+    def test_relative_error(self, func, s, prec):
+        got = func(s, prec)
+        with mp.workdps(prec + int(s) + 20):
+            sv = mpf(s.numerator) / s.denominator
+            if func is eta_value:
+                oracle = mp.altzeta(sv)
+            elif func is eta_prime:
+                two = mpf(2) ** (1 - sv)
+                oracle = two * mp.log(2) * mp.zeta(sv) + (1 - two) * mp.zeta(sv, 1, 1)
+            elif func is beta_value:
+                oracle = mp.dirichlet(sv, [0, 1, 0, -1])
+            else:
+                oracle = beta_prime_hurwitz(sv)
+            assert abs(got - oracle) < mpf(10) ** -prec * abs(oracle)
+
+
 class TestBasisKernelOracles:
     """The kernel against mpmath's own functions, each at its own precision:
     zeta' against mp.zeta(s, 1, 1), beta' against the derivative of
@@ -239,16 +267,13 @@ class TestBasisKernelOracles:
     def test_beta_prime_odd(self, prec, p):
         got = beta_prime_odd(p, prec)
         s = 2 * p + 1
-        # the two Hurwitz values cancel about s log10(3) digits
         with mp.workdps(prec + s + 20):
-            quarter, three_quarters = mpf(1) / 4, mpf(3) / 4
             if s == 1:
-                logs = mp.euler + 2 * mp.log(2) + 3 * mp.log(mp.pi) - 4 * mp.log(mp.gamma(quarter))
+                gamma_quarter = mp.gamma(mpf(1) / 4)
+                logs = mp.euler + 2 * mp.log(2) + 3 * mp.log(mp.pi) - 4 * mp.log(gamma_quarter)
                 oracle = mp.pi / 4 * logs
             else:
-                value = mp.zeta(s, quarter) - mp.zeta(s, three_quarters)
-                slope = mp.zeta(s, quarter, 1) - mp.zeta(s, three_quarters, 1)
-                oracle = mpf(4) ** -s * (slope - mp.log(4) * value)
+                oracle = beta_prime_hurwitz(s)
             assert abs(got - oracle) < mpf(10) ** -prec
 
     @pytest.mark.parametrize("prec, p", CASES)
@@ -283,16 +308,6 @@ class TestBasisKernelInvariants:
             for n in order:
                 eval_closed_form(basis_form(n), prec)
             assert kernel_values(prec) == alone, order
-
-    def test_log_table_keeps_only_mp_log_values(self):
-        # a composite ln p + ln(m/p) written into the shared table would
-        # reach the real-s sums, which promise one mp.log per m
-        clear_basis_caches()
-        eval_closed_form(basis_form(12), 500)
-        for func in DIRICHLET_SUMS:
-            for s in (Fraction(2), Fraction(7, 2)):
-                expected = per_term_log_value(func, s, 500)
-                assert func(s, 500)._mpf_ == expected._mpf_, (func.__name__, s)
 
     def test_two_precisions_in_two_threads(self):
         # every 30-digit form adds one index per family, so its sweeps keep
@@ -380,9 +395,9 @@ class TestNegativeArguments:
         b = beta_prime_neg(i, prec, via="reflection")
         assert abs(a - b) < mpf(10) ** -(prec - 3)
 
-    # The default arrangements read the basis kernel, the others the real-s
-    # sums: two summation routes.  The values grow with i, so the tolerance
-    # is relative.
+    # Both arrangements read the one summation kernel, so these check the
+    # reflection algebra.  The values grow with i, so the tolerance is
+    # relative.
     @pytest.mark.parametrize("i", range(13))
     def test_eta_prime_neg_dual_arrangements_at_200_digits(self, i):
         prec = 200
