@@ -31,7 +31,6 @@ from .exact import (
 from .series import (
     RootProductTables,
     binomial_power_sum,
-    cosh_kernel_coeffs,
     root_product_tables,
     x_over_sinh_coeffs,
 )
@@ -105,7 +104,6 @@ __all__ = [
     "harmonic",
     "RootProductTables",
     "binomial_power_sum",
-    "cosh_kernel_coeffs",
     "root_product_tables",
     "x_over_sinh_coeffs",
     "LN2",

@@ -17,7 +17,8 @@ Taylor coefficient of one kernel,
 
     K_{N,q}(w) = (w / sinh w)^N * cosh^{2q+1}(w),
 
-which ``series.cosh_kernel_coeffs`` tabulates for the even Mellin values.
+which ``series._kernel_coeff`` gives one coefficient at a time for the even
+Mellin values, and ``_log_residues`` as integer numerators for the log forms.
 
 The integral families and their coefficient pipelines:
 
@@ -84,8 +85,8 @@ from .exact import DomainError, _signed_tangent, binomial, euler_number, harmoni
 from .series import (
     _cosh_moments,
     _egf_convolution,
+    _kernel_coeff,
     _x_over_sinh_row,
-    cosh_kernel_coeffs,
     root_product_tables,
 )
 
@@ -489,10 +490,10 @@ def phi_even_closed_form(which: int, m: int) -> ClosedForm:
     if m < 1:
         raise DomainError("m must be >= 1: the transforms converge only for s > 1")
     N = 2 * m + 1 if which == 1 else 2 * m
-    kernel = cosh_kernel_coeffs(N, m - 1, N)
+    moments = _cosh_moments(m - 1, m + 1)
     pairs: list[tuple[BasisSymbol, Fraction]] = []
     for j in range(0, N, 2):
-        d = kernel[j]
+        d = _kernel_coeff(N, moments, j // 2, 4 ** (m - 1))
         k = N - j
         if k == 1:
             if d != 0:

@@ -36,8 +36,6 @@ class PrecisionError(ArithmeticError):
 
 _lock = threading.RLock()
 
-_PREFILL = 64
-
 _bernoulli_cache: list[Fraction] = [Fraction(1)]
 _euler_cache: list[int] = [1]  # E_0, E_2, E_4, ... (even indices only)
 _tangent_cache: list[int] = [1]  # T_1, -T_3, T_5, ...
@@ -161,13 +159,3 @@ def eulerian(kind: str, n: int, k: int) -> int:
         return row[k] if 0 <= k < len(row) else 0
     raise DomainError(f"eulerian kind must be 'A' or 'B', got {kind!r}")
 
-
-def _prefill() -> None:
-    bernoulli(_PREFILL)
-    euler_number(_PREFILL)
-    harmonic(_PREFILL)
-    eulerian("A", 16, 0)
-    eulerian("B", 13, 0)
-
-
-_prefill()

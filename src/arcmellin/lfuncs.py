@@ -92,6 +92,23 @@ def _as_mpf(x) -> mpf:
     return mp.mpmathify(x)
 
 
+def _exact(s):
+    """s as a ``Fraction`` when it is an int, a Fraction or a decimal string,
+    otherwise as an mpf.
+
+    Next to the pole at s = 1, s - 1 taken from a rounded mpf s keeps only
+    the digits s carried past its leading 1, about prec - k of them at
+    s = 1 + 10^-k, so the callers test s > 1 and form s - 1 (and s^2 - 1)
+    from this value, rounding once: ``_as_mpf(_exact(s) - 1)``.
+    """
+    if isinstance(s, (int, Fraction, str)):
+        try:
+            return Fraction(s)
+        except ValueError:
+            pass
+    return _as_mpf(s)
+
+
 @contextmanager
 def _working(digits: int):
     """Hold ``_MP_LOCK`` with the mpmath context at ``digits + GUARD_DIGITS``.
@@ -544,10 +561,10 @@ def phi1_bounds(s, prec: int) -> tuple[mpf, mpf]:
     """Strict enclosure 2/(s^2-1) < Phi_1(s) < 1/(s-1) for s > 1."""
     _check_prec(prec)
     with _working(prec):
-        sv = _as_mpf(s)
-        if not sv > 1:
+        sx = _exact(s)
+        if not sx > 1:
             raise DomainError(f"bounds require s > 1, got {s}")
-        return 2 / (sv * sv - 1), 1 / (sv - 1)
+        return 2 / _as_mpf(sx * sx - 1), 1 / _as_mpf(sx - 1)
 
 
 def mellin_bound_gamma_ratio(s, prec: int) -> tuple[mpf, mpf]:
@@ -557,9 +574,10 @@ def mellin_bound_gamma_ratio(s, prec: int) -> tuple[mpf, mpf]:
     """
     _check_prec(prec)
     with _working(prec):
-        sv = _as_mpf(s)
-        if not sv > 1:
+        sx = _exact(s)
+        if not sx > 1:
             raise DomainError(f"bounds require s > 1, got {s}")
-        ratio = mp.gamma((sv - 1) / 2) / mp.gamma(sv / 2)
+        sv = _as_mpf(sx)
+        ratio = mp.gamma(_as_mpf((sx - 1) / 2)) / mp.gamma(sv / 2)
         upper = mp.sqrt(mp.pi) / 2 * ratio
         return upper / sv, upper

@@ -73,7 +73,7 @@ from mpmath.libmp import (
 )
 
 from .exact import DomainError, PrecisionError, bernoulli
-from .lfuncs import _as_mpf, _precision_table, _working
+from .lfuncs import _as_mpf, _exact, _precision_table, _working
 
 DEFAULT_PREC = 30
 MAX_PREC = 100
@@ -281,13 +281,12 @@ def quad_phi(which: int, s, prec: int = DEFAULT_PREC) -> QuadResult:
     if which not in (1, 2):
         raise DomainError(f"which must be 1 or 2, got {which}")
     with _working(prec):
-        sv = _as_mpf(s)
-        if not sv > 1:
+        if not _exact(s) > 1:
             raise DomainError(f"Phi_{which} converges only for s > 1, got s={s}")
 
     def make():
         # sech^2 for Phi_1, sech^1 for Phi_2
-        return _monomial(_as_mpf(s) - 1, 3 - which)
+        return _monomial(_as_mpf(_exact(s) - 1), 3 - which)
 
     return _cached_quad(("phi", which, s, prec), prec, make)
 

@@ -25,15 +25,16 @@ its own recurrence in integer and rational arithmetic:
 * ``binomial_power_sum(q, p)`` -- 4^{-q} sum_{k=0}^{q} C(2q+1,k) (2q+1-2k)^{2p},
   the normalized even-order derivative of sinh^{2q+1} at its imaginary poles
   (memoised: the closed forms and suites ask for few distinct (q, p) often).
-* ``cosh_kernel_coeffs(e, q, K)`` -- Taylor coefficients of
-  (x / sinh x)^e * cosh^{2q+1}(x), the residue kernel of the even Mellin
-  values.  cosh^{2q+1}(x) = sum_i binomial_power_sum(q, i) x^{2i} / (2i)!,
-  and 4^q binomial_power_sum(q, i) is an integer (``_cosh_moments``), so
-  (2j)! D 4^q times the x^{2j} coefficient is the integer binomial
-  convolution of the scaled row with those sums: one ``Fraction`` per
-  coefficient, memoised in a cache bounded at 32 tables.  The log-integral
-  forms read the same convolutions as integers, without the division
-  (``closedform._log_residues``).
+* ``_kernel_coeff(e, moments, j, divisor)`` -- the x^{2j} coefficient of
+  (x / sinh x)^e * sum_i moments[i] x^{2i} / (2i)!, divided by ``divisor``:
+  the residue kernel of 1 / cosh^e against an even series with integer
+  moments, one binomial convolution of the scaled row and one ``Fraction``.
+  With the moments 4^q binomial_power_sum(q, i) of 4^q cosh^{2q+1}(x)
+  (``_cosh_moments``, integers) and divisor 4^q it is the x^{2j}
+  coefficient of (x / sinh x)^e * cosh^{2q+1}(x), which
+  ``closedform.phi_even_closed_form`` reads; the identity suites pass their
+  own moments.  The log-integral forms read the same convolutions as
+  integers, without the division (``closedform._log_residues``).
 """
 
 from __future__ import annotations
@@ -178,25 +179,13 @@ def _cosh_moments(q: int, count: int) -> list[int]:
     return moments
 
 
-@lru_cache(maxsize=32)
-def cosh_kernel_coeffs(power: int, q: int, order: int) -> tuple[Fraction, ...]:
-    """Taylor coefficients 0..order of (x / sinh x)^power * cosh^{2q+1}(x).
+def _kernel_coeff(power: int, moments, j: int, divisor: int = 1) -> Fraction:
+    """[x^{2j}] (x / sinh x)^power * sum_i moments[i] x^{2i} / (2i)!, over ``divisor``.
 
-    The x^{2j} coefficient is sum_{i=0}^{j} W(q, i) / (2i)! * b[2j-2i], with
-    b = ``x_over_sinh_coeffs(power, order)`` and W the binomial power sum.
-    It is summed in integers as one binomial convolution of the scaled row
-    of ``_x_over_sinh_row`` with 4^q W(q, i), and divided once by
-    D 4^q (2j)!; odd-index coefficients are identically zero (the function
-    is even).
+    ``moments`` are integers; the row is ``_x_over_sinh_row(power,
+    2 len(moments) - 2)``, so a caller whose moments run to the same length
+    as a log form's shares that form's cached row.  The convolution is
+    summed in integers and divided once by divisor D (2j)!.
     """
-    if power < 0 or q < 0 or order < 0:
-        raise DomainError("cosh_kernel_coeffs requires power, q and order >= 0")
-    denom, row = _x_over_sinh_row(power, order)
-    moments = _cosh_moments(q, len(row))
-    denom *= 4**q
-    coeffs = [Fraction(0)] * (order + 1)
-    coeffs[::2] = [
-        Fraction(_egf_convolution(row, moments, j), denom * math.factorial(2 * j))
-        for j in range(len(row))
-    ]
-    return tuple(coeffs)
+    denom, row = _x_over_sinh_row(power, 2 * len(moments) - 2)
+    return Fraction(_egf_convolution(row, moments, j), divisor * denom * math.factorial(2 * j))

@@ -48,7 +48,7 @@ from .closedform import (
 from .exact import DomainError, bernoulli, binomial, eulerian
 from .lfuncs import _working, eval_closed_form, mellin_bound_gamma_ratio, phi1_bounds
 from .quadrature import quad_c_constant, quad_phi
-from .series import _cosh_moments, _egf_convolution, _x_over_sinh_row
+from .series import _cosh_moments, _kernel_coeff
 
 
 class IdentityFamily(str, Enum):
@@ -172,10 +172,9 @@ def _alt_binom_even_cell(params: tuple) -> CellResult:
     return CellResult(params, lhs == rhs, f"lhs={lhs}")
 
 
-# The cells below sum in integers.  With (D, row) = ``_x_over_sinh_row(e, K)``
-# the x^{2m} coefficient of (x/sinh x)^e is row[m] / (D (2m)!), so a sum of
-# c[2j-2i] / (2i)! * moment[i] is the binomial convolution
-# ``_egf_convolution(row, moments, j)`` over D (2j)!, one Fraction per cell.
+# The cells below sum in integers: with c the coefficients of (x/sinh x)^e,
+# a sum of c[2j-2i] / (2i)! * moment[i] over integer moments is
+# ``_kernel_coeff(e, moments, j)``, one Fraction per cell.
 
 def _even_moments(terms, count: int) -> list[int]:
     """[sum_k w_k x_k^{2r} for r < count] for ``terms`` = [(w_k, x_k)]."""
@@ -200,9 +199,7 @@ def _eulerian_moments(kind: str, n: int) -> tuple[int, ...]:
 def _c_odd_power_cell(params: tuple) -> CellResult:
     # sum_m c[2m] (2k+1)^{2n-2m} / (2n-2m)!,  c = (x/sinh x)^{2n+1}
     n, k = params
-    denom, row = _x_over_sinh_row(2 * n + 1, 2 * n)
-    total = _egf_convolution(row, _even_moments([(1, 2 * k + 1)], n + 1), n)
-    lhs = Fraction(total, denom * math.factorial(2 * n))
+    lhs = _kernel_coeff(2 * n + 1, _even_moments([(1, 2 * k + 1)], n + 1), n)
     rhs = Fraction(4**n) if k == n else Fraction(0)
     return CellResult(params, lhs == rhs, f"lhs={lhs}")
 
@@ -210,9 +207,7 @@ def _c_odd_power_cell(params: tuple) -> CellResult:
 def _eulerian_a_cell(params: tuple) -> CellResult:
     # sum_r c[2n-2p-2r] / (2r)! sum_k A(2n, n-1-k) (2k+1)^{2r},  c = (x/sinh x)^{2n+1}
     n, p = params
-    denom, row = _x_over_sinh_row(2 * n + 1, 2 * n)
-    total = _egf_convolution(row, _eulerian_moments("A", n), n - p)
-    lhs = Fraction(total, denom * math.factorial(2 * n - 2 * p))
+    lhs = _kernel_coeff(2 * n + 1, _eulerian_moments("A", n), n - p)
     rhs = Fraction(math.factorial(2 * n), 2) if p == n else Fraction(0)
     return CellResult(params, lhs == rhs, f"lhs={lhs}")
 
@@ -220,9 +215,7 @@ def _eulerian_a_cell(params: tuple) -> CellResult:
 def _eulerian_b_cell(params: tuple) -> CellResult:
     # sum_m d[2n-2p-2m] / (2m)! sum_k B(2n-1, k) (2n-1-2k)^{2m},  d = (x/sinh x)^{2n}
     n, p = params
-    denom, row = _x_over_sinh_row(2 * n, 2 * n)
-    total = _egf_convolution(row, _eulerian_moments("B", n), n - p)
-    lhs = Fraction(total, denom * math.factorial(2 * n - 2 * p))
+    lhs = _kernel_coeff(2 * n, _eulerian_moments("B", n), n - p)
     if p == 0:
         rhs = Fraction(2 ** (2 * n - 2) * (2 ** (2 * n - 1) - 1)) * bernoulli(2 * n) / n
     elif p == n:
@@ -232,26 +225,19 @@ def _eulerian_b_cell(params: tuple) -> CellResult:
     return CellResult(params, lhs == rhs, f"lhs={lhs}")
 
 
-def _binom_cosh_sum(n: int, q: int) -> tuple[int, int]:
-    """(S, D (2n)!) with S / (D (2n)!) = sum_m c[2n-2m] / (2m)! 4^q W(q, m),
-    c = (x/sinh x)^{2n+1} and W = ``binomial_power_sum``: the binom-cosh lhs,
-    and 4^q times the vanishing lhs."""
-    denom, row = _x_over_sinh_row(2 * n + 1, 2 * n)
-    return _egf_convolution(row, _cosh_moments(q, n + 1), n), denom * math.factorial(2 * n)
-
-
 def _binom_cosh_cell(params: tuple) -> CellResult:
+    # sum_m c[2n-2m] / (2m)! 4^q W(q, m),  c = (x/sinh x)^{2n+1}, W = binomial_power_sum
     n, q = params
-    total, denom = _binom_cosh_sum(n, q)
-    lhs = Fraction(total, denom)
+    lhs = _kernel_coeff(2 * n + 1, _cosh_moments(q, n + 1), n)
     rhs = Fraction(4**n) if q == n else Fraction(0)
     return CellResult(params, lhs == rhs, f"lhs={lhs}")
 
 
 def _vanishing_cell(params: tuple) -> CellResult:
+    # the binom-cosh sum over 4^q; at q = n - 1 it is the lambda(1)
+    # coefficient that phi_even_closed_form(1, n) requires to vanish
     n, q = params
-    total, denom = _binom_cosh_sum(n, q)
-    lhs = Fraction(total, denom * 4**q)
+    lhs = _kernel_coeff(2 * n + 1, _cosh_moments(q, n + 1), n, 4**q)
     return CellResult(params, lhs == 0, f"lhs={lhs}")
 
 
@@ -270,10 +256,8 @@ def _zeta2_coeff_cell(params: tuple) -> CellResult:
 def _d_identity_cell(params: tuple) -> CellResult:
     # sum_m d[2m] / (2n-2m)! sum_k C(4n+2, 2n-2k) (2k+1)^{2n-2m},  d = (x/sinh x)^{2n+2}
     (n,) = params
-    denom, row = _x_over_sinh_row(2 * n + 2, 2 * n)
     terms = [(binomial(4 * n + 2, 2 * n - 2 * k), 2 * k + 1) for k in range(n + 1)]
-    total = _egf_convolution(row, _even_moments(terms, n + 1), n)
-    lhs = Fraction(total, denom * math.factorial(2 * n))
+    lhs = _kernel_coeff(2 * n + 2, _even_moments(terms, n + 1), n)
     return CellResult(params, lhs == Fraction(4**n, 2 * n + 1), f"lhs={lhs}")
 
 

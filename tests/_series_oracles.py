@@ -1,5 +1,10 @@
-"""Truncated exact power series: the independent route the series tests
-compare the production kernels against.
+"""Reference routes the series and closed-form tests compare the production
+kernels against.
+
+``cosh_kernel_coeffs`` tabulates the residue kernel (x / sinh x)^e *
+cosh^{2q+1}(x) as one whole ``Fraction`` table; the package reads the same
+coefficients one at a time through ``series._kernel_coeff`` and as integer
+numerators in ``closedform._log_residues``.
 
 A :class:`PowerSeries` holds finitely many exact Taylor coefficients.  Its
 arithmetic (multiplication, reciprocal, powers) is closed over ``Fraction``
@@ -10,8 +15,10 @@ set of known-correct coefficients is always explicit.
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from arcmellin import DomainError
+from arcmellin.series import _cosh_moments, _egf_convolution, _x_over_sinh_row
 
 
 @dataclass(frozen=True)
@@ -79,3 +86,27 @@ def cosh_series(order: int) -> PowerSeries:
     for k in range(0, order + 1, 2):
         coeffs[k] = Fraction(1, math.factorial(k))
     return PowerSeries(tuple(coeffs))
+
+
+@lru_cache(maxsize=32)
+def cosh_kernel_coeffs(power: int, q: int, order: int) -> tuple[Fraction, ...]:
+    """Taylor coefficients 0..order of (x / sinh x)^power * cosh^{2q+1}(x).
+
+    The x^{2j} coefficient is sum_{i=0}^{j} W(q, i) / (2i)! * b[2j-2i], with
+    b = ``x_over_sinh_coeffs(power, order)`` and W the binomial power sum.
+    It is summed in integers as one binomial convolution of the scaled row
+    of ``_x_over_sinh_row`` with 4^q W(q, i), and divided once by
+    D 4^q (2j)!; odd-index coefficients are identically zero (the function
+    is even).
+    """
+    if power < 0 or q < 0 or order < 0:
+        raise DomainError("cosh_kernel_coeffs requires power, q and order >= 0")
+    denom, row = _x_over_sinh_row(power, order)
+    moments = _cosh_moments(q, len(row))
+    denom *= 4**q
+    coeffs = [Fraction(0)] * (order + 1)
+    coeffs[::2] = [
+        Fraction(_egf_convolution(row, moments, j), denom * math.factorial(2 * j))
+        for j in range(len(row))
+    ]
+    return tuple(coeffs)

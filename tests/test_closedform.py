@@ -23,7 +23,6 @@ from arcmellin import (
     bernoulli,
     binomial,
     binomial_power_sum,
-    cosh_kernel_coeffs,
     euler_number,
     harmonic,
     log_integral_even_cosh,
@@ -36,9 +35,10 @@ from arcmellin import (
     zeta_odd_ratio,
     zeta_prime_ratio,
 )
-from arcmellin import catalog
+from arcmellin import catalog, closedform
 from arcmellin.closedform import _log_residues
 from arcmellin.exact import _signed_tangent
+from _series_oracles import cosh_kernel_coeffs
 
 
 def cf(pairs):
@@ -371,6 +371,23 @@ class TestSinhOverZIntegral:
         with pytest.raises(DomainError, match="convergence"):
             sinh_over_z_integral(q, n)
 
+    @pytest.mark.parametrize("q, n_exp", [(2, 8), (2, 7)])
+    def test_lnpi_guard(self, monkeypatch, q, n_exp):
+        # a stray ln(pi) term on the upper neighbouring log form (odd cosh
+        # power for even N, even for odd N) must stop the assembly; the
+        # unmemoised function is called so that no cached form answers
+        name = "log_integral_odd_cosh" if n_exp % 2 == 0 else "log_integral_even_cosh"
+        real = getattr(closedform, name)
+        upper_n = (n_exp + 1) // 2
+
+        def skewed(qq, n):
+            form = real(qq, n)
+            return form + ClosedForm([(LNPI, 1)]) if (qq, n) == (q, upper_n) else form
+
+        monkeypatch.setattr(closedform, name, skewed)
+        with pytest.raises(AssertionError, match="ln\\(pi\\) coefficient failed to cancel"):
+            sinh_over_z_integral.__wrapped__(q, n_exp)
+
     def test_lnpi_always_cancels_to_16(self):
         for n_exp in range(3, 17):
             for q in range(1, (n_exp - 1) // 2 + 1):
@@ -492,6 +509,39 @@ class TestPhiEvenClosedForm:
     def test_bad_arguments(self, which, m):
         with pytest.raises(DomainError):
             phi_even_closed_form(which, m)
+
+    @pytest.mark.parametrize("m", range(1, 41))
+    def test_equals_the_kernel_table_assembly(self, m):
+        for which in (1, 2):
+            assert phi_even_closed_form(which, m) == _table_phi_even(which, m)
+
+    def test_lambda1_guard(self, monkeypatch):
+        # a nonzero kernel coefficient at k = 1 (j = m, only for which = 1)
+        # must stop the assembly
+        real = closedform._kernel_coeff
+
+        def skewed(power, moments, j, divisor=1):
+            return real(power, moments, j, divisor) + (j == len(moments) - 1)
+
+        monkeypatch.setattr(closedform, "_kernel_coeff", skewed)
+        with pytest.raises(AssertionError, match=r"lambda\(1\) coefficient failed to vanish for m=3"):
+            phi_even_closed_form(1, 3)
+        assert phi_even_closed_form(2, 3) == _table_phi_even(2, 3)
+
+
+def _table_phi_even(which, m):
+    # phi_even_closed_form assembled from the whole kernel table
+    big_n = 2 * m + 1 if which == 1 else 2 * m
+    kernel = cosh_kernel_coeffs(big_n, m - 1, big_n)
+    assert big_n % 2 == 0 or kernel[big_n - 1] == 0
+    pairs = []
+    for j in range(0, big_n - 1, 2):
+        k, sign = big_n - j, (-1) ** (m - 1 - j // 2)
+        if which == 1:
+            pairs.append((zeta_odd_ratio((k - 3) // 2), sign * (2**k - 1) * kernel[j]))
+        else:
+            pairs.append((beta_even_ratio((k - 2) // 2), sign * 2**k * kernel[j]))
+    return ClosedForm(pairs)
 
 
 class TestTopCoefficientLaws:

@@ -540,6 +540,16 @@ class TestBounds:
         with pytest.raises(DomainError):
             mellin_bound_gamma_ratio(1, 20)
 
+    @pytest.mark.parametrize("s", [1 + Fraction(1, 10**40), "1." + "0" * 39 + "1"])
+    def test_next_to_the_pole(self, s):
+        # all four bounds are 1/(s-1) (1 + O(s-1)): 10^40 to 10^-40 relative
+        prec = 30
+        values = (*phi1_bounds(s, prec), *mellin_bound_gamma_ratio(s, prec))
+        with mp.workdps(prec + 15):
+            pole = mpf(10) ** 40
+            for value in values:
+                assert abs(value - pole) < mpf(10) ** -prec * pole
+
 
 class TestEvenArgumentSymbols:
     @pytest.mark.parametrize("p", [0, 1, 4])

@@ -12,12 +12,11 @@ from arcmellin import (
     bernoulli,
     binomial,
     binomial_power_sum,
-    cosh_kernel_coeffs,
     root_product_tables,
     x_over_sinh_coeffs,
 )
 from arcmellin.series import _x_over_sinh_row
-from _series_oracles import PowerSeries, cosh_series, sinh_x_over_x_series
+from _series_oracles import PowerSeries, cosh_kernel_coeffs, cosh_series, sinh_x_over_x_series
 
 
 def _fraction_miller(power, order):
