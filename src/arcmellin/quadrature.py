@@ -20,7 +20,11 @@ halve the mesh; each level reuses the previous sum and adds the odd
 multiples of the new spacing, extending each wing adaptively until terms are
 negligible, but never ending it inside the range where level 0 found terms
 above the cutoff: for large s the first nodes of a fine level can all be
-negligible with the peak still ahead.
+negligible with the peak still ahead.  A level 0 that finds no term above
+the cutoff at all, at the centre or on either wing, raises
+:class:`PrecisionError`: for Phi at s from about 2 10^18 (30 digits) or
+7 10^18 (100 digits) on, the level-0 nodes at t = 1, 2, 3 are negligible and
+end the right wing before the peak near z = (ln 2s)/2.
 
 A level j >= 2 stops on a predicted error, the rule of Bailey, Jeyabalan and
 Li ("A comparison of three high-precision quadrature schemes", Exp. Math. 14,
@@ -114,7 +118,8 @@ def _de_halfline(term, prec: int, max_level: int = MAX_LEVEL) -> QuadResult:
     not exceed ``MAX_LEVEL``.  Stops at the first level j >= 2 whose
     predicted digits reach ``mp.dps + 10``, or the first level j >= 3 whose
     level-to-level change meets the target; raises :class:`PrecisionError`
-    when ``max_level`` is reached first.
+    when ``max_level`` is reached first, or when level 0 finds no term above
+    the negligibility cutoff.
 
     Must be called inside ``lfuncs._working``, whose lock also guards the
     node table.
@@ -192,6 +197,13 @@ def _de_halfline(term, prec: int, max_level: int = MAX_LEVEL) -> QuadResult:
     # the finer levels may not end a wing inside level 0's reach
     wing_sum, wing_negative, n, reach = wing(0, 1, 1)
     nodes += n
+    # a level 0 that sees no term above the cutoff stepped over the
+    # integrand, and no finer level would look for it
+    if reach == [0, 0] and abs(center) < cutoff:
+        raise PrecisionError(
+            "double-exponential quadrature found no level-0 term above the "
+            f"cutoff 1e-{mp.dps + 5}"
+        )
     negative += wing_negative
     value = h * (center + wing_sum)
     prev = value
@@ -281,8 +293,11 @@ def quad_phi(which: int, s, prec: int = DEFAULT_PREC) -> QuadResult:
     if which not in (1, 2):
         raise DomainError(f"which must be 1 or 2, got {which}")
     with _working(prec):
-        if not _exact(s) > 1:
+        sx = _exact(s)
+        if not sx > 1:
             raise DomainError(f"Phi_{which} converges only for s > 1, got s={s}")
+        if isinstance(sx, mpf) and not mp.isfinite(sx):
+            raise DomainError(f"Phi_{which} needs a finite s, got s={s}")
 
     def make():
         # sech^2 for Phi_1, sech^1 for Phi_2

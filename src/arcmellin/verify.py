@@ -9,13 +9,16 @@ a precision below :data:`MIN_PREC`, and set the mpmath precision only
 through ``lfuncs._working``: the one lock on the global context, at
 ``lfuncs.GUARD_DIGITS`` digits above the suite's precision.
 
-Every suite is named by one :class:`IdentityFamily` member and dispatched
-through :data:`SUITES`, which maps it to a runner ``(n_range, prec)``;
-:func:`run_identity` looks one up and :func:`all_suites` runs them all in
-registry order.  Each runner returns a :class:`VerifyReport` whose cells are
-ordered by parameter tuple, so reports are deterministic for fixed inputs;
-wall-clock timing is carried on the object but excluded from the canonical
-JSON.
+Every suite is a lazy source of :class:`CellResult` values, and one builder,
+``_build``, turns a source into a :class:`VerifyReport`: it refuses a
+numeric suite's precision below :data:`MIN_PREC` before any cell runs, then
+draws the cells under one timer.  Every suite is named by one
+:class:`IdentityFamily` member and dispatched through :data:`SUITES`, which
+maps it to a runner ``(n_range, prec)``; :func:`run_identity` looks one up
+and :func:`all_suites` runs them all in registry order, the reference tables
+last.  Cells are ordered by parameter tuple, so reports are deterministic
+for fixed inputs; wall-clock timing is carried on the object but excluded
+from the canonical JSON.
 """
 
 from __future__ import annotations
@@ -23,8 +26,8 @@ from __future__ import annotations
 import json
 import math
 import time
-from collections.abc import Callable
-from dataclasses import dataclass, field, replace
+from collections.abc import Callable, Iterable
+from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
@@ -68,6 +71,7 @@ class IdentityFamily(str, Enum):
     ASYMPTOTIC = "asymptotic"
     CROSS_REP = "cross-rep"
     EVEN_RELATIONS = "even-relations"
+    REFERENCE_TABLES = "reference-tables"
 
 
 @dataclass(frozen=True)
@@ -127,15 +131,24 @@ class VerifyReport:
         )
 
 
-def _report(family: str, cells, precision=None, tolerance=None, started=None) -> VerifyReport:
-    elapsed = time.perf_counter() - started if started is not None else 0.0
-    return VerifyReport(
-        family=family,
-        cells=list(cells),
-        precision=precision,
-        tolerance=tolerance,
-        elapsed_seconds=elapsed,
-    )
+#: The lowest precision at which every numeric suite can pass on correct
+#: code.  Below it the bounds margin 1e-(prec-10) stops being small against
+#: the gaps it guards, the 19-decimal prefix checks ask for more digits than
+#: were computed, and the cross-rep tolerance 1e-(prec-5) loosens toward 1.
+MIN_PREC = 12
+
+
+def _build(
+    family: str, cells: Iterable[CellResult], tolerance: str | None = None, prec: int | None = None
+) -> VerifyReport:
+    """The one report builder.  A numeric suite passes its ``prec``, which
+    is refused below :data:`MIN_PREC` before any cell runs; the lazy
+    ``cells`` are then drawn under one timer."""
+    if prec is not None and prec < MIN_PREC:
+        raise DomainError(f"numeric suites need prec >= {MIN_PREC}, got {prec}")
+    started = time.perf_counter()
+    cells = list(cells)
+    return VerifyReport(family, cells, prec, tolerance, time.perf_counter() - started)
 
 
 # ---------------------------------------------------------------------------
@@ -308,26 +321,16 @@ def _even_relation_cell(rel: dict) -> CellResult:
 def check_even_argument_relations() -> VerifyReport:
     """The published even-argument relations between odd zeta and even beta
     values, each an exact equality of closed forms."""
-    started = time.perf_counter()
-    cells = [_even_relation_cell(rel) for rel in catalog.EVEN_ARGUMENT_RELATIONS]
-    return _report("even-relations", cells, tolerance="exact rational equality", started=started)
+    return _build(
+        IdentityFamily.EVEN_RELATIONS.value,
+        map(_even_relation_cell, catalog.EVEN_ARGUMENT_RELATIONS),
+        "exact rational equality",
+    )
 
 
 # ---------------------------------------------------------------------------
 # numeric suites
 # ---------------------------------------------------------------------------
-
-#: The lowest precision at which every numeric suite can pass on correct
-#: code.  Below it the bounds margin 1e-(prec-10) stops being small against
-#: the gaps it guards, the 19-decimal prefix checks ask for more digits than
-#: were computed, and the cross-rep tolerance 1e-(prec-5) loosens toward 1.
-MIN_PREC = 12
-
-
-def _require_prec(prec: int) -> None:
-    if prec < MIN_PREC:
-        raise DomainError(f"numeric suites need prec >= {MIN_PREC}, got {prec}")
-
 
 DEFAULT_BOUNDS_GRID = ("1.01", "1.1", "1.5", "2", "3", "5", "10", "25")
 
@@ -339,27 +342,19 @@ def check_bounds(s_grid=DEFAULT_BOUNDS_GRID, prec: int = 30) -> VerifyReport:
     against the Gamma-ratio enclosure; strictness demands a margin of
     10^{-(prec-10)} on each side.
     """
-    _require_prec(prec)
-    started = time.perf_counter()
-    margin = mpf(10) ** (-(prec - 10))
-    cells = []
-    for s in s_grid:
-        sf = Fraction(str(s))
-        lo1, hi1 = phi1_bounds(sf, prec)
-        v1 = quad_phi(1, sf, prec).value
-        ok1 = (v1 - lo1) > margin and (hi1 - v1) > margin
-        cells.append(CellResult((str(s), "phi1"), ok1, f"{lo1} < {v1} < {hi1}"))
-        lo2, hi2 = mellin_bound_gamma_ratio(sf, prec)
-        v2 = quad_phi(2, sf, prec).value
-        ok2 = (v2 - lo2) > margin and (hi2 - v2) > margin
-        cells.append(CellResult((str(s), "phi2"), ok2, f"{lo2} < {v2} < {hi2}"))
-    return _report(
-        IdentityFamily.BOUNDS.value,
-        cells,
-        precision=prec,
-        tolerance=f"strict with margin 1e-{prec - 10}",
-        started=started,
-    )
+
+    def cells():
+        margin = mpf(10) ** (-(prec - 10))
+        for s in s_grid:
+            sf = Fraction(str(s))
+            for which, bounds in ((1, phi1_bounds), (2, mellin_bound_gamma_ratio)):
+                lo, hi = bounds(sf, prec)
+                v = quad_phi(which, sf, prec).value
+                ok = (v - lo) > margin and (hi - v) > margin
+                yield CellResult((str(s), f"phi{which}"), ok, f"{lo} < {v} < {hi}")
+
+    tolerance = f"strict with margin 1e-{prec - 10}"
+    return _build(IdentityFamily.BOUNDS.value, cells(), tolerance, prec)
 
 
 def coupled_tail_bound(direction: int, truncation: int) -> mpf:
@@ -386,50 +381,60 @@ def check_coupled(s, truncation: int = 30, prec: int = 30) -> VerifyReport:
     term of the second identity enters with +Phi_2(s) since 2n-1 = -1),
     requiring each residual to fall below its tail bound.
     """
-    _require_prec(prec)
-    started = time.perf_counter()
-    sf = Fraction(str(s))
-    if not sf > 1:
-        raise DomainError(f"coupled series require s > 1, got {s}")
-    with _working(prec):
-        phi1_s = quad_phi(1, sf, prec).value
-        phi2_s = quad_phi(2, sf, prec).value
-        acc2 = mpf(0)
-        acc1 = mpf(0)
-        for n in range(truncation):
-            weight = mpf(binomial(2 * n, n)) / mpf(4) ** n
-            acc2 += weight * quad_phi(1, sf + 2 * n, prec).value
-            acc1 -= weight / (2 * n - 1) * quad_phi(2, sf + 2 * n, prec).value
-        residual2 = abs(phi2_s - acc2)
-        residual1 = abs(phi1_s - acc1)
-        bound2 = coupled_tail_bound(2, truncation)
-        bound1 = coupled_tail_bound(1, truncation)
-    cells = [
-        CellResult(
-            (str(s), "phi2-from-phi1", truncation),
-            residual2 < bound2,
-            f"residual={mp.nstr(residual2, 6)} bound={mp.nstr(bound2, 6)}",
-        ),
-        CellResult(
-            (str(s), "phi1-from-phi2", truncation),
-            residual1 < bound1,
-            f"residual={mp.nstr(residual1, 6)} bound={mp.nstr(bound1, 6)}",
-        ),
-    ]
-    return _report(
-        IdentityFamily.COUPLED_SERIES.value,
-        cells,
-        precision=prec,
-        tolerance="residual below analytic tail bound",
-        started=started,
-    )
+    return _coupled((s,), truncation, prec)
 
 
-def _prefix_matches(value: mpf, printed: str) -> bool:
-    # within one unit in the last printed decimal place, at decimals + 25 digits
+def _coupled(svals, truncation: int, prec: int) -> VerifyReport:
+    """The coupled-series cells of each s in ``svals``, in turn, as one report."""
+
+    def cells():
+        for s in svals:
+            sf = Fraction(str(s))
+            if not sf > 1:
+                raise DomainError(f"coupled series require s > 1, got {s}")
+            with _working(prec):
+                phi1_s = quad_phi(1, sf, prec).value
+                phi2_s = quad_phi(2, sf, prec).value
+                acc2 = mpf(0)
+                acc1 = mpf(0)
+                for n in range(truncation):
+                    weight = mpf(binomial(2 * n, n)) / mpf(4) ** n
+                    acc2 += weight * quad_phi(1, sf + 2 * n, prec).value
+                    acc1 -= weight / (2 * n - 1) * quad_phi(2, sf + 2 * n, prec).value
+                residual2 = abs(phi2_s - acc2)
+                residual1 = abs(phi1_s - acc1)
+                bound2 = coupled_tail_bound(2, truncation)
+                bound1 = coupled_tail_bound(1, truncation)
+            for name, residual, bound in (
+                ("phi2-from-phi1", residual2, bound2),
+                ("phi1-from-phi2", residual1, bound1),
+            ):
+                yield CellResult(
+                    (str(s), name, truncation),
+                    residual < bound,
+                    f"residual={mp.nstr(residual, 6)} bound={mp.nstr(bound, 6)}",
+                )
+
+    tolerance = "residual below analytic tail bound"
+    return _build(IdentityFamily.COUPLED_SERIES.value, cells(), tolerance, prec)
+
+
+def _prefix_matches(printed: str, *values: mpf) -> bool:
+    # each value within one unit in the last printed decimal place, at
+    # decimals + 25 digits
     decimals = len(printed.split(".")[1])
     with _working(decimals + 10):
-        return abs(value - mpf(printed)) < mpf(10) ** (-decimals)
+        return all(abs(value - mpf(printed)) < mpf(10) ** (-decimals) for value in values)
+
+
+def _constants(prec: int):
+    """(which, quadrature value, closed-form value, printed decimals) of C1,
+    then of C2."""
+    for which, form, printed in (
+        (1, catalog.C1_CLOSED_FORM, catalog.C1_DECIMAL),
+        (2, catalog.C2_CLOSED_FORM, catalog.C2_DECIMAL),
+    ):
+        yield which, quad_c_constant(which, prec).value, eval_closed_form(form, prec), printed
 
 
 def check_asymptotic_constants(prec: int = 30) -> VerifyReport:
@@ -439,53 +444,37 @@ def check_asymptotic_constants(prec: int = 30) -> VerifyReport:
     decimals, and that Phi_which(1+eps) - 1/eps approaches the constant as
     eps shrinks through 10^{-1} .. 10^{-6}.
     """
-    _require_prec(prec)
-    started = time.perf_counter()
-    tol = mpf(10) ** (-(prec - 5))
-    cells = []
-    closed = {1: catalog.C1_CLOSED_FORM, 2: catalog.C2_CLOSED_FORM}
-    printed = {1: catalog.C1_DECIMAL, 2: catalog.C2_DECIMAL}
-    for which in (1, 2):
-        quad_val = quad_c_constant(which, prec).value
-        closed_val = eval_closed_form(closed[which], prec)
-        cells.append(
-            CellResult(
+
+    def cells():
+        tol = mpf(10) ** (-(prec - 5))
+        for which, quad_val, closed_val, printed in _constants(prec):
+            yield CellResult(
                 (f"C{which}", "closed-vs-quad"),
                 abs(quad_val - closed_val) < tol,
                 f"quad={mp.nstr(quad_val, prec)} closed={mp.nstr(closed_val, prec)}",
             )
-        )
-        cells.append(
-            CellResult(
+            yield CellResult(
                 (f"C{which}", "printed-prefix"),
-                _prefix_matches(quad_val, printed[which])
-                and _prefix_matches(closed_val, printed[which]),
-                f"printed={printed[which]}",
+                _prefix_matches(printed, quad_val, closed_val),
+                f"printed={printed}",
             )
-        )
-        with _working(prec):
-            errors = []
-            for k in range(1, 7):
-                eps = Fraction(1, 10**k)
-                phi = quad_phi(which, 1 + eps, prec).value
-                diff = phi - mpf(10) ** k
-                errors.append(abs(diff - closed_val))
-            trend_ok = all(errors[i + 1] < errors[i] for i in range(len(errors) - 1))
-            ok = trend_ok and errors[2] < mpf("1e-2") and errors[-1] < mpf("1e-4")
-        cells.append(
-            CellResult(
+            with _working(prec):
+                errors = []
+                for k in range(1, 7):
+                    eps = Fraction(1, 10**k)
+                    phi = quad_phi(which, 1 + eps, prec).value
+                    diff = phi - mpf(10) ** k
+                    errors.append(abs(diff - closed_val))
+                trend_ok = all(errors[i + 1] < errors[i] for i in range(len(errors) - 1))
+                ok = trend_ok and errors[2] < mpf("1e-2") and errors[-1] < mpf("1e-4")
+            yield CellResult(
                 (f"C{which}", "limit-trend"),
                 ok,
                 "errors=" + ", ".join(mp.nstr(e, 3) for e in errors),
             )
-        )
-    return _report(
-        "asymptotic-constants",
-        cells,
-        precision=prec,
-        tolerance=f"1e-{prec - 5}; printed prefix to 19 decimals",
-        started=started,
-    )
+
+    tolerance = f"1e-{prec - 5}; printed prefix to 19 decimals"
+    return _build("asymptotic-constants", cells(), tolerance, prec)
 
 
 def check_cross_representation(n_max: int = 6, prec: int = 30) -> VerifyReport:
@@ -499,36 +488,30 @@ def check_cross_representation(n_max: int = 6, prec: int = 30) -> VerifyReport:
     even-argument form must agree with quadrature to the same tolerance.
     Raises :class:`DomainError` for ``n_max < 1``, which holds no n.
     """
-    _require_prec(prec)
-    if n_max < 1:
-        raise DomainError(f"cross-rep needs n_max >= 1, got {n_max}")
-    started = time.perf_counter()
-    tol = mpf(10) ** (-(prec - 5))
-    cells = []
-    for n in range(1, n_max + 1):
-        for which in (1, 2):
-            neg_form = eval_closed_form(phi_odd_closed_form(which, n), prec)
-            q, big_n = catalog.phi_odd_as_sinh_over_z(which, n)
-            pos_form = eval_closed_form(sinh_over_z_integral(q, big_n), prec)
-            quad_val = quad_phi(which, 2 * n + 1, prec).value
-            spread = max(
-                abs(neg_form - pos_form),
-                abs(neg_form - quad_val),
-                abs(pos_form - quad_val),
-            )
-            cells.append(CellResult((which, n), spread < tol, f"spread={mp.nstr(spread, 3)}"))
-    for m in range(1, n_max + 1):
-        for which in (1, 2):
-            exact = eval_closed_form(phi_even_closed_form(which, m), prec)
-            gap = abs(exact - quad_phi(which, 2 * m, prec).value)
-            cells.append(CellResult(("phi-even", which, m), gap < tol, f"gap={mp.nstr(gap, 3)}"))
-    return _report(
-        IdentityFamily.CROSS_REP.value,
-        cells,
-        precision=prec,
-        tolerance=f"1e-{prec - 5}",
-        started=started,
-    )
+
+    def cells():
+        if n_max < 1:
+            raise DomainError(f"cross-rep needs n_max >= 1, got {n_max}")
+        tol = mpf(10) ** (-(prec - 5))
+        for n in range(1, n_max + 1):
+            for which in (1, 2):
+                neg_form = eval_closed_form(phi_odd_closed_form(which, n), prec)
+                q, big_n = catalog.phi_odd_as_sinh_over_z(which, n)
+                pos_form = eval_closed_form(sinh_over_z_integral(q, big_n), prec)
+                quad_val = quad_phi(which, 2 * n + 1, prec).value
+                spread = max(
+                    abs(neg_form - pos_form),
+                    abs(neg_form - quad_val),
+                    abs(pos_form - quad_val),
+                )
+                yield CellResult((which, n), spread < tol, f"spread={mp.nstr(spread, 3)}")
+        for m in range(1, n_max + 1):
+            for which in (1, 2):
+                exact = eval_closed_form(phi_even_closed_form(which, m), prec)
+                gap = abs(exact - quad_phi(which, 2 * m, prec).value)
+                yield CellResult(("phi-even", which, m), gap < tol, f"gap={mp.nstr(gap, 3)}")
+
+    return _build(IdentityFamily.CROSS_REP.value, cells(), f"1e-{prec - 5}", prec)
 
 
 # ---------------------------------------------------------------------------
@@ -538,36 +521,23 @@ def check_cross_representation(n_max: int = 6, prec: int = 30) -> VerifyReport:
 def reproduce_reference_tables(prec: int = 30) -> VerifyReport:
     """Re-derive every cataloged closed form and compare exactly; then check
     the two asymptotic constants against their published decimal prefixes."""
-    _require_prec(prec)
-    started = time.perf_counter()
-    cells = []
-    for (q, n), expected in sorted(catalog.LOG_ODD_COSH.items()):
-        got = log_integral_odd_cosh(q, n)
-        cells.append(CellResult(("log-odd", q, n), got == expected, got.latex()))
-    for (q, n), expected in sorted(catalog.LOG_EVEN_COSH.items()):
-        got = log_integral_even_cosh(q, n)
-        cells.append(CellResult(("log-even", q, n), got == expected, got.latex()))
-    for (q, n_exp), expected in sorted(catalog.SINH_OVER_Z.items()):
-        got = sinh_over_z_integral(q, n_exp)
-        cells.append(CellResult(("sinh-over-z", q, n_exp), got == expected, got.latex()))
-    for (which, n), expected in sorted(catalog.PHI_ODD.items()):
-        got = phi_odd_closed_form(which, n)
-        cells.append(CellResult(("phi-odd", which, n), got == expected, got.latex()))
-    for which, form, printed in (
-        (1, catalog.C1_CLOSED_FORM, catalog.C1_DECIMAL),
-        (2, catalog.C2_CLOSED_FORM, catalog.C2_DECIMAL),
-    ):
-        quad_val = quad_c_constant(which, prec).value
-        closed_val = eval_closed_form(form, prec)
-        ok = _prefix_matches(quad_val, printed) and _prefix_matches(closed_val, printed)
-        cells.append(CellResult((f"C{which}", "decimals"), ok, printed))
-    return _report(
-        "reference-tables",
-        cells,
-        precision=prec,
-        tolerance="exact rational equality; constants to 19 decimals",
-        started=started,
-    )
+
+    def cells():
+        for name, table, build in (
+            ("log-odd", catalog.LOG_ODD_COSH, log_integral_odd_cosh),
+            ("log-even", catalog.LOG_EVEN_COSH, log_integral_even_cosh),
+            ("sinh-over-z", catalog.SINH_OVER_Z, sinh_over_z_integral),
+            ("phi-odd", catalog.PHI_ODD, phi_odd_closed_form),
+        ):
+            for key, expected in sorted(table.items()):
+                got = build(*key)
+                yield CellResult((name, *key), got == expected, got.latex())
+        for which, quad_val, closed_val, printed in _constants(prec):
+            ok = _prefix_matches(printed, quad_val, closed_val)
+            yield CellResult((f"C{which}", "decimals"), ok, printed)
+
+    tolerance = "exact rational equality; constants to 19 decimals"
+    return _build(IdentityFamily.REFERENCE_TABLES.value, cells(), tolerance, prec)
 
 
 # ---------------------------------------------------------------------------
@@ -589,31 +559,20 @@ def _exact_suite(
     with no cells.
     """
 
-    def run(n_range, prec):
+    def cells(n_range):
         lo, hi = n_range if n_range is not None else default_range
-        started = time.perf_counter()
         ns = range(max(n_min, lo), hi + 1)
         if not ns:
             raise DomainError(
                 f"{family.value}: range {lo}..{hi} holds no n >= {n_min}"
             )
-        if inner is None:
-            grid = [(n,) for n in ns]
-        else:
-            grid = [(n, j) for n in ns for j in range(n + inner + 1)]
-        return _report(family.value, [cell_fn(p) for p in grid], started=started)
+        for n in ns:
+            if inner is None:
+                yield cell_fn((n,))
+            else:
+                yield from (cell_fn((n, j)) for j in range(n + inner + 1))
 
-    return family, run
-
-
-def _coupled_suite(prec: int) -> VerifyReport:
-    """The coupled-series identities at s = 2, 4, 6 as one report."""
-    parts = [check_coupled(s, truncation=30, prec=prec) for s in (2, 4, 6)]
-    return replace(
-        parts[0],
-        cells=[cell for part in parts for cell in part.cells],
-        elapsed_seconds=sum(part.elapsed_seconds for part in parts),
-    )
+    return family, lambda n_range, prec: _build(family.value, cells(n_range))
 
 
 #: The one suite registry, in ``verify all`` order.  Exact families take an
@@ -633,11 +592,8 @@ SUITES: dict[IdentityFamily, _Runner] = dict(
         _exact_suite(IdentityFamily.D_IDENTITY, _d_identity_cell, 0, None, (0, 15)),
         _exact_suite(IdentityFamily.EULER_BERNOULLI, _euler_bernoulli_cell, 1, -1, (1, 15)),
         (IdentityFamily.BOUNDS, lambda n_range, prec: check_bounds(prec=prec)),
-        (IdentityFamily.COUPLED_SERIES, lambda n_range, prec: _coupled_suite(prec)),
-        (
-            IdentityFamily.ASYMPTOTIC,
-            lambda n_range, prec: check_asymptotic_constants(prec=prec),
-        ),
+        (IdentityFamily.COUPLED_SERIES, lambda n_range, prec: _coupled((2, 4, 6), 30, prec)),
+        (IdentityFamily.ASYMPTOTIC, lambda n_range, prec: check_asymptotic_constants(prec)),
         (
             IdentityFamily.CROSS_REP,
             lambda n_range, prec: check_cross_representation(
@@ -645,6 +601,7 @@ SUITES: dict[IdentityFamily, _Runner] = dict(
             ),
         ),
         (IdentityFamily.EVEN_RELATIONS, lambda n_range, prec: check_even_argument_relations()),
+        (IdentityFamily.REFERENCE_TABLES, lambda n_range, prec: reproduce_reference_tables(prec)),
     ]
 )
 
@@ -659,7 +616,5 @@ def run_identity(
 
 
 def all_suites(prec: int = 30) -> list[VerifyReport]:
-    """Every registered suite at its default range, then the reference tables."""
-    reports = [run_identity(family, prec=prec) for family in SUITES]
-    reports.append(reproduce_reference_tables(prec=prec))
-    return reports
+    """Every registered suite at its default range, in registry order."""
+    return [run_identity(family, prec=prec) for family in SUITES]

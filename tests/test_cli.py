@@ -77,6 +77,11 @@ class TestVerifyCommand:
         assert code == 0
         assert "even-relations: PASS (7 cells" in out
 
+    def test_reference_tables_suite(self, capsys):
+        code, out, _ = run(capsys, "verify", "reference-tables", "--prec", "25")
+        assert code == 0
+        assert "reference-tables: PASS (35 cells" in out
+
     def test_cross_rep_reaches_large_n(self, capsys):
         # Phi(2n+1) from n = 64 on needs quadrature wings that reach the peak
         code, out, _ = run(capsys, "verify", "cross-rep", "--range", "1..80")

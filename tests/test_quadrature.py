@@ -16,6 +16,7 @@ from arcmellin import (
     eval_closed_form,
     log_integral_even_cosh,
     log_integral_odd_cosh,
+    phi1_bounds,
     phi_even_closed_form,
     quad_c_constant,
     quad_log_family,
@@ -54,6 +55,12 @@ class TestQuadPhi:
             quad_phi(1, 1, 20)
         with pytest.raises(DomainError):
             quad_phi(2, "0.9", 20)
+
+    @pytest.mark.parametrize("s", [float("inf"), "inf", mpf("inf")])
+    def test_infinite_s_rejected(self, s):
+        # not a point of the domain; the integrand would vanish at every node
+        with pytest.raises(DomainError, match="finite"):
+            quad_phi(1, s, 30)
 
     def test_monotone_decreasing_in_s(self):
         values = [quad_phi(1, s, 25).value for s in (2, 3, 5, 9)]
@@ -163,6 +170,24 @@ class TestWholeSupport:
             form = phi_even_closed_form(which, s // 2)
         exact = eval_closed_form(form, prec)
         assert abs(quad.value - exact) < mpf(10) ** -(prec - 5) * abs(exact)
+
+    @pytest.mark.parametrize(
+        "which, s, prec", [(1, 10**20, 30), (2, 10**20, 30), (1, 10**19, 100)]
+    )
+    def test_no_level_zero_term_raises(self, which, s, prec):
+        # the peak near z = (ln 2s)/2 lies past the three negligible level-0
+        # nodes that end the right wing; a value from those nodes alone lies
+        # far below the lower bound 2/(s^2-1)
+        with pytest.raises(PrecisionError, match="no level-0 term"):
+            quad_phi(which, s, prec)
+
+    def test_peak_seen_at_level_zero_still_converges(self):
+        # Phi_1(s) = (2 + o(1)) / (s ln s): 0.971 of it at s = 10^18
+        s = 10**18
+        value = quad_phi(1, s, 30).value
+        lo, hi = phi1_bounds(s, 30)
+        assert lo < value < hi
+        assert 0.95 < value * s * mp.log(s) / 2 < 1
 
 
 class TestConvergenceBehaviour:

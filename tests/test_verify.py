@@ -11,6 +11,7 @@ import pytest
 from arcmellin import (
     DomainError,
     IdentityFamily,
+    all_suites,
     bernoulli,
     beta_prime_value,
     binomial,
@@ -253,9 +254,28 @@ class TestExactSuites:
         assert run_identity("alt-binom-odd", n_range=(1, 4)).passed
 
 
+NUMERIC_SUITES = ("bounds", "coupled", "asymptotic", "cross-rep", "reference-tables")
+
+
 class TestRegistry:
     def test_every_family_has_one_runner(self):
         assert list(SUITES) == list(IdentityFamily)
+
+    def test_all_suites_is_the_registry_in_order(self):
+        prec = 20
+        reports = all_suites(prec)
+        assert len(reports) == len(IdentityFamily)
+        for family, report in zip(IdentityFamily, reports):
+            assert report.family == (
+                "asymptotic-constants" if family is IdentityFamily.ASYMPTOTIC else family.value
+            )
+            assert report.precision == (prec if family.value in NUMERIC_SUITES else None)
+
+    def test_reference_tables_run_by_name(self):
+        report = run_identity("reference-tables", prec=25)
+        assert report.passed
+        assert report.precision == 25
+        assert len(report.cells) == 35
 
     @pytest.mark.parametrize("name", ["asymptotic", "even-relations"])
     def test_numeric_suites_run_by_name(self, name):
@@ -375,6 +395,11 @@ class TestPrecisionFloor:
     def test_below_the_floor_is_a_domain_error(self, suite):
         with pytest.raises(DomainError, match=f"prec >= {MIN_PREC}"):
             suite(MIN_PREC - 1)
+
+    @pytest.mark.parametrize("name", NUMERIC_SUITES)
+    def test_below_the_floor_by_name(self, name):
+        with pytest.raises(DomainError, match=f"prec >= {MIN_PREC}"):
+            run_identity(name, prec=MIN_PREC - 1)
 
     def test_exact_suites_take_no_precision(self):
         assert run_identity("alt-binom-odd", n_range=(1, 3), prec=3).passed
