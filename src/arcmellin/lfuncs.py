@@ -26,24 +26,37 @@ and :mod:`arcmellin.verify` enter it too.  All entry points of these modules
 are therefore safe to call from multiple threads.
 
 The kernel, ``_basis_sweep``, takes one family (eta, eta', beta or beta')
-and a list of exponents s, and sums every c_k L(m) / m^s in a single sweep
-over k, with L(m) = ln m for the derivative families and 1 otherwise.
-t_k = c_k L(m) is one mpf per k, so each value depends only on (family, s,
-precision), never on which other exponents shared the sweep.  The
+and a list of exponents s, and returns each sum_k c_k L(m) / m^s / d, with
+L(m) = ln m for the derivative families and 1 otherwise, as one exact
+Python-integer sum rounded once.  Its numerators are fixed-point integers,
+T_k = floor(c_k L(m) 2^P) with P = mp.prec + bitlength(n) + 3 -
+bitlength(d), so P depends only on the precision.  With m0 the first m
+with L(m) != 0, the sum at s is m0^-s 2^-P / d times sum_k T_k (m0/m)^s:
+an int s takes each term as the exact quotient (T_k m0^s) // m^s, and an
+mpf s as T_k floor((m0/m)^s 2^f), f the bit length of the largest T_k,
+with (m0/m)^s from mpf powers.  Both stop at the first m where the factor
+times the largest T_k falls below one unit; it only falls as m grows, so a
+huge s sums one term.  Each term is off by at most about one unit, so
+when the integer sum has fewer than mp.prec + bitlength(n) + 2 bits (as at
+small s, where 2^s eta'(s) is smallest) it is taken again with P raised by
+the shortfall.  The result is the exact quotient, rounded once, and
+negated for the derivative families.  Each value depends only on (family,
+s, precision), never on which other exponents shared the sweep.  The
 integer-argument sums behind the basis symbols, eta'(2p+2) (for
 zeta'(2p+2)), beta'(2p+1), eta(2p+3) (for zeta(2p+3)) and beta(2p+2), pass
-int exponents, so m^s is an exact integer; ``eval_closed_form`` fills every
-missing sum of a form with one sweep per family.  The real-s sums
-``eta_value``, ``eta_prime``, ``beta_value`` and ``beta_prime_value`` pass
-one mpf exponent, so m^s stays an mpf power and a huge s stays cheap.
+int exponents; ``eval_closed_form`` fills every missing sum of a form with
+one sweep per family.  The real-s sums ``eta_value``, ``eta_prime``,
+``beta_value`` and ``beta_prime_value`` pass one mpf exponent, so no
+m^s of a huge s is ever an integer.
 
-The kernel reads two tables, each keyed by the binary precision ``mp.prec``
-and holding one precision at a time: the Chebyshev weights
-(c_0 ... c_{n-1}, d) for each term count n, and ln p = mp.log(p) for every
-prime p a derivative sum has used.  A composite m with smallest prime
-factor p gets ln m = ln p + ln(m/p) in a dict local to the sweep, so every
-sum reads ln m one way.  The tables are filled lazily under ``_MP_LOCK``, so
-the kernel must run inside ``_working``; reusing them leaves every value
+The kernel reads three tables, each keyed by the binary precision
+``mp.prec`` and holding one precision at a time: the Chebyshev weights
+(c_0 ... c_{n-1}, d) for each term count n, ln p = mp.log(p) for every
+prime p a derivative sum has used, and the numerators T_k for each family
+and term count.  A composite m with smallest prime factor p gets
+ln m = ln p + ln(m/p) when the numerators are built, so every sum reads
+ln m one way.  The tables are filled lazily under ``_MP_LOCK``, so the
+kernel must run inside ``_working``; reusing them leaves every value
 bit-identical.
 ``eval_closed_form`` also measures the digits its sum loses to cancellation
 and evaluates again at a higher precision when they eat into the guard.
@@ -57,6 +70,9 @@ from contextlib import contextmanager
 from fractions import Fraction
 
 from mpmath import mp, mpf
+from mpmath.libmp import (
+    from_int, from_man_exp, mpf_div, mpf_exp, mpf_log, mpf_mul, mpf_pow, round_nearest,
+)
 
 from .closedform import ClosedForm
 from .exact import DomainError, PrecisionError, bernoulli, euler_number, harmonic
@@ -77,6 +93,9 @@ _constant_cache: dict[tuple, mpf] = {}
 # n-term sum, and {p: ln p} for primes p.  Filled and read only inside _working.
 _weight_tables: dict[int, dict[int, tuple]] = {}
 _log_tables: dict[int, dict[int, mpf]] = {}
+# {mp.prec: {(family, n): (P, max |T_k|, (T_k ...))}}, the fixed-point
+# numerators T_k = floor(c_k L(m) 2^P) of ``_numerators``, under the same rule.
+_numerator_tables: dict[int, dict[tuple, tuple]] = {}
 
 
 def _check_prec(prec: int) -> None:
@@ -221,30 +240,133 @@ def _sweep_logs(top: int, odd: bool) -> dict[int, mpf]:
     return logs
 
 
-def _basis_sweep(family: str, exponents) -> list[mpf]:
-    """The family's sum at every s in ``exponents``, in one sweep over k.
+def _fixed(x: tuple, shift: int) -> int:
+    """floor(x 2^shift) for a raw mpf x."""
+    sign, man, exp, _ = x
+    exp += shift
+    man = -man if sign else man
+    return man << exp if exp >= 0 else man >> -exp
 
-    Each sum is sum_k c_k L(m) / m^s / d over the weights of
-    ``_chebyshev_weights(_term_count())``, with L(m) = ln m for the
-    derivative families (negated, as d/ds m^-s = -ln m m^-s) and 1
-    otherwise.  t_k = c_k L(m) is one mpf per k, so every value depends only
-    on (family, s, precision), never on the other exponents.  An int s makes
-    m^s an exact integer; an mpf s keeps it an mpf power, which stays cheap
-    however large s is.  Must be called inside ``_working``.
+
+def _numerators(family: str, extra: int = 0) -> tuple[int, int, tuple[int, ...]]:
+    """(P, max |T_k|, numerators) of the family's sum at the working precision.
+
+    The numerators are T_k = floor(c_k L(m) 2^P) for every m with L(m) != 0,
+    in increasing m, read from ``_chebyshev_weights`` and ``_sweep_logs``;
+    P = mp.prec + bitlength(n) + 3 - bitlength(d) + ``extra``, so the largest
+    T_k have bitlength(n) + 3 bits more than the working precision.  The
+    table at ``extra`` = 0 is kept in ``_numerator_tables``.
     """
+    n = _term_count()
+    table = _precision_table(_numerator_tables)
+    if not extra and (family, n) in table:
+        return table[family, n]
     odd, with_log, _ = _FAMILIES[family]
-    cs, d = _chebyshev_weights(_term_count())
-    sums = [mpf(0)] * len(exponents)
-    logs = _sweep_logs(2 * len(cs) - 1 if odd else len(cs), odd) if with_log else {}
+    cs, d = _chebyshev_weights(n)
+    _, _, d_exp, d_bits = d._mpf_
+    shift = mp.prec + n.bit_length() + 3 - (d_exp + d_bits) + extra
+    logs = _sweep_logs(2 * n - 1 if odd else n, odd) if with_log else {}
+    numerators = []
     for k, c in enumerate(cs):
         m = 2 * k + 1 if odd else k + 1
         if with_log:
             if m == 1:  # ln 1 = 0
                 continue
             c = c * logs[m]
-        for i, s in enumerate(exponents):
-            sums[i] += c / m ** s
-    return [-(total / d) if with_log else total / d for total in sums]
+        numerators.append(_fixed(c._mpf_, shift))
+    entry = (shift, max(map(abs, numerators)), tuple(numerators))
+    if not extra:
+        table[family, n] = entry
+    return entry
+
+
+def _power_factors(s, m0: int, top: int):
+    """(m0^s as a raw mpf, f, factor) for the sum at s, with numerators of
+    largest magnitude ``top``.
+
+    factor(m) = (num, den) with num / den = (m0/m)^s 2^f.  An int s gives
+    the exact m0^s / m^s with f = 0, and num = 0 from the first m with
+    top (m0/m)^s < 1; an mpf s gives floor((m0/m)^s 2^f) / 1 with f the bit
+    length of ``top``, from mpf powers carrying 16 + mag(s) bits more than
+    f (m0^s as exp(s ln m0)), and so num = 0 from the first m with
+    (m0/m)^s 2^f < 1.  Past that m every term is below one unit.
+    """
+    if isinstance(s, int):
+        a = m0**s
+        limit = top * a
+
+        def quotient(m):
+            b = m**s
+            return (a, b) if b <= limit else (0, 1)
+
+        return from_int(a), 0, quotient
+    s = s._mpf_
+    f = top.bit_length()
+    wp = f + 16 + max(0, s[2] + s[3])
+    # exp(s ln m0) at wp bits: an integer power of 3 by a huge s squares
+    # once per bit of s at several times the precision
+    ln_m0 = mpf_log(from_int(m0), wp, round_nearest)
+    a = mpf_exp(mpf_mul(s, ln_m0, wp, round_nearest), wp, round_nearest)
+    slope = float(mp.make_mpf(s))  # inf for an s past the float range
+
+    def floored(m):
+        if m == m0:
+            return 1 << f, 1
+        # (m0/m)^s < 2^-(f+4) floors to 0; no mpf power of a huge s
+        if slope * math.log2(m / m0) > f + 4:
+            return 0, 1
+        power = mpf_pow(from_int(m), s, wp, round_nearest)
+        return _fixed(mpf_div(a, power, wp, round_nearest), f), 1
+
+    return a, f, floored
+
+
+def _accumulate(numerators, ms, factor) -> int:
+    """sum_k T_k num // den with (num, den) = factor(m), up to the first m
+    whose num is 0: the one accumulation of every sum."""
+    total = 0
+    for m, t in zip(ms, numerators):
+        num, den = factor(m)
+        if not num:
+            break
+        total += t * num // den
+    return total
+
+
+def _basis_sweep(family: str, exponents) -> list[mpf]:
+    """The family's sum at every s in ``exponents`` (ints or mpfs), each one
+    exact integer sum rounded once.
+
+    With m0 the first m with L(m) != 0, the sum at s is
+    m0^-s 2^-P / d * sum_k T_k (m0/m)^s, each term floored, so the integer
+    sum is off by at most about one unit per term.  When its bit length is
+    short of mp.prec + bitlength(n) + 2, P is raised by the shortfall and
+    the sum taken again.  Each value depends only on (family, s,
+    precision), never on the other exponents.  Must be called inside
+    ``_working``.
+    """
+    odd, with_log, _ = _FAMILIES[family]
+    m0 = (3 if odd else 2) if with_log else 1
+    step = 2 if odd else 1
+    n = _term_count()
+    needed = mp.prec + n.bit_length() + 2
+    _, d = _chebyshev_weights(n)
+    sums = []
+    for s in exponents:
+        extra = 0
+        while True:
+            shift, top, numerators = _numerators(family, extra)
+            scale, frac, factor = _power_factors(s, m0, top)
+            total = _accumulate(numerators, range(m0, m0 + step * len(numerators), step), factor)
+            short = needed - (abs(total).bit_length() - frac)
+            if short <= 0:
+                break
+            extra += short
+        if with_log:  # d/ds m^-s = -ln m m^-s
+            total = -total
+        value = mpf_div(from_man_exp(total, -shift - frac), mpf_mul(scale, d._mpf_), mp.prec, round_nearest)
+        sums.append(mp.make_mpf(value))
+    return sums
 
 
 def _basis_sum(family: str, p: int, prec: int) -> mpf:

@@ -24,7 +24,11 @@ negligible with the peak still ahead.  A level 0 that finds no term above
 the cutoff at all, at the centre or on either wing, raises
 :class:`PrecisionError`: for Phi at s from about 2 10^18 (30 digits) or
 7 10^18 (100 digits) on, the level-0 nodes at t = 1, 2, 3 are negligible and
-end the right wing before the peak near z = (ln 2s)/2.
+end the right wing before the peak near z = (ln 2s)/2.  Every term falls as s
+grows, and at s = 10^19 level 0 is empty for both Phi at every precision
+from 1 to 100 digits, so ``quad_phi`` raises there before it evaluates a
+node: the centre node alone of s = 10^100000 would spend minutes in an
+integer power of tanh.
 
 A level j >= 2 stops on a predicted error, the rule of Bailey, Jeyabalan and
 Li ("A comparison of three high-precision quadrature schemes", Exp. Math. 14,
@@ -82,6 +86,9 @@ from .lfuncs import _as_mpf, _exact, _precision_table, _working
 DEFAULT_PREC = 30
 MAX_PREC = 100
 MAX_LEVEL = 12
+#: From this s on, every level-0 node of Phi_1 and Phi_2 is below the cutoff
+#: at every precision 1 ... MAX_PREC, so ``quad_phi`` raises before any node.
+_PHI_S_LIMIT = 10**19
 
 _cache_lock = threading.Lock()
 _quad_cache: dict[tuple, "QuadResult"] = {}
@@ -298,6 +305,11 @@ def quad_phi(which: int, s, prec: int = DEFAULT_PREC) -> QuadResult:
             raise DomainError(f"Phi_{which} converges only for s > 1, got s={s}")
         if isinstance(sx, mpf) and not mp.isfinite(sx):
             raise DomainError(f"Phi_{which} needs a finite s, got s={s}")
+        if sx >= _PHI_S_LIMIT:
+            raise PrecisionError(
+                f"Phi_{which} at s >= 10^19 has no level-0 term above the cutoff "
+                f"at any precision; got s={s}"
+            )
 
     def make():
         # sech^2 for Phi_1, sech^1 for Phi_2

@@ -1,12 +1,17 @@
 """Numeric basis evaluation: frozen references, dual paths, precision contract."""
 
+import ast
 import math
+import os
+import subprocess
 import sys
 import threading
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from mpmath import mp, mpf
+from mpmath.libmp import from_rational, round_nearest
 
 from arcmellin import (
     ClosedForm,
@@ -109,12 +114,42 @@ class TestAlternatingSums:
         with pytest.raises(DomainError):
             eta_value("0.5", 30)
 
+    def test_huge_s_is_cheap(self):
+        # s has 3,300 bits, so an integer power m^s would square 3,300 times;
+        # the first factor (2/3)^s or (3/5)^s underflows and stops the sum
+        code = (
+            "from arcmellin import beta_prime_value, eta_prime\n"
+            "print((eta_prime('1e1000', 30)._mpf_, beta_prime_value('1e1000', 30)._mpf_))\n"
+        )
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        proc = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=15
+        )
+        assert proc.returncode == 0, proc.stderr
+        eta, beta = (mp.make_mpf(v) for v in ast.literal_eval(proc.stdout))
+        with mp.workdps(30 + GUARD_DIGITS):
+            s = mpf("1e1000")  # the binary s the sums saw
+        # 3^-s to 10^-40 relative needs s ln 3 to 10^-40, 1040 digits
+        with mp.workdps(1050):
+            assert abs(eta / (mp.log(2) * mp.ldexp(1, -int(s))) - 1) < mpf(10) ** -30
+            assert abs(beta / (mp.log(3) * mp.exp(-s * mp.log(3))) - 1) < mpf(10) ** -30
+
+
+def exact(x: mpf) -> Fraction:
+    sign, man, exp, _ = x._mpf_
+    return Fraction(-man if sign else man) * Fraction(2) ** exp
+
 
 def per_term_log_value(func, s: Fraction, prec: int) -> mpf:
     """``func(s, prec)`` with the kernel rebuilt on every call: fresh
     Chebyshev weights, fresh ln m by the kernel's construction (mp.log of a
     prime, ln p + ln(m/p) for a composite m with smallest prime factor p)
-    and c_k L(m) / m^s; a bit-identity oracle for the kernel tables."""
+    and the kernel's fixed-point sum of the products c_k L(m): numerators
+    T_k = floor(c_k L(m) 2^P), factors floor((m0/m)^s 2^f) from
+    exp(s ln m0) / m^s at f + 16 + mag(s) bits, P raised while the sum is
+    short, and one rounding of the exact quotient; a bit-identity oracle
+    for the kernel tables."""
     odd = func in (beta_value, beta_prime_value)
     with_log = func in (eta_prime, beta_prime_value)
     with mp.workdps(prec + GUARD_DIGITS):
@@ -122,18 +157,36 @@ def per_term_log_value(func, s: Fraction, prec: int) -> mpf:
         n = int(mp.dps / 0.75) + 8
         d = (3 + mp.sqrt(8)) ** n
         d = (d + 1 / d) / 2
-        b, c, total, logs = mpf(-1), -d, mpf(0), {}
+        b, c, products, logs = mpf(-1), -d, [], {}
         for k in range(n):
             c = b - c
             b = (k + n) * (k - n) * b / ((k + mpf(1) / 2) * (k + 1))
             m = 2 * k + 1 if odd else k + 1
             if not with_log:
-                total += c / m ** sv
+                products.append((m, c))
             elif m > 1:
                 p = next((q for q in range(2, math.isqrt(m) + 1) if m % q == 0), m)
                 logs[m] = mp.log(m) if p == m else logs[p] + logs[m // p]
-                total += c * logs[m] / m ** sv
-        return -(total / d) if with_log else total / d
+                products.append((m, c * logs[m]))
+        m0, wprec, extra = products[0][0], mp.prec, 0
+        while True:
+            shift = wprec + n.bit_length() + 3 - mp.mag(d) + extra
+            numerators = [math.floor(exact(t) * Fraction(2) ** shift) for _, t in products]
+            f = max(map(abs, numerators)).bit_length()
+            with mp.workprec(f + 16 + max(0, mp.mag(sv))):
+                a = mp.exp(sv * mp.log(m0))
+                total = 0
+                for (m, _), t in zip(products, numerators):
+                    factor = math.floor(exact(a / mpf(m) ** sv) * 2**f)
+                    if not factor:
+                        break
+                    total += t * factor
+            short = wprec + n.bit_length() + 2 - (abs(total).bit_length() - f)
+            if short <= 0:
+                break
+            extra += short
+        value = Fraction(-total if with_log else total) / 2 ** (shift + f) / (exact(a) * exact(d))
+        return mp.make_mpf(from_rational(value.numerator, value.denominator, mp.prec, round_nearest))
 
 
 DIRICHLET_SUMS = [eta_value, eta_prime, beta_value, beta_prime_value]
@@ -204,6 +257,7 @@ def clear_basis_caches() -> None:
         lfuncs._constant_cache.clear()
         lfuncs._weight_tables.clear()
         lfuncs._log_tables.clear()
+        lfuncs._numerator_tables.clear()
 
 
 def kernel_values(prec: int, p_max: int = 12) -> dict:
@@ -336,6 +390,78 @@ class TestBasisKernelInvariants:
         assert [v._mpf_ for v in got_high] == [expected_high._mpf_]
         assert [v._mpf_ for v in got_low] == [v._mpf_ for v in expected_low]
         assert kernel_values(500) == expected_sums
+
+
+def mpf_accumulation(family: str, exponents) -> list[mpf]:
+    """The family's sums by the mpf accumulation that the fixed-point one
+    replaced: sum_k c_k L(m) / m^s in mpf arithmetic over the kernel's
+    weights and logs, divided by d.  Must be called inside ``_working``."""
+    odd, with_log, _ = lfuncs._FAMILIES[family]
+    cs, d = lfuncs._chebyshev_weights(lfuncs._term_count())
+    sums = [mpf(0)] * len(exponents)
+    logs = lfuncs._sweep_logs(2 * len(cs) - 1 if odd else len(cs), odd) if with_log else {}
+    for k, c in enumerate(cs):
+        m = 2 * k + 1 if odd else k + 1
+        if with_log:
+            if m == 1:
+                continue
+            c = c * logs[m]
+        for i, s in enumerate(exponents):
+            sums[i] += c / m**s
+    return [-(total / d) if with_log else total / d for total in sums]
+
+
+def kernel_exponents(family: str) -> list:
+    """The int exponents of the basis indices p <= 12, then the mpf exponents
+    of ``KERNEL_ARGS``; call inside ``_working``."""
+    s0 = lfuncs._FAMILIES[family][2]
+    return [s0 + 2 * p for p in range(13)] + [mpf(s.numerator) / s.denominator for s in KERNEL_ARGS]
+
+
+class TestFixedPointKernel:
+    @pytest.mark.parametrize("prec", [30, 100, 500])
+    def test_sum_does_not_depend_on_the_sweep(self, prec):
+        with lfuncs._working(prec):
+            for family in lfuncs._FAMILIES:
+                exponents = kernel_exponents(family)
+                shared = lfuncs._basis_sweep(family, exponents)
+                backward = lfuncs._basis_sweep(family, exponents[::-1])[::-1]
+                alone = [lfuncs._basis_sweep(family, [s])[0] for s in exponents]
+                bits = [v._mpf_ for v in alone]
+                assert [v._mpf_ for v in shared] == bits, family
+                assert [v._mpf_ for v in backward] == bits, family
+
+    @pytest.mark.parametrize("prec", [30, 100, 500])
+    def test_agrees_with_the_mpf_accumulation(self, prec):
+        bound = mpf(10) ** -(prec + GUARD_DIGITS - 1)
+        with lfuncs._working(prec):
+            for family in lfuncs._FAMILIES:
+                exponents = kernel_exponents(family)
+                fixed = lfuncs._basis_sweep(family, exponents)
+                for s, new, old in zip(exponents, fixed, mpf_accumulation(family, exponents)):
+                    assert abs(new - old) <= bound * abs(old), (family, s)
+
+    @pytest.mark.parametrize("s, prec", [(1, 5), (1, 100), (2, 10)])
+    def test_short_sum_is_taken_again(self, monkeypatch, s, prec):
+        # 2^s eta'(s) is smallest at small s, so there the integer sum falls
+        # short of its bits at the table's P
+        shifts = []
+        numerators = lfuncs._numerators
+
+        def spy(family, extra=0):
+            shifts.append(extra)
+            return numerators(family, extra)
+
+        monkeypatch.setattr(lfuncs, "_numerators", spy)
+        got = eta_prime(s, prec)
+        assert max(shifts) > 0
+        with mp.workdps(prec + GUARD_DIGITS + 10):
+            if s == 1:
+                oracle = mp.euler * mp.log(2) - mp.log(2) ** 2 / 2
+            else:
+                two = mpf(2) ** (1 - s)
+                oracle = two * mp.log(2) * mp.zeta(s) + (1 - two) * mp.zeta(s, 1, 1)
+            assert abs(got - oracle) < mpf(10) ** -(prec + GUARD_DIGITS - 1) * oracle
 
 
 class TestZetaPrimeEven:

@@ -1,10 +1,13 @@
 """Quadrature oracle: agreement with closed forms, convergence, domains."""
 
 import hashlib
+import os
 import statistics
+import subprocess
 import sys
 import threading
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from mpmath import mp, mpf
@@ -25,7 +28,7 @@ from arcmellin import (
     sinh_over_z_integral,
     phi_odd_closed_form,
 )
-from arcmellin import quadrature
+from arcmellin import lfuncs, quadrature
 from arcmellin.catalog import C1_CLOSED_FORM, C1_DECIMAL, C2_CLOSED_FORM, C2_DECIMAL
 from arcmellin.lfuncs import _as_mpf
 
@@ -172,14 +175,49 @@ class TestWholeSupport:
         assert abs(quad.value - exact) < mpf(10) ** -(prec - 5) * abs(exact)
 
     @pytest.mark.parametrize(
-        "which, s, prec", [(1, 10**20, 30), (2, 10**20, 30), (1, 10**19, 100)]
+        "which, s, prec",
+        [
+            (1, 10**20, 30),
+            (2, 10**20, 30),
+            (1, 10**19, 100),
+            (1, 5 * 10**18, 30),
+            (2, 9 * 10**18, 100),
+        ],
     )
     def test_no_level_zero_term_raises(self, which, s, prec):
         # the peak near z = (ln 2s)/2 lies past the three negligible level-0
         # nodes that end the right wing; a value from those nodes alone lies
-        # far below the lower bound 2/(s^2-1)
+        # far below the lower bound 2/(s^2-1).  Below 10^19 the level-0 guard
+        # raises, from 10^19 on quad_phi before any node.
         with pytest.raises(PrecisionError, match="no level-0 term"):
             quad_phi(which, s, prec)
+
+    @pytest.mark.parametrize("prec", [1, 30, 100])
+    @pytest.mark.parametrize("which", [1, 2])
+    def test_huge_s_raises_before_any_node(self, which, prec):
+        with lfuncs._MP_LOCK:
+            quadrature._node_tables.clear()
+        with pytest.raises(PrecisionError, match="no level-0 term"):
+            quad_phi(which, 10**19, prec)
+        assert not quadrature._node_tables
+
+    def test_huge_s_returns(self):
+        # the centre node of s = 10^100000 alone is a power of tanh z with a
+        # 332,000-bit exponent; in a child process, so that it cannot hang
+        code = (
+            "from arcmellin import PrecisionError, quad_phi\n"
+            "try:\n"
+            "    quad_phi(1, '1e100000', 30)\n"
+            "except PrecisionError as error:\n"
+            "    print(error)\n"
+        )
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        proc = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=30
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "no level-0 term" in proc.stdout
 
     def test_peak_seen_at_level_zero_still_converges(self):
         # Phi_1(s) = (2 + o(1)) / (s ln s): 0.971 of it at s = 10^18
