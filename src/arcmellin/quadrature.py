@@ -1,10 +1,12 @@
 """Double-exponential quadrature oracles for every integral family.
 
-All integrals are taken over (0, oo) after the substitution x = tanh(u),
+All integrals are taken over (0, oo) after the substitution x = tanh(z),
 which removes the arctanh endpoint singularity of the Mellin integrands:
 
-    Phi_1(s) = int_0^oo tanh^{s-1}(u) sech^2(u) / u du,
-    Phi_2(s) = int_0^oo tanh^{s-1}(u) sech(u)   / u du,
+    Phi_1(s) = int_0^oo tanh^{s-1}(z) sech^2(z) / z dz,
+    Phi_2(s) = int_0^oo tanh^{s-1}(z) sech(z)   / z dz,
+    C_1 = int_0^oo sech^2(z) (1 - z coth(z)) / z dz,
+    C_2 = int_0^oo sech(z) (1 - z / sinh(z)) / z dz,
     int_0^oo sinh^{2q+1}(z) ln(z) / cosh^N(z) dz
              = int_0^oo tanh^{2q+1}(z) sech^{N-2q-1}(z) ln(z) dz,
     int_0^oo sinh^{2q}(z) / (z cosh^N(z)) dz
@@ -51,15 +53,20 @@ Every node is t = k 2^-level, so every integrand samples the same grid.  A
 node table, one for the current working precision and replaced when the
 precision changes, keeps the integrand-independent values ln z = t - u,
 w = 1 + u (with u = exp(-t)), tanh z, sech z and z at each node, keyed by
-the integer t 2^MAX_LEVEL, as raw ``_mpf_`` tuples.  One monomial kernel,
-``_monomial``, writes every family but the two constants in those values:
-the Mellin and sinh/z families are tanh^a z sech^b z w, the log family
-tanh^a z sech^b z ln z w z.  The kernel and the wing sums run on the raw
-tuples through the ``mpmath.libmp`` functions that the ``mpf`` operators
-call, at the working precision with rounding to nearest and in the order
-the written product gives, so they skip building an ``mpf`` per operation
-and still return the value, bit for bit, that the ``mpf`` expression
-would.
+the integer t 2^MAX_LEVEL, as raw ``_mpf_`` tuples.  Every integrand is a
+raw-tuple function of those values.  The monomial kernel ``_monomial``
+writes the Mellin and sinh/z families as tanh^a z sech^b z w and the log
+family as tanh^a z sech^b z ln z w z; ``_c_constant_term`` writes the two
+constants as sech^{3-which} z (1 - z/X) w, with X = tanh z or sinh z.
+Those brackets are formed directly: near z = 0 they lose relative digits,
+but the rule needs each term to a small absolute error, and z/X is within
+a unit of 2^-wprec of 1 there, so a term is off by about 2^-wprec w, the
+size of the rounding floor in the error estimate.  The kernels and the wing
+sums run on the raw tuples through the ``mpmath.libmp`` functions that the
+``mpf`` operators call, at the working precision with rounding to nearest
+and in the order the written expression gives, so they skip building an
+``mpf`` per operation and still return the value, bit for bit, that the
+``mpf`` expression would.
 
 Results are cached per (family, parameters, precision); cached replies are
 bit-identical.  Every integral runs inside ``lfuncs._working(prec)``, at
@@ -76,11 +83,11 @@ from dataclasses import dataclass
 
 from mpmath import mp, mpf
 from mpmath.libmp import (
-    fzero, mpf_abs, mpf_add, mpf_lt, mpf_mul, mpf_pow, mpf_pow_int, round_floor,
-    round_nearest,
+    fone, fzero, mpf_abs, mpf_add, mpf_div, mpf_lt, mpf_mul, mpf_pow, mpf_pow_int, mpf_sub,
+    round_floor, round_nearest,
 )
 
-from .exact import DomainError, PrecisionError, bernoulli
+from .exact import DomainError, PrecisionError
 from .lfuncs import _as_mpf, _exact, _precision_table, _working
 
 DEFAULT_PREC = 30
@@ -290,6 +297,25 @@ def _monomial(tanh_power, sech_power: int, log_z: bool = False):
     return term
 
 
+def _c_constant_term(which: int):
+    """The term sech^{3-which} z (1 - z/X) w of ``quad_c_constant``, with
+    X = tanh z for which = 1 and X = tanh z / sech z = sinh z for which = 2,
+    on the raw tuples of a node table entry.
+
+    Built as ``_monomial`` is, in the order of the written expression
+    sech_z ** (3 - which) * (1 - z / X) * w.  Must be called inside
+    ``lfuncs._working``.
+    """
+    prec, rnd = mp.prec, round_nearest
+
+    def term(ln_z, w, tanh_z, sech_z, z):
+        x = tanh_z if which == 1 else mpf_div(tanh_z, sech_z, prec, rnd)
+        bracket = mpf_sub(fone, mpf_div(z, x, prec, rnd), prec, rnd)
+        return mpf_mul(mpf_mul(mpf_pow_int(sech_z, 3 - which, prec, rnd), bracket, prec, rnd), w, prec, rnd)
+
+    return term
+
+
 def quad_phi(which: int, s, prec: int = DEFAULT_PREC) -> QuadResult:
     """Mellin transform value Phi_which(s), s > 1.
 
@@ -346,72 +372,21 @@ def quad_sinh_over_z(q: int, n_exponent: int, prec: int = DEFAULT_PREC) -> QuadR
     return _cached_quad(("soz", q, n_exponent, prec), prec, make)
 
 
-def _one_over_z_minus_coth(z: mpf, tanh_z: mpf) -> mpf:
-    """1/z - coth(z), evaluated without subtractive cancellation near 0."""
-    if z > mpf(3) / 4:
-        return 1 / z - 1 / tanh_z
-    # 1/z - coth z = -sum_{k>=1} 4^k B_{2k} z^{2k-1} / (2k)!
-    eps = mpf(10) ** (-(mp.dps + 5))
-    total = mpf(0)
-    k = 1
-    while True:
-        b = bernoulli(2 * k)
-        term = (
-            mpf(4) ** k
-            * mpf(b.numerator)
-            / b.denominator
-            * z ** (2 * k - 1)
-            / mp.factorial(2 * k)
-        )
-        total -= term
-        if abs(term) < eps * max(abs(total), mpf(1)):
-            return total
-        k += 1
-
-
-def _sinh_minus_z(z: mpf, tanh_z: mpf, sech_z: mpf) -> mpf:
-    """sinh(z) - z without cancellation near 0."""
-    if z > mpf(3) / 4:
-        return tanh_z / sech_z - z
-    eps = mpf(10) ** (-(mp.dps + 5))
-    total = mpf(0)
-    k = 1
-    while True:
-        term = z ** (2 * k + 1) / mp.factorial(2 * k + 1)
-        total += term
-        if term < eps * total:
-            return total
-        k += 1
-
-
 def quad_c_constant(which: int, prec: int = DEFAULT_PREC) -> QuadResult:
     """The constant term of Phi_which(s) - 1/(s-1) at s -> 1+, as an integral:
 
     which=1: int_0^1 (1/arctanh(x) - 1/x) dx,
     which=2: int_0^1 (1/(sqrt(1-x^2) arctanh(x)) - 1/x) dx,
 
-    both evaluated on (0, oo) through x = tanh(u) with cancellation-safe
-    integrand brackets.
+    both evaluated on (0, oo) through x = tanh(z), as
+    int sech^2 z (1 - z coth z) dz / z and int sech z (1 - z / sinh z) dz / z.
+
+    The brackets are formed directly.  Near z = 0 they are about -z^2/3 and
+    -z^2/6 and lose relative digits, but z/tanh z and z/sinh z are each
+    within a unit of 2^-wprec of 1, so a term is off by about 2^-wprec w in
+    absolute terms: the size of the rounding floor in the error estimate.
     """
     _check_prec(prec)
     if which not in (1, 2):
         raise DomainError(f"which must be 1 or 2, got {which}")
-
-    make_mpf = mp.make_mpf
-
-    def make():
-        if which == 1:
-            def term(ln_z, w, tanh_z, sech_z, z):
-                tanh_z, sech_z, z = make_mpf(tanh_z), make_mpf(sech_z), make_mpf(z)
-                return (_one_over_z_minus_coth(z, tanh_z) * sech_z ** 2 * make_mpf(w) * z)._mpf_
-
-            return term
-
-        def term(ln_z, w, tanh_z, sech_z, z):
-            # (cosh z / z - coth z) sech^2 z * z = (sinh z - z) sech^2 z / tanh z
-            tanh_z, sech_z, z = make_mpf(tanh_z), make_mpf(sech_z), make_mpf(z)
-            return (_sinh_minus_z(z, tanh_z, sech_z) * sech_z ** 2 / tanh_z * make_mpf(w))._mpf_
-
-        return term
-
-    return _cached_quad(("c_constant", which, prec), prec, make)
+    return _cached_quad(("c_constant", which, prec), prec, lambda: _c_constant_term(which))

@@ -441,8 +441,12 @@ def check_asymptotic_constants(prec: int = 30) -> VerifyReport:
     """The s -> 1+ expansion constants of both transforms.
 
     Verifies quadrature against the closed forms and the published 19-digit
-    decimals, and that Phi_which(1+eps) - 1/eps approaches the constant as
-    eps shrinks through 10^{-1} .. 10^{-6}.
+    decimals, and that Phi_which(1+eps) - 1/eps approaches the constant at
+    the rate O(eps): with eps = 10^{-k} for k = 1 .. 6 the errors e_k must
+    fall, and |e_k| <= 10^{-k} for every k <= min(6, (prec-1)//2).  Measured,
+    10^k |e_k| is about 0.09 for Phi_1 and 0.055 for Phi_2; the cap on k
+    keeps the error of Phi(1+10^{-k}) itself, about 10^{k-prec}, below a
+    tenth of the bound.
     """
 
     def cells():
@@ -466,7 +470,10 @@ def check_asymptotic_constants(prec: int = 30) -> VerifyReport:
                     diff = phi - mpf(10) ** k
                     errors.append(abs(diff - closed_val))
                 trend_ok = all(errors[i + 1] < errors[i] for i in range(len(errors) - 1))
-                ok = trend_ok and errors[2] < mpf("1e-2") and errors[-1] < mpf("1e-4")
+                rate_ok = all(
+                    errors[k - 1] <= mpf(10) ** -k for k in range(1, min(6, (prec - 1) // 2) + 1)
+                )
+                ok = trend_ok and rate_ok
             yield CellResult(
                 (f"C{which}", "limit-trend"),
                 ok,

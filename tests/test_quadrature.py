@@ -28,7 +28,7 @@ from arcmellin import (
     sinh_over_z_integral,
     phi_odd_closed_form,
 )
-from arcmellin import lfuncs, quadrature
+from arcmellin import exact, lfuncs, quadrature
 from arcmellin.catalog import C1_CLOSED_FORM, C1_DECIMAL, C2_CLOSED_FORM, C2_DECIMAL
 from arcmellin.lfuncs import _as_mpf
 
@@ -155,6 +155,29 @@ class TestQuadCConstant:
         quad = quad_c_constant(2, 30).value
         closed = eval_closed_form(C2_CLOSED_FORM, 30)
         assert abs(quad - closed) < TOL25
+
+    @pytest.mark.parametrize("prec", [1, 2, 3, 5, 8, 10, 12, 20, 45, 80])
+    @pytest.mark.parametrize("which", [1, 2])
+    def test_ten_digits_past_the_request_and_an_honest_estimate(self, which, prec):
+        # the direct brackets lose relative digits near z = 0 but only about
+        # 2^-wprec of absolute error per node
+        result = quad_c_constant(which, prec)
+        closed = eval_closed_form((C1_CLOSED_FORM, C2_CLOSED_FORM)[which - 1], prec + 20)
+        with mp.workdps(prec + 40):
+            error = abs(result.value - closed)
+            assert error <= mpf(10) ** -(prec + 10) * abs(closed)
+            assert result.error_estimate >= error
+
+    def test_reads_no_bernoulli_number(self, monkeypatch):
+        quadrature._quad_cache.clear()
+        expected = quad_c_constant(1, 30)
+        quadrature._quad_cache.clear()
+        # B_2 = 1/5 instead of 1/6
+        monkeypatch.setattr(exact, "_bernoulli_cache", [Fraction(1), Fraction(-1, 2), Fraction(1, 5)])
+        try:
+            assert quad_c_constant(1, 30) == expected
+        finally:
+            quadrature._quad_cache.clear()
 
 
 class TestWholeSupport:
@@ -427,15 +450,16 @@ def _mpf_expression(tanh_power, sech_power: int, log_z: bool = False):
 
 
 def _c_constant_expression(which: int):
-    """The integrands of ``quad_c_constant``, which are mpf expressions in
-    the package too, written out again over its cancellation-safe brackets."""
+    """The integrand of ``quad_c_constant`` written as mpf operations,
+    sech_z ** (3 - which) * (1 - z / X) * (1 + u) with X = tanh_z or
+    tanh_z / sech_z: the oracle that the raw-tuple kernel
+    ``quadrature._c_constant_term`` must match bit for bit."""
     make_mpf = mp.make_mpf
 
     def term(ln_z, w, tanh_z, sech_z, z):
         tanh_z, sech_z, z, w = (make_mpf(x) for x in (tanh_z, sech_z, z, w))
-        if which == 1:
-            return (quadrature._one_over_z_minus_coth(z, tanh_z) * sech_z ** 2 * w * z)._mpf_
-        return (quadrature._sinh_minus_z(z, tanh_z, sech_z) * sech_z ** 2 / tanh_z * w)._mpf_
+        x = tanh_z if which == 1 else tanh_z / sech_z
+        return (sech_z ** (3 - which) * (1 - z / x) * w)._mpf_
 
     return term
 
@@ -478,6 +502,8 @@ def fingerprint(*values) -> str:
 # node count and the level.  The phi(1, 1 + 1e-6) entries were recorded with
 # the exact exponent 10^-6; the exponent rounded from s moved the value by
 # 2.4e-36 at 30 digits and 7.8e-104 at 100, at the same nodes and levels.
+# The c(1) and c(2) entries were recorded with the direct brackets of
+# _c_constant_expression.
 RECORDED = {
     ("phi(1, 3)", 30): ("8d591ae3b08acf28", 295, 5),
     ("phi(1, 3)", 100): ("a56b4142f21368ff", 673, 6),
@@ -491,16 +517,17 @@ RECORDED = {
     ("log(1, 6)", 100): ("37c4de762a0d0d66", 603, 6),
     ("soz(3, 9)", 30): ("6458d4baee0bfc4e", 245, 5),
     ("soz(3, 9)", 100): ("f274875f001f8601", 573, 6),
-    ("c(1)", 30): ("242a48eeff3ea718", 296, 5),
-    ("c(1)", 100): ("d3c3064e9672c311", 674, 6),
-    ("c(2)", 30): ("65af60ea51ae0a82", 317, 5),
-    ("c(2)", 100): ("410b8c833eebac4c", 716, 6),
+    ("c(1)", 30): ("6c4f7fd60ec7f32b", 292, 5),
+    ("c(1)", 100): ("0224aa92acca1444", 670, 6),
+    ("c(2)", 30): ("b01b7ee7746e4353", 313, 5),
+    ("c(2)", 100): ("66a5ea736d2c2f3c", 713, 6),
 }
 
 # The fingerprints of the 30-digit values before the predicted-error stopping
 # rule, when every integral ran one level past the first level that met the
 # change target: at 30 digits both rules stop at the same level.  The
-# phi(1, 1 + 1e-6) value is the one with the exact exponent (above).
+# phi(1, 1 + 1e-6) value is the one with the exact exponent, and the c(1)
+# and c(2) values the ones with the direct brackets (both above).
 VALUES_30 = {
     "phi(1, 3)": "34c83a0e369d7d08",
     "phi(2, 7/2)": "994b811287a99afd",
@@ -508,8 +535,8 @@ VALUES_30 = {
     "log(2, 7)": "d2d69293fa1efefa",
     "log(1, 6)": "b95f2655c9e283b2",
     "soz(3, 9)": "b32f7680690cf090",
-    "c(1)": "acb3d6c3be883d47",
-    "c(2)": "e2a5ee2dbc4483b2",
+    "c(1)": "c8600c9902018326",
+    "c(2)": "6b0aa2c1661d4f36",
 }
 
 

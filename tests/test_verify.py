@@ -30,6 +30,7 @@ from arcmellin import (
     x_over_sinh_coeffs,
 )
 from arcmellin import catalog, quadrature
+from arcmellin.closedform import ONE, ClosedForm
 from arcmellin.verify import (
     MIN_PREC,
     SUITES,
@@ -327,6 +328,19 @@ class TestNumericSuites:
         kinds = {params[1] for params in (c.params for c in report.cells)}
         assert kinds == {"closed-vs-quad", "printed-prefix", "limit-trend"}
 
+    def test_limit_trend_checks_the_rate(self, monkeypatch):
+        # Phi_1(1 + 10^-k) - 10^k - C1 is about 0.09 10^-k; against a C1
+        # lowered by 1e-5 the errors still fall, to about 1e-5, but miss
+        # |e_k| <= 10^-k at k = 5 and 6
+        lowered = catalog.C1_CLOSED_FORM - ClosedForm({ONE: Fraction(1, 10**5)})
+        monkeypatch.setattr(catalog, "C1_CLOSED_FORM", lowered)
+        trend = {
+            cell.params[0]: cell.ok
+            for cell in check_asymptotic_constants(prec=30).cells
+            if cell.params[1] == "limit-trend"
+        }
+        assert trend == {"C1": False, "C2": True}
+
     def test_coupled_shares_the_mpmath_lock(self):
         # a 20-digit suite must not lower the working precision of a
         # 200-digit basis evaluation running in another thread
@@ -400,6 +414,10 @@ class TestPrecisionFloor:
     def test_below_the_floor_by_name(self, name):
         with pytest.raises(DomainError, match=f"prec >= {MIN_PREC}"):
             run_identity(name, prec=MIN_PREC - 1)
+
+    def test_every_numeric_suite_passes_at_the_floor(self):
+        reports = all_suites(MIN_PREC)
+        assert [report.family for report in reports if not report.passed] == []
 
     def test_exact_suites_take_no_precision(self):
         assert run_identity("alt-binom-odd", n_range=(1, 3), prec=3).passed
