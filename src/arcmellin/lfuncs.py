@@ -39,25 +39,30 @@ times the largest T_k falls below one unit; it only falls as m grows, so a
 huge s sums one term.  Each term is off by at most about one unit, so
 when the integer sum has fewer than mp.prec + bitlength(n) + 2 bits (as at
 small s, where 2^s eta'(s) is smallest) it is taken again with P raised by
-the shortfall.  The result is the exact quotient, rounded once, and
-negated for the derivative families.  Each value depends only on (family,
-s, precision), never on which other exponents shared the sweep.  The
-integer-argument sums behind the basis symbols, eta'(2p+2) (for
+the shortfall.  The result is the exact quotient by the integer d, rounded
+once, and negated for the derivative families.  Each value depends only on
+(family, s, precision), never on which other exponents shared the sweep.
+The integer-argument sums behind the basis symbols, eta'(2p+2) (for
 zeta'(2p+2)), beta'(2p+1), eta(2p+3) (for zeta(2p+3)) and beta(2p+2), pass
 int exponents; ``eval_closed_form`` fills every missing sum of a form with
 one sweep per family.  The real-s sums ``eta_value``, ``eta_prime``,
 ``beta_value`` and ``beta_prime_value`` pass one mpf exponent, so no
-m^s of a huge s is ever an integer.
+m^s of a huge s is ever an integer; the two derivative sums refuse
+s > 10^10000 with a ``PrecisionError``.
 
-The kernel reads three tables, each keyed by the binary precision
-``mp.prec`` and holding one precision at a time: the Chebyshev weights
-(c_0 ... c_{n-1}, d) for each term count n, ln p = mp.log(p) for every
-prime p a derivative sum has used, and the numerators T_k for each family
-and term count.  A composite m with smallest prime factor p gets
+The kernel reads three tables, all on Python integers, each keyed by the
+binary precision ``mp.prec`` and holding one precision at a time: the
+exact Chebyshev weights (c_0 ... c_{n-1}, d = T_n(3)) for each term count
+n, ln p 2^G for every prime p a derivative sum has used, and the
+numerators T_k for each family and term count.  ln 2 is 2 atanh(1/3) and a
+prime p > 2 is ln(p-1) + 2 atanh(1/(2p-1)), each atanh series summed on
+integers; a composite m with smallest prime factor p gets
 ln m = ln p + ln(m/p) when the numerators are built, so every sum reads
-ln m one way.  The tables are filled lazily under ``_MP_LOCK``, so the
-kernel must run inside ``_working``; reusing them leaves every value
-bit-identical.
+ln m one way.  With G = P + bitlength(d) + 48, each T_k is
+floor(c_k (ln m 2^G) 2^(P-G)) by shifts alone, and it is the exact floor
+unless c_k ln m 2^P lies within 2^-33 above an integer.  The tables are
+filled lazily under ``_MP_LOCK``, so the kernel must run inside
+``_working``; reusing them leaves every value bit-identical.
 ``eval_closed_form`` also measures the digits its sum loses to cancellation
 and evaluates again at a higher precision when they eat into the guard.
 """
@@ -83,19 +88,26 @@ GUARD_DIGITS = 15
 _CANCELLATION_SLACK = 5
 
 _MAX_PREC = 1000
+#: The largest s of ``eta_prime`` and ``beta_prime_value``.  m0^s costs
+#: about 0.3 s at s = 10^10000, at 30 and at 1000 digits, and 0.7 to 0.9 s at
+#: 10^20000 (2 cores, mpmath 1.3.0 on its pure-Python backend).
+_REAL_S_LIMIT = 10**10000
 
 _MP_LOCK = threading.RLock()
 
 _cache_lock = threading.Lock()
 _constant_cache: dict[tuple, mpf] = {}
 # The kernel tables of the accelerated sums, each {mp.prec: table} holding one
-# precision at a time: {n: (Chebyshev weights c_0 ... c_{n-1}, d)} for the
-# n-term sum, and {p: ln p} for primes p.  Filled and read only inside _working.
+# precision at a time, all on Python integers: {n: (Chebyshev weights
+# c_0 ... c_{n-1}, d)} for the n-term sum, {G: {p: ln p 2^G}} for primes p,
+# and {(family, n): (P, max |T_k|, (T_k ...))}, the fixed-point numerators
+# T_k = floor(c_k L(m) 2^P) of ``_numerators``.  Filled and read only inside
+# _working.
 _weight_tables: dict[int, dict[int, tuple]] = {}
-_log_tables: dict[int, dict[int, mpf]] = {}
-# {mp.prec: {(family, n): (P, max |T_k|, (T_k ...))}}, the fixed-point
-# numerators T_k = floor(c_k L(m) 2^P) of ``_numerators``, under the same rule.
+_log_tables: dict[int, dict[int, dict[int, int]]] = {}
 _numerator_tables: dict[int, dict[tuple, tuple]] = {}
+#: Bits of ln m 2^G past those of c_k ln m 2^P and of d: G - P - bitlength(d).
+_LOG_GUARD_BITS = 48
 
 
 def _check_prec(prec: int) -> None:
@@ -178,19 +190,25 @@ def _term_count() -> int:
     return int(mp.dps / 0.75) + 8
 
 
-def _chebyshev_weights(n: int) -> tuple[tuple[mpf, ...], mpf]:
-    """The weights (c_0 ... c_{n-1}) and divisor d of the n-term sum."""
+def _chebyshev_weights(n: int) -> tuple[tuple[int, ...], int]:
+    """The integer weights (c_0 ... c_{n-1}) and divisor d of the n-term sum.
+
+    d = T_n(3) from T_{k+1} = 6 T_k - T_{k-1}; c_k = b_k - c_{k-1} from
+    c_{-1} = -d and b_0 = -1, with the exact division
+    b_{k+1} = 2 (k+n) (k-n) b_k / ((2k+1) (k+1)).  Every |c_k| < d.
+    """
     weights = _precision_table(_weight_tables)
     hit = weights.get(n)
     if hit is None:
-        d = (3 + mp.sqrt(8)) ** n
-        d = (d + 1 / d) / 2
-        b, c = mpf(-1), -d
+        t, d = 1, 3
+        for _ in range(n - 1):
+            t, d = d, 6 * d - t
+        b, c = -1, -d
         cs = []
         for k in range(n):
             c = b - c
             cs.append(c)
-            b = (k + n) * (k - n) * b / ((k + mpf(1) / 2) * (k + 1))
+            b = 2 * (k + n) * (k - n) * b // ((2 * k + 1) * (k + 1))
         hit = weights[n] = (tuple(cs), d)
     return hit
 
@@ -214,48 +232,75 @@ _SYMBOL_FAMILY = {
 }
 
 
-def _sweep_logs(top: int, odd: bool) -> dict[int, mpf]:
-    """ln m for m = 2 ... top (odd m only, if ``odd``).
+def _atanh_inverse(q: int, bits: int) -> int:
+    """atanh(1/q) 2^bits for an integer q >= 3, floor-summed: the series
+    sum_j 1 / ((2j+1) q^(2j+1)) with each term its exact floor, stopped at
+    the first power that floors to 0, so the result is below the true value
+    by less than one unit per term plus one for the tail."""
+    power, q2 = (1 << bits) // q, q * q
+    total, j = 0, 1
+    while power:
+        total += power // j
+        power //= q2
+        j += 2
+    return total
 
-    A prime p reads mp.log(p) from ``_log_tables``; a composite m with
-    smallest prime factor p is ln p + ln(m/p), so ln m depends only on m and
-    the precision.
+
+def _sweep_logs(top: int, bits: int) -> dict[int, int]:
+    """ln m 2^bits as integers, for m = 2 ... top.
+
+    A prime p is ln(p-1) + 2 atanh(1/(2p-1)) (ln 2 = 2 atanh(1/3)), its
+    atanh from ``_atanh_inverse``, and is kept in ``_log_tables``; a
+    composite m with smallest prime factor p is ln p + ln(m/p), so ln m
+    depends only on m, ``bits`` and the precision.  Every error is a
+    floor, so each value is at most ln m 2^bits, and short by less than
+    2 (J + 2) units for each atanh series of J terms along its chain of
+    factors: under 2^15 units for every m and bits that the 1000-digit cap
+    reads.
     """
-    primes = _precision_table(_log_tables)
+    primes = _precision_table(_log_tables).setdefault(bits, {})
     smallest = list(range(top + 1))
     for p in range(2, math.isqrt(top) + 1):
         if smallest[p] == p:
             for multiple in range(p * p, top + 1, p):
                 if smallest[multiple] == multiple:
                     smallest[multiple] = p
-    logs = {}
-    for m in range(3 if odd else 2, top + 1, 2 if odd else 1):
+    logs = {1: 0}
+    for m in range(2, top + 1):
         p = smallest[m]
         if p < m:
             logs[m] = logs[p] + logs[m // p]
         else:
             if m not in primes:
-                primes[m] = mp.log(m)
+                primes[m] = logs[m - 1] + 2 * _atanh_inverse(2 * m - 1, bits)
             logs[m] = primes[m]
     return logs
+
+
+def _floor_shift(x: int, shift: int) -> int:
+    """floor(x 2^shift)."""
+    return x << shift if shift >= 0 else x >> -shift
 
 
 def _fixed(x: tuple, shift: int) -> int:
     """floor(x 2^shift) for a raw mpf x."""
     sign, man, exp, _ = x
-    exp += shift
-    man = -man if sign else man
-    return man << exp if exp >= 0 else man >> -exp
+    return _floor_shift(-man if sign else man, exp + shift)
 
 
 def _numerators(family: str, extra: int = 0) -> tuple[int, int, tuple[int, ...]]:
     """(P, max |T_k|, numerators) of the family's sum at the working precision.
 
     The numerators are T_k = floor(c_k L(m) 2^P) for every m with L(m) != 0,
-    in increasing m, read from ``_chebyshev_weights`` and ``_sweep_logs``;
-    P = mp.prec + bitlength(n) + 3 - bitlength(d) + ``extra``, so the largest
-    T_k have bitlength(n) + 3 bits more than the working precision.  The
-    table at ``extra`` = 0 is kept in ``_numerator_tables``.
+    in increasing m, formed on integers by shifts alone: c_k 2^P from the
+    exact ``_chebyshev_weights``, and c_k ln m 2^P as c_k l_m 2^(P-G) with
+    l_m = ln m 2^G from ``_sweep_logs`` at G = P + bitlength(d) +
+    ``_LOG_GUARD_BITS``.  Since |c_k| < d and l_m is short by less than
+    2^15 units, the product is short by less than 2^-33, so each T_k is the
+    exact floor unless c_k ln m 2^P lies that close above an integer.
+    P = mp.prec + bitlength(n) + 3 - bitlength(d) + ``extra``, so the
+    largest T_k have bitlength(n) + 3 bits more than the working precision.
+    The table at ``extra`` = 0 is kept in ``_numerator_tables``.
     """
     n = _term_count()
     table = _precision_table(_numerator_tables)
@@ -263,17 +308,15 @@ def _numerators(family: str, extra: int = 0) -> tuple[int, int, tuple[int, ...]]
         return table[family, n]
     odd, with_log, _ = _FAMILIES[family]
     cs, d = _chebyshev_weights(n)
-    _, _, d_exp, d_bits = d._mpf_
-    shift = mp.prec + n.bit_length() + 3 - (d_exp + d_bits) + extra
-    logs = _sweep_logs(2 * n - 1 if odd else n, odd) if with_log else {}
-    numerators = []
-    for k, c in enumerate(cs):
-        m = 2 * k + 1 if odd else k + 1
-        if with_log:
-            if m == 1:  # ln 1 = 0
-                continue
-            c = c * logs[m]
-        numerators.append(_fixed(c._mpf_, shift))
+    shift = mp.prec + n.bit_length() + 3 - d.bit_length() + extra
+    if with_log:  # ln 1 = 0 drops m = 1, the first term
+        bits = shift + d.bit_length() + _LOG_GUARD_BITS
+        logs = _sweep_logs(2 * n - 1 if odd else n, bits)
+        ms = range(3, 2 * n, 2) if odd else range(2, n + 1)
+        products = [c * logs[m] for c, m in zip(cs[1:], ms)]
+    else:
+        bits, products = 0, cs
+    numerators = [_floor_shift(x, shift - bits) for x in products]
     entry = (shift, max(map(abs, numerators)), tuple(numerators))
     if not extra:
         table[family, n] = entry
@@ -338,11 +381,13 @@ def _basis_sweep(family: str, exponents) -> list[mpf]:
     exact integer sum rounded once.
 
     With m0 the first m with L(m) != 0, the sum at s is
-    m0^-s 2^-P / d * sum_k T_k (m0/m)^s, each term floored, so the integer
-    sum is off by at most about one unit per term.  When its bit length is
+    m0^-s 2^-P / d * sum_k T_k (m0/m)^s, each term floored.  Every T_k from
+    ``_numerators`` is the exact floor of c_k L(m) 2^P, so the integer sum
+    is off by at most about one unit per term.  When its bit length is
     short of mp.prec + bitlength(n) + 2, P is raised by the shortfall and
-    the sum taken again.  Each value depends only on (family, s,
-    precision), never on the other exponents.  Must be called inside
+    the sum taken again.  The sum is divided once by m0^s times the exact
+    integer d and rounded to mp.prec.  Each value depends only on (family,
+    s, precision), never on the other exponents.  Must be called inside
     ``_working``.
     """
     odd, with_log, _ = _FAMILIES[family]
@@ -364,7 +409,8 @@ def _basis_sweep(family: str, exponents) -> list[mpf]:
             extra += short
         if with_log:  # d/ds m^-s = -ln m m^-s
             total = -total
-        value = mpf_div(from_man_exp(total, -shift - frac), mpf_mul(scale, d._mpf_), mp.prec, round_nearest)
+        denominator = mpf_mul(scale, from_int(d))  # m0^s d, exact
+        value = mpf_div(from_man_exp(total, -shift - frac), denominator, mp.prec, round_nearest)
         sums.append(mp.make_mpf(value))
     return sums
 
@@ -397,12 +443,24 @@ def _fill_basis_sums(symbols, prec: int) -> None:
 
 def _real_s_sum(family: str, s, prec: int) -> mpf:
     """The family's sum at one real s >= 1.  s stays an mpf even when it is
-    integral, so eta_value(10**6, 30) builds no million-digit m^s."""
+    integral, so eta_value(10**6, 30) builds no million-digit m^s.
+
+    A non-finite s raises :class:`DomainError`.  The derivative families
+    raise :class:`PrecisionError` for s > ``_REAL_S_LIMIT``: their m0^s is
+    exp(s ln m0) at mag(s) bits more than the sum's, and its cost grows
+    faster than mag(s).
+    """
     _check_prec(prec)
     with _working(prec):
         sv = _as_mpf(s)
         if not sv >= 1:
             raise DomainError(f"alternating-series region requires s >= 1, got {sv}")
+        if not mp.isfinite(sv):
+            raise DomainError(f"alternating series need a finite s, got s={s}")
+        if _FAMILIES[family][1] and sv > _REAL_S_LIMIT:
+            raise PrecisionError(
+                f"{family} needs s <= 10^10000, where m^-s at mag(s) extra bits stays cheap; got s={s}"
+            )
         return _basis_sweep(family, [sv])[0]
 
 

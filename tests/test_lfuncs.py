@@ -1,6 +1,7 @@
 """Numeric basis evaluation: frozen references, dual paths, precision contract."""
 
 import ast
+import functools
 import math
 import os
 import subprocess
@@ -135,48 +136,110 @@ class TestAlternatingSums:
             assert abs(eta / (mp.log(2) * mp.ldexp(1, -int(s))) - 1) < mpf(10) ** -30
             assert abs(beta / (mp.log(3) * mp.exp(-s * mp.log(3))) - 1) < mpf(10) ** -30
 
+    @pytest.mark.parametrize("s", [float("inf"), "inf", "+inf"])
+    @pytest.mark.parametrize(
+        "func", [eta_value, eta_prime, beta_value, beta_prime_value], ids=lambda f: f.__name__
+    )
+    def test_infinite_s_is_refused(self, func, s):
+        # no sum has a value there, so none may come back as nan
+        with pytest.raises(DomainError):
+            func(s, 30)
+
+    def test_s_past_the_limit_fails_fast(self):
+        # m0^s is exp(s ln m0) at mag(s) extra bits, whose cost grows faster
+        # than mag(s): the limit refuses 1e300000 at once, and the largest s
+        # accepted, 10^10000, takes well under a second
+        code = (
+            "from arcmellin import PrecisionError, beta_prime_value, eta_prime\n"
+            "for prec in (30, 1000):\n"
+            "    for f in (eta_prime, beta_prime_value):\n"
+            "        assert f('1e10000', prec) > 0\n"
+            "        for s in ('1e300000', '1.0001e10000'):\n"
+            "            try:\n"
+            "                f(s, prec)\n"
+            "            except PrecisionError:\n"
+            "                continue\n"
+            "            raise SystemExit(f'{f.__name__}({s}, {prec}) returned')\n"
+            "from mpmath import mp, mpf\n"
+            "eta = eta_prime('1e10000', 30)\n"
+            f"with mp.workdps({30 + GUARD_DIGITS}):\n"
+            "    s = mpf('1e10000')  # the binary s the sum saw, an integer\n"
+            "    assert abs(eta / (mp.log(2) * mp.ldexp(1, -int(s))) - 1) < mpf(10) ** -30\n"
+        )
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        proc = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=30
+        )
+        assert proc.returncode == 0, proc.stderr + proc.stdout
+
 
 def exact(x: mpf) -> Fraction:
     sign, man, exp, _ = x._mpf_
     return Fraction(-man if sign else man) * Fraction(2) ** exp
 
 
+def fraction_weights(n: int) -> tuple[list[Fraction], int]:
+    """The weights c_0 ... c_{n-1} of the n-term sum by the Fraction
+    recurrence of Cohen, Rodriguez Villegas and Zagier, and
+    d = ((3 + sqrt 8)^n + (3 - sqrt 8)^n) / 2 from the binomial expansion."""
+    d = sum(math.comb(n, j) * 3 ** (n - j) * 8 ** (j // 2) for j in range(0, n + 1, 2))
+    b, c, cs = Fraction(-1), Fraction(-d), []
+    for k in range(n):
+        c = b - c
+        cs.append(c)
+        b = (k + n) * (k - n) * b / ((k + Fraction(1, 2)) * (k + 1))
+    return cs, d
+
+
+@functools.lru_cache(maxsize=None)
+def log_fraction(m: int, bits: int) -> Fraction:
+    """mp.log(m) at ``bits`` bits, as an exact Fraction."""
+    with mp.workprec(bits):
+        return exact(mp.log(m))
+
+
+def oracle_numerators(odd: bool, with_log: bool, extra: int = 0) -> tuple[int, list[int], list[int]]:
+    """(P, the m with L(m) != 0 in increasing order, floor(c_k L(m) 2^P) for
+    each) at the working precision, from ``fraction_weights`` and mp.log at
+    twice the working bits: the kernel's numerators, built afresh."""
+    n = int(mp.dps / 0.75) + 8
+    cs, d = fraction_weights(n)
+    shift = mp.prec + n.bit_length() + 3 - d.bit_length() + extra
+    ms, numerators = [], []
+    for k, c in enumerate(cs):
+        m = 2 * k + 1 if odd else k + 1
+        if with_log:
+            if m == 1:
+                continue
+            c *= log_fraction(m, 2 * mp.prec)
+        ms.append(m)
+        numerators.append(math.floor(c * Fraction(2) ** shift))
+    return shift, ms, numerators
+
+
 def per_term_log_value(func, s: Fraction, prec: int) -> mpf:
-    """``func(s, prec)`` with the kernel rebuilt on every call: fresh
-    Chebyshev weights, fresh ln m by the kernel's construction (mp.log of a
-    prime, ln p + ln(m/p) for a composite m with smallest prime factor p)
-    and the kernel's fixed-point sum of the products c_k L(m): numerators
-    T_k = floor(c_k L(m) 2^P), factors floor((m0/m)^s 2^f) from
+    """``func(s, prec)`` with the kernel rebuilt on every call: the
+    numerators of ``oracle_numerators`` (exact Fraction weights and per-term
+    logs from mp.log, none of the kernel's tables) and the kernel's
+    fixed-point sum over them: factors floor((m0/m)^s 2^f) from
     exp(s ln m0) / m^s at f + 16 + mag(s) bits, P raised while the sum is
-    short, and one rounding of the exact quotient; a bit-identity oracle
-    for the kernel tables."""
+    short, and one rounding of the exact quotient by m0^s d; a bit-identity
+    oracle for the kernel tables."""
     odd = func in (beta_value, beta_prime_value)
     with_log = func in (eta_prime, beta_prime_value)
     with mp.workdps(prec + GUARD_DIGITS):
         sv = mpf(s.numerator) / s.denominator
         n = int(mp.dps / 0.75) + 8
-        d = (3 + mp.sqrt(8)) ** n
-        d = (d + 1 / d) / 2
-        b, c, products, logs = mpf(-1), -d, [], {}
-        for k in range(n):
-            c = b - c
-            b = (k + n) * (k - n) * b / ((k + mpf(1) / 2) * (k + 1))
-            m = 2 * k + 1 if odd else k + 1
-            if not with_log:
-                products.append((m, c))
-            elif m > 1:
-                p = next((q for q in range(2, math.isqrt(m) + 1) if m % q == 0), m)
-                logs[m] = mp.log(m) if p == m else logs[p] + logs[m // p]
-                products.append((m, c * logs[m]))
-        m0, wprec, extra = products[0][0], mp.prec, 0
+        d = fraction_weights(n)[1]
+        wprec, extra = mp.prec, 0
         while True:
-            shift = wprec + n.bit_length() + 3 - mp.mag(d) + extra
-            numerators = [math.floor(exact(t) * Fraction(2) ** shift) for _, t in products]
-            f = max(map(abs, numerators)).bit_length()
+            shift, ms, numerators = oracle_numerators(odd, with_log, extra)
+            m0, f = ms[0], max(map(abs, numerators)).bit_length()
             with mp.workprec(f + 16 + max(0, mp.mag(sv))):
                 a = mp.exp(sv * mp.log(m0))
                 total = 0
-                for (m, _), t in zip(products, numerators):
+                for m, t in zip(ms, numerators):
                     factor = math.floor(exact(a / mpf(m) ** sv) * 2**f)
                     if not factor:
                         break
@@ -185,7 +248,7 @@ def per_term_log_value(func, s: Fraction, prec: int) -> mpf:
             if short <= 0:
                 break
             extra += short
-        value = Fraction(-total if with_log else total) / 2 ** (shift + f) / (exact(a) * exact(d))
+        value = Fraction(-total if with_log else total) / 2 ** (shift + f) / (exact(a) * d)
         return mp.make_mpf(from_rational(value.numerator, value.denominator, mp.prec, round_nearest))
 
 
@@ -201,9 +264,31 @@ class TestKernelTable:
                 expected = per_term_log_value(func, s, prec)
                 assert func(s, prec)._mpf_ == expected._mpf_, (func.__name__, s)
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 8, 50, 694])
+    def test_integer_weights(self, n):
+        cs, d = fraction_weights(n)
+        with lfuncs._working(30):
+            got_cs, got_d = lfuncs._chebyshev_weights(n)
+        assert got_d == d
+        assert list(got_cs) == cs
+        assert all(isinstance(c, int) for c in (got_d, *got_cs))
+
+    @pytest.mark.parametrize("prec", [30, 500])
+    def test_numerators_are_exact_floors(self, prec):
+        # floor(c_k L(m) 2^P) from exact weights and logs at twice the working
+        # bits; numerators formed from rounded mpf products are off by up to
+        # 3e5 units at 30 digits
+        with lfuncs._working(prec):
+            for family, (odd, with_log, _) in lfuncs._FAMILIES.items():
+                shift, top, numerators = lfuncs._numerators(family)
+                expected_shift, _, expected = oracle_numerators(odd, with_log)
+                assert shift == expected_shift
+                assert list(numerators) == expected, family
+                assert top == max(map(abs, expected))
+
     def test_table_follows_the_precision(self):
-        # a table kept across a precision change would hand 500-digit weights
-        # and logs to the second 30-digit round
+        # the tables hold one precision at a time, so each round rebuilds
+        # them; a table read at the wrong precision would break bit identity
         for prec in (30, 500, 30):
             for func in DIRICHLET_SUMS:
                 for s in (Fraction(2), Fraction(7, 2)):
@@ -395,17 +480,20 @@ class TestBasisKernelInvariants:
 def mpf_accumulation(family: str, exponents) -> list[mpf]:
     """The family's sums by the mpf accumulation that the fixed-point one
     replaced: sum_k c_k L(m) / m^s in mpf arithmetic over the kernel's
-    weights and logs, divided by d.  Must be called inside ``_working``."""
+    integer weights and its integer logs at 64 bits past the working
+    precision, divided by d.  Must be called inside ``_working``."""
     odd, with_log, _ = lfuncs._FAMILIES[family]
     cs, d = lfuncs._chebyshev_weights(lfuncs._term_count())
+    bits = mp.prec + 64
+    logs = lfuncs._sweep_logs(2 * len(cs) - 1 if odd else len(cs), bits) if with_log else {}
     sums = [mpf(0)] * len(exponents)
-    logs = lfuncs._sweep_logs(2 * len(cs) - 1 if odd else len(cs), odd) if with_log else {}
     for k, c in enumerate(cs):
         m = 2 * k + 1 if odd else k + 1
+        c = mpf(c)
         if with_log:
             if m == 1:
                 continue
-            c = c * logs[m]
+            c *= mp.ldexp(logs[m], -bits)
         for i, s in enumerate(exponents):
             sums[i] += c / m**s
     return [-(total / d) if with_log else total / d for total in sums]
