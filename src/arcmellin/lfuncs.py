@@ -58,9 +58,12 @@ numerators T_k for each family and term count.  ln 2 is 2 atanh(1/3) and a
 prime p > 2 is ln(p-1) + 2 atanh(1/(2p-1)), each atanh series summed on
 integers; a composite m with smallest prime factor p gets
 ln m = ln p + ln(m/p) when the numerators are built, so every sum reads
-ln m one way.  With G = P + bitlength(d) + 48, each T_k is
-floor(c_k (ln m 2^G) 2^(P-G)) by shifts alone, and it is the exact floor
-unless c_k ln m 2^P lies within 2^-33 above an integer.  The tables are
+ln m one way.  With G = P + bitlength(d) + 64 at P's default, and at
+least 48 past any raised P, each T_k is floor(c_k (ln m 2^G) 2^(P-G)) by
+shifts alone, and it is the exact floor unless c_k ln m 2^P lies within
+2^-33 above an integer.  One log table per precision serves P raised by
+up to 16 bits (a short sum raises it by one bit, as eta'(2) does at 1000
+digits), so the prime logs are built once per precision.  The tables are
 filled lazily under ``_MP_LOCK``, so the kernel must run inside
 ``_working``; reusing them leaves every value bit-identical.
 ``eval_closed_form`` also measures the digits its sum loses to cancellation
@@ -108,6 +111,9 @@ _log_tables: dict[int, dict[int, dict[int, int]]] = {}
 _numerator_tables: dict[int, dict[tuple, tuple]] = {}
 #: Bits of ln m 2^G past those of c_k ln m 2^P and of d: G - P - bitlength(d).
 _LOG_GUARD_BITS = 48
+#: Bits by which the log table is wider still at P's default, so that a sum
+#: taken again with P raised by up to this many bits reads the same table.
+_LOG_SPARE_BITS = 16
 
 
 def _check_prec(prec: int) -> None:
@@ -295,12 +301,16 @@ def _numerators(family: str, extra: int = 0) -> tuple[int, int, tuple[int, ...]]
     in increasing m, formed on integers by shifts alone: c_k 2^P from the
     exact ``_chebyshev_weights``, and c_k ln m 2^P as c_k l_m 2^(P-G) with
     l_m = ln m 2^G from ``_sweep_logs`` at G = P + bitlength(d) +
-    ``_LOG_GUARD_BITS``.  Since |c_k| < d and l_m is short by less than
-    2^15 units, the product is short by less than 2^-33, so each T_k is the
-    exact floor unless c_k ln m 2^P lies that close above an integer.
-    P = mp.prec + bitlength(n) + 3 - bitlength(d) + ``extra``, so the
-    largest T_k have bitlength(n) + 3 bits more than the working precision.
-    The table at ``extra`` = 0 is kept in ``_numerator_tables``.
+    ``_LOG_GUARD_BITS`` + ``_LOG_SPARE_BITS`` - ``extra``, or at
+    G = P + bitlength(d) + ``_LOG_GUARD_BITS`` for an ``extra`` past the
+    spare bits.  So every sum at one precision with ``extra`` up to
+    ``_LOG_SPARE_BITS`` reads one log table.  Since |c_k| < d and l_m is
+    short by less than 2^15 units, the product is short by less than
+    2^-33, so each T_k is the exact floor unless c_k ln m 2^P lies that
+    close above an integer.  P = mp.prec + bitlength(n) + 3 -
+    bitlength(d) + ``extra``, so the largest T_k have bitlength(n) + 3
+    bits more than the working precision.  The table at ``extra`` = 0 is
+    kept in ``_numerator_tables``.
     """
     n = _term_count()
     table = _precision_table(_numerator_tables)
@@ -310,7 +320,7 @@ def _numerators(family: str, extra: int = 0) -> tuple[int, int, tuple[int, ...]]
     cs, d = _chebyshev_weights(n)
     shift = mp.prec + n.bit_length() + 3 - d.bit_length() + extra
     if with_log:  # ln 1 = 0 drops m = 1, the first term
-        bits = shift + d.bit_length() + _LOG_GUARD_BITS
+        bits = shift + d.bit_length() + _LOG_GUARD_BITS + max(_LOG_SPARE_BITS - extra, 0)
         logs = _sweep_logs(2 * n - 1 if odd else n, bits)
         ms = range(3, 2 * n, 2) if odd else range(2, n + 1)
         products = [c * logs[m] for c, m in zip(cs[1:], ms)]

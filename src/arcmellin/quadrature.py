@@ -45,28 +45,38 @@ under one correct digit), and a level cap reached first raises
 :class:`PrecisionError`.
 The reported error estimate is computed, never asserted, and is meant as an
 upper bound: the same prediction with the growth capped at 1.5 instead of 2,
-min(d1^2/d2, 1.5 d1) digits, plus a rounding floor of nodes 2^-wprec times
-the sum of |terms|, plus a bound on the dropped tails, whose terms are each
-below the cutoff.
+min(d1^2/d2, 1.5 d1) digits, plus a relative rounding floor of nodes
+2^-wprec times the sum of |terms|, plus the absolute floor of the
+fixed-point terms (below), plus a bound on the dropped tails, whose terms
+are each below the cutoff.
 
-Every node is t = k 2^-level, so every integrand samples the same grid.  A
-node table, one for the current working precision and replaced when the
-precision changes, keeps the integrand-independent values ln z = t - u,
-w = 1 + u (with u = exp(-t)), tanh z, sech z and z at each node, keyed by
-the integer t 2^MAX_LEVEL, as raw ``_mpf_`` tuples.  Every integrand is a
-raw-tuple function of those values.  The monomial kernel ``_monomial``
-writes the Mellin and sinh/z families as tanh^a z sech^b z w and the log
-family as tanh^a z sech^b z ln z w z; ``_c_constant_term`` writes the two
-constants as sech^{3-which} z (1 - z/X) w, with X = tanh z or sinh z.
-Those brackets are formed directly: near z = 0 they lose relative digits,
-but the rule needs each term to a small absolute error, and z/X is within
-a unit of 2^-wprec of 1 there, so a term is off by about 2^-wprec w, the
-size of the rounding floor in the error estimate.  The kernels and the wing
-sums run on the raw tuples through the ``mpmath.libmp`` functions that the
-``mpf`` operators call, at the working precision with rounding to nearest
-and in the order the written expression gives, so they skip building an
-``mpf`` per operation and still return the value, bit for bit, that the
-``mpf`` expression would.
+The sums run on Python integers at the scale 2^F, F = wprec +
+``_GUARD_BITS``.  Every node is t = k 2^-level, so every integrand samples
+the same grid.  A node table, one for the current working precision and
+replaced when the precision changes, keeps the integrand-independent values
+ln z, w = 1 + exp(-t), tanh z, sech z and z at each node as integers at
+scale 2^F, keyed by the integer t 2^MAX_LEVEL.  A node is filled at
+F + ``_FILL_BITS`` bits, with tanh z = sinh z / cosh z and sech z = 1/cosh z
+from one ``mpf_cosh_sinh``: one exp(z) and exp(-z), with the bits that
+sinh z would lose below z = 1 added to its precision (an expm1).  Its sixth
+slot, ln tanh z, is filled on first use, for the kernels that need it:
+ln(tanh z) below z = 1 and log1p(-x) - log1p(x), x = exp(-2z), above, so
+it keeps its relative digits where tanh z is close to 1.
+
+Each integrand is a kernel: a term function of one table entry that
+returns f(z) dz/dt at scale 2^F, as products of the entry's integers, each
+shifted down by F.  ``_monomial`` writes the Mellin and sinh/z families as
+tanh^a z sech^b z w and the log family as tanh^a z sech^b z (ln z w z); an
+integer power below ``_LADDER_LIMIT`` is a left-to-right binary ladder of
+such products, and a larger or fractional a of tanh z is exp(a ln tanh z),
+whose argument near the peak of a large s is O(1), so its error stays a few
+units whatever s is.  ``_c_constant_term`` writes the two constants as
+sech^{3-which} z (1 - z/X) w, X = tanh z or sinh z, with the bracket formed
+once in ``mpf`` from z/tanh z = exp(ln z - ln tanh z), which keeps its
+relative digits at small z.  Each kernel carries ``units``, a bound c on
+its term's error in units of 2^-F times 1 + w + z at the node; the level
+sums are exact integers, so the absolute floor of the estimate is
+c h 2^-F sum (1 + w + z) over every node summed.
 
 Results are cached per (family, parameters, precision); cached replies are
 bit-identical.  Every integral runs inside ``lfuncs._working(prec)``, at
@@ -80,15 +90,17 @@ from __future__ import annotations
 import math
 import threading
 from dataclasses import dataclass
+from fractions import Fraction
+from typing import Callable, NamedTuple
 
 from mpmath import mp, mpf
 from mpmath.libmp import (
-    fone, fzero, mpf_abs, mpf_add, mpf_div, mpf_lt, mpf_mul, mpf_pow, mpf_pow_int, mpf_sub,
-    round_floor, round_nearest,
+    fone, from_int, from_man_exp, from_rational, mpf_cosh_sinh, mpf_div, mpf_exp, mpf_log,
+    mpf_lt, mpf_mul, mpf_neg, mpf_shift, mpf_sub, round_nearest,
 )
 
 from .exact import DomainError, PrecisionError
-from .lfuncs import _as_mpf, _exact, _precision_table, _working
+from .lfuncs import _exact, _fixed, _precision_table, _working
 
 DEFAULT_PREC = 30
 MAX_PREC = 100
@@ -96,13 +108,25 @@ MAX_LEVEL = 12
 #: From this s on, every level-0 node of Phi_1 and Phi_2 is below the cutoff
 #: at every precision 1 ... MAX_PREC, so ``quad_phi`` raises before any node.
 _PHI_S_LIMIT = 10**19
+#: G: the fixed-point scale is 2^F with F = mp.prec + G.  A term off by
+#: c (1 + w + z) units of 2^-F is off by 2^-G c units of the working
+#: precision, so even Phi near s = 10^19, about 2^-67, where the absolute
+#: floor sums to about 2^-(mp.prec+48), keeps mp.prec - 19 relative bits,
+#: about 31 bits more than the requested digits need.
+_GUARD_BITS = 64
+#: Bits past F at which a node table entry and ln tanh z are computed.
+_FILL_BITS = 16
+#: An integer power of tanh z below this is a ladder of at most 24 integer
+#: products, within 3a < 2^14 units; from here on it is exp(a ln tanh z),
+#: within a few units whatever a is, at the cost of an exp per term.
+_LADDER_LIMIT = 2**12
 
 _cache_lock = threading.Lock()
 _quad_cache: dict[tuple, "QuadResult"] = {}
-# {mp.prec: {t * 2^MAX_LEVEL: (ln z, 1 + exp(-t), tanh z, sech z, z) as raw
-# _mpf_ tuples}}, holding one precision at a time; filled and read by
-# _de_halfline.
-_node_tables: dict[int, dict[int, tuple]] = {}
+# {mp.prec: {t * 2^MAX_LEVEL: [ln z, 1 + exp(-t), tanh z, sech z, z as
+# integers at scale 2^F, ln tanh z as a raw mpf or None]}}, holding one
+# precision at a time; filled and read by _de_halfline and the kernels.
+_node_tables: dict[int, dict[int, list]] = {}
 
 
 @dataclass(frozen=True)
@@ -118,73 +142,153 @@ class QuadResult:
         return float(self.value)
 
 
+class _Kernel(NamedTuple):
+    """An integrand: ``term(entry)`` returns f(z) dz/dt at scale 2^F from a
+    node table entry, within ``units`` (1 + w + z) units of 2^-F."""
+
+    term: Callable[[list], int]
+    units: int
+
+
 def _check_prec(prec: int) -> None:
     if not 1 <= prec <= MAX_PREC:
         raise DomainError(f"quadrature precision must be in [1, {MAX_PREC}], got {prec}")
 
 
-def _de_halfline(term, prec: int, max_level: int = MAX_LEVEL) -> QuadResult:
+def _scale() -> tuple[int, int]:
+    """(F, the bits of the node fill) at the working precision."""
+    bits = mp.prec + _GUARD_BITS
+    return bits, bits + _FILL_BITS
+
+
+def _atanh(x: tuple, wp: int) -> tuple:
+    """atanh(x) for a raw mpf 0 < x <= e^-2, to about wp relative bits: the
+    series x + x^3/3 + x^5/5 ... on integers at the scale 2^s where x 2^s
+    has wp bits, each term gaining at least 5.7 bits."""
+    scale = wp - (x[2] + x[3])
+    power = total = _fixed(x, scale)
+    square = power * power >> scale
+    j = 1
+    while power:
+        power = power * square >> scale
+        j += 2
+        total += power // j
+    return from_man_exp(total, -scale)
+
+
+def _fill(key: int, bits: int, wp: int) -> list:
+    """The node table entry at t = key 2^-MAX_LEVEL: ln z, w, tanh z, sech z
+    and z as integers at scale 2^bits, and an empty slot for ln tanh z.
+
+    tanh z and sech z come from one cosh and sinh, which ``mpf_cosh_sinh``
+    takes from one exp(z) and exp(-z), with the bits that sinh z loses
+    below z = 1 added to its precision.  Each value is the floor of its
+    value at wp bits, so within one unit of the true value plus a relative
+    2^(bits-wp+8) (ln z and w grow as e^-t on the left wing, and sech z
+    carries the relative error of z times z).
+    """
+    rnd = round_nearest
+    t = from_man_exp(key, -MAX_LEVEL)
+    u = mpf_exp(mpf_neg(t), wp, rnd)
+    ln_z = mpf_sub(t, u, wp, rnd)
+    z = mpf_exp(ln_z, wp, rnd)
+    cosh, sinh = mpf_cosh_sinh(z, wp, rnd)
+    return [
+        _fixed(ln_z, bits),
+        (1 << bits) + _fixed(u, bits),
+        _fixed(mpf_div(sinh, cosh, wp, rnd), bits),
+        _fixed(mpf_div(fone, cosh, wp, rnd), bits),
+        _fixed(z, bits),
+        None,
+    ]
+
+
+def _ln_tanh(entry: list, bits: int, wp: int) -> tuple:
+    """ln tanh z of a node table entry as a raw mpf, filled on first use.
+
+    z is exp of the entry's ln z, so z carries a relative error of about
+    2^-bits.  Below z = 1, ln tanh z is the log of tanh z from
+    ``mpf_cosh_sinh``, which keeps its relative digits at small z, or ln z
+    itself where z < 2^-wp; from z = 1 on it is
+    log1p(-x) - log1p(x) = -2 atanh(x) with x = exp(-2z), so its relative
+    error is about 2z 2^-bits.
+    """
+    ln_tanh = entry[5]
+    if ln_tanh is None:
+        rnd = round_nearest
+        ln_z = from_man_exp(entry[0], -bits)
+        z = mpf_exp(ln_z, wp, rnd)
+        if -(z[2] + z[3]) > wp:  # tanh z = z (1 - z^2/3 ...)
+            ln_tanh = ln_z
+        elif mpf_lt(z, fone):
+            ln_tanh = mpf_log(mpf_cosh_sinh(z, wp, rnd, tanh=1), wp, rnd)
+        else:
+            ln_tanh = mpf_neg(mpf_shift(_atanh(mpf_exp(mpf_neg(mpf_shift(z, 1)), wp, rnd), wp), 1))
+        entry[5] = ln_tanh
+    return ln_tanh
+
+
+def _de_halfline(kernel: _Kernel, prec: int, max_level: int = MAX_LEVEL) -> QuadResult:
     """Integrate over (0, oo) with the z = exp(t - exp(-t)) node map.
 
-    ``term(ln_z, w, tanh_z, sech_z, z)`` takes the raw ``_mpf_`` tuples of
-    one node table entry, with w = 1 + u and u = exp(-t), and must return
-    f(z) dz/dt = f(z) w z as a raw tuple at ``mp.prec``.  ``max_level`` may
-    not exceed ``MAX_LEVEL``.  Stops at the first level j >= 2 whose
-    predicted digits reach ``mp.dps + 10``, or the first level j >= 3 whose
-    level-to-level change meets the target; raises :class:`PrecisionError`
-    when ``max_level`` is reached first, or when level 0 finds no term above
-    the negligibility cutoff.
+    ``kernel.term(entry)`` takes one node table entry, [ln z, w, tanh z,
+    sech z, z] as integers at scale 2^F (w = 1 + exp(-t), F = mp.prec +
+    ``_GUARD_BITS``) and a slot for ln tanh z, and must return
+    f(z) dz/dt = f(z) w z as an integer at the same scale, within
+    ``kernel.units`` (1 + w + z) units.  Each level's sum is the exact
+    integer sum of every term so far, rounded to mp.prec once.
+    ``max_level`` may not exceed ``MAX_LEVEL``.  Stops at the first level
+    j >= 2 whose predicted digits reach ``mp.dps + 10``, or the first level
+    j >= 3 whose level-to-level change meets the target; raises
+    :class:`PrecisionError` when ``max_level`` is reached first, or when
+    level 0 finds no term above the negligibility cutoff.
 
     Must be called inside ``lfuncs._working``, whose lock also guards the
     node table.
     """
     cutoff = mpf(10) ** (-(mp.dps + 5))
-    eps_term = cutoff._mpf_
     target = mpf(10) ** (-(prec + 2))
-    table = _precision_table(_node_tables)
+    bits, wp = _scale()
     wprec = mp.prec
+    # |term| < cut is |term| 2^-F < cutoff
+    cut = int(mp.floor(mp.ldexp(cutoff, bits))) + 1
+    table = _precision_table(_node_tables)
+    term = kernel.term
     make_mpf = mp.make_mpf
-    nodes = 0
 
-    def node(key: int) -> tuple:
-        """term at t = key * 2^-MAX_LEVEL, from the table or filling it."""
-        entry = table.get(key)
-        if entry is None:
-            t = mp.ldexp(key, -MAX_LEVEL)
-            u = mp.exp(-t)
-            log_z = t - u
-            z = mp.exp(log_z)
-            entry = table[key] = (
-                log_z._mpf_, (1 + u)._mpf_, mp.tanh(z)._mpf_, mp.sech(z)._mpf_, z._mpf_
-            )
-        return term(*entry)
+    def fixed(total: int, level: int) -> mpf:
+        """total 2^-(F + level), rounded once."""
+        return make_mpf(from_man_exp(total, -bits - level, wprec, round_nearest))
 
-    def wing(level: int, start: int, step: int, reach=(0, 0)) -> tuple[mpf, mpf, int, list[int]]:
+    def wing(level: int, start: int, step: int, reach=(0, 0)) -> tuple[int, int, int, int, list[int]]:
         """Sum the terms at t = k * 2^-level for k = start, start+step, ...
         on both sides.
 
         A side ends after 3 consecutive terms below the negligibility cutoff,
-        counted only at |t| 2^MAX_LEVEL beyond that side's ``reach``.  Also
-        returns the sum of the negative terms, rounded down at 53 bits, and
-        each side's reach: the largest |t| 2^MAX_LEVEL with a term above the
-        cutoff.
+        counted only at |t| 2^MAX_LEVEL beyond that side's ``reach``.  Returns
+        the exact sum, the sum of the negative terms, the node count, the sum
+        of w + z at scale 2^F, and each side's reach: the largest
+        |t| 2^MAX_LEVEL with a term above the cutoff.
         """
         shift = MAX_LEVEL - level
-        total = fzero
-        negative = fzero
-        count = 0
+        total = negative = count = weight = 0
         reached = []
         for sign, floor in zip((1, -1), reach):
             consec = 0
             k = start
             far = 0
             while consec < 3:
-                val = node((sign * k) << shift)
-                total = mpf_add(total, val, wprec, round_nearest)
-                if val[0]:
-                    negative = mpf_add(negative, val, 53, round_floor)
+                key = (sign * k) << shift
+                entry = table.get(key)
+                if entry is None:
+                    entry = table[key] = _fill(key, bits, wp)
+                val = term(entry)
+                total += val
+                weight += entry[1] + entry[4]
+                if val < 0:
+                    negative += val
                 count += 1
-                if mpf_lt(mpf_abs(val), eps_term):
+                if -cut < val < cut:
                     if k << shift > floor:
                         consec += 1
                 else:
@@ -194,7 +298,7 @@ def _de_halfline(term, prec: int, max_level: int = MAX_LEVEL) -> QuadResult:
                 if k > 600_000:
                     raise PrecisionError("double-exponential wing failed to terminate")
             reached.append(far)
-        return make_mpf(total), make_mpf(negative), count, reached
+        return total, negative, count, weight, reached
 
     def digits(change: mpf, value: mpf) -> float:
         """Relative digits of a level-to-level change, at most 2 mp.dps."""
@@ -204,32 +308,37 @@ def _de_halfline(term, prec: int, max_level: int = MAX_LEVEL) -> QuadResult:
             return 2.0 * mp.dps
         return min(math.log10(float(abs(value) / change)), 2.0 * mp.dps)
 
-    h = mpf(1)
-    center = make_mpf(node(0))
-    negative = center if center < 0 else mpf(0)
-    nodes += 1
+    entry = table.get(0)
+    if entry is None:
+        entry = table[0] = _fill(0, bits, wp)
+    center = term(entry)
+    negative = min(center, 0)
+    weight = entry[1] + entry[4]
     # the finer levels may not end a wing inside level 0's reach
-    wing_sum, wing_negative, n, reach = wing(0, 1, 1)
-    nodes += n
+    wing_sum, wing_negative, nodes, wing_weight, reach = wing(0, 1, 1)
+    nodes += 1
     # a level 0 that sees no term above the cutoff stepped over the
     # integrand, and no finer level would look for it
-    if reach == [0, 0] and abs(center) < cutoff:
+    if reach == [0, 0] and -cut < center < cut:
         raise PrecisionError(
             "double-exponential quadrature found no level-0 term above the "
             f"cutoff 1e-{mp.dps + 5}"
         )
     negative += wing_negative
-    value = h * (center + wing_sum)
-    prev = value
+    weight += wing_weight
+    # S_j: the exact sum of every term through level j, I_j = S_j 2^-(F+j)
+    prev_total = center + wing_sum
+    value = fixed(prev_total, 0)
     change = abs(value)
     d1 = 0.0
     for level in range(1, max_level + 1):
-        h = h / 2
-        odd_sum, odd_negative, n, _ = wing(level, 1, 2, reach)
+        odd_sum, odd_negative, n, odd_weight, _ = wing(level, 1, 2, reach)
         nodes += n
         negative += odd_negative
-        value = prev / 2 + h * odd_sum
-        change = abs(value - prev)
+        weight += odd_weight
+        total = prev_total + odd_sum
+        value = fixed(total, level)
+        change = abs(fixed(total - 2 * prev_total, level))
         # d1, d2: the relative digits of the last two level-to-level changes
         d1, d2 = digits(change, value), d1
         # digits grow by at most a factor 2 per level, so predict I_level to
@@ -239,25 +348,30 @@ def _de_halfline(term, prec: int, max_level: int = MAX_LEVEL) -> QuadResult:
         # levels 1 and 2 can meet a loose change target by coincidence
         if predicted >= mp.dps + 10 or (level >= 3 and change < target * max(mpf(1), abs(value))):
             break
-        prev = value
+        prev_total = total
     else:
         raise PrecisionError(
             f"double-exponential quadrature missed its target 1e-{prec + 2} "
             f"after {max_level} levels (last change {mp.nstr(change, 3)})"
         )
+    h = mp.ldexp(1, -level)
     # The same prediction with the growth capped at 1.5 instead of 2: at
     # early levels the digits can grow by as little as 1.56 times.
     remainder = abs(value) * mpf(10) ** -min(d1 * d1 / d2, 1.5 * d1) if d2 > 0 else change
-    # Rounding: the recursive-sum bound, nodes 2^-wprec h sum |f|, which also
-    # covers the few roundings inside each term; h sum |f| is at most
+    # Relative rounding: nodes 2^-wprec h sum |f|, the recursive-sum bound of
+    # a floating-point sum, which also covers the relative errors inside each
+    # term and the one rounding of the value; h sum |f| is at most
     # |I| + 2 h |sum of the negative terms|.
-    rounding = nodes * mp.ldexp(abs(value) + 2 * h * abs(negative), -wprec)
+    rounding = nodes * mp.ldexp(abs(value) + 2 * h * abs(fixed(negative, 0)), -wprec)
+    # Absolute: every term within units (1 + w + z) units of 2^-F, each
+    # entering the exact sum with weight h.
+    absolute = mp.ldexp(kernel.units * ((nodes << bits) + weight), -2 * bits - level)
     # The dropped tail: on each side of each level, terms below the cutoff
     # that shrink by at least cutoff^(2h) per step, since near either end
     # ln|term| of a double-exponential rule falls in t at least as fast as
     # |ln|term|| itself.
     tail = 2 * (level + 1) * h * cutoff / (1 - cutoff ** (2 * h))
-    error = remainder + rounding + tail
+    error = remainder + rounding + absolute + tail
     return QuadResult(value=value, error_estimate=error, nodes_used=nodes, levels=level)
 
 
@@ -272,48 +386,112 @@ def _cached_quad(key: tuple, prec: int, make_integrand) -> QuadResult:
         return _quad_cache.setdefault(key, result)
 
 
-def _monomial(tanh_power, sech_power: int, log_z: bool = False):
-    """The term tanh^a z sech^b z w, or tanh^a z sech^b z ln z w z with
-    ``log_z``, on the raw tuples of a node table entry.
+def _ladder(n: int, bits: int) -> Callable[[int], int]:
+    """x -> (x 2^-bits)^n at scale 2^bits: a left-to-right binary ladder of
+    products, each shifted down by ``bits``.  For 0 <= x <= 2^bits within
+    e units of the true value, the result is within n e + n - 1 units."""
+    if n == 0:
+        return lambda x: 1 << bits
+    pattern = bin(n)[3:]
 
-    a = ``tanh_power`` is an int or an mpf, b = ``sech_power`` an int.  Each
-    operation is the ``mpmath.libmp`` call the ``mpf`` operators make, at
-    ``mp.prec`` with rounding to nearest, in the left-to-right order of the
-    written product, so the value is the one the ``mpf`` expression gives.
-    Must be called inside ``lfuncs._working``.
-    """
-    prec, rnd = mp.prec, round_nearest
-    if isinstance(tanh_power, int):
-        pow_a, a = mpf_pow_int, tanh_power
-    else:
-        pow_a, a = mpf_pow, tanh_power._mpf_
+    def power(x: int) -> int:
+        result = x
+        for bit in pattern:
+            result = result * result >> bits
+            if bit == "1":
+                result = result * x >> bits
+        return result
 
-    def term(ln_z, w, tanh_z, sech_z, z):
-        val = mpf_mul(pow_a(tanh_z, a, prec, rnd), mpf_pow_int(sech_z, sech_power, prec, rnd), prec, rnd)
-        if log_z:
-            return mpf_mul(mpf_mul(mpf_mul(val, ln_z, prec, rnd), w, prec, rnd), z, prec, rnd)
-        return mpf_mul(val, w, prec, rnd)
-
-    return term
+    return power
 
 
-def _c_constant_term(which: int):
-    """The term sech^{3-which} z (1 - z/X) w of ``quad_c_constant``, with
-    X = tanh z for which = 1 and X = tanh z / sech z = sinh z for which = 2,
-    on the raw tuples of a node table entry.
+def _monomial(tanh_power, sech_power: int, log_z: bool = False) -> _Kernel:
+    """The term tanh^a z sech^b z w, or tanh^a z sech^b z (ln z w z) with
+    ``log_z``, as a kernel on the node table.
 
-    Built as ``_monomial`` is, in the order of the written expression
-    sech_z ** (3 - which) * (1 - z / X) * w.  Must be called inside
+    a = ``tanh_power`` is an int, a Fraction or an mpf, b = ``sech_power``
+    an int >= 1.  The node values are within 1 + 2^-8 units, so an int a
+    below ``_LADDER_LIMIT`` is a ``_ladder`` within 3a units, and sech^b z
+    within 3b; any other a is exp(a ln tanh z) at F + ``_FILL_BITS`` bits,
+    floored to 0 below 2^-(F+2), within 3 + z units (ln tanh z is off by
+    about 2z 2^-F relative and |y| e^y <= 1/e for y = a ln tanh z), which
+    times sech^b z is under 4.  The product of the two powers is within
+    e_pq = e_a + 3b + 1 units, since each is at most 1; w multiplies it by
+    at most w, and ln z w z, whose own error is a few units times
+    1 + w + z, by at most 6 (1 + w + z) on every node where sech^b z is
+    above a unit (z below about F).  Must be called inside
     ``lfuncs._working``.
     """
-    prec, rnd = mp.prec, round_nearest
+    bits, wp = _scale()
+    if isinstance(tanh_power, Fraction) and tanh_power.denominator == 1:
+        tanh_power = tanh_power.numerator
+    sech_part = _ladder(sech_power, bits)
+    if isinstance(tanh_power, int) and tanh_power < _LADDER_LIMIT:
+        tanh_ladder = _ladder(tanh_power, bits)
+        error_a = 3 * tanh_power
 
-    def term(ln_z, w, tanh_z, sech_z, z):
-        x = tanh_z if which == 1 else mpf_div(tanh_z, sech_z, prec, rnd)
-        bracket = mpf_sub(fone, mpf_div(z, x, prec, rnd), prec, rnd)
-        return mpf_mul(mpf_mul(mpf_pow_int(sech_z, 3 - which, prec, rnd), bracket, prec, rnd), w, prec, rnd)
+        def tanh_part(entry):
+            return tanh_ladder(entry[2])
 
-    return term
+    else:
+        if isinstance(tanh_power, int):
+            a = from_int(tanh_power)
+        elif isinstance(tanh_power, Fraction):
+            a = from_rational(tanh_power.numerator, tanh_power.denominator, wp, round_nearest)
+        else:
+            a = tanh_power._mpf_
+        error_a = 4
+        # exp(y) < 2^-(F+2) floors to 0
+        negligible = mpf_neg(mpf_mul(from_int(bits + 2), mp.ln2._mpf_, wp, round_nearest))
+
+        def tanh_part(entry):
+            y = mpf_mul(a, _ln_tanh(entry, bits, wp), wp, round_nearest)
+            if mpf_lt(y, negligible):
+                return 0
+            return _fixed(mpf_exp(y, wp, round_nearest), bits)
+
+    error_pq = error_a + 3 * sech_power + 1
+
+    if log_z:
+
+        def term(entry):
+            ln_z, w, _, sech_z, z, _ = entry
+            pq = tanh_part(entry) * sech_part(sech_z) >> bits
+            return pq * ((ln_z * w >> bits) * z >> bits) >> bits
+
+        return _Kernel(term, 8 * (error_pq + 4))
+
+    def term(entry):
+        return (tanh_part(entry) * sech_part(entry[3]) >> bits) * entry[1] >> bits
+
+    return _Kernel(term, error_pq + 2)
+
+
+def _c_constant_term(which: int) -> _Kernel:
+    """The term sech^{3-which} z (1 - z/X) w of ``quad_c_constant``, with
+    X = tanh z for which = 1 and X = tanh z / sech z = sinh z for which = 2,
+    as a kernel on the node table.
+
+    The bracket is formed in ``mpf`` and converted once: z/tanh z is
+    exp(ln z - ln tanh z), so near z = 0, where the bracket is about -z^2/3
+    or -z^2/6, it is off by a few units of 2^-F rather than by 2^-F/z, and
+    above z = 1 by about z units.  Times sech^b z (within 3b units) and w,
+    the term is within 32 (1 + w + z) units.  Must be called inside
+    ``lfuncs._working``.
+    """
+    bits, wp = _scale()
+    rnd = round_nearest
+    sech_part = _ladder(3 - which, bits)
+
+    def term(entry):
+        ln_z, w, _, sech_z, _, _ = entry
+        ratio = mpf_exp(mpf_sub(from_man_exp(ln_z, -bits), _ln_tanh(entry, bits, wp), wp, rnd), wp, rnd)
+        if which == 2:
+            ratio = mpf_mul(ratio, from_man_exp(sech_z, -bits), wp, rnd)
+        bracket = _fixed(mpf_sub(fone, ratio, wp, rnd), bits)
+        return (bracket * sech_part(sech_z) >> bits) * w >> bits
+
+    return _Kernel(term, 32)
 
 
 def quad_phi(which: int, s, prec: int = DEFAULT_PREC) -> QuadResult:
@@ -338,8 +516,9 @@ def quad_phi(which: int, s, prec: int = DEFAULT_PREC) -> QuadResult:
             )
 
     def make():
-        # sech^2 for Phi_1, sech^1 for Phi_2
-        return _monomial(_as_mpf(_exact(s) - 1), 3 - which)
+        # sech^2 for Phi_1, sech^1 for Phi_2; s - 1 exact for an int or a
+        # Fraction s
+        return _monomial(_exact(s) - 1, 3 - which)
 
     return _cached_quad(("phi", which, s, prec), prec, make)
 
@@ -381,10 +560,10 @@ def quad_c_constant(which: int, prec: int = DEFAULT_PREC) -> QuadResult:
     both evaluated on (0, oo) through x = tanh(z), as
     int sech^2 z (1 - z coth z) dz / z and int sech z (1 - z / sinh z) dz / z.
 
-    The brackets are formed directly.  Near z = 0 they are about -z^2/3 and
-    -z^2/6 and lose relative digits, but z/tanh z and z/sinh z are each
-    within a unit of 2^-wprec of 1, so a term is off by about 2^-wprec w in
-    absolute terms: the size of the rounding floor in the error estimate.
+    The brackets are formed from z/tanh z = exp(ln z - ln tanh z), which
+    keeps its relative digits near z = 0, where the brackets are about
+    -z^2/3 and -z^2/6, so a term is off by a few units of 2^-F, far below
+    the rounding floor of the error estimate.
     """
     _check_prec(prec)
     if which not in (1, 2):

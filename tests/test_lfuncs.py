@@ -2,6 +2,7 @@
 
 import ast
 import functools
+import hashlib
 import math
 import os
 import subprocess
@@ -34,6 +35,7 @@ from arcmellin import (
     zeta_prime_even,
 )
 from arcmellin import lfuncs
+from arcmellin.catalog import C1_CLOSED_FORM, C2_CLOSED_FORM
 from arcmellin.closedform import (
     LN2,
     LNPI,
@@ -550,6 +552,45 @@ class TestFixedPointKernel:
                 two = mpf(2) ** (1 - s)
                 oracle = two * mp.log(2) * mp.zeta(s) + (1 - two) * mp.zeta(s, 1, 1)
             assert abs(got - oracle) < mpf(10) ** -(prec + GUARD_DIGITS - 1) * oracle
+
+
+class TestOneLogTable:
+    def test_constants_at_1000_digits_build_the_logs_once(self, monkeypatch):
+        # eta'(2) at 1000 digits is short at the table's P and is taken again
+        # with P raised by one bit; that pass must read the prime logs of the
+        # first, and leave every numerator and value as before the shared
+        # table (the digests were recorded then)
+        builds, atanh, results = [], [], []
+        sweep, inverse, numerators = lfuncs._sweep_logs, lfuncs._atanh_inverse, lfuncs._numerators
+
+        def spy_sweep(top, bits):
+            builds.append((mp.prec, bits))
+            return sweep(top, bits)
+
+        def spy_inverse(q, bits):
+            atanh.append((mp.prec, q))
+            return inverse(q, bits)
+
+        def spy_numerators(family, extra=0):
+            entry = numerators(family, extra)
+            results.append((mp.prec, family, extra, entry))
+            return entry
+
+        monkeypatch.setattr(lfuncs, "_sweep_logs", spy_sweep)
+        monkeypatch.setattr(lfuncs, "_atanh_inverse", spy_inverse)
+        monkeypatch.setattr(lfuncs, "_numerators", spy_numerators)
+        clear_basis_caches()
+        values = [eval_closed_form(form, 1000) for form in (C1_CLOSED_FORM, C2_CLOSED_FORM)]
+        assert [extra for _, _, extra, _ in results] == [0, 1, 0]
+        for prec in {prec for prec, _ in builds}:
+            assert len({bits for p, bits in builds if p == prec}) == 1
+        assert len(atanh) == len(set(atanh))
+
+        def digest(x) -> str:
+            return hashlib.sha256(repr(x).encode()).hexdigest()[:16]
+
+        assert digest(results) == "780dc9904d2b4846"
+        assert digest([(s, int(m), e, b) for s, m, e, b in (v._mpf_ for v in values)]) == "833a55fb0b1d1567"
 
 
 class TestZetaPrimeEven:

@@ -1,5 +1,6 @@
 """Quadrature oracle: agreement with closed forms, convergence, domains."""
 
+import functools
 import hashlib
 import os
 import statistics
@@ -30,7 +31,6 @@ from arcmellin import (
 )
 from arcmellin import exact, lfuncs, quadrature
 from arcmellin.catalog import C1_CLOSED_FORM, C1_DECIMAL, C2_CLOSED_FORM, C2_DECIMAL
-from arcmellin.lfuncs import _as_mpf
 
 
 TOL25 = mpf(10) ** -25
@@ -242,6 +242,22 @@ class TestWholeSupport:
         assert proc.returncode == 0, proc.stderr
         assert "no level-0 term" in proc.stdout
 
+    @pytest.mark.parametrize("which", [1, 2])
+    def test_large_s_to_its_precision(self, which):
+        # near the peak tanh z is close to 1, so a power a = s - 1 of a
+        # rounded tanh z is off by about a 2^-wprec in every term, a bias no
+        # level-to-level change sees; exp(a ln tanh z) is not
+        low, high = quad_phi(which, 10**18, 30), quad_phi(which, 10**18, 60)
+        with mp.workdps(80):
+            gap = abs(low.value - high.value)
+            assert gap <= mpf(10) ** -30 * high.value
+            assert gap <= low.error_estimate
+
+    def test_estimate_covers_the_error_at_a_million(self):
+        low, high = quad_phi(2, 10**6, 30), quad_phi(2, 10**6, 60)
+        with mp.workdps(80):
+            assert abs(low.value - high.value) <= low.error_estimate
+
     def test_peak_seen_at_level_zero_still_converges(self):
         # Phi_1(s) = (2 + o(1)) / (s ln s): 0.971 of it at s = 10^18
         s = 10**18
@@ -434,54 +450,116 @@ class TestSharedState:
         assert got_quad == expected_quad
 
 
-def _mpf_expression(tanh_power, sech_power: int, log_z: bool = False):
-    """The monomial integrand written as mpf operations,
-    tanh_z ** a * sech_z ** b * (1 + u) [* ln z * z]: the oracle that the
-    raw-tuple kernel ``quadrature._monomial`` must match bit for bit."""
-    make_mpf = mp.make_mpf
+def _floor_product(x: int, y: int, bits: int) -> int:
+    """floor(x y 2^-bits)."""
+    return x * y // 2**bits
 
-    def term(ln_z, w, tanh_z, sech_z, z):
-        val = make_mpf(tanh_z) ** tanh_power * make_mpf(sech_z) ** sech_power
+
+def _integer_power(x: int, n: int, bits: int) -> int:
+    """(x 2^-bits)^n at scale 2^bits for n >= 1, by recursion on n: the
+    square of the power n // 2, times x when n is odd, each product floored.
+    This takes the products in the order of a left-to-right binary ladder."""
+    if n == 1:
+        return x
+    half = _integer_power(x, n // 2, bits)
+    square = _floor_product(half, half, bits)
+    return _floor_product(square, x, bits) if n % 2 else square
+
+
+def _exp_power(exponent, entry: list, bits: int, wp: int) -> int:
+    """floor(exp(a ln tanh z) 2^bits) in mpf operators at wp bits, with
+    ln tanh z read from the node table's sixth slot."""
+    ln_tanh = mp.make_mpf(quadrature._ln_tanh(entry, bits, wp))
+    with mp.workprec(wp):
+        a = mpf(exponent.numerator) / exponent.denominator
+        return int(mp.floor(mp.ldexp(mp.exp(a * ln_tanh), bits)))
+
+
+def _integer_monomial(exponent, sech_power: int, log_z: bool = False):
+    """The monomial integrand written on the node table's integers,
+    tanh^a z sech^b z w or tanh^a z sech^b z (ln z w z): the oracle whose
+    terms ``quadrature._monomial`` must match exactly.  An int a is an
+    integer power, a Fraction a an exp of a ln tanh z.  Its error bound is
+    the documented one: 3a units for an integer power and 4 for the exp,
+    3b + 1 more for the product with sech^b z, then 2 more times 1 + w + z,
+    or 4 more and 8 times that with ln z w z."""
+    bits = mp.prec + quadrature._GUARD_BITS
+    wp = bits + quadrature._FILL_BITS
+
+    def term(entry):
+        ln_z, w, tanh_z, sech_z, z = entry[:5]
+        if isinstance(exponent, int):
+            power = _integer_power(tanh_z, exponent, bits) if exponent else 2**bits
+        else:
+            power = _exp_power(exponent, entry, bits, wp)
+        value = _floor_product(power, _integer_power(sech_z, sech_power, bits), bits)
         if log_z:
-            return (val * make_mpf(ln_z) * make_mpf(w) * make_mpf(z))._mpf_
-        return (val * make_mpf(w))._mpf_
+            return _floor_product(value, _floor_product(_floor_product(ln_z, w, bits), z, bits), bits)
+        return _floor_product(value, w, bits)
 
-    return term
+    product = (3 * exponent if isinstance(exponent, int) else 4) + 3 * sech_power + 1
+    return quadrature._Kernel(term, 8 * (product + 4) if log_z else product + 2)
 
 
-def _c_constant_expression(which: int):
-    """The integrand of ``quad_c_constant`` written as mpf operations,
-    sech_z ** (3 - which) * (1 - z / X) * (1 + u) with X = tanh_z or
-    tanh_z / sech_z: the oracle that the raw-tuple kernel
-    ``quadrature._c_constant_term`` must match bit for bit."""
-    make_mpf = mp.make_mpf
+def _integer_c_constant(which: int):
+    """The integrand of ``quad_c_constant`` on the node table's integers,
+    sech^(3 - which) z (1 - z/X) w with X = tanh z or sinh z, the bracket
+    formed in mpf operators from z/tanh z = exp(ln z - ln tanh z) at the
+    fill precision: the oracle whose terms ``quadrature._c_constant_term``
+    must match exactly, with its documented bound of 32 (1 + w + z) units."""
+    bits = mp.prec + quadrature._GUARD_BITS
+    wp = bits + quadrature._FILL_BITS
 
-    def term(ln_z, w, tanh_z, sech_z, z):
-        tanh_z, sech_z, z, w = (make_mpf(x) for x in (tanh_z, sech_z, z, w))
-        x = tanh_z if which == 1 else tanh_z / sech_z
-        return (sech_z ** (3 - which) * (1 - z / x) * w)._mpf_
+    def term(entry):
+        ln_z, w, _, sech_z, _ = entry[:5]
+        ln_tanh = mp.make_mpf(quadrature._ln_tanh(entry, bits, wp))
+        with mp.workprec(wp):
+            ratio = mp.exp(mp.ldexp(ln_z, -bits) - ln_tanh)
+            if which == 2:
+                ratio *= mp.ldexp(sech_z, -bits)
+            bracket = int(mp.floor(mp.ldexp(1 - ratio, bits)))
+        value = _floor_product(bracket, _integer_power(sech_z, 3 - which, bits), bits)
+        return _floor_product(value, w, bits)
 
-    return term
+    return quadrature._Kernel(term, 32)
 
 
 # name: (the package's integral at a precision, its oracle integrand, built
-# inside the working precision with the exponent s - 1 that quad_phi uses:
-# formed exactly, then rounded once)
+# inside the working precision with the exact exponent s - 1 that quad_phi
+# uses, and the same integrand in mpf at any precision, as a function of t)
 RECORDED_INTEGRALS = {
-    "phi(1, 3)": (lambda prec: quad_phi(1, 3, prec), lambda: _mpf_expression(_as_mpf(3) - 1, 2)),
+    "phi(1, 3)": (
+        lambda prec: quad_phi(1, 3, prec),
+        lambda: _integer_monomial(2, 2),
+        lambda t: _mpf_monomial(t, 2, 2),
+    ),
     "phi(2, 7/2)": (
         lambda prec: quad_phi(2, Fraction(7, 2), prec),
-        lambda: _mpf_expression(_as_mpf(Fraction(7, 2)) - 1, 1),
+        lambda: _integer_monomial(Fraction(5, 2), 1),
+        lambda t: _mpf_monomial(t, mpf(5) / 2, 1),
     ),
     "phi(1, 1 + 1e-6)": (
         lambda prec: quad_phi(1, 1 + Fraction(1, 10**6), prec),
-        lambda: _mpf_expression(_as_mpf(Fraction(1, 10**6)), 2),
+        lambda: _integer_monomial(Fraction(1, 10**6), 2),
+        lambda t: _mpf_monomial(t, mpf(1) / 10**6, 2),
     ),
-    "log(2, 7)": (lambda prec: quad_log_family(2, 7, prec), lambda: _mpf_expression(5, 2, log_z=True)),
-    "log(1, 6)": (lambda prec: quad_log_family(1, 6, prec), lambda: _mpf_expression(3, 3, log_z=True)),
-    "soz(3, 9)": (lambda prec: quad_sinh_over_z(3, 9, prec), lambda: _mpf_expression(6, 3)),
-    "c(1)": (lambda prec: quad_c_constant(1, prec), lambda: _c_constant_expression(1)),
-    "c(2)": (lambda prec: quad_c_constant(2, prec), lambda: _c_constant_expression(2)),
+    "log(2, 7)": (
+        lambda prec: quad_log_family(2, 7, prec),
+        lambda: _integer_monomial(5, 2, log_z=True),
+        lambda t: _mpf_monomial(t, 5, 2, log_z=True),
+    ),
+    "log(1, 6)": (
+        lambda prec: quad_log_family(1, 6, prec),
+        lambda: _integer_monomial(3, 3, log_z=True),
+        lambda t: _mpf_monomial(t, 3, 3, log_z=True),
+    ),
+    "soz(3, 9)": (
+        lambda prec: quad_sinh_over_z(3, 9, prec),
+        lambda: _integer_monomial(6, 3),
+        lambda t: _mpf_monomial(t, 6, 3),
+    ),
+    "c(1)": (lambda prec: quad_c_constant(1, prec), lambda: _integer_c_constant(1), lambda t: _mpf_c_constant(t, 1)),
+    "c(2)": (lambda prec: quad_c_constant(2, prec), lambda: _integer_c_constant(2), lambda t: _mpf_c_constant(t, 2)),
 }
 
 
@@ -491,6 +569,56 @@ def oracle(name: str, prec: int):
         return quadrature._de_halfline(RECORDED_INTEGRALS[name][1](), prec)
 
 
+def _mpf_monomial(t, tanh_power, sech_power: int, log_z: bool = False):
+    """tanh^a z sech^b z w [ln z z] at t, in mpf at the context precision."""
+    u = mp.exp(-t)
+    z = mp.exp(t - u)
+    value = mp.tanh(z) ** tanh_power * mp.sech(z) ** sech_power * (1 + u)
+    return value * (t - u) * z if log_z else value
+
+
+def _mpf_c_constant(t, which: int):
+    """sech^(3 - which) z (1 - z/X) w at t, X = tanh z or sinh z, in mpf at
+    the context precision."""
+    u = mp.exp(-t)
+    z = mp.exp(t - u)
+    x = mp.tanh(z) if which == 1 else mp.sinh(z)
+    return mp.sech(z) ** (3 - which) * (1 - z / x) * (1 + u)
+
+
+_REFERENCE_DIGITS = 200
+
+
+@functools.lru_cache(maxsize=None)
+def mpf_reference(name: str) -> mpf:
+    """The integral of ``name`` at ``_REFERENCE_DIGITS`` digits, twice the
+    largest quadrature precision: a trapezoid sum of the mpf integrand on
+    the same node map, over the t-range where level 0 sees terms above
+    10^-(digits+20), with the mesh halved until a level j >= 3 changes the
+    sum by under 10^-(digits/2+10) of it: the digits of the rule about
+    double per level, so that level is good to about 10^-(digits+20)."""
+    f = RECORDED_INTEGRALS[name][2]
+    with mp.workdps(_REFERENCE_DIGITS + 20):
+        eps = mpf(10) ** -(_REFERENCE_DIGITS + 20)
+
+        def end(sign: int) -> int:
+            k = 1
+            while abs(f(mpf(sign * k))) > eps or abs(f(mpf(sign * (k + 1)))) > eps:
+                k += 1
+            return k + 1
+
+        lo, hi = -end(-1), end(1)
+        total = mp.fsum(f(mpf(k)) for k in range(lo, hi + 1))
+        value, level = total, 0
+        while True:
+            level += 1
+            h = mp.ldexp(1, -level)
+            total += mp.fsum(f(k * h) for k in range(lo * 2**level + 1, hi * 2**level, 2))
+            previous, value = value, total * h
+            if level >= 3 and abs(value - previous) < mpf(10) ** -(_REFERENCE_DIGITS // 2 + 10) * abs(value):
+                return value
+
+
 def fingerprint(*values) -> str:
     """SHA-256 of (sign, int(man), exp, bc) of each mpf; int() keeps it
     independent of mpmath's backend."""
@@ -498,51 +626,49 @@ def fingerprint(*values) -> str:
     return hashlib.sha256(repr(raw).encode()).hexdigest()[:16]
 
 
-# The oracle's results: the fingerprint of the value and error estimate, the
-# node count and the level.  The phi(1, 1 + 1e-6) entries were recorded with
-# the exact exponent 10^-6; the exponent rounded from s moved the value by
-# 2.4e-36 at 30 digits and 7.8e-104 at 100, at the same nodes and levels.
-# The c(1) and c(2) entries were recorded with the direct brackets of
-# _c_constant_expression.
+# The results of the integer kernels: the fingerprint of the value and error
+# estimate, the node count and the level.  Every entry was recorded when the
+# sums moved from mpf operations to integers at the scale 2^F; the nodes and
+# levels stayed those of the mpf sums except for c(1) and c(2), which take 3
+# or 4 more nodes: their brackets near z = 0 are now about -z^2/3 and -z^2/6
+# rather than exactly 0, so the left wings end a little further out.
 RECORDED = {
-    ("phi(1, 3)", 30): ("8d591ae3b08acf28", 295, 5),
-    ("phi(1, 3)", 100): ("a56b4142f21368ff", 673, 6),
-    ("phi(2, 7/2)", 30): ("25454ca430de7879", 309, 5),
-    ("phi(2, 7/2)", 100): ("af4943de5362b437", 702, 6),
-    ("phi(1, 1 + 1e-6)", 30): ("f98dedb5fd914e10", 765, 5),
-    ("phi(1, 1 + 1e-6)", 100): ("843ee5aa0fd96450", 1607, 6),
-    ("log(2, 7)", 30): ("5756d484b5f8f0cb", 260, 5),
-    ("log(2, 7)", 100): ("c784c1799db934b9", 601, 6),
-    ("log(1, 6)", 30): ("26ec59c16556a0b7", 261, 5),
-    ("log(1, 6)", 100): ("37c4de762a0d0d66", 603, 6),
-    ("soz(3, 9)", 30): ("6458d4baee0bfc4e", 245, 5),
-    ("soz(3, 9)", 100): ("f274875f001f8601", 573, 6),
-    ("c(1)", 30): ("6c4f7fd60ec7f32b", 292, 5),
-    ("c(1)", 100): ("0224aa92acca1444", 670, 6),
-    ("c(2)", 30): ("b01b7ee7746e4353", 313, 5),
-    ("c(2)", 100): ("66a5ea736d2c2f3c", 713, 6),
+    ("phi(1, 3)", 30): ("a2ff2e5d5a33f8fb", 295, 5),
+    ("phi(1, 3)", 100): ("d368be7aadb28e4f", 673, 6),
+    ("phi(2, 7/2)", 30): ("4ca3d9128ea40d6c", 309, 5),
+    ("phi(2, 7/2)", 100): ("753f8c765a32cbaa", 702, 6),
+    ("phi(1, 1 + 1e-6)", 30): ("ca3fe7bcb9dbfcad", 765, 5),
+    ("phi(1, 1 + 1e-6)", 100): ("b8b8f76bdc348742", 1607, 6),
+    ("log(2, 7)", 30): ("dd1f8d29c76855cd", 260, 5),
+    ("log(2, 7)", 100): ("ad186bc66f27bbf4", 601, 6),
+    ("log(1, 6)", 30): ("7b1d7d90b21a6e78", 261, 5),
+    ("log(1, 6)", 100): ("ab403533c275daef", 603, 6),
+    ("soz(3, 9)", 30): ("bcf138ef6354ed09", 245, 5),
+    ("soz(3, 9)", 100): ("cc61747fb9be8df2", 573, 6),
+    ("c(1)", 30): ("145500fce2fb7efe", 296, 5),
+    ("c(1)", 100): ("9fb9c5ad0e551a4b", 674, 6),
+    ("c(2)", 30): ("9a980a6752c5359f", 317, 5),
+    ("c(2)", 100): ("54c431558df5ae22", 716, 6),
 }
 
-# The fingerprints of the 30-digit values before the predicted-error stopping
-# rule, when every integral ran one level past the first level that met the
-# change target: at 30 digits both rules stop at the same level.  The
-# phi(1, 1 + 1e-6) value is the one with the exact exponent, and the c(1)
-# and c(2) values the ones with the direct brackets (both above).
+# The fingerprints of the 30-digit values alone, recorded with RECORDED.
 VALUES_30 = {
-    "phi(1, 3)": "34c83a0e369d7d08",
-    "phi(2, 7/2)": "994b811287a99afd",
-    "phi(1, 1 + 1e-6)": "193be6138cbfa6a7",
-    "log(2, 7)": "d2d69293fa1efefa",
-    "log(1, 6)": "b95f2655c9e283b2",
-    "soz(3, 9)": "b32f7680690cf090",
-    "c(1)": "c8600c9902018326",
-    "c(2)": "6b0aa2c1661d4f36",
+    "phi(1, 3)": "05461abec56a4262",
+    "phi(2, 7/2)": "95ba289193c43494",
+    "phi(1, 1 + 1e-6)": "4b8b98eb52625968",
+    "log(2, 7)": "8d838ec0cc1e8ee5",
+    "log(1, 6)": "f8af474fbaa2c49c",
+    "soz(3, 9)": "e97a506ea9004a98",
+    "c(1)": "acb3d6c3be883d47",
+    "c(2)": "d7f522d327ea7d07",
 }
 
 
 class TestBitIdentity:
     @pytest.mark.parametrize("name, prec", sorted(RECORDED))
     def test_kernel_matches_mpf_expression(self, name, prec):
+        # the oracle is the test-local integer integrand, with its mpf steps
+        # (the exp of a ln tanh z and the C brackets) as mpf expressions
         quadrature._quad_cache.clear()
         assert RECORDED_INTEGRALS[name][0](prec) == oracle(name, prec)
 
@@ -557,3 +683,16 @@ class TestBitIdentity:
     def test_30_digit_values_unchanged(self, name):
         quadrature._quad_cache.clear()
         assert fingerprint(RECORDED_INTEGRALS[name][0](30).value) == VALUES_30[name]
+
+
+class TestAgainstMpf:
+    """Each recorded integral within its error estimate of the mpf trapezoid
+    sum at twice the largest quadrature precision."""
+
+    @pytest.mark.parametrize("prec", [1, 5, 12, 30, 60, 100])
+    @pytest.mark.parametrize("name", sorted(RECORDED_INTEGRALS))
+    def test_within_the_estimate(self, name, prec):
+        result = RECORDED_INTEGRALS[name][0](prec)
+        reference = mpf_reference(name)
+        with mp.workdps(_REFERENCE_DIGITS + 20):
+            assert abs(result.value - reference) <= result.error_estimate
