@@ -64,8 +64,9 @@ The integral families and their coefficient pipelines:
   Mellin transforms on (0, 1),
       int_0^1 x^{2n} / arctanh(x) dx                  (which = 1),
       int_0^1 x^{2n} / (sqrt(1-x^2) arctanh(x)) dx    (which = 2),
-  expanded over eta'(-2i-1) resp. beta'(-2i) with coefficients built from the
-  root-product triangles.
+  expanded over eta'(-2i-1) resp. beta'(-2i) with coefficients summed
+  against the root products prod_{i<=k} (y - r_i) of the triangles, by
+  Horner's rule on one integer polynomial.
 
 * ``phi_even_closed_form(which, m)``: the same transforms at s = 2m, expanded
   over zeta(2p+3)/pi^{2p+2} resp. beta(2p+2)/pi^{2p+1} by closing the contour
@@ -87,7 +88,6 @@ from .series import (
     _egf_convolution,
     _kernel_coeff,
     _x_over_sinh_row,
-    root_product_tables,
 )
 
 _KINDS = (
@@ -417,43 +417,59 @@ def sinh_over_z_integral(q: int, n_exponent: int) -> ClosedForm:
     return form
 
 
+def _root_product_sum(weights: list[int], roots: list[int]) -> list[int]:
+    """Coefficients in y of sum_k weights[k] prod_{i<k} (y - roots[i]).
+
+    Horner's rule from the top, P = P (y - roots[k]) + weights[k] for k
+    descending, so each step multiplies the integer polynomial by one small
+    root.
+    """
+    poly = [weights[-1]]
+    for k in range(len(weights) - 2, -1, -1):
+        r = roots[k]
+        poly = [a - r * b for a, b in zip([0, *poly], [*poly, 0])]
+        poly[0] += weights[k]
+    return poly
+
+
 def eta_prime_neg_coeffs(n: int) -> tuple[Fraction, ...]:
     """Coefficients of eta'(-2i-1), i = 0..n, in the odd Mellin value of
     the 1/arctanh transform at s = 2n+1:
 
-        c_i = sum_{k=i}^{n} C(n, k) 2^{2k+2} / (2k+1)! * integer_root(i, k).
+        c_i = sum_{k=i}^{n} C(n, k) 2^{2k+2} / (2k+1)! * integer_root(i, k),
+
+    with integer_root(i, k) the y^i coefficient of prod_{j<=k} (y - j^2)
+    (``series.root_product_tables``).  The sum over k is evaluated by
+    Horner's rule in y on integer numerators over (2n+1)!, one ``Fraction``
+    per coefficient.
     """
     if n < 1:
         raise DomainError("odd Mellin values require n >= 1 (s = 1 is a pole)")
-    tables = root_product_tables(n)
-    # integer numerators over the common denominator (2n+1)!
     denom = math.factorial(2 * n + 1)
     weights = [
         binomial(n, k) * 2 ** (2 * k + 2) * (denom // math.factorial(2 * k + 1))
         for k in range(n + 1)
     ]
-    return tuple(
-        Fraction(sum(weights[k] * tables.integer_root(i, k) for k in range(i, n + 1)), denom)
-        for i in range(n + 1)
-    )
+    poly = _root_product_sum(weights, [j * j for j in range(1, n + 1)])
+    return tuple(Fraction(c, denom) for c in poly)
 
 
 def beta_prime_neg_coeffs(n: int) -> tuple[Fraction, ...]:
     """Coefficients of beta'(-2i), i = 0..n, in the odd Mellin value of the
     1/(sqrt(1-x^2) arctanh) transform at s = 2n+1:
 
-        c_i = sum_{k=i}^{n} 2 C(n, k) / (2k)! * odd_root(i, k).
+        c_i = sum_{k=i}^{n} 2 C(n, k) / (2k)! * odd_root(i, k),
+
+    with odd_root(i, k) the y^i coefficient of prod_{j<=k} (y - (2j-1)^2)
+    (``series.root_product_tables``), evaluated by Horner's rule in y as in
+    :func:`eta_prime_neg_coeffs`, over (2n)!.
     """
     if n < 1:
         raise DomainError("odd Mellin values require n >= 1 (s = 1 is a pole)")
-    tables = root_product_tables(n)
-    # integer numerators over the common denominator (2n)!
     denom = math.factorial(2 * n)
     weights = [binomial(n, k) * 2 * (denom // math.factorial(2 * k)) for k in range(n + 1)]
-    return tuple(
-        Fraction(sum(weights[k] * tables.odd_root(i, k) for k in range(i, n + 1)), denom)
-        for i in range(n + 1)
-    )
+    poly = _root_product_sum(weights, [(2 * j - 1) ** 2 for j in range(1, n + 1)])
+    return tuple(Fraction(c, denom) for c in poly)
 
 
 def phi_odd_closed_form(which: int, n: int) -> ClosedForm:

@@ -22,18 +22,26 @@ its own recurrence in integer and rational arithmetic:
   generated by the two-term recurrences
       g[k][n] = g[k-1][n-1] - n^2 g[k][n-1],
       h[k][n] = h[k-1][n-1] - (2n-1)^2 h[k][n-1].
+  Demo 02 and the tests read them; they are not on the closed-form path,
+  where ``closedform.eta_prime_neg_coeffs`` and ``beta_prime_neg_coeffs``
+  sum against the same products by Horner's rule.
+* ``_cosh_moments(q, count)`` -- the integer power sums
+  sum_{k=0}^{q} C(2q+1, k) (2q+1-2k)^{2i} for i < count, the moments
+  (2i)! [x^{2i}] of 4^q cosh^{2q+1}(x).  Each moment sums the terms of the
+  previous one multiplied by their squares (2q+1-2k)^2, so there is no
+  ``Fraction`` and no power per moment; each q keeps its row and last terms,
+  and a longer request extends the row instead of rebuilding it.
 * ``binomial_power_sum(q, p)`` -- 4^{-q} sum_{k=0}^{q} C(2q+1,k) (2q+1-2k)^{2p},
-  the normalized even-order derivative of sinh^{2q+1} at its imaginary poles
-  (memoised: the closed forms and suites ask for few distinct (q, p) often).
+  the normalized even-order derivative of sinh^{2q+1} at its imaginary poles:
+  one moment of ``_cosh_moments`` over 4^q.
 * ``_kernel_coeff(e, moments, j, divisor)`` -- the x^{2j} coefficient of
   (x / sinh x)^e * sum_i moments[i] x^{2i} / (2i)!, divided by ``divisor``:
   the residue kernel of 1 / cosh^e against an even series with integer
   moments, one binomial convolution of the scaled row and one ``Fraction``.
-  With the moments 4^q binomial_power_sum(q, i) of 4^q cosh^{2q+1}(x)
-  (``_cosh_moments``, integers) and divisor 4^q it is the x^{2j}
-  coefficient of (x / sinh x)^e * cosh^{2q+1}(x), which
-  ``closedform.phi_even_closed_form`` reads; the identity suites pass their
-  own moments.  The log-integral forms read the same convolutions as
+  With the moments of 4^q cosh^{2q+1}(x) (``_cosh_moments``) and divisor
+  4^q it is the x^{2j} coefficient of (x / sinh x)^e * cosh^{2q+1}(x),
+  which ``closedform.phi_even_closed_form`` reads; the identity suites pass
+  their own moments.  The log-integral forms read the same convolutions as
   integers, without the division (``closedform._log_residues``).
 """
 
@@ -45,7 +53,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .exact import DomainError, binomial
+from .exact import DomainError
 
 
 @lru_cache(maxsize=None)
@@ -159,24 +167,39 @@ def root_product_tables(n_max: int) -> RootProductTables:
     return RootProductTables(n_max)
 
 
-@lru_cache(maxsize=None)
+_moments_lock = threading.Lock()
+#: q -> (terms, row): row[i] = sum_k C(2q+1, k) (2q+1-2k)^{2i} for the moments
+#: computed so far, and terms[k] = C(2q+1, k) (2q+1-2k)^{2i} for the last of them.
+_moment_rows: dict[int, tuple[list[int], list[int]]] = {}
+
+
+def _cosh_moments(q: int, count: int) -> list[int]:
+    """sum_{k=0}^{q} C(2q+1, k) (2q+1-2k)^{2i} for i < count: (2i)! [x^{2i}]
+    of 4^q cosh^{2q+1}(x), integers.
+
+    Each moment is the sum of the previous moment's terms, each multiplied by
+    its square (2q+1-2k)^2, so no power is taken.  The row of each q is kept
+    with its last terms, and a longer request extends it rather than
+    rebuilding it.
+    """
+    with _moments_lock:
+        if q not in _moment_rows:
+            terms = [math.comb(2 * q + 1, k) for k in range(q + 1)]
+            _moment_rows[q] = (terms, [sum(terms)])
+        terms, row = _moment_rows[q]
+        if len(row) < count:
+            squares = [(2 * q + 1 - 2 * k) ** 2 for k in range(q + 1)]
+            while len(row) < count:
+                terms[:] = [t * s for t, s in zip(terms, squares)]
+                row.append(sum(terms))
+        return row[:count]
+
+
 def binomial_power_sum(q: int, p: int) -> Fraction:
     """4^{-q} sum_{k=0}^{q} C(2q+1, k) (2q+1-2k)^{2p}, exactly."""
     if q < 0 or p < 0:
         raise DomainError("binomial_power_sum requires q >= 0 and p >= 0")
-    total = sum(binomial(2 * q + 1, k) * (2 * q + 1 - 2 * k) ** (2 * p) for k in range(q + 1))
-    return Fraction(total, 4**q)
-
-
-def _cosh_moments(q: int, count: int) -> list[int]:
-    """4^q ``binomial_power_sum(q, i)`` for i < count: (2i)! [x^{2i}] of
-    4^q cosh^{2q+1}(x), integers."""
-    scale = 4**q
-    moments = []
-    for i in range(count):
-        w = binomial_power_sum(q, i)
-        moments.append(w.numerator * (scale // w.denominator))
-    return moments
+    return Fraction(_cosh_moments(q, p + 1)[p], 4**q)
 
 
 def _kernel_coeff(power: int, moments, j: int, divisor: int = 1) -> Fraction:

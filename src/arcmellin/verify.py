@@ -9,10 +9,11 @@ a precision below :data:`MIN_PREC`, and set the mpmath precision only
 through ``lfuncs._working``: the one lock on the global context, at
 ``lfuncs.GUARD_DIGITS`` digits above the suite's precision.
 
-Every suite is a lazy source of :class:`CellResult` values, and one builder,
-``_build``, turns a source into a :class:`VerifyReport`: it refuses a
-numeric suite's precision below :data:`MIN_PREC` before any cell runs, then
-draws the cells under one timer.  Every suite is named by one
+Every suite is a lazy source of :class:`CellResult` values (an exact suite
+draws them from a row source that yields the cells of one n at a time), and
+one builder, ``_build``, turns a source into a :class:`VerifyReport`: it
+refuses a numeric suite's precision below :data:`MIN_PREC` before any cell
+runs, then draws the cells under one timer.  Every suite is named by one
 :class:`IdentityFamily` member and dispatched through :data:`SUITES`, which
 maps it to a runner ``(n_range, prec)``; :func:`run_identity` looks one up
 and :func:`all_suites` runs them all in registry order, the reference tables
@@ -30,7 +31,6 @@ from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from functools import lru_cache
 
 from mpmath import mp, mpf
 
@@ -51,7 +51,7 @@ from .closedform import (
 from .exact import DomainError, bernoulli, binomial, eulerian
 from .lfuncs import _working, eval_closed_form, mellin_bound_gamma_ratio, phi1_bounds
 from .quadrature import quad_c_constant, quad_phi
-from .series import _cosh_moments, _kernel_coeff
+from .series import _cosh_moments, _kernel_coeff, _x_over_sinh_row
 
 
 class IdentityFamily(str, Enum):
@@ -152,42 +152,19 @@ def _build(
 
 
 # ---------------------------------------------------------------------------
-# exact identity families: single-cell evaluators
+# exact identity families: one row of cells per n
 # ---------------------------------------------------------------------------
-
-def _alt_binom_odd_cell(params: tuple) -> CellResult:
-    n, j = params
-    lhs = sum(
-        (-1) ** k * binomial(2 * n + 1, k) * (2 * n + 1 - 2 * k) ** (2 * j + 1)
-        for k in range(n + 1)
-    )
-    rhs = 4**n * math.factorial(2 * n + 1) if j == n else 0
-    return CellResult(params, lhs == rhs, f"lhs={lhs}")
-
-
-def _alt_binom_even_cell(params: tuple) -> CellResult:
-    # The half-range sum at j = 0 equals (-1)^{n+1} C(2n,n) / 2: pairing
-    # k <-> 2n-k halves the full alternating sum around the central term,
-    # the same halving that gives the j = n value 4^n (2n)! / 2.
-    n, j = params
-    lhs = Fraction(
-        sum(
-            (-1) ** k * binomial(2 * n, k) * (2 * n - 2 * k) ** (2 * j)
-            for k in range(n)
-        )
-    )
-    if j == 0:
-        rhs = Fraction((-1) ** (n + 1) * binomial(2 * n, n), 2)
-    elif j == n:
-        rhs = Fraction(4**n * math.factorial(2 * n), 2)
-    else:
-        rhs = Fraction(0)
-    return CellResult(params, lhs == rhs, f"lhs={lhs}")
-
-
-# The cells below sum in integers: with c the coefficients of (x/sinh x)^e,
-# a sum of c[2j-2i] / (2i)! * moment[i] over integer moments is
-# ``_kernel_coeff(e, moments, j)``, one Fraction per cell.
+#
+# Each exact family is a row source: ``row(n)`` yields the cells of one n in
+# order, (n, j) for the two-index families and (n,) otherwise, and computes
+# what its cells share once.  The alternating binomial rows take every power
+# from one weight vector multiplied by the squares per j (``_even_moments``).
+# The kernel rows sum in integers: with c the coefficients of (x/sinh x)^e, a
+# sum of c[2j-2i] / (2i)! * moment[i] over integer moments is
+# ``_kernel_coeff(e, moments, j)``.  At j = n its convolution weights
+# C(2n, 2i) row[n-i] are built once per n (``_kernel_weights``) and dotted
+# with each cell's moments, one Fraction per cell; the Eulerian rows read one
+# moments list per n at every j.
 
 def _even_moments(terms, count: int) -> list[int]:
     """[sum_k w_k x_k^{2r} for r < count] for ``terms`` = [(w_k, x_k)]."""
@@ -200,102 +177,144 @@ def _even_moments(terms, count: int) -> list[int]:
     return moments
 
 
-@lru_cache(maxsize=4)
-def _eulerian_moments(kind: str, n: int) -> tuple[int, ...]:
+def _kernel_weights(power: int, n: int) -> tuple[list[int], int]:
+    """(v, den) with ``_kernel_coeff(power, m, n)`` = sum_i v[i] m[i] / den
+    for any n + 1 integer moments m."""
+    denom, row = _x_over_sinh_row(power, 2 * n)
+    weights = [math.comb(2 * n, 2 * i) * row[n - i] for i in range(n + 1)]
+    return weights, denom * math.factorial(2 * n)
+
+
+def _dot(weights: list[int], moments: list[int]) -> int:
+    return sum(w * m for w, m in zip(weights, moments))
+
+
+def _alt_binom_odd_row(n: int):
+    # sum_k (-1)^k C(2n+1, k) (2n+1-2k)^{2j+1} for j = 0..n
+    terms = [
+        ((-1) ** k * math.comb(2 * n + 1, k) * (2 * n + 1 - 2 * k), 2 * n + 1 - 2 * k)
+        for k in range(n + 1)
+    ]
+    for j, lhs in enumerate(_even_moments(terms, n + 1)):
+        rhs = 4**n * math.factorial(2 * n + 1) if j == n else 0
+        yield CellResult((n, j), lhs == rhs, f"lhs={lhs}")
+
+
+def _alt_binom_even_row(n: int):
+    # sum_{k<n} (-1)^k C(2n, k) (2n-2k)^{2j} for j = 0..n.  The half-range
+    # sum at j = 0 equals (-1)^{n+1} C(2n,n) / 2: pairing k <-> 2n-k halves
+    # the full alternating sum around the central term, the same halving that
+    # gives the j = n value 4^n (2n)! / 2.
+    terms = [((-1) ** k * math.comb(2 * n, k), 2 * n - 2 * k) for k in range(n)]
+    for j, lhs in enumerate(_even_moments(terms, n + 1)):
+        if j == 0:
+            rhs = Fraction((-1) ** (n + 1) * binomial(2 * n, n), 2)
+        elif j == n:
+            rhs = Fraction(4**n * math.factorial(2 * n), 2)
+        else:
+            rhs = 0
+        yield CellResult((n, j), lhs == rhs, f"lhs={lhs}")
+
+
+def _c_odd_power_row(n: int):
+    # sum_m c[2m] (2k+1)^{2n-2m} / (2n-2m)!,  c = (x/sinh x)^{2n+1}, for
+    # k = 0..n: the moments (2k+1)^{2i} enter by Horner's rule in (2k+1)^2
+    weights, den = _kernel_weights(2 * n + 1, n)
+    for k in range(n + 1):
+        square, acc = (2 * k + 1) ** 2, 0
+        for w in reversed(weights):
+            acc = acc * square + w
+        lhs = Fraction(acc, den)
+        yield CellResult((n, k), lhs == (4**n if k == n else 0), f"lhs={lhs}")
+
+
+def _eulerian_moments(kind: str, n: int) -> list[int]:
     """sum_k E(kind, k) (2n-1-2k)^{2r} for r = 0..n over the Eulerian row of
-    order 2n (kind "A") or 2n-1 (kind "B"): shared by every p of one n."""
+    order 2n (kind "A") or 2n-1 (kind "B")."""
     order = 2 * n if kind == "A" else 2 * n - 1
-    terms = [(eulerian(kind, order, k), 2 * n - 1 - 2 * k) for k in range(n)]
-    return tuple(_even_moments(terms, n + 1))
+    return _even_moments([(eulerian(kind, order, k), 2 * n - 1 - 2 * k) for k in range(n)], n + 1)
 
 
-def _c_odd_power_cell(params: tuple) -> CellResult:
-    # sum_m c[2m] (2k+1)^{2n-2m} / (2n-2m)!,  c = (x/sinh x)^{2n+1}
-    n, k = params
-    lhs = _kernel_coeff(2 * n + 1, _even_moments([(1, 2 * k + 1)], n + 1), n)
-    rhs = Fraction(4**n) if k == n else Fraction(0)
-    return CellResult(params, lhs == rhs, f"lhs={lhs}")
-
-
-def _eulerian_a_cell(params: tuple) -> CellResult:
+def _eulerian_a_row(n: int):
     # sum_r c[2n-2p-2r] / (2r)! sum_k A(2n, n-1-k) (2k+1)^{2r},  c = (x/sinh x)^{2n+1}
-    n, p = params
-    lhs = _kernel_coeff(2 * n + 1, _eulerian_moments("A", n), n - p)
-    rhs = Fraction(math.factorial(2 * n), 2) if p == n else Fraction(0)
-    return CellResult(params, lhs == rhs, f"lhs={lhs}")
+    moments = _eulerian_moments("A", n)
+    for p in range(n + 1):
+        lhs = _kernel_coeff(2 * n + 1, moments, n - p)
+        rhs = Fraction(math.factorial(2 * n), 2) if p == n else 0
+        yield CellResult((n, p), lhs == rhs, f"lhs={lhs}")
 
 
-def _eulerian_b_cell(params: tuple) -> CellResult:
+def _eulerian_b_row(n: int):
     # sum_m d[2n-2p-2m] / (2m)! sum_k B(2n-1, k) (2n-1-2k)^{2m},  d = (x/sinh x)^{2n}
-    n, p = params
-    lhs = _kernel_coeff(2 * n, _eulerian_moments("B", n), n - p)
-    if p == 0:
-        rhs = Fraction(2 ** (2 * n - 2) * (2 ** (2 * n - 1) - 1)) * bernoulli(2 * n) / n
-    elif p == n:
-        rhs = Fraction(2 ** (2 * n - 2) * math.factorial(2 * n - 1))
-    else:
-        rhs = Fraction(0)
-    return CellResult(params, lhs == rhs, f"lhs={lhs}")
+    moments = _eulerian_moments("B", n)
+    for p in range(n + 1):
+        lhs = _kernel_coeff(2 * n, moments, n - p)
+        if p == 0:
+            rhs = Fraction(2 ** (2 * n - 2) * (2 ** (2 * n - 1) - 1)) * bernoulli(2 * n) / n
+        elif p == n:
+            rhs = 2 ** (2 * n - 2) * math.factorial(2 * n - 1)
+        else:
+            rhs = 0
+        yield CellResult((n, p), lhs == rhs, f"lhs={lhs}")
 
 
-def _binom_cosh_cell(params: tuple) -> CellResult:
-    # sum_m c[2n-2m] / (2m)! 4^q W(q, m),  c = (x/sinh x)^{2n+1}, W = binomial_power_sum
-    n, q = params
-    lhs = _kernel_coeff(2 * n + 1, _cosh_moments(q, n + 1), n)
-    rhs = Fraction(4**n) if q == n else Fraction(0)
-    return CellResult(params, lhs == rhs, f"lhs={lhs}")
+def _binom_cosh_row(n: int):
+    # sum_m c[2n-2m] / (2m)! 4^q W(q, m),  c = (x/sinh x)^{2n+1}, W = binomial_power_sum,
+    # for q = 0..n
+    weights, den = _kernel_weights(2 * n + 1, n)
+    for q in range(n + 1):
+        lhs = Fraction(_dot(weights, _cosh_moments(q, n + 1)), den)
+        yield CellResult((n, q), lhs == (4**n if q == n else 0), f"lhs={lhs}")
 
 
-def _vanishing_cell(params: tuple) -> CellResult:
-    # the binom-cosh sum over 4^q; at q = n - 1 it is the lambda(1)
-    # coefficient that phi_even_closed_form(1, n) requires to vanish
-    n, q = params
-    lhs = _kernel_coeff(2 * n + 1, _cosh_moments(q, n + 1), n, 4**q)
-    return CellResult(params, lhs == 0, f"lhs={lhs}")
+def _vanishing_row(n: int):
+    # the binom-cosh sum over 4^q for q = 0..n-1; at q = n - 1 it is the
+    # lambda(1) coefficient that phi_even_closed_form(1, n) requires to vanish
+    weights, den = _kernel_weights(2 * n + 1, n)
+    for q in range(n):
+        lhs = Fraction(_dot(weights, _cosh_moments(q, n + 1)), 4**q * den)
+        yield CellResult((n, q), lhs == 0, f"lhs={lhs}")
 
 
-def _eta_coeff_cell(params: tuple) -> CellResult:
-    (n,) = params
+def _eta_coeff_row(n: int):
     lead = eta_prime_neg_coeffs(n)[0]
-    return CellResult(params, lead == Fraction(4, 2 * n + 1), f"coeff={lead}")
+    yield CellResult((n,), lead == Fraction(4, 2 * n + 1), f"coeff={lead}")
 
 
-def _zeta2_coeff_cell(params: tuple) -> CellResult:
-    (n,) = params
+def _zeta2_coeff_row(n: int):
     coeff = sinh_over_z_integral(n - 1, 2 * n).coefficient(zeta_prime_ratio(0))
-    return CellResult(params, coeff == Fraction(-6, 2 * n - 1), f"coeff={coeff}")
+    yield CellResult((n,), coeff == Fraction(-6, 2 * n - 1), f"coeff={coeff}")
 
 
-def _d_identity_cell(params: tuple) -> CellResult:
+def _d_identity_row(n: int):
     # sum_m d[2m] / (2n-2m)! sum_k C(4n+2, 2n-2k) (2k+1)^{2n-2m},  d = (x/sinh x)^{2n+2}
-    (n,) = params
     terms = [(binomial(4 * n + 2, 2 * n - 2 * k), 2 * k + 1) for k in range(n + 1)]
     lhs = _kernel_coeff(2 * n + 2, _even_moments(terms, n + 1), n)
-    return CellResult(params, lhs == Fraction(4**n, 2 * n + 1), f"lhs={lhs}")
+    yield CellResult((n,), lhs == Fraction(4**n, 2 * n + 1), f"lhs={lhs}")
 
 
-def _euler_bernoulli_cell(params: tuple) -> CellResult:
-    # Both beta-integral evaluations of int_0^oo sinh^{2q+1}/cosh^N dz: it is
-    # (-1)^{q+n+1} times the ln(pi) coefficient of the log integral over the
-    # same cosh^N, so each line reads the value the production forms read
-    # (tangent numbers for N = 2n+1, Euler numbers for N = 2n) and builds no
-    # form.
-    n, q = params
-    sign = (-1) ** (q + n + 1)
-    line1 = sign * _log_residues(True, q, n)[2]
-    rhs1 = Fraction(sign, 2) * Fraction(
-        math.factorial(q) * math.factorial(n - q - 1), math.factorial(n)
-    )
-    line2 = sign * _log_residues(False, q, n)[2]
-    rhs2 = sign * Fraction(
-        2 ** (2 * q + 1)
-        * math.factorial(q)
-        * math.factorial(n)
-        * math.factorial(2 * n - 2 * q - 2),
-        math.factorial(n - q - 1) * math.factorial(2 * n),
-    )
-    ok = line1 == rhs1 and line2 == rhs2
-    return CellResult(params, ok, f"line1={line1}, line2={line2}")
+def _euler_bernoulli_row(n: int):
+    # Both beta-integral evaluations of int_0^oo sinh^{2q+1}/cosh^N dz for
+    # q = 0..n-1: it is (-1)^{q+n+1} times the ln(pi) coefficient of the log
+    # integral over the same cosh^N, so each line reads the value the
+    # production forms read (tangent numbers for N = 2n+1, Euler numbers for
+    # N = 2n) and builds no form.
+    for q in range(n):
+        sign = (-1) ** (q + n + 1)
+        line1 = sign * _log_residues(True, q, n)[2]
+        rhs1 = Fraction(sign, 2) * Fraction(
+            math.factorial(q) * math.factorial(n - q - 1), math.factorial(n)
+        )
+        line2 = sign * _log_residues(False, q, n)[2]
+        rhs2 = sign * Fraction(
+            2 ** (2 * q + 1)
+            * math.factorial(q)
+            * math.factorial(n)
+            * math.factorial(2 * n - 2 * q - 2),
+            math.factorial(n - q - 1) * math.factorial(2 * n),
+        )
+        ok = line1 == rhs1 and line2 == rhs2
+        yield CellResult((n, q), ok, f"line1={line1}, line2={line2}")
 
 
 def _even_relation_cell(rel: dict) -> CellResult:
@@ -351,7 +370,9 @@ def check_bounds(s_grid=DEFAULT_BOUNDS_GRID, prec: int = 30) -> VerifyReport:
                 lo, hi = bounds(sf, prec)
                 v = quad_phi(which, sf, prec).value
                 ok = (v - lo) > margin and (hi - v) > margin
-                yield CellResult((str(s), f"phi{which}"), ok, f"{lo} < {v} < {hi}")
+                with _working(prec):
+                    detail = " < ".join(mp.nstr(x, prec) for x in (lo, v, hi))
+                yield CellResult((str(s), f"phi{which}"), ok, detail)
 
     tolerance = f"strict with margin 1e-{prec - 10}"
     return _build(IdentityFamily.BOUNDS.value, cells(), tolerance, prec)
@@ -555,15 +576,15 @@ _Runner = Callable[[tuple[int, int] | None, int], VerifyReport]
 
 
 def _exact_suite(
-    family: IdentityFamily, cell_fn, n_min: int, inner: int | None, default_range
+    family: IdentityFamily, row: Callable[[int], Iterable[CellResult]], n_min: int, default_range
 ) -> tuple[IdentityFamily, _Runner]:
     """An exact family's registry entry.
 
     The grid is n over the inclusive range (``default_range`` unless one is
-    given) clipped below at ``n_min``; with an ``inner`` offset each n
-    expands to the cells (n, j) for 0 <= j <= n + inner, otherwise to (n,).
-    A range that holds no n raises :class:`DomainError` rather than passing
-    with no cells.
+    given) clipped below at ``n_min``, and ``row(n)`` yields the cells of
+    each n in turn, from one pass that computes what they share.  A range
+    that holds no n raises :class:`DomainError` rather than passing with no
+    cells.
     """
 
     def cells(n_range):
@@ -574,10 +595,7 @@ def _exact_suite(
                 f"{family.value}: range {lo}..{hi} holds no n >= {n_min}"
             )
         for n in ns:
-            if inner is None:
-                yield cell_fn((n,))
-            else:
-                yield from (cell_fn((n, j)) for j in range(n + inner + 1))
+            yield from row(n)
 
     return family, lambda n_range, prec: _build(family.value, cells(n_range))
 
@@ -587,17 +605,17 @@ def _exact_suite(
 #: suites use their own grids, except that cross-rep reads n_max from it.
 SUITES: dict[IdentityFamily, _Runner] = dict(
     [
-        _exact_suite(IdentityFamily.ALT_BINOM_ODD, _alt_binom_odd_cell, 1, 0, (1, 25)),
-        _exact_suite(IdentityFamily.ALT_BINOM_EVEN, _alt_binom_even_cell, 1, 0, (1, 25)),
-        _exact_suite(IdentityFamily.C_ODD_POWER, _c_odd_power_cell, 1, 0, (1, 25)),
-        _exact_suite(IdentityFamily.EULERIAN_A_SUM, _eulerian_a_cell, 1, 0, (1, 25)),
-        _exact_suite(IdentityFamily.EULERIAN_B_SUM, _eulerian_b_cell, 1, 0, (1, 25)),
-        _exact_suite(IdentityFamily.BINOM_COSH_SUM, _binom_cosh_cell, 1, 0, (1, 25)),
-        _exact_suite(IdentityFamily.VANISHING, _vanishing_cell, 1, -1, (1, 20)),
-        _exact_suite(IdentityFamily.ETA_COEFF, _eta_coeff_cell, 1, None, (1, 50)),
-        _exact_suite(IdentityFamily.ZETA2_COEFF, _zeta2_coeff_cell, 2, None, (2, 25)),
-        _exact_suite(IdentityFamily.D_IDENTITY, _d_identity_cell, 0, None, (0, 15)),
-        _exact_suite(IdentityFamily.EULER_BERNOULLI, _euler_bernoulli_cell, 1, -1, (1, 15)),
+        _exact_suite(IdentityFamily.ALT_BINOM_ODD, _alt_binom_odd_row, 1, (1, 25)),
+        _exact_suite(IdentityFamily.ALT_BINOM_EVEN, _alt_binom_even_row, 1, (1, 25)),
+        _exact_suite(IdentityFamily.C_ODD_POWER, _c_odd_power_row, 1, (1, 25)),
+        _exact_suite(IdentityFamily.EULERIAN_A_SUM, _eulerian_a_row, 1, (1, 25)),
+        _exact_suite(IdentityFamily.EULERIAN_B_SUM, _eulerian_b_row, 1, (1, 25)),
+        _exact_suite(IdentityFamily.BINOM_COSH_SUM, _binom_cosh_row, 1, (1, 25)),
+        _exact_suite(IdentityFamily.VANISHING, _vanishing_row, 1, (1, 20)),
+        _exact_suite(IdentityFamily.ETA_COEFF, _eta_coeff_row, 1, (1, 50)),
+        _exact_suite(IdentityFamily.ZETA2_COEFF, _zeta2_coeff_row, 2, (2, 25)),
+        _exact_suite(IdentityFamily.D_IDENTITY, _d_identity_row, 0, (0, 15)),
+        _exact_suite(IdentityFamily.EULER_BERNOULLI, _euler_bernoulli_row, 1, (1, 15)),
         (IdentityFamily.BOUNDS, lambda n_range, prec: check_bounds(prec=prec)),
         (IdentityFamily.COUPLED_SERIES, lambda n_range, prec: _coupled((2, 4, 6), 30, prec)),
         (IdentityFamily.ASYMPTOTIC, lambda n_range, prec: check_asymptotic_constants(prec)),

@@ -1,6 +1,12 @@
 """Reference routes the series and closed-form tests compare the production
 kernels against.
 
+``binomial_power_sum_direct`` is the cosh moment sum with one power per
+term, against the recurrence of ``series._cosh_moments``, and
+``odd_value_coeffs_by_triangle`` sums the odd-value coefficients over the
+rows of ``root_product_tables``, against the Horner evaluation of
+``closedform.eta_prime_neg_coeffs`` and ``beta_prime_neg_coeffs``.
+
 ``cosh_kernel_coeffs`` tabulates the residue kernel (x / sinh x)^e *
 cosh^{2q+1}(x) as one whole ``Fraction`` table; the package reads the same
 coefficients one at a time through ``series._kernel_coeff`` and as integer
@@ -17,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from arcmellin import DomainError
+from arcmellin import DomainError, root_product_tables
 from arcmellin.series import _cosh_moments, _egf_convolution, _x_over_sinh_row
 
 
@@ -110,3 +116,43 @@ def cosh_kernel_coeffs(power: int, q: int, order: int) -> tuple[Fraction, ...]:
         for j in range(len(row))
     ]
     return tuple(coeffs)
+
+
+@lru_cache(maxsize=None)
+def binomial_power_sum_direct(q: int, p: int) -> Fraction:
+    """4^{-q} sum_{k=0}^{q} C(2q+1, k) (2q+1-2k)^{2p}, one power per term."""
+    return Fraction(
+        sum(math.comb(2 * q + 1, k) * (2 * q + 1 - 2 * k) ** (2 * p) for k in range(q + 1)), 4**q
+    )
+
+
+def odd_value_coeffs_by_triangle(n: int) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]]:
+    """The eta'(-2i-1) and beta'(-2i) coefficients of Phi_1(2n+1) and
+    Phi_2(2n+1), i = 0..n, as the sums over the triangle rows k >= i:
+
+        sum_k C(n, k) 2^{2k+2} / (2k+1)! * integer_root(i, k),
+        sum_k 2 C(n, k) / (2k)! * odd_root(i, k).
+    """
+    tables = root_product_tables(n)
+    eta = tuple(
+        sum(
+            (
+                Fraction(math.comb(n, k) * 2 ** (2 * k + 2), math.factorial(2 * k + 1))
+                * tables.integer_root(i, k)
+                for k in range(i, n + 1)
+            ),
+            Fraction(0),
+        )
+        for i in range(n + 1)
+    )
+    beta = tuple(
+        sum(
+            (
+                Fraction(2 * math.comb(n, k), math.factorial(2 * k)) * tables.odd_root(i, k)
+                for k in range(i, n + 1)
+            ),
+            Fraction(0),
+        )
+        for i in range(n + 1)
+    )
+    return eta, beta

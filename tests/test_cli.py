@@ -88,6 +88,15 @@ class TestVerifyCommand:
         assert code == 0
         assert "cross-rep: PASS (320 cells" in out
 
+    def test_bounds_details_carry_the_requested_digits(self, capsys):
+        # each detail reads "lo < value < hi"; the quadrature value must print
+        # to the requested 60 digits, not to mpmath's default 15
+        code, out, _ = run(capsys, "verify", "bounds", "--prec", "60", "--json")
+        assert code == 0
+        for cell in json.loads(out)["cells"]:
+            value = cell["detail"].split(" < ")[1]
+            assert len(value.lstrip("-").replace(".", "").lstrip("0")) >= 50, cell
+
     def test_bad_range_exit_2(self, capsys):
         code, _, _ = run(capsys, "verify", "alt-binom-odd", "--range", "oops")
         assert code == 2

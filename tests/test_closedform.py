@@ -29,7 +29,6 @@ from arcmellin import (
     log_integral_odd_cosh,
     phi_even_closed_form,
     phi_odd_closed_form,
-    root_product_tables,
     sinh_over_z_integral,
     x_over_sinh_coeffs,
     zeta_odd_ratio,
@@ -38,7 +37,7 @@ from arcmellin import (
 from arcmellin import catalog, closedform
 from arcmellin.closedform import _log_residues
 from arcmellin.exact import _signed_tangent
-from _series_oracles import cosh_kernel_coeffs
+from _series_oracles import cosh_kernel_coeffs, odd_value_coeffs_by_triangle
 
 
 def cf(pairs):
@@ -440,32 +439,12 @@ class TestPhiOddClosedForm:
         for n in range(1, 51):
             assert eta_prime_neg_coeffs(n)[0] == Fraction(4, 2 * n + 1)
 
-    @pytest.mark.parametrize("n", range(1, 41))
+    @pytest.mark.parametrize("n", range(1, 61))
     def test_coefficients_equal_docstring_sums(self, n):
-        tables = root_product_tables(n)
-        eta = [
-            sum(
-                (
-                    Fraction(math.comb(n, k) * 2 ** (2 * k + 2), math.factorial(2 * k + 1))
-                    * tables.integer_root(i, k)
-                    for k in range(i, n + 1)
-                ),
-                Fraction(0),
-            )
-            for i in range(n + 1)
-        ]
-        beta = [
-            sum(
-                (
-                    Fraction(2 * math.comb(n, k), math.factorial(2 * k)) * tables.odd_root(i, k)
-                    for k in range(i, n + 1)
-                ),
-                Fraction(0),
-            )
-            for i in range(n + 1)
-        ]
-        assert eta_prime_neg_coeffs(n) == tuple(eta)
-        assert beta_prime_neg_coeffs(n) == tuple(beta)
+        # the triangle sums over root_product_tables, against Horner's rule
+        eta, beta = odd_value_coeffs_by_triangle(n)
+        assert eta_prime_neg_coeffs(n) == eta
+        assert beta_prime_neg_coeffs(n) == beta
 
 
 class TestPhiEvenClosedForm:

@@ -1,6 +1,8 @@
 """Power-series layer: coefficient families against independent oracles."""
 
 import math
+import sys
+import threading
 from fractions import Fraction
 
 import pytest
@@ -15,8 +17,15 @@ from arcmellin import (
     root_product_tables,
     x_over_sinh_coeffs,
 )
-from arcmellin.series import _x_over_sinh_row
-from _series_oracles import PowerSeries, cosh_kernel_coeffs, cosh_series, sinh_x_over_x_series
+from arcmellin import series
+from arcmellin.series import _cosh_moments, _x_over_sinh_row
+from _series_oracles import (
+    PowerSeries,
+    binomial_power_sum_direct,
+    cosh_kernel_coeffs,
+    cosh_series,
+    sinh_x_over_x_series,
+)
 
 
 def _fraction_miller(power, order):
@@ -216,6 +225,58 @@ class TestBinomialPowerSum:
         # imaginary pole, i.e. (2p)! [w^{2p}] cosh^{2q+1}(w)
         series = cosh_series(2 * p).pow(2 * q + 1)
         assert binomial_power_sum(q, p) == math.factorial(2 * p) * series.coefficient(2 * p)
+
+
+class TestCoshMoments:
+    # The recurrence keeps each q's row and extends it, so requests in
+    # increasing and in decreasing length reach it by different paths; each
+    # test starts from an empty store.
+    COUNTS = {"increasing": range(1, 42), "decreasing": range(41, 0, -1)}
+
+    @pytest.mark.parametrize("order", sorted(COUNTS))
+    def test_moments_match_direct_sum(self, monkeypatch, order):
+        monkeypatch.setattr(series, "_moment_rows", {})
+        for q in range(41):
+            for count in self.COUNTS[order]:
+                expected = [4**q * binomial_power_sum_direct(q, p) for p in range(count)]
+                assert _cosh_moments(q, count) == expected
+
+    @pytest.mark.parametrize("order", sorted(COUNTS))
+    def test_binomial_power_sum_matches_direct_sum(self, monkeypatch, order):
+        monkeypatch.setattr(series, "_moment_rows", {})
+        for q in range(41):
+            for count in self.COUNTS[order]:
+                p = count - 1
+                assert binomial_power_sum(q, p) == binomial_power_sum_direct(q, p)
+
+
+    @pytest.mark.parametrize("attempt", range(3))
+    def test_threads_extending_shared_rows(self, monkeypatch, attempt):
+        # eight threads extend the same rows in interleaved steps; a lost or
+        # doubled extension would put a wrong moment into a row (an unlocked
+        # store fails about one attempt in two)
+        monkeypatch.setattr(series, "_moment_rows", {})
+        results = []
+
+        def extend(start):
+            for count in range(start, 42, 8):
+                for q in range(41):
+                    results.append((q, count, _cosh_moments(q, count)))
+
+        threads = [threading.Thread(target=extend, args=(start,)) for start in range(1, 9)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert len(results) == 41 * 41
+        for q, count, got in results:
+            assert got == [4**q * binomial_power_sum_direct(q, p) for p in range(count)]
 
 
 class TestCoshKernelCoeffs:

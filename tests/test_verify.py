@@ -34,26 +34,32 @@ from arcmellin.closedform import ONE, ClosedForm
 from arcmellin.verify import (
     MIN_PREC,
     SUITES,
-    _alt_binom_even_cell,
-    _alt_binom_odd_cell,
-    _binom_cosh_cell,
-    _c_odd_power_cell,
-    _d_identity_cell,
-    _euler_bernoulli_cell,
-    _eulerian_a_cell,
-    _eulerian_b_cell,
-    _vanishing_cell,
+    _alt_binom_even_row,
+    _alt_binom_odd_row,
+    _binom_cosh_row,
+    _c_odd_power_row,
+    _d_identity_row,
+    _euler_bernoulli_row,
+    _eulerian_a_row,
+    _eulerian_b_row,
+    _vanishing_row,
     coupled_tail_bound,
 )
 
 
+def _cell(row, params):
+    """The cell of ``params`` from the row source of its n."""
+    (cell,) = [c for c in row(params[0]) if c.params == params]
+    return cell
+
+
 class TestSpotValues:
     def test_alt_binom_odd_interior_zero(self):
-        cell = _alt_binom_odd_cell((2, 1))
+        cell = _cell(_alt_binom_odd_row, (2, 1))
         assert cell.ok and cell.detail == "lhs=0"
 
     def test_alt_binom_odd_endpoint(self):
-        cell = _alt_binom_odd_cell((2, 2))
+        cell = _cell(_alt_binom_odd_row, (2, 2))
         assert cell.ok and cell.detail == f"lhs={4**2 * math.factorial(5)}"
         assert 4**2 * math.factorial(5) == 1920
 
@@ -62,14 +68,14 @@ class TestSpotValues:
         for n in (1, 2, 3, 5, 8):
             lhs = sum((-1) ** k * binomial(2 * n, k) for k in range(n))
             assert Fraction(lhs) == Fraction((-1) ** (n + 1) * binomial(2 * n, n), 2)
-        assert _alt_binom_even_cell((2, 0)).ok
+        assert _cell(_alt_binom_even_row, (2, 0)).ok
 
     def test_d_identity_n1(self):
-        cell = _d_identity_cell((1,))
+        cell = _cell(_d_identity_row, (1,))
         assert cell.ok and Fraction(4, 3) == Fraction(4**1, 2 * 1 + 1)
 
     def test_euler_bernoulli_q0_n1(self):
-        cell = _euler_bernoulli_cell((1, 0))
+        cell = _cell(_euler_bernoulli_row, (1, 0))
         assert cell.ok
         # second line closed value: (-1)^{q+n+1} 2^{2q+1} q! n! (2n-2q-2)! /
         # ((n-q-1)! (2n)!) = 2 * 1 * 1 * 1 / (1 * 2) = 1
@@ -106,7 +112,7 @@ class TestSpotValues:
                 )
                 for m in range(n)
             )
-            cell = _euler_bernoulli_cell((n, q))
+            cell = _cell(_euler_bernoulli_row, (n, q))
             assert cell.ok
             assert cell.detail == f"line1={line1}, line2={line2}"
 
@@ -189,26 +195,28 @@ def _d_identity_fraction(n):
 class TestIntegerCellsMatchFractionFormulas:
     @pytest.mark.parametrize("n", range(1, 13))
     @pytest.mark.parametrize(
-        "cell, formula, inner",
+        "row, formula, inner",
         [
-            (_c_odd_power_cell, _c_odd_power_fraction, 0),
-            (_eulerian_a_cell, _eulerian_a_fraction, 0),
-            (_eulerian_b_cell, _eulerian_b_fraction, 0),
-            (_binom_cosh_cell, _binom_cosh_fraction, 0),
-            (_vanishing_cell, _vanishing_fraction, -1),
+            (_c_odd_power_row, _c_odd_power_fraction, 0),
+            (_eulerian_a_row, _eulerian_a_fraction, 0),
+            (_eulerian_b_row, _eulerian_b_fraction, 0),
+            (_binom_cosh_row, _binom_cosh_fraction, 0),
+            (_vanishing_row, _vanishing_fraction, -1),
         ],
         ids=["c-odd-power", "eulerian-a", "eulerian-b", "binom-cosh", "vanishing"],
     )
-    def test_two_index_cells(self, cell, formula, inner, n):
-        # the suite's grid at n: (n, j) for 0 <= j <= n + inner
-        for j in range(n + inner + 1):
-            result = cell((n, j))
+    def test_two_index_cells(self, row, formula, inner, n):
+        # the suite's grid at n: (n, j) for 0 <= j <= n + inner, in order
+        cells = list(row(n))
+        assert [c.params for c in cells] == [(n, j) for j in range(n + inner + 1)]
+        for j, result in enumerate(cells):
             assert (result.ok, result.detail) == formula(n, j)
             assert result.ok
 
     @pytest.mark.parametrize("n", range(13))
     def test_d_identity(self, n):
-        result = _d_identity_cell((n,))
+        (result,) = _d_identity_row(n)
+        assert result.params == (n,)
         assert (result.ok, result.detail) == _d_identity_fraction(n)
         assert result.ok
 
@@ -250,6 +258,18 @@ class TestExactSuites:
         before = [f.cache_info().currsize for f in caches]
         assert run_identity(IdentityFamily.EULER_BERNOULLI, n_range=(30, 31)).passed
         assert [f.cache_info().currsize for f in caches] == before
+
+    @pytest.mark.parametrize(
+        "family",
+        [
+            "alt-binom-odd", "alt-binom-even", "c-odd-power", "eulerian-a", "eulerian-b",
+            "binom-cosh", "vanishing", "eta-coeff", "zeta2-coeff", "d-identity",
+            "euler-bernoulli",
+        ],
+    )
+    def test_range_holding_no_n_is_a_domain_error(self, family):
+        with pytest.raises(DomainError, match="holds no n"):
+            run_identity(family, n_range=(5, 1))
 
     def test_accepts_string_names(self):
         assert run_identity("alt-binom-odd", n_range=(1, 4)).passed
