@@ -77,6 +77,7 @@ from .quadrature import (
     quad_c_constant,
     quad_log_family,
     quad_phi,
+    quad_phi_many,
     quad_sinh_over_z,
 )
 from .verify import (
@@ -144,6 +145,7 @@ __all__ = [
     "quad_c_constant",
     "quad_log_family",
     "quad_phi",
+    "quad_phi_many",
     "quad_sinh_over_z",
     "IdentityFamily",
     "VerifyReport",

@@ -85,7 +85,9 @@ from typing import Iterable, Iterator, Mapping
 from .exact import DomainError, _signed_tangent, binomial, euler_number, harmonic
 from .series import (
     _cosh_moments,
+    _dot,
     _egf_convolution,
+    _egf_weights,
     _kernel_coeff,
     _x_over_sinh_row,
 )
@@ -343,6 +345,28 @@ def _log_residues(odd: bool, q: int, n: int) -> tuple[int, list[int], Fraction]:
     weight = _signed_tangent if odd else (lambda p: euler_number(2 * p))
     lnpi = Fraction(_sign(q + n + 1) * sum(weight(p) * x for p, x in enumerate(w)), den)
     return den, w, lnpi
+
+
+def _ln_pi_row(odd: bool, n: int) -> list[Fraction]:
+    """[``_log_residues(odd, q, n)[2]`` for q = 0..n-1], the ln(pi)
+    coefficients of every log integral over one cosh power.
+
+    Each is sign sum_p weight(p) C(top, 2j) sum_i C(2j, 2i) row[j-i] m_q[i]
+    over den, with j = n-1-p, the moments m_q of 4^q cosh^{2q+1} and den
+    the one of ``_log_residues``; summed over j first, the weights of m_q[i]
+    do not depend on q, so the row is one weight vector dotted with each
+    q's moments.
+    """
+    top = 2 * n if odd else 2 * n - 1
+    denom, row = _x_over_sinh_row(top + 1, 2 * n)
+    weight = _signed_tangent if odd else (lambda p: euler_number(2 * p))
+    v = [0] * n
+    for j in range(n):
+        c = weight(n - 1 - j) * math.comb(top, 2 * j)
+        for i, x in enumerate(_egf_weights(row, j)):
+            v[i] += c * x
+    den = denom * math.factorial(top)
+    return [Fraction(_sign(q + n + 1) * _dot(v, _cosh_moments(q, n)), den * 4**q) for q in range(n)]
 
 
 def _weighted_sum(weights: list[Fraction], terms: list[int]) -> Fraction:

@@ -703,7 +703,7 @@ def symbol_value(kind: str, index: int | None, prec: int) -> mpf:
 
 def _combine(form: ClosedForm, prec: int) -> tuple[mpf, float]:
     """sum c*v over the form at ``prec``, and the digits lost to cancellation
-    in it, log10(sum |c*v| / |sum c*v|)."""
+    in it, log10(sum |c*v| / |sum c*v|), a float taken at 53 bits."""
     items = form.items()
     _fill_basis_sums([sym for sym, _ in items], prec)
     values = [(coeff, symbol_value(sym.kind, sym.index, prec)) for sym, coeff in items]
@@ -717,7 +717,8 @@ def _combine(form: ClosedForm, prec: int) -> tuple[mpf, float]:
             return total, 0.0
         if not total:  # every working digit cancelled
             return total, float(mp.dps)
-        return total, float(mp.log10(scale / abs(total)))
+        with mp.workprec(53):
+            return total, float(mp.log10(scale / abs(total)))
 
 
 def eval_closed_form(form: ClosedForm, prec: int) -> mpf:

@@ -54,14 +54,17 @@ The sums run on Python integers at the scale 2^F, F = wprec +
 ``_GUARD_BITS``.  Every node is t = k 2^-level, so every integrand samples
 the same grid.  A node table, one for the current working precision and
 replaced when the precision changes, keeps the integrand-independent values
-ln z, w = 1 + exp(-t), tanh z, sech z and z at each node as integers at
-scale 2^F, keyed by the integer t 2^MAX_LEVEL.  A node is filled at
-F + ``_FILL_BITS`` bits, with tanh z = sinh z / cosh z and sech z = 1/cosh z
-from one ``mpf_cosh_sinh``: one exp(z) and exp(-z), with the bits that
-sinh z would lose below z = 1 added to its precision (an expm1).  Its sixth
-slot, ln tanh z, is filled on first use, for the kernels that need it:
-ln(tanh z) below z = 1 and log1p(-x) - log1p(x), x = exp(-2z), above, so
-it keeps its relative digits where tanh z is close to 1.
+at each node, keyed by the integer t 2^MAX_LEVEL: ln z, w = 1 + exp(-t),
+tanh z, sech z and z as integers at scale 2^F, a slot for ln tanh z, and
+w + z and ln z w z, the node's weight in the absolute error floor and the
+factor of the log family, from the integers before them.  A node is filled
+at F + ``_FILL_BITS`` bits, with tanh z = sinh z / cosh z and
+sech z = 1/cosh z from one ``mpf_cosh_sinh``: one exp(z) and exp(-z), with
+the bits that sinh z would lose below z = 1 added to its precision (an
+expm1).  Its sixth slot, ln tanh z, is filled on first use, for the kernels
+that need it: ln(tanh z) below z = 1 and log1p(-x) - log1p(x),
+x = exp(-2z), above, so it keeps its relative digits where tanh z is close
+to 1.
 
 Each integrand is a kernel: a term function of one table entry that
 returns f(z) dz/dt at scale 2^F, as products of the entry's integers, each
@@ -78,7 +81,26 @@ its term's error in units of 2^-F times 1 + w + z at the node; the level
 sums are exact integers, so the absolute floor of the estimate is
 c h 2^-F sum (1 + w + z) over every node summed.
 
-Results are cached per (family, parameters, precision); cached replies are
+``_de_halfline`` integrates a list of kernels in one lockstep sweep: on
+each level and side it walks the nodes once, and at each node every kernel
+whose wing has not ended adds its term.  Each kernel keeps its own wing
+ends, level-0 guard, stop rule, level cap and error estimate, so its result
+is the one a sweep of that kernel alone gives.  At each node the kernels
+share a scratch dict, dropped after the node, where the first kernel to
+compute a value leaves it for the others: every ladder prefix of tanh z
+and sech z, one exp(a ln tanh z) for each fractional a, and the z/tanh z
+of the two constants.  The ladder of tanh^a z passes through tanh^m z for
+every binary prefix m of a, and the value after a prefix is the same chain
+of floored products of x = tanh z whichever power it is on the way to, so
+a ladder that starts from a prefix another kernel left in the scratch
+makes every product a ladder of its own would make, and the terms are
+unchanged bit for bit.  ``quad_phi_many`` sweeps every uncached Phi of a
+request list at once (the numeric suites of :mod:`arcmellin.verify`
+request their whole grid before their first cell); ``quad_phi`` is that
+batch of one, and ``quad_c_constant`` sweeps the two constants together.
+
+Results are cached per (family, parameters, precision), Phi under its exact
+s, so 3, "3.0" and Fraction(3) share one entry; cached replies are
 bit-identical.  Every integral runs inside ``lfuncs._working(prec)``, at
 ``prec + lfuncs.GUARD_DIGITS`` working digits under the one lock on the
 global mpmath context, which also guards the node table, so the evaluators
@@ -120,12 +142,15 @@ _FILL_BITS = 16
 #: products, within 3a < 2^14 units; from here on it is exp(a ln tanh z),
 #: within a few units whatever a is, at the cost of an exp per term.
 _LADDER_LIMIT = 2**12
+#: A wing that takes more than 600,000 steps at its level has failed to end.
+_WING_LIMIT = 600_000
 
 _cache_lock = threading.Lock()
 _quad_cache: dict[tuple, "QuadResult"] = {}
-# {mp.prec: {t * 2^MAX_LEVEL: [ln z, 1 + exp(-t), tanh z, sech z, z as
-# integers at scale 2^F, ln tanh z as a raw mpf or None]}}, holding one
-# precision at a time; filled and read by _de_halfline and the kernels.
+# {mp.prec: {t * 2^MAX_LEVEL: [ln z, w = 1 + exp(-t), tanh z, sech z, z as
+# integers at scale 2^F, ln tanh z as a raw mpf or None, w + z, ln z w z]}},
+# holding one precision at a time; filled and read by _de_halfline and the
+# kernels.
 _node_tables: dict[int, dict[int, list]] = {}
 
 
@@ -143,10 +168,12 @@ class QuadResult:
 
 
 class _Kernel(NamedTuple):
-    """An integrand: ``term(entry)`` returns f(z) dz/dt at scale 2^F from a
-    node table entry, within ``units`` (1 + w + z) units of 2^-F."""
+    """An integrand: ``term(entry, scratch)`` returns f(z) dz/dt at scale
+    2^F from a node table entry, within ``units`` (1 + w + z) units of
+    2^-F; ``scratch`` holds the values the kernels of one sweep share at
+    that node."""
 
-    term: Callable[[list], int]
+    term: Callable[[list, dict], int]
     units: int
 
 
@@ -178,7 +205,8 @@ def _atanh(x: tuple, wp: int) -> tuple:
 
 def _fill(key: int, bits: int, wp: int) -> list:
     """The node table entry at t = key 2^-MAX_LEVEL: ln z, w, tanh z, sech z
-    and z as integers at scale 2^bits, and an empty slot for ln tanh z.
+    and z as integers at scale 2^bits, an empty slot for ln tanh z, then
+    w + z and ln z w z (two floored products) from those integers.
 
     tanh z and sech z come from one cosh and sinh, which ``mpf_cosh_sinh``
     takes from one exp(z) and exp(-z), with the bits that sinh z loses
@@ -193,13 +221,16 @@ def _fill(key: int, bits: int, wp: int) -> list:
     ln_z = mpf_sub(t, u, wp, rnd)
     z = mpf_exp(ln_z, wp, rnd)
     cosh, sinh = mpf_cosh_sinh(z, wp, rnd)
+    fixed_ln_z, w, fixed_z = _fixed(ln_z, bits), (1 << bits) + _fixed(u, bits), _fixed(z, bits)
     return [
-        _fixed(ln_z, bits),
-        (1 << bits) + _fixed(u, bits),
+        fixed_ln_z,
+        w,
         _fixed(mpf_div(sinh, cosh, wp, rnd), bits),
         _fixed(mpf_div(fone, cosh, wp, rnd), bits),
-        _fixed(z, bits),
+        fixed_z,
         None,
+        w + fixed_z,
+        (fixed_ln_z * w >> bits) * fixed_z >> bits,
     ]
 
 
@@ -228,20 +259,52 @@ def _ln_tanh(entry: list, bits: int, wp: int) -> tuple:
     return ln_tanh
 
 
-def _de_halfline(kernel: _Kernel, prec: int, max_level: int = MAX_LEVEL) -> QuadResult:
-    """Integrate over (0, oo) with the z = exp(t - exp(-t)) node map.
+class _Run:
+    """One kernel's state in a sweep: the exact sum S_j of its terms so far,
+    the sum of its negative terms, its node count and sum of w + z, its
+    level-0 reach on each side, its last relative digits and change, and its
+    result once it stops; while a side is walked, its run of negligible
+    terms, the floor that run must pass and the |t| 2^MAX_LEVEL where the
+    side ended."""
 
-    ``kernel.term(entry)`` takes one node table entry, [ln z, w, tanh z,
-    sech z, z] as integers at scale 2^F (w = 1 + exp(-t), F = mp.prec +
-    ``_GUARD_BITS``) and a slot for ln tanh z, and must return
-    f(z) dz/dt = f(z) w z as an integer at the same scale, within
-    ``kernel.units`` (1 + w + z) units.  Each level's sum is the exact
-    integer sum of every term so far, rounded to mp.prec once.
-    ``max_level`` may not exceed ``MAX_LEVEL``.  Stops at the first level
-    j >= 2 whose predicted digits reach ``mp.dps + 10``, or the first level
-    j >= 3 whose level-to-level change meets the target; raises
-    :class:`PrecisionError` when ``max_level`` is reached first, or when
-    level 0 finds no term above the negligibility cutoff.
+    __slots__ = (
+        "term", "units", "total", "negative", "nodes", "weight", "reach",
+        "consec", "far", "floor", "d1", "change", "result",
+    )
+
+    def __init__(self, kernel: _Kernel) -> None:
+        self.term, self.units = kernel
+        self.reach = [0, 0]
+        self.d1 = 0.0
+
+
+def _de_halfline(kernels: list[_Kernel], prec: int, max_level: int = MAX_LEVEL) -> list[QuadResult]:
+    """Integrate each kernel over (0, oo) with the z = exp(t - exp(-t)) node
+    map, in one lockstep sweep of the nodes; returns one result per kernel.
+
+    ``kernel.term(entry, scratch)`` takes one node table entry ([ln z, w,
+    tanh z, sech z, z] as integers at scale 2^F, w = 1 + exp(-t), F =
+    mp.prec + ``_GUARD_BITS``, then the slot for ln tanh z, w + z and
+    ln z w z) and must return f(z) dz/dt = f(z) w z as an integer at the
+    same scale, within ``kernel.units`` (1 + w + z) units.  ``scratch`` is
+    a dict that every kernel sees at one node and that is dropped after it:
+    a kernel may leave there a value that another kernel of the sweep
+    computes by the same operations, and that one reads it instead.  So no
+    value per batch is kept in the node table, and a term is the same
+    integer whichever kernel made what it read.
+
+    On each level and side the nodes are walked once, for every kernel still
+    running.  Each kernel keeps its own wing end (3 negligible terms past
+    its own reach), level-0 guard, stop rule and error estimate, so its
+    result is the one a sweep of that kernel alone gives; its node count and
+    sum of w + z are the side's running totals when its wing ends.  Each
+    level's sum is the exact integer sum of every term so far, rounded to
+    mp.prec once.  ``max_level`` may not exceed ``MAX_LEVEL``.  A kernel
+    stops at the first level j >= 2 whose predicted digits reach
+    ``mp.dps + 10``, or the first level j >= 3 whose level-to-level change
+    meets the target.  Raises :class:`PrecisionError`, for the whole sweep,
+    when a kernel reaches ``max_level`` first, or when level 0 finds no term
+    of a kernel above the negligibility cutoff.
 
     Must be called inside ``lfuncs._working``, whose lock also guards the
     node table.
@@ -253,52 +316,74 @@ def _de_halfline(kernel: _Kernel, prec: int, max_level: int = MAX_LEVEL) -> Quad
     # |term| < cut is |term| 2^-F < cutoff
     cut = int(mp.floor(mp.ldexp(cutoff, bits))) + 1
     table = _precision_table(_node_tables)
-    term = kernel.term
     make_mpf = mp.make_mpf
+    runs = [_Run(kernel) for kernel in kernels]
 
     def fixed(total: int, level: int) -> mpf:
         """total 2^-(F + level), rounded once."""
         return make_mpf(from_man_exp(total, -bits - level, wprec, round_nearest))
 
-    def wing(level: int, start: int, step: int, reach=(0, 0)) -> tuple[int, int, int, int, list[int]]:
-        """Sum the terms at t = k * 2^-level for k = start, start+step, ...
-        on both sides.
+    def wing(live: list[_Run], level: int, start: int, step: int) -> None:
+        """Add to each run of ``live`` its terms at t = k 2^-level for
+        k = start, start+step, ... on both sides.
 
-        A side ends after 3 consecutive terms below the negligibility cutoff,
-        counted only at |t| 2^MAX_LEVEL beyond that side's ``reach``.  Returns
-        the exact sum, the sum of the negative terms, the node count, the sum
-        of w + z at scale 2^F, and each side's reach: the largest
-        |t| 2^MAX_LEVEL with a term above the cutoff.
+        A run's side ends after 3 consecutive terms below the negligibility
+        cutoff, counted only at |t| 2^MAX_LEVEL beyond that side's reach.
+        Level 0 records each side's reach: the largest |t| 2^MAX_LEVEL with
+        a term above the cutoff.
         """
         shift = MAX_LEVEL - level
-        total = negative = count = weight = 0
-        reached = []
-        for sign, floor in zip((1, -1), reach):
-            consec = 0
-            k = start
-            far = 0
-            while consec < 3:
-                key = (sign * k) << shift
+        stride = step << shift
+        first = start << shift
+        limit = _WING_LIMIT << shift
+        for side, sign in enumerate((1, -1)):
+            for run in live:
+                run.consec = 0
+                run.floor = run.reach[side]
+            walking = live
+            weight = 0
+            # |t| 2^MAX_LEVEL of the node, and its key in the table
+            at, key, kstride = first, sign * first, sign * stride
+            scratch = {}
+            while walking:
                 entry = table.get(key)
                 if entry is None:
                     entry = table[key] = _fill(key, bits, wp)
-                val = term(entry)
-                total += val
-                weight += entry[1] + entry[4]
-                if val < 0:
-                    negative += val
-                count += 1
-                if -cut < val < cut:
-                    if k << shift > floor:
-                        consec += 1
-                else:
-                    consec = 0
-                    far = k << shift
-                k += step
-                if k > 600_000:
+                weight += entry[6]
+                if scratch:  # a new one for each node the kernels share
+                    scratch = {}
+                ended = False
+                for run in walking:
+                    term = run.term
+                    val = term(entry, scratch)
+                    run.total += val
+                    if val >= cut:
+                        run.consec = 0
+                    elif val > -cut:  # negligible
+                        if val < 0:
+                            run.negative += val
+                        if at > run.floor:
+                            run.consec += 1
+                            if run.consec == 3:
+                                run.nodes += (at - first) // stride + 1
+                                run.weight += weight
+                                run.far = at
+                                ended = True
+                    else:
+                        run.negative += val
+                        run.consec = 0
+                at += stride
+                key += kstride
+                if at > limit:
                     raise PrecisionError("double-exponential wing failed to terminate")
-            reached.append(far)
-        return total, negative, count, weight, reached
+                if ended:
+                    walking = [run for run in walking if run.consec < 3]
+            if not level:
+                # every level-0 node is beyond the floor 0, so a side ends
+                # three nodes after its last term above the cutoff, or at
+                # t = 3 with none
+                for run in live:
+                    run.reach[side] = run.far - (3 << shift)
 
     def digits(change: mpf, value: mpf) -> float:
         """Relative digits of a level-to-level change, at most 2 mp.dps."""
@@ -308,109 +393,155 @@ def _de_halfline(kernel: _Kernel, prec: int, max_level: int = MAX_LEVEL) -> Quad
             return 2.0 * mp.dps
         return min(math.log10(float(abs(value) / change)), 2.0 * mp.dps)
 
+    def result(run: _Run, level: int, value: mpf, d2: float) -> QuadResult:
+        d1, nodes = run.d1, run.nodes
+        h = mp.ldexp(1, -level)
+        # The same prediction with the growth capped at 1.5 instead of 2: at
+        # early levels the digits can grow by as little as 1.56 times.
+        remainder = abs(value) * mpf(10) ** -min(d1 * d1 / d2, 1.5 * d1) if d2 > 0 else run.change
+        # Relative rounding: nodes 2^-wprec h sum |f|, the recursive-sum bound
+        # of a floating-point sum, which also covers the relative errors inside
+        # each term and the one rounding of the value; h sum |f| is at most
+        # |I| + 2 h |sum of the negative terms|.
+        rounding = nodes * mp.ldexp(abs(value) + 2 * h * abs(fixed(run.negative, 0)), -wprec)
+        # Absolute: every term within units (1 + w + z) units of 2^-F, each
+        # entering the exact sum with weight h.
+        absolute = mp.ldexp(run.units * ((nodes << bits) + run.weight), -2 * bits - level)
+        # The dropped tail: on each side of each level, terms below the cutoff
+        # that shrink by at least cutoff^(2h) per step, since near either end
+        # ln|term| of a double-exponential rule falls in t at least as fast as
+        # |ln|term|| itself.
+        tail = 2 * (level + 1) * h * cutoff / (1 - cutoff ** (2 * h))
+        error = remainder + rounding + absolute + tail
+        return QuadResult(value=value, error_estimate=error, nodes_used=nodes, levels=level)
+
     entry = table.get(0)
     if entry is None:
         entry = table[0] = _fill(0, bits, wp)
-    center = term(entry)
-    negative = min(center, 0)
-    weight = entry[1] + entry[4]
+    scratch = {}
+    for run in runs:
+        run.total = center = run.term(entry, scratch)
+        run.negative = min(center, 0)
+        run.nodes = 1
+        run.weight = entry[6]
+    centers = [run.total for run in runs]
     # the finer levels may not end a wing inside level 0's reach
-    wing_sum, wing_negative, nodes, wing_weight, reach = wing(0, 1, 1)
-    nodes += 1
-    # a level 0 that sees no term above the cutoff stepped over the
-    # integrand, and no finer level would look for it
-    if reach == [0, 0] and -cut < center < cut:
-        raise PrecisionError(
-            "double-exponential quadrature found no level-0 term above the "
-            f"cutoff 1e-{mp.dps + 5}"
-        )
-    negative += wing_negative
-    weight += wing_weight
-    # S_j: the exact sum of every term through level j, I_j = S_j 2^-(F+j)
-    prev_total = center + wing_sum
-    value = fixed(prev_total, 0)
-    change = abs(value)
-    d1 = 0.0
+    wing(runs, 0, 1, 1)
+    for run, center in zip(runs, centers):
+        # a level 0 that sees no term above the cutoff stepped over the
+        # integrand, and no finer level would look for it
+        if run.reach == [0, 0] and -cut < center < cut:
+            raise PrecisionError(
+                "double-exponential quadrature found no level-0 term above the "
+                f"cutoff 1e-{mp.dps + 5}"
+            )
+        run.change = abs(fixed(run.total, 0))
+    running = runs
     for level in range(1, max_level + 1):
-        odd_sum, odd_negative, n, odd_weight, _ = wing(level, 1, 2, reach)
-        nodes += n
-        negative += odd_negative
-        weight += odd_weight
-        total = prev_total + odd_sum
-        value = fixed(total, level)
-        change = abs(fixed(total - 2 * prev_total, level))
-        # d1, d2: the relative digits of the last two level-to-level changes
-        d1, d2 = digits(change, value), d1
-        # digits grow by at most a factor 2 per level, so predict I_level to
-        # min(d1^2/d2, 2 d1) digits (Bailey, Jeyabalan and Li 2005); d2 is 0
-        # at level 1
-        predicted = min(d1 * d1 / d2, 2 * d1) if d2 > 0 else 0.0
-        # levels 1 and 2 can meet a loose change target by coincidence
-        if predicted >= mp.dps + 10 or (level >= 3 and change < target * max(mpf(1), abs(value))):
+        # S_j: the exact sum of every term through level j, I_j = S_j 2^-(F+j)
+        previous = [run.total for run in running]
+        wing(running, level, 1, 2)
+        still = []
+        for run, prev_total in zip(running, previous):
+            value = fixed(run.total, level)
+            run.change = change = abs(fixed(run.total - 2 * prev_total, level))
+            # d1, d2: the relative digits of the last two level-to-level changes
+            d2 = run.d1
+            run.d1 = d1 = digits(change, value)
+            # digits grow by at most a factor 2 per level, so predict I_level
+            # to min(d1^2/d2, 2 d1) digits (Bailey, Jeyabalan and Li 2005); d2
+            # is 0 at level 1
+            predicted = min(d1 * d1 / d2, 2 * d1) if d2 > 0 else 0.0
+            # levels 1 and 2 can meet a loose change target by coincidence
+            if predicted >= mp.dps + 10 or (level >= 3 and change < target * max(mpf(1), abs(value))):
+                run.result = result(run, level, value, d2)
+            else:
+                still.append(run)
+        running = still
+        if not running:
             break
-        prev_total = total
     else:
         raise PrecisionError(
             f"double-exponential quadrature missed its target 1e-{prec + 2} "
-            f"after {max_level} levels (last change {mp.nstr(change, 3)})"
+            f"after {max_level} levels (last change {mp.nstr(running[0].change, 3)})"
         )
-    h = mp.ldexp(1, -level)
-    # The same prediction with the growth capped at 1.5 instead of 2: at
-    # early levels the digits can grow by as little as 1.56 times.
-    remainder = abs(value) * mpf(10) ** -min(d1 * d1 / d2, 1.5 * d1) if d2 > 0 else change
-    # Relative rounding: nodes 2^-wprec h sum |f|, the recursive-sum bound of
-    # a floating-point sum, which also covers the relative errors inside each
-    # term and the one rounding of the value; h sum |f| is at most
-    # |I| + 2 h |sum of the negative terms|.
-    rounding = nodes * mp.ldexp(abs(value) + 2 * h * abs(fixed(negative, 0)), -wprec)
-    # Absolute: every term within units (1 + w + z) units of 2^-F, each
-    # entering the exact sum with weight h.
-    absolute = mp.ldexp(kernel.units * ((nodes << bits) + weight), -2 * bits - level)
-    # The dropped tail: on each side of each level, terms below the cutoff
-    # that shrink by at least cutoff^(2h) per step, since near either end
-    # ln|term| of a double-exponential rule falls in t at least as fast as
-    # |ln|term|| itself.
-    tail = 2 * (level + 1) * h * cutoff / (1 - cutoff ** (2 * h))
-    error = remainder + rounding + absolute + tail
-    return QuadResult(value=value, error_estimate=error, nodes_used=nodes, levels=level)
+    return [run.result for run in runs]
 
 
-def _cached_quad(key: tuple, prec: int, make_integrand) -> QuadResult:
+def _cached(keys: list[tuple], prec: int, kernels: Callable[[list[tuple]], list[_Kernel]]) -> dict:
+    """{key: result} for ``keys``: the cached results, and for the keys not
+    yet cached, in their order, one sweep of their ``kernels(todo)``, whose
+    results are cached.  Must be called inside ``lfuncs._working(prec)``."""
     with _cache_lock:
-        hit = _quad_cache.get(key)
-    if hit is not None:
-        return hit
-    with _working(prec):
-        result = _de_halfline(make_integrand(), prec)
-    with _cache_lock:
-        return _quad_cache.setdefault(key, result)
+        found = {key: _quad_cache.get(key) for key in keys}
+    todo = [key for key, hit in found.items() if hit is None]
+    if todo:
+        results = _de_halfline(kernels(todo), prec)
+        with _cache_lock:
+            for key, result in zip(todo, results):
+                found[key] = _quad_cache.setdefault(key, result)
+    return found
 
 
-def _ladder(n: int, bits: int) -> Callable[[int], int]:
-    """x -> (x 2^-bits)^n at scale 2^bits: a left-to-right binary ladder of
-    products, each shifted down by ``bits``.  For 0 <= x <= 2^bits within
-    e units of the true value, the result is within n e + n - 1 units."""
-    if n == 0:
-        return lambda x: 1 << bits
-    pattern = bin(n)[3:]
+def _ladder_bits(n: int) -> tuple[bool, ...]:
+    """The binary digits of n >= 1 after its leading 1, as a ladder takes them."""
+    return tuple(bit == "1" for bit in bin(n)[3:])
 
-    def power(x: int) -> int:
-        result = x
-        for bit in pattern:
+
+def _ladder(n: int, slot: int, bits: int) -> Callable[[list, dict], int]:
+    """(entry, scratch) -> (x 2^-bits)^n at scale 2^bits for x = entry[slot]
+    and n >= 1: a left-to-right binary ladder of products, each shifted down
+    by ``bits``.  For 0 <= x <= 2^bits within e units of the true value, the
+    result is within n e + n - 1 units.
+
+    The value after each binary prefix m of n depends on x and m alone, so
+    every ladder of a sweep leaves it in the node's scratch under (slot, m),
+    and starts from the longest prefix of n already there.
+    """
+    steps = []
+    m = 1
+    for odd in _ladder_bits(n):
+        m = 2 * m + odd
+        steps.append(((slot, m), odd))
+    # each prefix, longest first, with the steps after it
+    probes = tuple((steps[j][0], tuple(steps[j + 1:])) for j in reversed(range(len(steps))))
+    steps = tuple(steps)
+
+    def power(entry: list, scratch: dict) -> int:
+        x = entry[slot]
+        for key, rest in probes:
+            result = scratch.get(key)
+            if result is not None:
+                break
+        else:
+            result, rest = x, steps
+        for key, odd in rest:
             result = result * result >> bits
-            if bit == "1":
+            if odd:
                 result = result * x >> bits
+            scratch[key] = result
         return result
 
     return power
 
 
-def _monomial(tanh_power, sech_power: int, log_z: bool = False) -> _Kernel:
+def _exponent(tanh_power, wp: int):
+    """The power a of tanh z as a kernel takes it: an int below
+    ``_LADDER_LIMIT``, which is a ``_ladder``, and otherwise a raw mpf at
+    ``wp`` bits, the exponent of exp(a ln tanh z)."""
+    if isinstance(tanh_power, Fraction):
+        if tanh_power.denominator != 1:
+            return from_rational(tanh_power.numerator, tanh_power.denominator, wp, round_nearest)
+        tanh_power = tanh_power.numerator
+    return tanh_power if tanh_power < _LADDER_LIMIT else from_int(tanh_power)
+
+
+def _monomial(tanh_power, sech_power: int, log_z: bool = False, share: bool = False) -> _Kernel:
     """The term tanh^a z sech^b z w, or tanh^a z sech^b z (ln z w z) with
     ``log_z``, as a kernel on the node table.
 
-    a = ``tanh_power`` is an int, a Fraction or an mpf, b = ``sech_power``
-    an int >= 1.  The node values are within 1 + 2^-8 units, so an int a
+    a = ``tanh_power`` is an int or a Fraction, b = ``sech_power`` an
+    int >= 1.  The node values are within 1 + 2^-8 units, so an int a
     below ``_LADDER_LIMIT`` is a ``_ladder`` within 3a units, and sech^b z
     within 3b; any other a is exp(a ln tanh z) at F + ``_FILL_BITS`` bits,
     floored to 0 below 2^-(F+2), within 3 + z units (ln tanh z is off by
@@ -419,52 +550,59 @@ def _monomial(tanh_power, sech_power: int, log_z: bool = False) -> _Kernel:
     e_pq = e_a + 3b + 1 units, since each is at most 1; w multiplies it by
     at most w, and ln z w z, whose own error is a few units times
     1 + w + z, by at most 6 (1 + w + z) on every node where sech^b z is
-    above a unit (z below about F).  Must be called inside
-    ``lfuncs._working``.
+    above a unit (z below about F).  With ``share`` the powers go through
+    the node's scratch (``_ladder``), for a sweep of several kernels; a
+    kernel alone with an int a runs both ladders inside its term, one call
+    per term.  Must be called inside ``lfuncs._working``.
     """
     bits, wp = _scale()
-    if isinstance(tanh_power, Fraction) and tanh_power.denominator == 1:
-        tanh_power = tanh_power.numerator
-    sech_part = _ladder(sech_power, bits)
-    if isinstance(tanh_power, int) and tanh_power < _LADDER_LIMIT:
-        tanh_ladder = _ladder(tanh_power, bits)
-        error_a = 3 * tanh_power
+    a = _exponent(tanh_power, wp)
+    error_pq = (3 * a if isinstance(a, int) else 4) + 3 * sech_power + 1
+    # w, or ln z w z with log_z
+    slot = 7 if log_z else 1
+    if isinstance(a, int) and not share:
+        tanh_bits, sech_bits = _ladder_bits(a), _ladder_bits(sech_power)
 
-        def tanh_part(entry):
-            return tanh_ladder(entry[2])
+        def term(entry, scratch):
+            x = p = entry[2]
+            for odd in tanh_bits:
+                p = p * p >> bits
+                if odd:
+                    p = p * x >> bits
+            x = q = entry[3]
+            for odd in sech_bits:
+                q = q * q >> bits
+                if odd:
+                    q = q * x >> bits
+            return (p * q >> bits) * entry[slot] >> bits
 
     else:
-        if isinstance(tanh_power, int):
-            a = from_int(tanh_power)
-        elif isinstance(tanh_power, Fraction):
-            a = from_rational(tanh_power.numerator, tanh_power.denominator, wp, round_nearest)
-        else:
-            a = tanh_power._mpf_
-        error_a = 4
-        # exp(y) < 2^-(F+2) floors to 0
-        negligible = mpf_neg(mpf_mul(from_int(bits + 2), mp.ln2._mpf_, wp, round_nearest))
+        tanh_part = _ladder(a, 2, bits) if isinstance(a, int) else _exp_power(a, bits, wp)
+        sech_part = _ladder(sech_power, 3, bits)
 
-        def tanh_part(entry):
-            y = mpf_mul(a, _ln_tanh(entry, bits, wp), wp, round_nearest)
-            if mpf_lt(y, negligible):
-                return 0
-            return _fixed(mpf_exp(y, wp, round_nearest), bits)
+        def term(entry, scratch):
+            return (tanh_part(entry, scratch) * sech_part(entry, scratch) >> bits) * entry[slot] >> bits
 
-    error_pq = error_a + 3 * sech_power + 1
+    return _Kernel(term, 8 * (error_pq + 4) if log_z else error_pq + 2)
 
-    if log_z:
 
-        def term(entry):
-            ln_z, w, _, sech_z, z, _ = entry
-            pq = tanh_part(entry) * sech_part(sech_z) >> bits
-            return pq * ((ln_z * w >> bits) * z >> bits) >> bits
+def _exp_power(a: tuple, bits: int, wp: int) -> Callable[[list, dict], int]:
+    """(entry, scratch) -> exp(a ln tanh z) at scale 2^bits for the raw mpf
+    a, computed at ``wp`` bits and floored, 0 where it is below
+    2^-(bits+2); left in the node's scratch under the key a."""
+    rnd = round_nearest
+    # exp(y) < 2^-(F+2) floors to 0
+    negligible = mpf_neg(mpf_mul(from_int(bits + 2), mp.ln2._mpf_, wp, rnd))
 
-        return _Kernel(term, 8 * (error_pq + 4))
+    def power(entry: list, scratch: dict) -> int:
+        result = scratch.get(a)
+        if result is None:
+            y = mpf_mul(a, _ln_tanh(entry, bits, wp), wp, rnd)
+            result = 0 if mpf_lt(y, negligible) else _fixed(mpf_exp(y, wp, rnd), bits)
+            scratch[a] = result
+        return result
 
-    def term(entry):
-        return (tanh_part(entry) * sech_part(entry[3]) >> bits) * entry[1] >> bits
-
-    return _Kernel(term, error_pq + 2)
+    return power
 
 
 def _c_constant_term(which: int) -> _Kernel:
@@ -476,51 +614,85 @@ def _c_constant_term(which: int) -> _Kernel:
     exp(ln z - ln tanh z), so near z = 0, where the bracket is about -z^2/3
     or -z^2/6, it is off by a few units of 2^-F rather than by 2^-F/z, and
     above z = 1 by about z units.  Times sech^b z (within 3b units) and w,
-    the term is within 32 (1 + w + z) units.  Must be called inside
-    ``lfuncs._working``.
+    the term is within 32 (1 + w + z) units.  z/tanh z is left in the
+    node's scratch for the other constant of the sweep.  Must be called
+    inside ``lfuncs._working``.
     """
     bits, wp = _scale()
     rnd = round_nearest
-    sech_part = _ladder(3 - which, bits)
+    sech_part = _ladder(3 - which, 3, bits)
 
-    def term(entry):
-        ln_z, w, _, sech_z, _, _ = entry
-        ratio = mpf_exp(mpf_sub(from_man_exp(ln_z, -bits), _ln_tanh(entry, bits, wp), wp, rnd), wp, rnd)
+    def term(entry, scratch):
+        ln_z, w, _, sech_z = entry[:4]
+        ratio = scratch.get("z/tanh z")
+        if ratio is None:
+            ln_ratio = mpf_sub(from_man_exp(ln_z, -bits), _ln_tanh(entry, bits, wp), wp, rnd)
+            ratio = scratch["z/tanh z"] = mpf_exp(ln_ratio, wp, rnd)
         if which == 2:
             ratio = mpf_mul(ratio, from_man_exp(sech_z, -bits), wp, rnd)
         bracket = _fixed(mpf_sub(fone, ratio, wp, rnd), bits)
-        return (bracket * sech_part(sech_z) >> bits) * w >> bits
+        return (bracket * sech_part(entry, scratch) >> bits) * w >> bits
 
     return _Kernel(term, 32)
+
+
+def _phi_key(which: int, s, prec: int) -> tuple:
+    """The cache key of Phi_which(s) at ``prec``, with s as the exact
+    Fraction it is (a finite mpf is a dyadic rational); raises for a
+    ``which`` or an s that ``quad_phi`` refuses.  Must be called inside
+    ``lfuncs._working``."""
+    if which not in (1, 2):
+        raise DomainError(f"which must be 1 or 2, got {which}")
+    sx = _exact(s)
+    if not sx > 1:
+        raise DomainError(f"Phi_{which} converges only for s > 1, got s={s}")
+    if isinstance(sx, mpf):
+        if not mp.isfinite(sx):
+            raise DomainError(f"Phi_{which} needs a finite s, got s={s}")
+        man, exp = sx.man_exp
+        sx = Fraction(man) * Fraction(2) ** exp
+    if sx >= _PHI_S_LIMIT:
+        raise PrecisionError(
+            f"Phi_{which} at s >= 10^19 has no level-0 term above the cutoff "
+            f"at any precision; got s={s}"
+        )
+    return ("phi", which, sx, prec)
+
+
+def _phi_kernels(keys: list[tuple]) -> list[_Kernel]:
+    """The kernels of the Phi keys, which share their powers through the
+    node's scratch when there are several.  Must be called inside
+    ``lfuncs._working``."""
+    # sech^2 for Phi_1, sech^1 for Phi_2, and s - 1 exact
+    return [_monomial(key[2] - 1, 3 - key[1], share=len(keys) > 1) for key in keys]
+
+
+def quad_phi_many(requests, prec: int = DEFAULT_PREC) -> list[QuadResult]:
+    """[quad_phi(which, s, prec) for (which, s) in ``requests``].
+
+    Every request is checked before any node, and raises as ``quad_phi``
+    would.  The integrals not yet cached, each once however often it is
+    requested, then run as one lockstep sweep, which walks each node once
+    for all of them and shares the powers of tanh z and sech z they have in
+    common; each result is bit-identical to the one a sweep of that
+    integral alone gives.
+    """
+    _check_prec(prec)
+    with _working(prec):
+        keys = [_phi_key(which, s, prec) for which, s in requests]
+        # by s, so each ladder finds its shorter prefixes at a node already made
+        found = _cached(sorted(keys, key=lambda key: key[2]), prec, _phi_kernels)
+    return [found[key] for key in keys]
 
 
 def quad_phi(which: int, s, prec: int = DEFAULT_PREC) -> QuadResult:
     """Mellin transform value Phi_which(s), s > 1.
 
     which=1 integrates x^{s-1}/arctanh(x), which=2 integrates
-    x^{s-1}/(sqrt(1-x^2) arctanh(x)), both over (0, 1).
+    x^{s-1}/(sqrt(1-x^2) arctanh(x)), both over (0, 1).  The value is
+    cached under the exact s, so 3, "3.0" and Fraction(3) share one entry.
     """
-    _check_prec(prec)
-    if which not in (1, 2):
-        raise DomainError(f"which must be 1 or 2, got {which}")
-    with _working(prec):
-        sx = _exact(s)
-        if not sx > 1:
-            raise DomainError(f"Phi_{which} converges only for s > 1, got s={s}")
-        if isinstance(sx, mpf) and not mp.isfinite(sx):
-            raise DomainError(f"Phi_{which} needs a finite s, got s={s}")
-        if sx >= _PHI_S_LIMIT:
-            raise PrecisionError(
-                f"Phi_{which} at s >= 10^19 has no level-0 term above the cutoff "
-                f"at any precision; got s={s}"
-            )
-
-    def make():
-        # sech^2 for Phi_1, sech^1 for Phi_2; s - 1 exact for an int or a
-        # Fraction s
-        return _monomial(_exact(s) - 1, 3 - which)
-
-    return _cached_quad(("phi", which, s, prec), prec, make)
+    return quad_phi_many([(which, s)], prec)[0]
 
 
 def quad_log_family(q: int, n_exponent: int, prec: int = DEFAULT_PREC) -> QuadResult:
@@ -531,10 +703,12 @@ def quad_log_family(q: int, n_exponent: int, prec: int = DEFAULT_PREC) -> QuadRe
             f"convergence requires 2q+1 < N with q >= 0; got q={q}, N={n_exponent}"
         )
 
-    def make():
-        return _monomial(2 * q + 1, n_exponent - 2 * q - 1, log_z=True)
+    def kernels(todo):
+        return [_monomial(2 * q + 1, n_exponent - 2 * q - 1, log_z=True)]
 
-    return _cached_quad(("log", q, n_exponent, prec), prec, make)
+    key = ("log", q, n_exponent, prec)
+    with _working(prec):
+        return _cached([key], prec, kernels)[key]
 
 
 def quad_sinh_over_z(q: int, n_exponent: int, prec: int = DEFAULT_PREC) -> QuadResult:
@@ -545,10 +719,9 @@ def quad_sinh_over_z(q: int, n_exponent: int, prec: int = DEFAULT_PREC) -> QuadR
             f"convergence requires 0 < 2q < N; got q={q}, N={n_exponent}"
         )
 
-    def make():
-        return _monomial(2 * q, n_exponent - 2 * q)
-
-    return _cached_quad(("soz", q, n_exponent, prec), prec, make)
+    key = ("soz", q, n_exponent, prec)
+    with _working(prec):
+        return _cached([key], prec, lambda todo: [_monomial(2 * q, n_exponent - 2 * q)])[key]
 
 
 def quad_c_constant(which: int, prec: int = DEFAULT_PREC) -> QuadResult:
@@ -563,9 +736,14 @@ def quad_c_constant(which: int, prec: int = DEFAULT_PREC) -> QuadResult:
     The brackets are formed from z/tanh z = exp(ln z - ln tanh z), which
     keeps its relative digits near z = 0, where the brackets are about
     -z^2/3 and -z^2/6, so a term is off by a few units of 2^-F, far below
-    the rounding floor of the error estimate.
+    the rounding floor of the error estimate.  Both constants read that exp
+    at every node, so a miss computes whichever of the two is not cached in
+    one sweep.
     """
     _check_prec(prec)
     if which not in (1, 2):
         raise DomainError(f"which must be 1 or 2, got {which}")
-    return _cached_quad(("c_constant", which, prec), prec, lambda: _c_constant_term(which))
+    keys = [("c_constant", 1, prec), ("c_constant", 2, prec)]
+    with _working(prec):
+        found = _cached(keys, prec, lambda todo: [_c_constant_term(key[1]) for key in todo])
+    return found[keys[which - 1]]

@@ -15,7 +15,8 @@ its own recurrence in integer and rational arithmetic:
   and K = 40, where the b_m themselves carry denominators of up to 53
   digits.  Every product of such a row with another even exponential
   series is then a binomial convolution sum_i C(2j, 2i) row[j-i] u[i] of
-  integers (``_egf_convolution``), divided once at the end.  Memoised per
+  integers (``_egf_convolution``, the dot product of the moments with the
+  weights ``_egf_weights``), divided once at the end.  Memoised per
   (e, K) and unbounded, like ``x_over_sinh_coeffs``.
 * ``root_product_tables(n)`` -- integer coefficient triangles of the
   polynomials x * prod_{i<=n} (x^2 - i^2)  and  prod_{i<=n} (y^2 - (2i-1)^2),
@@ -83,13 +84,24 @@ def _x_over_sinh_row(power: int, order: int) -> tuple[int, tuple[int, ...]]:
     return denom, tuple(row)
 
 
+def _egf_weights(row, j: int) -> list[int]:
+    """[C(2j, 2i) row[j-i] for i = 0..j], the weights that
+    ``_egf_convolution(row, moments, j)`` dots with the moments; a caller
+    with many moment vectors builds them once."""
+    return [math.comb(2 * j, 2 * i) * row[j - i] for i in range(j + 1)]
+
+
+def _dot(weights, moments) -> int:
+    return sum(w * m for w, m in zip(weights, moments))
+
+
 def _egf_convolution(row, moments, j: int) -> int:
     """sum_{i=0}^{j} C(2j, 2i) row[j-i] moments[i].
 
     (2j)! times the x^{2j} coefficient of the product of
     sum_m row[m] x^{2m} / (2m)!  and  sum_i moments[i] x^{2i} / (2i)!.
     """
-    return sum(math.comb(2 * j, 2 * i) * row[j - i] * moments[i] for i in range(j + 1))
+    return _dot(_egf_weights(row, j), moments)
 
 
 @lru_cache(maxsize=None)

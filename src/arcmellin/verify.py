@@ -37,7 +37,7 @@ from mpmath import mp, mpf
 from . import catalog
 from .closedform import (
     ClosedForm,
-    _log_residues,
+    _ln_pi_row,
     beta_even_ratio,
     eta_prime_neg_coeffs,
     log_integral_even_cosh,
@@ -50,8 +50,8 @@ from .closedform import (
 )
 from .exact import DomainError, bernoulli, binomial, eulerian
 from .lfuncs import _working, eval_closed_form, mellin_bound_gamma_ratio, phi1_bounds
-from .quadrature import quad_c_constant, quad_phi
-from .series import _cosh_moments, _kernel_coeff, _x_over_sinh_row
+from .quadrature import quad_c_constant, quad_phi, quad_phi_many
+from .series import _cosh_moments, _dot, _egf_weights, _kernel_coeff, _x_over_sinh_row
 
 
 class IdentityFamily(str, Enum):
@@ -181,12 +181,7 @@ def _kernel_weights(power: int, n: int) -> tuple[list[int], int]:
     """(v, den) with ``_kernel_coeff(power, m, n)`` = sum_i v[i] m[i] / den
     for any n + 1 integer moments m."""
     denom, row = _x_over_sinh_row(power, 2 * n)
-    weights = [math.comb(2 * n, 2 * i) * row[n - i] for i in range(n + 1)]
-    return weights, denom * math.factorial(2 * n)
-
-
-def _dot(weights: list[int], moments: list[int]) -> int:
-    return sum(w * m for w, m in zip(weights, moments))
+    return _egf_weights(row, n), denom * math.factorial(2 * n)
 
 
 def _alt_binom_odd_row(n: int):
@@ -296,16 +291,17 @@ def _d_identity_row(n: int):
 def _euler_bernoulli_row(n: int):
     # Both beta-integral evaluations of int_0^oo sinh^{2q+1}/cosh^N dz for
     # q = 0..n-1: it is (-1)^{q+n+1} times the ln(pi) coefficient of the log
-    # integral over the same cosh^N, so each line reads the value the
-    # production forms read (tangent numbers for N = 2n+1, Euler numbers for
-    # N = 2n) and builds no form.
+    # integral over the same cosh^N, the value the production forms read
+    # (tangent numbers for N = 2n+1, Euler numbers for N = 2n), here for
+    # every q of the row from one weight vector per N, with no form built.
+    odd_lines, even_lines = _ln_pi_row(True, n), _ln_pi_row(False, n)
     for q in range(n):
         sign = (-1) ** (q + n + 1)
-        line1 = sign * _log_residues(True, q, n)[2]
+        line1 = sign * odd_lines[q]
         rhs1 = Fraction(sign, 2) * Fraction(
             math.factorial(q) * math.factorial(n - q - 1), math.factorial(n)
         )
-        line2 = sign * _log_residues(False, q, n)[2]
+        line2 = sign * even_lines[q]
         rhs2 = sign * Fraction(
             2 ** (2 * q + 1)
             * math.factorial(q)
@@ -364,6 +360,7 @@ def check_bounds(s_grid=DEFAULT_BOUNDS_GRID, prec: int = 30) -> VerifyReport:
 
     def cells():
         margin = mpf(10) ** (-(prec - 10))
+        quad_phi_many([(which, Fraction(str(s))) for s in s_grid for which in (1, 2)], prec)
         for s in s_grid:
             sf = Fraction(str(s))
             for which, bounds in ((1, phi1_bounds), (2, mellin_bound_gamma_ratio)):
@@ -409,10 +406,14 @@ def _coupled(svals, truncation: int, prec: int) -> VerifyReport:
     """The coupled-series cells of each s in ``svals``, in turn, as one report."""
 
     def cells():
-        for s in svals:
-            sf = Fraction(str(s))
+        grid = [Fraction(str(s)) for s in svals]
+        for s, sf in zip(svals, grid):
             if not sf > 1:
                 raise DomainError(f"coupled series require s > 1, got {s}")
+        quad_phi_many(
+            [(which, sf + 2 * n) for sf in grid for n in range(truncation) for which in (1, 2)], prec
+        )
+        for s, sf in zip(svals, grid):
             with _working(prec):
                 phi1_s = quad_phi(1, sf, prec).value
                 phi2_s = quad_phi(2, sf, prec).value
@@ -472,6 +473,7 @@ def check_asymptotic_constants(prec: int = 30) -> VerifyReport:
 
     def cells():
         tol = mpf(10) ** (-(prec - 5))
+        quad_phi_many([(which, 1 + Fraction(1, 10**k)) for which in (1, 2) for k in range(1, 7)], prec)
         for which, quad_val, closed_val, printed in _constants(prec):
             yield CellResult(
                 (f"C{which}", "closed-vs-quad"),
@@ -521,6 +523,8 @@ def check_cross_representation(n_max: int = 6, prec: int = 30) -> VerifyReport:
         if n_max < 1:
             raise DomainError(f"cross-rep needs n_max >= 1, got {n_max}")
         tol = mpf(10) ** (-(prec - 5))
+        svals = [s for n in range(1, n_max + 1) for s in (2 * n + 1, 2 * n)]
+        quad_phi_many([(which, s) for s in svals for which in (1, 2)], prec)
         for n in range(1, n_max + 1):
             for which in (1, 2):
                 neg_form = eval_closed_form(phi_odd_closed_form(which, n), prec)

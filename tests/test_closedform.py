@@ -35,7 +35,7 @@ from arcmellin import (
     zeta_prime_ratio,
 )
 from arcmellin import catalog, closedform
-from arcmellin.closedform import _log_residues
+from arcmellin.closedform import _ln_pi_row, _log_residues
 from arcmellin.exact import _signed_tangent
 from _series_oracles import cosh_kernel_coeffs, odd_value_coeffs_by_triangle
 
@@ -322,6 +322,12 @@ class TestLogResidues:
                 assert [Fraction(x, den) for x in w] == [
                     kernel[2 * n - 2 * p - 2] / math.factorial(top - 2 * n + 2 * p + 2) for p in range(n)
                 ]
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 15, 30])
+    def test_ln_pi_row_is_each_residue_lnpi(self, n):
+        # one weight vector per cosh power, dotted with each q's moments
+        for odd in (True, False):
+            assert _ln_pi_row(odd, n) == [_log_residues(odd, q, n)[2] for q in range(n)]
 
     def test_tangent_weights_are_integers(self):
         # 2^{2p+1} (2^{2p+2} - 1) B_{2p+2} / (p+1) = (-1)^p T_{2p+1}

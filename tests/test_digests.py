@@ -1,9 +1,11 @@
-"""Byte identity of the exact layer's output.
+"""Byte identity of the exact layer's output and of ``verify all``.
 
 SHA-256 digests of the canonical JSON of every exact suite and of the closed
 forms, recorded before the suites moved to per-n rows, the cosh moments to
-their recurrence and the odd-value coefficients to Horner's rule.  A change
-of arithmetic that keeps every value must keep every byte.
+their recurrence and the odd-value coefficients to Horner's rule; and of the
+output of ``arcmellin verify all --json`` at four precisions, recorded before
+the numeric suites moved to one lockstep quadrature sweep per suite.  A
+change of arithmetic that keeps every value must keep every byte.
 """
 
 import hashlib
@@ -18,6 +20,7 @@ from arcmellin import (
     run_identity,
     sinh_over_z_integral,
 )
+from arcmellin.cli import cli_main
 
 #: The n-ranges of the identity-grid benchmark workload, beyond the defaults.
 GRID_RANGES = {
@@ -81,6 +84,15 @@ FORM_DIGESTS = {
 }
 
 
+#: SHA-256 of the stdout of ``arcmellin verify all --prec P --json``.
+VERIFY_ALL_DIGESTS = {
+    12: "1fa650e8a0f4d9ae90779946b09a390a13667e476347c702615f6c4b3994ff42",
+    30: "8ecfd3c5de84acb8f06da7a24894c31c688144aacf767fcdea46f7317354ca1b",
+    60: "210b0fb9237d14b5479d3f6978b873009a22bee7c548bcbaa6ad20495f20b0a2",
+    100: "9c15d4278884f0b177e4956b70d4d870fd5314c0ced63e02e9e0e41c5b04bef2",
+}
+
+
 def _digest(texts) -> str:
     return hashlib.sha256("\n".join(texts).encode()).hexdigest()
 
@@ -96,3 +108,11 @@ class TestByteIdentity:
     @pytest.mark.parametrize("group", sorted(FORM_DIGESTS))
     def test_closed_form_json(self, group):
         assert _digest(form.to_json() for form in FORM_GROUPS[group]()) == FORM_DIGESTS[group]
+
+
+class TestVerifyAllBytes:
+    @pytest.mark.parametrize("prec", sorted(VERIFY_ALL_DIGESTS))
+    def test_verify_all_json(self, prec, capsys):
+        assert cli_main(["verify", "all", "--prec", str(prec), "--json"]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_ALL_DIGESTS[prec]

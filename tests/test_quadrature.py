@@ -290,7 +290,7 @@ class TestConvergenceBehaviour:
         # come back silently
         with quadrature._working(100):
             with pytest.raises(PrecisionError):
-                quadrature._de_halfline(quadrature._monomial(2, 2), 100, max_level=1)
+                quadrature._de_halfline([quadrature._monomial(2, 2)], 100, max_level=1)
 
     def test_nodes_are_counted(self):
         result = quad_phi(2, 5, 25)
@@ -450,6 +450,115 @@ class TestSharedState:
         assert got_quad == expected_quad
 
 
+def _suite_requests():
+    """Every (which, s) the four numeric suites of ``verify all`` integrate."""
+    from arcmellin.verify import DEFAULT_BOUNDS_GRID
+
+    grid = [Fraction(s) for s in DEFAULT_BOUNDS_GRID]
+    grid += [Fraction(s0 + 2 * n) for s0 in (2, 4, 6) for n in range(30)]
+    grid += [1 + Fraction(1, 10**k) for k in range(1, 7)]
+    grid += [Fraction(s) for n in range(1, 7) for s in (2 * n + 1, 2 * n)]
+    return [(which, s) for s in grid for which in (1, 2)]
+
+
+class TestBatch:
+    """``quad_phi_many`` runs the uncached integrals as one lockstep sweep;
+    each result must be the one a single call gives, bit for bit."""
+
+    @pytest.mark.parametrize("prec", [12, 30])
+    def test_suite_grids_match_single_calls(self, prec):
+        # at 12 digits Phi_1(10^18) has no level-0 term above the cutoff
+        requests = _suite_requests() + [
+            (1, 10**18 if prec == 30 else 10**17),
+            (2, 10**18),
+            (1, 1 + Fraction(1, 10**40)),
+            (2, "1." + "0" * 39 + "1"),
+            (1, 3),
+            (1, "3.0"),
+            (2, Fraction(7, 2)),
+            (2, "3.5"),
+        ]
+        quadrature._quad_cache.clear()
+        batch = quadrature.quad_phi_many(requests, prec)
+        # every distinct s once, shared by its duplicates
+        assert len(quadrature._quad_cache) == 97
+        assert batch[-4] is batch[-3] and batch[-2] is batch[-1]
+        assert len({result.levels for result in batch}) > 1
+        for (which, s), result in zip(requests, batch):
+            quadrature._quad_cache.clear()
+            assert quad_phi(which, s, prec) == result
+
+    def test_cache_keyed_by_the_exact_s(self):
+        quadrature._quad_cache.clear()
+        same = [quad_phi(1, s, 30) for s in (3, "3", "3.0", Fraction(3), mpf(3))]
+        assert len(quadrature._quad_cache) == 1
+        assert all(result is same[0] for result in same)
+        assert quad_phi(1, "1.5", 30) is quad_phi(1, Fraction(3, 2), 30)
+        assert len(quadrature._quad_cache) == 2
+
+    @pytest.mark.parametrize(
+        "bad, error, match",
+        [
+            (10**19, PrecisionError, "no level-0 term"),
+            ("1e20", PrecisionError, "no level-0 term"),
+            (1, DomainError, "s > 1"),
+            ("0.5", DomainError, "s > 1"),
+            (mpf("inf"), DomainError, "finite"),
+        ],
+    )
+    def test_a_bad_member_raises_before_any_node(self, bad, error, match):
+        quadrature._quad_cache.clear()
+        with lfuncs._MP_LOCK:
+            quadrature._node_tables.clear()
+        with pytest.raises(error, match=match):
+            quad_phi(2, bad, 30)
+        with pytest.raises(error, match=match):
+            quadrature.quad_phi_many([(1, 3), (2, bad), (1, 5)], 30)
+        assert not quadrature._quad_cache
+        assert not quadrature._node_tables
+
+    def test_a_member_without_level_zero_terms_raises(self):
+        # the level-0 guard of one kernel ends the sweep, and nothing of it
+        # is cached
+        quadrature._quad_cache.clear()
+        with pytest.raises(PrecisionError, match="no level-0 term"):
+            quadrature.quad_phi_many([(1, 3), (1, 5 * 10**18), (2, 5)], 30)
+        assert not quadrature._quad_cache
+
+    def test_overlapping_batches_in_two_threads(self):
+        first = [(which, s) for s in range(2, 41, 2) for which in (1, 2)] + [(1, Fraction(5, 2))]
+        second = [(which, s) for s in range(20, 61, 2) for which in (2, 1)] + [(2, Fraction(5, 2))]
+        quadrature._quad_cache.clear()
+        expected = [quadrature.quad_phi_many(first, 20), quadrature.quad_phi_many(second, 20)]
+        quadrature._quad_cache.clear()
+        got = [None, None]
+
+        def run(i, requests):
+            got[i] = quadrature.quad_phi_many(requests, 20)
+
+        threads = [threading.Thread(target=run, args=(i, r)) for i, r in enumerate((first, second))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert got == expected
+
+    def test_the_two_constants_share_one_sweep(self):
+        # each constant equals the one a sweep of its kernel alone gives
+        quadrature._quad_cache.clear()
+        pair = quad_c_constant(1, 30), quad_c_constant(2, 30)
+        assert len(quadrature._quad_cache) == 2
+        with quadrature._working(30):
+            alone = [quadrature._de_halfline([quadrature._c_constant_term(which)], 30)[0] for which in (1, 2)]
+        assert list(pair) == alone
+
+
 def _floor_product(x: int, y: int, bits: int) -> int:
     """floor(x y 2^-bits)."""
     return x * y // 2**bits
@@ -486,7 +595,7 @@ def _integer_monomial(exponent, sech_power: int, log_z: bool = False):
     bits = mp.prec + quadrature._GUARD_BITS
     wp = bits + quadrature._FILL_BITS
 
-    def term(entry):
+    def term(entry, scratch):
         ln_z, w, tanh_z, sech_z, z = entry[:5]
         if isinstance(exponent, int):
             power = _integer_power(tanh_z, exponent, bits) if exponent else 2**bits
@@ -510,7 +619,7 @@ def _integer_c_constant(which: int):
     bits = mp.prec + quadrature._GUARD_BITS
     wp = bits + quadrature._FILL_BITS
 
-    def term(entry):
+    def term(entry, scratch):
         ln_z, w, _, sech_z, _ = entry[:5]
         ln_tanh = mp.make_mpf(quadrature._ln_tanh(entry, bits, wp))
         with mp.workprec(wp):
@@ -566,7 +675,7 @@ RECORDED_INTEGRALS = {
 def oracle(name: str, prec: int):
     """``_de_halfline`` on the oracle integrand of ``name``."""
     with quadrature._working(prec):
-        return quadrature._de_halfline(RECORDED_INTEGRALS[name][1](), prec)
+        return quadrature._de_halfline([RECORDED_INTEGRALS[name][1]()], prec)[0]
 
 
 def _mpf_monomial(t, tanh_power, sech_power: int, log_z: bool = False):
