@@ -46,7 +46,7 @@ from .closedform import (
 )
 from .exact import DomainError, PrecisionError
 from .lfuncs import eval_closed_form, euler_gamma, ln2, ln_pi
-from .quadrature import quad_c_constant
+from .quadrature import MAX_PREC, quad_c_constant
 
 
 def _load_config(path: str | None) -> dict[str, str]:
@@ -188,7 +188,7 @@ def cli_main(argv: list[str] | None = None) -> int:
             print(f"gamma  = {mp.nstr(euler_gamma(prec), prec)}")
             for which, form in ((1, catalog.C1_CLOSED_FORM), (2, catalog.C2_CLOSED_FORM)):
                 closed = eval_closed_form(form, prec)
-                quad = quad_c_constant(which, min(prec, 100)).value
+                quad = quad_c_constant(which, min(prec, MAX_PREC)).value
                 print(f"C{which} (closed forms) = {mp.nstr(closed, prec)}")
                 print(f"C{which} (quadrature)   = {mp.nstr(quad, prec)}")
             return 0

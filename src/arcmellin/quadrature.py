@@ -86,18 +86,20 @@ each level and side it walks the nodes once, and at each node every kernel
 whose wing has not ended adds its term.  Each kernel keeps its own wing
 ends, level-0 guard, stop rule, level cap and error estimate, so its result
 is the one a sweep of that kernel alone gives.  At each node the kernels
-share a scratch dict, dropped after the node, where the first kernel to
-compute a value leaves it for the others: every ladder prefix of tanh z
-and sech z, one exp(a ln tanh z) for each fractional a, and the z/tanh z
-of the two constants.  The ladder of tanh^a z passes through tanh^m z for
-every binary prefix m of a, and the value after a prefix is the same chain
-of floored products of x = tanh z whichever power it is on the way to, so
-a ladder that starts from a prefix another kernel left in the scratch
-makes every product a ladder of its own would make, and the terms are
-unchanged bit for bit.  ``quad_phi_many`` sweeps every uncached Phi of a
-request list at once (the numeric suites of :mod:`arcmellin.verify`
-request their whole grid before their first cell); ``quad_phi`` is that
-batch of one, and ``quad_c_constant`` sweeps the two constants together.
+share a scratch dict, dropped after the node, where ``_tanh_power`` keeps
+tanh^a z under the key a, beside the z/tanh z of the two constants.  An
+integer a is the square of the power a >> 1, times tanh z when a is odd:
+the left-to-right binary ladder as a recursion, which keeps every binary
+prefix of a, and the power after a prefix is the same chain of floored
+products whichever power it is on the way to.  So a kernel that reads a
+prefix another kernel left makes every product its own ladder would make,
+in whatever order the kernels come, and the terms are unchanged bit for
+bit; a fractional or large a is one exp(a ln tanh z) per node, and
+sech^b z a short ladder inside each term.  ``quad_phi_many`` sweeps every
+uncached Phi of a request list at once, in request order (the numeric
+suites of :mod:`arcmellin.verify` request their whole grid before their
+first cell); ``quad_phi`` is that batch of one, and ``quad_c_constant``
+sweeps the two constants together.
 
 Results are cached per (family, parameters, precision), Phi under its exact
 s, so 3, "3.0" and Fraction(3) share one entry; cached replies are
@@ -287,11 +289,11 @@ def _de_halfline(kernels: list[_Kernel], prec: int, max_level: int = MAX_LEVEL) 
     mp.prec + ``_GUARD_BITS``, then the slot for ln tanh z, w + z and
     ln z w z) and must return f(z) dz/dt = f(z) w z as an integer at the
     same scale, within ``kernel.units`` (1 + w + z) units.  ``scratch`` is
-    a dict that every kernel sees at one node and that is dropped after it:
-    a kernel may leave there a value that another kernel of the sweep
-    computes by the same operations, and that one reads it instead.  So no
-    value per batch is kept in the node table, and a term is the same
-    integer whichever kernel made what it read.
+    a dict that every kernel sees at one node and that is dropped after it,
+    where ``_tanh_power`` memoises the powers of tanh z: a value there is
+    the integer any kernel of the sweep would compute by the same
+    operations, so no value per batch is kept in the node table, and a
+    term is the same integer whichever kernel made what it read.
 
     On each level and side the nodes are walked once, for every kernel still
     running.  Each kernel keeps its own wing end (3 negligible terms past
@@ -488,38 +490,38 @@ def _ladder_bits(n: int) -> tuple[bool, ...]:
     return tuple(bit == "1" for bit in bin(n)[3:])
 
 
-def _ladder(n: int, slot: int, bits: int) -> Callable[[list, dict], int]:
-    """(entry, scratch) -> (x 2^-bits)^n at scale 2^bits for x = entry[slot]
-    and n >= 1: a left-to-right binary ladder of products, each shifted down
-    by ``bits``.  For 0 <= x <= 2^bits within e units of the true value, the
-    result is within n e + n - 1 units.
+def _tanh_power(bits: int, wp: int) -> Callable[[list, dict, object], int]:
+    """(entry, scratch, a) -> tanh^a z at scale 2^bits for a node table
+    entry, left in the node's scratch under the key a for every a but 1.
 
-    The value after each binary prefix m of n depends on x and m alone, so
-    every ladder of a sweep leaves it in the node's scratch under (slot, m),
-    and starts from the longest prefix of n already there.
+    An int a >= 1 is the left-to-right binary ladder of x = tanh z, as a
+    recursion: tanh z for a = 1, and otherwise the square of the power
+    a >> 1, times x when a is odd, each product shifted down by ``bits``.
+    For x within e units of the true value, the result is within
+    a e + a - 1 units.  The power after each binary prefix m of a is the
+    same integer whichever power it is on the way to, so every prefix a
+    kernel reaches is kept, and a later kernel of the sweep that passes m
+    reads it in any order.  A raw mpf a is exp(a ln tanh z), computed at
+    ``wp`` bits and floored, 0 where it is below 2^-(bits+2).
     """
-    steps = []
-    m = 1
-    for odd in _ladder_bits(n):
-        m = 2 * m + odd
-        steps.append(((slot, m), odd))
-    # each prefix, longest first, with the steps after it
-    probes = tuple((steps[j][0], tuple(steps[j + 1:])) for j in reversed(range(len(steps))))
-    steps = tuple(steps)
+    rnd = round_nearest
+    # exp(y) < 2^-(F+2) floors to 0
+    negligible = mpf_neg(mpf_mul(from_int(bits + 2), mp.ln2._mpf_, wp, rnd))
 
-    def power(entry: list, scratch: dict) -> int:
-        x = entry[slot]
-        for key, rest in probes:
-            result = scratch.get(key)
-            if result is not None:
-                break
-        else:
-            result, rest = x, steps
-        for key, odd in rest:
-            result = result * result >> bits
-            if odd:
-                result = result * x >> bits
-            scratch[key] = result
+    def power(entry: list, scratch: dict, a) -> int:
+        if a == 1:
+            return entry[2]
+        result = scratch.get(a)
+        if result is None:
+            if isinstance(a, int):
+                result = power(entry, scratch, a >> 1)
+                result = result * result >> bits
+                if a & 1:
+                    result = result * entry[2] >> bits
+            else:
+                y = mpf_mul(a, _ln_tanh(entry, bits, wp), wp, rnd)
+                result = 0 if mpf_lt(y, negligible) else _fixed(mpf_exp(y, wp, rnd), bits)
+            scratch[a] = result
         return result
 
     return power
@@ -527,8 +529,8 @@ def _ladder(n: int, slot: int, bits: int) -> Callable[[list, dict], int]:
 
 def _exponent(tanh_power, wp: int):
     """The power a of tanh z as a kernel takes it: an int below
-    ``_LADDER_LIMIT``, which is a ``_ladder``, and otherwise a raw mpf at
-    ``wp`` bits, the exponent of exp(a ln tanh z)."""
+    ``_LADDER_LIMIT``, a binary ladder, and otherwise a raw mpf at ``wp``
+    bits, the exponent of exp(a ln tanh z)."""
     if isinstance(tanh_power, Fraction):
         if tanh_power.denominator != 1:
             return from_rational(tanh_power.numerator, tanh_power.denominator, wp, round_nearest)
@@ -542,26 +544,28 @@ def _monomial(tanh_power, sech_power: int, log_z: bool = False, share: bool = Fa
 
     a = ``tanh_power`` is an int or a Fraction, b = ``sech_power`` an
     int >= 1.  The node values are within 1 + 2^-8 units, so an int a
-    below ``_LADDER_LIMIT`` is a ``_ladder`` within 3a units, and sech^b z
-    within 3b; any other a is exp(a ln tanh z) at F + ``_FILL_BITS`` bits,
-    floored to 0 below 2^-(F+2), within 3 + z units (ln tanh z is off by
-    about 2z 2^-F relative and |y| e^y <= 1/e for y = a ln tanh z), which
-    times sech^b z is under 4.  The product of the two powers is within
-    e_pq = e_a + 3b + 1 units, since each is at most 1; w multiplies it by
-    at most w, and ln z w z, whose own error is a few units times
-    1 + w + z, by at most 6 (1 + w + z) on every node where sech^b z is
-    above a unit (z below about F).  With ``share`` the powers go through
-    the node's scratch (``_ladder``), for a sweep of several kernels; a
-    kernel alone with an int a runs both ladders inside its term, one call
-    per term.  Must be called inside ``lfuncs._working``.
+    below ``_LADDER_LIMIT`` is a binary ladder within 3a units, and
+    sech^b z, always a ladder inside the term, within 3b; any other a is
+    exp(a ln tanh z) at F + ``_FILL_BITS`` bits, floored to 0 below
+    2^-(F+2), within 3 + z units (ln tanh z is off by about 2z 2^-F
+    relative and |y| e^y <= 1/e for y = a ln tanh z), which times sech^b z
+    is under 4.  The product of the two powers is within e_pq = e_a + 3b + 1
+    units, since each is at most 1; w multiplies it by at most w, and
+    ln z w z, whose own error is a few units times 1 + w + z, by at most
+    6 (1 + w + z) on every node where sech^b z is above a unit (z below
+    about F).  A kernel alone with an int a runs its tanh ladder inside its
+    term too, one call per term; with ``share``, for a sweep of several
+    kernels, or with any other a, tanh^a z is ``_tanh_power``'s, memoised
+    in the node's scratch.  Must be called inside ``lfuncs._working``.
     """
     bits, wp = _scale()
     a = _exponent(tanh_power, wp)
     error_pq = (3 * a if isinstance(a, int) else 4) + 3 * sech_power + 1
     # w, or ln z w z with log_z
     slot = 7 if log_z else 1
+    sech_bits = _ladder_bits(sech_power)
     if isinstance(a, int) and not share:
-        tanh_bits, sech_bits = _ladder_bits(a), _ladder_bits(sech_power)
+        tanh_bits = _ladder_bits(a)
 
         def term(entry, scratch):
             x = p = entry[2]
@@ -577,32 +581,17 @@ def _monomial(tanh_power, sech_power: int, log_z: bool = False, share: bool = Fa
             return (p * q >> bits) * entry[slot] >> bits
 
     else:
-        tanh_part = _ladder(a, 2, bits) if isinstance(a, int) else _exp_power(a, bits, wp)
-        sech_part = _ladder(sech_power, 3, bits)
+        power = _tanh_power(bits, wp)
 
         def term(entry, scratch):
-            return (tanh_part(entry, scratch) * sech_part(entry, scratch) >> bits) * entry[slot] >> bits
+            x = q = entry[3]
+            for odd in sech_bits:
+                q = q * q >> bits
+                if odd:
+                    q = q * x >> bits
+            return (power(entry, scratch, a) * q >> bits) * entry[slot] >> bits
 
     return _Kernel(term, 8 * (error_pq + 4) if log_z else error_pq + 2)
-
-
-def _exp_power(a: tuple, bits: int, wp: int) -> Callable[[list, dict], int]:
-    """(entry, scratch) -> exp(a ln tanh z) at scale 2^bits for the raw mpf
-    a, computed at ``wp`` bits and floored, 0 where it is below
-    2^-(bits+2); left in the node's scratch under the key a."""
-    rnd = round_nearest
-    # exp(y) < 2^-(F+2) floors to 0
-    negligible = mpf_neg(mpf_mul(from_int(bits + 2), mp.ln2._mpf_, wp, rnd))
-
-    def power(entry: list, scratch: dict) -> int:
-        result = scratch.get(a)
-        if result is None:
-            y = mpf_mul(a, _ln_tanh(entry, bits, wp), wp, rnd)
-            result = 0 if mpf_lt(y, negligible) else _fixed(mpf_exp(y, wp, rnd), bits)
-            scratch[a] = result
-        return result
-
-    return power
 
 
 def _c_constant_term(which: int) -> _Kernel:
@@ -613,14 +602,13 @@ def _c_constant_term(which: int) -> _Kernel:
     The bracket is formed in ``mpf`` and converted once: z/tanh z is
     exp(ln z - ln tanh z), so near z = 0, where the bracket is about -z^2/3
     or -z^2/6, it is off by a few units of 2^-F rather than by 2^-F/z, and
-    above z = 1 by about z units.  Times sech^b z (within 3b units) and w,
-    the term is within 32 (1 + w + z) units.  z/tanh z is left in the
-    node's scratch for the other constant of the sweep.  Must be called
-    inside ``lfuncs._working``.
+    above z = 1 by about z units.  Times sech^2 z or sech z (within 6
+    units) and w, the term is within 32 (1 + w + z) units.  z/tanh z is
+    left in the node's scratch for the other constant of the sweep.  Must
+    be called inside ``lfuncs._working``.
     """
     bits, wp = _scale()
     rnd = round_nearest
-    sech_part = _ladder(3 - which, 3, bits)
 
     def term(entry, scratch):
         ln_z, w, _, sech_z = entry[:4]
@@ -631,7 +619,8 @@ def _c_constant_term(which: int) -> _Kernel:
         if which == 2:
             ratio = mpf_mul(ratio, from_man_exp(sech_z, -bits), wp, rnd)
         bracket = _fixed(mpf_sub(fone, ratio, wp, rnd), bits)
-        return (bracket * sech_part(entry, scratch) >> bits) * w >> bits
+        sech = sech_z * sech_z >> bits if which == 1 else sech_z
+        return (bracket * sech >> bits) * w >> bits
 
     return _Kernel(term, 32)
 
@@ -660,8 +649,8 @@ def _phi_key(which: int, s, prec: int) -> tuple:
 
 
 def _phi_kernels(keys: list[tuple]) -> list[_Kernel]:
-    """The kernels of the Phi keys, which share their powers through the
-    node's scratch when there are several.  Must be called inside
+    """The kernels of the Phi keys, which share their powers of tanh z
+    through the node's scratch when there are several.  Must be called inside
     ``lfuncs._working``."""
     # sech^2 for Phi_1, sech^1 for Phi_2, and s - 1 exact
     return [_monomial(key[2] - 1, 3 - key[1], share=len(keys) > 1) for key in keys]
@@ -672,16 +661,16 @@ def quad_phi_many(requests, prec: int = DEFAULT_PREC) -> list[QuadResult]:
 
     Every request is checked before any node, and raises as ``quad_phi``
     would.  The integrals not yet cached, each once however often it is
-    requested, then run as one lockstep sweep, which walks each node once
-    for all of them and shares the powers of tanh z and sech z they have in
-    common; each result is bit-identical to the one a sweep of that
-    integral alone gives.
+    requested, then run in request order as one lockstep sweep, which walks
+    each node once for all of them and shares the powers of tanh z, and
+    their binary prefixes, that they have in common; each result is
+    bit-identical to the one a sweep of that integral alone gives, whatever
+    the order of the requests.
     """
     _check_prec(prec)
     with _working(prec):
         keys = [_phi_key(which, s, prec) for which, s in requests]
-        # by s, so each ladder finds its shorter prefixes at a node already made
-        found = _cached(sorted(keys, key=lambda key: key[2]), prec, _phi_kernels)
+        found = _cached(keys, prec, _phi_kernels)
     return [found[key] for key in keys]
 
 

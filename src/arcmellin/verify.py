@@ -143,11 +143,14 @@ def _build(
 ) -> VerifyReport:
     """The one report builder.  A numeric suite passes its ``prec``, which
     is refused below :data:`MIN_PREC` before any cell runs; the lazy
-    ``cells`` are then drawn under one timer."""
+    ``cells`` are then drawn under one timer, and a suite that yields none
+    raises :class:`DomainError` rather than passing."""
     if prec is not None and prec < MIN_PREC:
         raise DomainError(f"numeric suites need prec >= {MIN_PREC}, got {prec}")
     started = time.perf_counter()
     cells = list(cells)
+    if not cells:
+        raise DomainError(f"{family}: the inputs give no cells")
     return VerifyReport(family, cells, prec, tolerance, time.perf_counter() - started)
 
 
@@ -355,7 +358,8 @@ def check_bounds(s_grid=DEFAULT_BOUNDS_GRID, prec: int = 30) -> VerifyReport:
 
     Phi_1 is checked against 2/(s^2-1) < Phi_1(s) < 1/(s-1) and Phi_2
     against the Gamma-ratio enclosure; strictness demands a margin of
-    10^{-(prec-10)} on each side.
+    10^{-(prec-10)} on each side.  An empty grid raises
+    :class:`DomainError`.
     """
 
     def cells():
@@ -397,7 +401,8 @@ def check_coupled(s, truncation: int = 30, prec: int = 30) -> VerifyReport:
     Checks  Phi_2(s) = sum_{n<T} C(2n,n) 4^{-n} Phi_1(s+2n) + tail  and
     Phi_1(s) = -sum_{n<T} C(2n,n)/(4^n (2n-1)) Phi_2(s+2n) + tail (the n=0
     term of the second identity enters with +Phi_2(s) since 2n-1 = -1),
-    requiring each residual to fall below its tail bound.
+    requiring each residual to fall below its tail bound.  A truncation
+    below 1 raises :class:`DomainError` before any integral.
     """
     return _coupled((s,), truncation, prec)
 
@@ -406,6 +411,8 @@ def _coupled(svals, truncation: int, prec: int) -> VerifyReport:
     """The coupled-series cells of each s in ``svals``, in turn, as one report."""
 
     def cells():
+        if truncation < 1:
+            raise DomainError(f"coupled series need truncation >= 1, got {truncation}")
         grid = [Fraction(str(s)) for s in svals]
         for s, sf in zip(svals, grid):
             if not sf > 1:
@@ -604,6 +611,17 @@ def _exact_suite(
     return family, lambda n_range, prec: _build(family.value, cells(n_range))
 
 
+def _cross_rep(n_range: tuple[int, int] | None, prec: int) -> VerifyReport:
+    """cross-rep up to the largest n of ``n_range`` (6 without one); a
+    range that holds no n raises :class:`DomainError` before any integral."""
+    if n_range is None:
+        return check_cross_representation(prec=prec)
+    lo, hi = n_range
+    if lo > hi:
+        raise DomainError(f"cross-rep: range {lo}..{hi} holds no n")
+    return check_cross_representation(n_max=hi, prec=prec)
+
+
 #: The one suite registry, in ``verify all`` order.  Exact families take an
 #: inclusive n-range (default sized to stay inside desk scale); the numeric
 #: suites use their own grids, except that cross-rep reads n_max from it.
@@ -623,12 +641,7 @@ SUITES: dict[IdentityFamily, _Runner] = dict(
         (IdentityFamily.BOUNDS, lambda n_range, prec: check_bounds(prec=prec)),
         (IdentityFamily.COUPLED_SERIES, lambda n_range, prec: _coupled((2, 4, 6), 30, prec)),
         (IdentityFamily.ASYMPTOTIC, lambda n_range, prec: check_asymptotic_constants(prec)),
-        (
-            IdentityFamily.CROSS_REP,
-            lambda n_range, prec: check_cross_representation(
-                n_max=n_range[1] if n_range is not None else 6, prec=prec
-            ),
-        ),
+        (IdentityFamily.CROSS_REP, _cross_rep),
         (IdentityFamily.EVEN_RELATIONS, lambda n_range, prec: check_even_argument_relations()),
         (IdentityFamily.REFERENCE_TABLES, lambda n_range, prec: reproduce_reference_tables(prec)),
     ]

@@ -107,7 +107,12 @@ class TestVerifyCommand:
 
     @pytest.mark.parametrize(
         "suite, n_range",
-        [("alt-binom-odd", "5..1"), ("alt-binom-odd", "0..0"), ("cross-rep", "1..0")],
+        [
+            ("alt-binom-odd", "5..1"),
+            ("alt-binom-odd", "0..0"),
+            ("cross-rep", "1..0"),
+            ("cross-rep", "5..1"),
+        ],
     )
     def test_range_holding_no_n_exit_2(self, capsys, suite, n_range):
         code, out, err = run(capsys, "verify", suite, "--range", n_range)

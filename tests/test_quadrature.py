@@ -3,6 +3,7 @@
 import functools
 import hashlib
 import os
+import random
 import statistics
 import subprocess
 import sys
@@ -473,6 +474,11 @@ class TestBatch:
             (2, 10**18),
             (1, 1 + Fraction(1, 10**40)),
             (2, "1." + "0" * 39 + "1"),
+            # tanh exponents 1, 3, 7, ..., 127, each a binary prefix of the next
+            *[(which, 2**k) for k in range(1, 8) for which in (1, 2)],
+            # tanh exponents 4095 and 4096, either side of _LADDER_LIMIT
+            *[(which, s) for s in (4096, 4097) for which in (1, 2)],
+            *[(which, s) for s in (Fraction(7), "7.5") for which in (1, 2)],
             (1, 3),
             (1, "3.0"),
             (2, Fraction(7, 2)),
@@ -481,12 +487,21 @@ class TestBatch:
         quadrature._quad_cache.clear()
         batch = quadrature.quad_phi_many(requests, prec)
         # every distinct s once, shared by its duplicates
-        assert len(quadrature._quad_cache) == 97
+        assert len(quadrature._quad_cache) == 105
         assert batch[-4] is batch[-3] and batch[-2] is batch[-1]
         assert len({result.levels for result in batch}) > 1
-        for (which, s), result in zip(requests, batch):
+        alone = []
+        for which, s in requests:
             quadrature._quad_cache.clear()
-            assert quad_phi(which, s, prec) == result
+            alone.append(quad_phi(which, s, prec))
+        assert batch == alone
+        # the same results in reversed and shuffled sweeps
+        shuffled = list(range(len(requests)))
+        random.Random(prec).shuffle(shuffled)
+        for order in (range(len(requests) - 1, -1, -1), shuffled):
+            quadrature._quad_cache.clear()
+            swept = quadrature.quad_phi_many([requests[i] for i in order], prec)
+            assert swept == [alone[i] for i in order]
 
     def test_cache_keyed_by_the_exact_s(self):
         quadrature._quad_cache.clear()
@@ -792,6 +807,47 @@ class TestBitIdentity:
     def test_30_digit_values_unchanged(self, name):
         quadrature._quad_cache.clear()
         assert fingerprint(RECORDED_INTEGRALS[name][0](30).value) == VALUES_30[name]
+
+
+def _straight_ladder(x: int, n: int, bits: int) -> int:
+    """(x 2^-bits)^n at scale 2^bits for n >= 1: a left-to-right binary
+    ladder over the digits of n after its leading 1, each product floored."""
+    power = x
+    for digit in bin(n)[3:]:
+        power = power * power >> bits
+        if digit == "1":
+            power = power * x >> bits
+    return power
+
+
+class TestTanhPowerMemo:
+    """``_tanh_power`` memoises every binary prefix in the node's scratch;
+    each power must be the integer a straight ladder makes, whatever the
+    scratch already holds."""
+
+    EXPONENTS = list(range(1, 301)) + [4095]
+
+    @pytest.mark.parametrize("prec", [30, 100])
+    @pytest.mark.parametrize("t", [-3, 0, Fraction(1, 2), 4])
+    def test_matches_a_straight_ladder(self, prec, t):
+        with quadrature._working(prec):
+            bits, wp = quadrature._scale()
+            key = int(t * 2**quadrature.MAX_LEVEL)
+            entry = quadrature._fill(key, bits, wp)
+            power = quadrature._tanh_power(bits, wp)
+            expected = {n: _straight_ladder(entry[2], n, bits) for n in self.EXPONENTS}
+            # each power from an empty scratch
+            for n in self.EXPONENTS:
+                assert power(entry, {}, n) == expected[n]
+            # and from one that the powers before it, in random order, filled
+            order = list(self.EXPONENTS)
+            random.Random(prec + key).shuffle(order)
+            scratch = {}
+            for n in order:
+                assert power(entry, scratch, n) == expected[n]
+            # every prefix it kept, 511, 1023 and 2047 of 4095 too
+            assert all(value == _straight_ladder(entry[2], n, bits) for n, value in scratch.items())
+            assert set(scratch) == set(self.EXPONENTS[1:]) | {511, 1023, 2047}
 
 
 class TestAgainstMpf:

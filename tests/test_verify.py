@@ -264,7 +264,7 @@ class TestExactSuites:
         [
             "alt-binom-odd", "alt-binom-even", "c-odd-power", "eulerian-a", "eulerian-b",
             "binom-cosh", "vanishing", "eta-coeff", "zeta2-coeff", "d-identity",
-            "euler-bernoulli",
+            "euler-bernoulli", "cross-rep",
         ],
     )
     def test_range_holding_no_n_is_a_domain_error(self, family):
@@ -316,6 +316,17 @@ class TestNumericSuites:
         report = check_bounds(s_grid=("2", "3"), prec=25)
         assert report.passed
         assert report.precision == 25
+
+    def test_bounds_refuses_an_empty_grid(self):
+        with pytest.raises(DomainError, match="bounds: the inputs give no cells"):
+            check_bounds(s_grid=(), prec=20)
+
+    @pytest.mark.parametrize("truncation", [0, -1])
+    def test_coupled_refuses_a_truncation_below_one(self, truncation):
+        quadrature._quad_cache.clear()
+        with pytest.raises(DomainError, match="truncation >= 1"):
+            check_coupled(4, truncation=truncation, prec=20)
+        assert not quadrature._quad_cache
 
     def test_coupled_n0_term_sign(self):
         # at n = 0 the second identity's weight is -1/(2*0-1) = +1, so the
