@@ -127,6 +127,7 @@ def _emit_form(form: ClosedForm, args) -> None:
 
 def _run_suite(suite: str, n_range, prec: int, as_json: bool) -> int:
     if suite == "all":
+        verify._check_range(suite, n_range)
         reports = verify.all_suites(prec=prec)
     else:
         reports = [verify.run_identity(suite, n_range=n_range, prec=prec)]

@@ -38,10 +38,15 @@ Li ("A comparison of three high-precision quadrature schemes", Exp. Math. 14,
 and d2 the relative digits of the last two level-to-level changes, I_j is
 predicted to min(d1^2/d2, 2 d1) digits (the digits at most double per level),
 and the rule stops once that reaches the working digits plus 10, so no level
-is computed only to confirm the one before.  A change below 10^-(prec+2)
-at a level j >= 3 also stops it (at levels 1 and 2 two coarse sums can
-agree by coincidence, which below 5 requested digits ended integrals with
-under one correct digit), and a level cap reached first raises
+is computed only to confirm the one before.  A level j >= 3 also stops on
+a change below 10^-(prec+2) times min(max(1, |I_j|), |I_j| + 2 h |sum of
+the negative terms|).  That target is relative below |I_j| = 1 too: Phi_1(s)
+is about 2/(s ln s), and an absolute one let two coarse levels that both
+missed the peak agree (Phi_1(10^13) at 12 digits came back 37% off).  Where
+terms cancel it is relative to h sum |f|, not to a small |I_j|.  Levels 1 and 2
+may not stop on the change, since two coarse sums can agree by coincidence
+(below 5 requested digits that ended integrals with under one correct
+digit), and a level cap reached first raises
 :class:`PrecisionError`.
 The reported error estimate is computed, never asserted, and is meant as an
 upper bound: the same prediction with the growth capped at 1.5 instead of 2,
@@ -304,7 +309,8 @@ def _de_halfline(kernels: list[_Kernel], prec: int, max_level: int = MAX_LEVEL) 
     mp.prec once.  ``max_level`` may not exceed ``MAX_LEVEL``.  A kernel
     stops at the first level j >= 2 whose predicted digits reach
     ``mp.dps + 10``, or the first level j >= 3 whose level-to-level change
-    meets the target.  Raises :class:`PrecisionError`, for the whole sweep,
+    is below 10^-(prec+2) min(max(1, |I_j|), |I_j| + 2 h |sum of the
+    negative terms|).  Raises :class:`PrecisionError`, for the whole sweep,
     when a kernel reaches ``max_level`` first, or when level 0 finds no term
     of a kernel above the negligibility cutoff.
 
@@ -454,8 +460,15 @@ def _de_halfline(kernels: list[_Kernel], prec: int, max_level: int = MAX_LEVEL) 
             # to min(d1^2/d2, 2 d1) digits (Bailey, Jeyabalan and Li 2005); d2
             # is 0 at level 1
             predicted = min(d1 * d1 / d2, 2 * d1) if d2 > 0 else 0.0
+            stop = predicted >= mp.dps + 10
             # levels 1 and 2 can meet a loose change target by coincidence
-            if predicted >= mp.dps + 10 or (level >= 3 and change < target * max(mpf(1), abs(value))):
+            if not stop and level >= 3:
+                # relative to |I| (to 1 above 1); where terms cancel, to
+                # h sum |f| <= |I| + 2 h |sum of the negative terms| instead,
+                # so a value near 0 can still stop
+                size = abs(value)
+                stop = change < target * min(max(mpf(1), size), size + 2 * abs(fixed(run.negative, level)))
+            if stop:
                 run.result = result(run, level, value, d2)
             else:
                 still.append(run)

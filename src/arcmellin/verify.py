@@ -612,14 +612,10 @@ def _exact_suite(
 
 
 def _cross_rep(n_range: tuple[int, int] | None, prec: int) -> VerifyReport:
-    """cross-rep up to the largest n of ``n_range`` (6 without one); a
-    range that holds no n raises :class:`DomainError` before any integral."""
+    """cross-rep up to the largest n of ``n_range`` (6 without one)."""
     if n_range is None:
         return check_cross_representation(prec=prec)
-    lo, hi = n_range
-    if lo > hi:
-        raise DomainError(f"cross-rep: range {lo}..{hi} holds no n")
-    return check_cross_representation(n_max=hi, prec=prec)
+    return check_cross_representation(n_max=n_range[1], prec=prec)
 
 
 #: The one suite registry, in ``verify all`` order.  Exact families take an
@@ -653,8 +649,18 @@ def run_identity(
     n_range: tuple[int, int] | None = None,
     prec: int = 30,
 ) -> VerifyReport:
-    """Run one registered suite; ``n_range`` is ignored by suites without one."""
-    return SUITES[IdentityFamily(family)](n_range, prec)
+    """Run one registered suite; a non-empty ``n_range`` is ignored by suites
+    without one, and an empty one raises :class:`DomainError` for every
+    suite, before any cell."""
+    family = IdentityFamily(family)
+    _check_range(family.value, n_range)
+    return SUITES[family](n_range, prec)
+
+
+def _check_range(name: str, n_range: tuple[int, int] | None) -> None:
+    """Raise :class:`DomainError` when the inclusive ``n_range`` holds no n."""
+    if n_range is not None and n_range[0] > n_range[1]:
+        raise DomainError(f"{name}: range {n_range[0]}..{n_range[1]} holds no n")
 
 
 def all_suites(prec: int = 30) -> list[VerifyReport]:

@@ -6,9 +6,17 @@ for every closed form and identity, 1e-25 at 30 working digits for every
 numeric cross-check, and 19-decimal prefix agreement for the two constants.
 """
 
+import importlib
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
+import pytest
 from mpmath import mp, mpf
+
+import arcmellin
 
 from arcmellin import (
     IdentityFamily,
@@ -220,3 +228,105 @@ def test_criterion_10_even_mellin_values():
         worst < tol,
         elapsed,
     )
+
+
+#: ``arcmellin.__all__`` as the eager imports of the package defined it.
+PUBLIC_NAMES = """
+    DomainError PrecisionError bernoulli binomial euler_number eulerian harmonic
+    RootProductTables binomial_power_sum root_product_tables x_over_sinh_coeffs
+    LN2 LNPI ONE BasisSymbol ClosedForm beta_prime_neg_coeffs beta_prime_neg_symbol
+    beta_even_ratio beta_prime_ratio eta_prime_neg_coeffs eta_prime_neg_symbol
+    log_integral_even_cosh log_integral_odd_cosh phi_even_closed_form phi_odd_closed_form
+    sinh_over_z_integral zeta_odd_ratio zeta_prime_ratio
+    beta_at_negative_even beta_prime_neg beta_prime_odd beta_prime_value beta_value
+    eta_prime eta_prime_neg eta_value eval_closed_form euler_gamma ln2 ln_pi
+    mellin_bound_gamma_ratio phi1_bounds zeta_even_value zeta_prime_even
+    QuadResult quad_c_constant quad_log_family quad_phi quad_phi_many quad_sinh_over_z
+    IdentityFamily VerifyReport all_suites check_asymptotic_constants check_bounds
+    check_coupled check_cross_representation check_even_argument_relations
+    reproduce_reference_tables run_identity
+""".split()
+
+
+def _fresh_python(code: str) -> str:
+    """Standard output of ``code`` run by a fresh interpreter on this source tree."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+class TestLazyPublicNames:
+    """Every public name loads its layer on first use, so importing the
+    package runs no submodule."""
+
+    def test_import_loads_no_layer_and_no_mpmath(self):
+        out = _fresh_python(
+            "import sys, arcmellin\n"
+            "print(sorted(m for m in sys.modules if m.startswith(('arcmellin.', 'mpmath'))))\n"
+        )
+        assert out.strip() == "[]"
+
+    def test_closedform_loads_only_the_exact_layers(self):
+        out = _fresh_python(
+            "import sys, arcmellin.closedform\n"
+            "print(sorted(m for m in sys.modules if m.startswith(('arcmellin.', 'mpmath'))))\n"
+        )
+        assert out.strip() == "['arcmellin.closedform', 'arcmellin.exact', 'arcmellin.series']"
+
+    def test_layer_name_imports_its_layer(self):
+        # arcmellin.verify was an attribute of the package after a bare import
+        out = _fresh_python(
+            "import arcmellin\n"
+            "print(arcmellin.verify.__name__, arcmellin.verify.run_identity is arcmellin.run_identity)\n"
+        )
+        assert out.split() == ["arcmellin.verify", "True"]
+
+    def test_all_is_unchanged(self):
+        assert arcmellin.__all__ == PUBLIC_NAMES
+
+    @pytest.mark.parametrize("name", PUBLIC_NAMES)
+    def test_name_is_the_object_its_module_defines(self, name):
+        obj = getattr(arcmellin, name)
+        module = importlib.import_module(obj.__module__)
+        assert module.__name__.startswith("arcmellin.")
+        assert getattr(module, name) is obj
+
+    def test_star_import(self):
+        namespace = {}
+        exec("from arcmellin import *", namespace)
+        assert [name for name in namespace if name != "__builtins__"] == PUBLIC_NAMES
+        assert namespace["quad_phi"] is arcmellin.quadrature.quad_phi
+
+    def test_dir_lists_every_public_name(self):
+        assert set(PUBLIC_NAMES) <= set(dir(arcmellin))
+
+    def test_unknown_name_raises_attribute_error(self):
+        with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+            arcmellin.no_such_name
+        assert not hasattr(arcmellin, "cli_main")
+
+    def test_concurrent_first_touch(self):
+        # eight threads read three names of three layers at once from a
+        # package that has loaded none of them, switching every microsecond
+        out = _fresh_python(
+            "import sys, threading, arcmellin\n"
+            "sys.setswitchinterval(1e-6)\n"
+            "names = ('quad_phi', 'ClosedForm', 'bernoulli')\n"
+            "barrier = threading.Barrier(8, timeout=60)\n"
+            "seen = []\n"
+            "def touch():\n"
+            "    barrier.wait()\n"
+            "    seen.append([getattr(arcmellin, name) for name in names])\n"
+            "threads = [threading.Thread(target=touch) for _ in range(8)]\n"
+            "for thread in threads: thread.start()\n"
+            "for thread in threads: thread.join(60)\n"
+            "from arcmellin import closedform, exact, quadrature\n"
+            "own = [quadrature.quad_phi, closedform.ClosedForm, exact.bernoulli]\n"
+            "print(sum(thread.is_alive() for thread in threads), len(seen),\n"
+            "      all(all(a is b for a, b in zip(got, own)) for got in seen))\n"
+        )
+        assert out.split() == ["0", "8", "True"]

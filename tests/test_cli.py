@@ -112,6 +112,12 @@ class TestVerifyCommand:
             ("alt-binom-odd", "0..0"),
             ("cross-rep", "1..0"),
             ("cross-rep", "5..1"),
+            ("bounds", "5..1"),
+            ("coupled", "5..1"),
+            ("asymptotic", "5..1"),
+            ("even-relations", "5..1"),
+            ("reference-tables", "5..1"),
+            ("all", "5..1"),
         ],
     )
     def test_range_holding_no_n_exit_2(self, capsys, suite, n_range):

@@ -341,6 +341,24 @@ class TestStoppingRule:
         with mp.workdps(40):
             assert abs(value - exact) <= mpf(10) ** -prec * abs(exact)
 
+    @pytest.mark.parametrize("prec", [12, 15, 20])
+    @pytest.mark.parametrize("k", range(10, 18))
+    def test_change_target_is_relative_below_one(self, k, prec):
+        # Phi_1(s) is about 2/(s ln s); a change target of 10^-(prec+2)
+        # absolute let two coarse levels that both miss the narrow peak
+        # agree, 37% off at s = 10^13 and 12 digits with an estimate of 11%
+        result = quad_phi(1, 10**k, prec)
+        reference = _phi1_at_40_digits(k)
+        with mp.workdps(50):
+            error = abs(result.value - reference)
+            assert error <= mpf(10) ** -prec * reference
+            assert error <= result.error_estimate
+
+
+@functools.cache
+def _phi1_at_40_digits(k: int) -> mpf:
+    return quad_phi(1, 10**k, 40).value
+
 
 def _exact_phi(which: int, s: int):
     half = s // 2

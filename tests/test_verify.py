@@ -264,7 +264,8 @@ class TestExactSuites:
         [
             "alt-binom-odd", "alt-binom-even", "c-odd-power", "eulerian-a", "eulerian-b",
             "binom-cosh", "vanishing", "eta-coeff", "zeta2-coeff", "d-identity",
-            "euler-bernoulli", "cross-rep",
+            "euler-bernoulli", "cross-rep", "bounds", "coupled", "asymptotic", "even-relations",
+            "reference-tables",
         ],
     )
     def test_range_holding_no_n_is_a_domain_error(self, family):
