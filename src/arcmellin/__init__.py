@@ -16,7 +16,9 @@ The package is organized in layers:
 * :mod:`arcmellin.verify` -- identity suites, bounds and coupled-series
   checks, cross-representation consistency, and reference-table replay;
 * :mod:`arcmellin.cli` -- the ``arcmellin`` command-line front end (not
-  imported here, so ``python -m arcmellin.cli`` runs it without a warning).
+  imported here, so ``python -m arcmellin.cli`` runs it without a warning),
+  which imports argparse and the numeric layers only for the commands that
+  use them, and takes the suite names from :mod:`arcmellin.suites`.
 
 ``import arcmellin`` imports none of them.  Each public name below, and each
 layer above but the CLI, loads its module on first use (PEP 562), so a

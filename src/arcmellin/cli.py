@@ -29,14 +29,10 @@ and ``range``.
 
 from __future__ import annotations
 
-import argparse
 import os
 import sys
 from pathlib import Path
 
-from mpmath import mp
-
-from . import catalog, verify
 from .closedform import (
     ClosedForm,
     log_integral_even_cosh,
@@ -45,8 +41,11 @@ from .closedform import (
     sinh_over_z_integral,
 )
 from .exact import DomainError, PrecisionError
-from .lfuncs import eval_closed_form, euler_gamma, ln2, ln_pi
-from .quadrature import MAX_PREC, quad_c_constant
+from .suites import IdentityFamily
+
+# argparse and the numeric layers (mpmath, lfuncs, quadrature, verify, and
+# catalog, which builds its forms at import) are imported by the functions
+# that use them, so an exact command such as closed-form loads none of them.
 
 
 def _load_config(path: str | None) -> dict[str, str]:
@@ -63,6 +62,8 @@ def _load_config(path: str | None) -> dict[str, str]:
 
 
 def _parse_range(text: str) -> tuple[int, int]:
+    import argparse
+
     lo, sep, hi = text.partition("..")
     if not sep:
         raise argparse.ArgumentTypeError(f"range must look like A..B, got {text!r}")
@@ -70,6 +71,8 @@ def _parse_range(text: str) -> tuple[int, int]:
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="arcmellin",
         description="Exact closed forms and verification for hyperbolic "
@@ -95,7 +98,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_ver = sub.add_parser("verify", help="run a verification suite")
     p_ver.add_argument(
-        "suite", choices=[fam.value for fam in verify.IdentityFamily] + ["all"]
+        "suite", choices=[fam.value for fam in IdentityFamily] + ["all"]
     )
     p_ver.add_argument("--range", type=_parse_range, default=None, dest="n_range")
     p_ver.add_argument("--prec", type=int, default=None)
@@ -126,6 +129,8 @@ def _emit_form(form: ClosedForm, args) -> None:
 
 
 def _run_suite(suite: str, n_range, prec: int, as_json: bool) -> int:
+    from . import verify
+
     if suite == "all":
         verify._check_range(suite, n_range)
         reports = verify.all_suites(prec=prec)
@@ -142,6 +147,8 @@ def _run_suite(suite: str, n_range, prec: int, as_json: bool) -> int:
 
 
 def cli_main(argv: list[str] | None = None) -> int:
+    import argparse
+
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
@@ -176,6 +183,10 @@ def cli_main(argv: list[str] | None = None) -> int:
             return _run_suite(args.suite, n_range, prec, args.json)
 
         if args.command == "eval":
+            from mpmath import mp
+
+            from .lfuncs import eval_closed_form
+
             prec = args.prec if args.prec is not None else default_prec
             form = ClosedForm.from_json(Path(args.json_file).read_text())
             value = eval_closed_form(form, prec)
@@ -183,6 +194,12 @@ def cli_main(argv: list[str] | None = None) -> int:
             return 0
 
         if args.command == "constants":
+            from mpmath import mp
+
+            from . import catalog
+            from .lfuncs import eval_closed_form, euler_gamma, ln2, ln_pi
+            from .quadrature import MAX_PREC, quad_c_constant
+
             prec = args.prec if args.prec is not None else default_prec
             print(f"ln 2   = {mp.nstr(ln2(prec), prec)}")
             print(f"ln pi  = {mp.nstr(ln_pi(prec), prec)}")
@@ -195,6 +212,8 @@ def cli_main(argv: list[str] | None = None) -> int:
             return 0
 
         if args.command == "reproduce-paper":
+            from . import verify
+
             prec = args.prec if args.prec is not None else default_prec
             report = verify.reproduce_reference_tables(prec=prec)
             for cell in report.cells:

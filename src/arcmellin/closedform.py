@@ -8,9 +8,13 @@ combination of the basis symbols
     eta'(-2i-1),               beta'(-2i)                   (i >= 0),
     zeta(2p+3) / pi^{2p+2},    beta(2p+2) / pi^{2p+1}       (p >= 0),
 
-and a :class:`ClosedForm` is exactly such a combination: a map from
-:class:`BasisSymbol` to ``Fraction`` with no zero entries.  Equality is exact
-and structural; nothing in this module ever touches floating point.
+and a :class:`ClosedForm` is exactly such a combination.  It holds one
+positive integer denominator and a dict from :class:`BasisSymbol` (an
+immutable (kind, index) tuple) to nonzero integer numerators, kept reduced,
+so that each form has one representation: ``+``, ``-`` and ``scale`` are
+integer operations with one gcd pass per result, and a coefficient becomes a
+reduced ``Fraction`` only when it is read.  Equality is exact and
+structural; nothing in this module ever touches floating point.
 
 Every residue weight below, at the poles i pi (k + 1/2) of 1/cosh^N, is a
 Taylor coefficient of one kernel,
@@ -48,7 +52,8 @@ The integral families and their coefficient pipelines:
   of 4^q cosh^{2q+1}, over D 4^q T!.  J and N are then one integer sum
   each, with the tangent resp. Euler numbers as weights; K, I0 and M are
   one integer sum each over the lcm of their weights' denominators, and
-  every coefficient is one ``Fraction``.  J and N are the beta integrals
+  the form is every coefficient's integer numerator over D 4^q T! times
+  that lcm, reduced once.  J and N are the beta integrals
   int_0^oo sinh^{2q+1} / cosh^{2n+1 or 2n} dz times (-1)^{q+n+1}; the
   ``euler-bernoulli`` suite reads them from the same helper and checks them
   against their closed values.
@@ -66,7 +71,8 @@ The integral families and their coefficient pipelines:
       int_0^1 x^{2n} / (sqrt(1-x^2) arctanh(x)) dx    (which = 2),
   expanded over eta'(-2i-1) resp. beta'(-2i) with coefficients summed
   against the root products prod_{i<=k} (y - r_i) of the triangles, by
-  Horner's rule on one integer polynomial.
+  Horner's rule on one integer polynomial over (2n+1)! resp. (2n)!
+  (``_odd_value_numerators``).
 
 * ``phi_even_closed_form(which, m)``: the same transforms at s = 2m, expanded
   over zeta(2p+3)/pi^{2p+2} resp. beta(2p+2)/pi^{2p+1} by closing the contour
@@ -77,9 +83,9 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from operator import itemgetter
 from typing import Iterable, Iterator, Mapping
 
 from .exact import DomainError, _signed_tangent, binomial, euler_number, harmonic
@@ -115,27 +121,45 @@ _INDEX_KEY = {
 _INDEXED = frozenset(_INDEX_KEY)
 
 
-@dataclass(frozen=True, order=False)
-class BasisSymbol:
-    """One transcendental basis term; totally ordered for canonical output."""
+class BasisSymbol(tuple):
+    """One transcendental basis term: the immutable pair (kind, index), so
+    hashing and equality are a tuple's; totally ordered for canonical output."""
 
-    kind: str
-    index: int | None = None
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.kind not in _RANK:
-            raise DomainError(f"unknown basis symbol kind {self.kind!r}")
-        if self.kind in _INDEXED:
-            if not isinstance(self.index, int) or isinstance(self.index, bool) or self.index < 0:
-                raise DomainError(f"{self.kind} requires an integer index >= 0")
-        elif self.index is not None:
-            raise DomainError(f"{self.kind} takes no index")
+    def __new__(cls, kind: str, index: int | None = None) -> "BasisSymbol":
+        if kind not in _RANK:
+            raise DomainError(f"unknown basis symbol kind {kind!r}")
+        if kind in _INDEXED:
+            if not isinstance(index, int) or isinstance(index, bool) or index < 0:
+                raise DomainError(f"{kind} requires an integer index >= 0")
+        elif index is not None:
+            raise DomainError(f"{kind} takes no index")
+        return tuple.__new__(cls, (kind, index))
+
+    kind = property(itemgetter(0))
+    index = property(itemgetter(1))
+
+    def __getnewargs__(self) -> tuple[str, int | None]:
+        return tuple(self)
+
+    def __repr__(self) -> str:
+        return f"BasisSymbol(kind={self[0]!r}, index={self[1]!r})"
 
     def sort_key(self) -> tuple[int, int]:
-        return (_RANK[self.kind], self.index or 0)
+        return (_RANK[self[0]], self[1] or 0)
 
     def __lt__(self, other: "BasisSymbol") -> bool:
         return self.sort_key() < other.sort_key()
+
+    def __gt__(self, other: "BasisSymbol") -> bool:
+        return self.sort_key() > other.sort_key()
+
+    def __le__(self, other: "BasisSymbol") -> bool:
+        return self.sort_key() <= other.sort_key()
+
+    def __ge__(self, other: "BasisSymbol") -> bool:
+        return self.sort_key() >= other.sort_key()
 
     def latex(self) -> str:
         if self.kind == "zeta_prime_ratio":
@@ -199,9 +223,17 @@ def beta_even_ratio(p: int) -> BasisSymbol:
 
 
 class ClosedForm:
-    """Rational linear combination of basis symbols; exact, immutable."""
+    """Rational linear combination of basis symbols; exact, immutable.
 
-    __slots__ = ("_terms",)
+    Held as one positive integer denominator and a dict of nonzero integer
+    numerators, kept reduced: the gcd of the denominator and every
+    numerator is 1.  So a form has one representation, ``==`` compares it
+    directly, and ``+``, ``-`` and ``scale`` work on integers with one gcd
+    pass per result; the ``Fraction`` of a coefficient is made only when it
+    is read.
+    """
+
+    __slots__ = ("_den", "_nums")
 
     def __init__(self, terms: Mapping[BasisSymbol, Fraction] | Iterable[tuple[BasisSymbol, Fraction]] = ()):
         items = terms.items() if isinstance(terms, Mapping) else terms
@@ -210,50 +242,80 @@ class ClosedForm:
             coeff = Fraction(coeff)
             if coeff:
                 acc[sym] = acc[sym] + coeff if sym in acc else coeff
-        object.__setattr__(self, "_terms", {s: c for s, c in acc.items() if c})
+        # reduced without a gcd: the top power of a prime in the lcm is all
+        # of it in one coefficient's denominator, prime to that numerator
+        den = math.lcm(*(c.denominator for c in acc.values()))
+        object.__setattr__(self, "_den", den)
+        object.__setattr__(self, "_nums", {s: c.numerator * (den // c.denominator) for s, c in acc.items() if c})
+
+    @classmethod
+    def _over(cls, den: int, nums: Iterable[tuple[BasisSymbol, int]]) -> "ClosedForm":
+        """The form sum n s / den from integer numerators n over a positive
+        ``den``, each symbol once: zeros dropped, then one gcd pass."""
+        nums = {s: n for s, n in nums if n}
+        g = math.gcd(den, *nums.values())
+        if g > 1:
+            den //= g
+            nums = {s: n // g for s, n in nums.items()}
+        form = object.__new__(cls)
+        object.__setattr__(form, "_den", den)
+        object.__setattr__(form, "_nums", nums)
+        return form
 
     def __setattr__(self, *_args) -> None:
         raise AttributeError("ClosedForm is immutable")
 
     def coefficient(self, symbol: BasisSymbol) -> Fraction:
-        return self._terms.get(symbol, Fraction(0))
+        return Fraction(self._nums.get(symbol, 0), self._den)
 
     def items(self) -> list[tuple[BasisSymbol, Fraction]]:
         """Terms in canonical symbol order."""
-        return sorted(self._terms.items(), key=lambda kv: kv[0].sort_key())
+        den = self._den
+        return [(s, Fraction(n, den)) for s, n in sorted(self._nums.items(), key=lambda kv: kv[0].sort_key())]
 
     def symbols(self) -> list[BasisSymbol]:
-        return [s for s, _ in self.items()]
+        return sorted(self._nums, key=BasisSymbol.sort_key)
 
     def __iter__(self) -> Iterator[tuple[BasisSymbol, Fraction]]:
         return iter(self.items())
 
     def __len__(self) -> int:
-        return len(self._terms)
+        return len(self._nums)
 
     def __bool__(self) -> bool:
-        return bool(self._terms)
+        return bool(self._nums)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ClosedForm):
             return NotImplemented
-        return self._terms == other._terms
+        return self._den == other._den and self._nums == other._nums
 
     def __hash__(self) -> int:
-        return hash(tuple(self.items()))
+        return hash((self._den, frozenset(self._nums.items())))
+
+    def _combine(self, other: "ClosedForm", sign: int) -> "ClosedForm":
+        """self + sign * other over the lcm of the two denominators."""
+        d1, d2 = self._den, other._den
+        g = math.gcd(d1, d2)
+        a, b = d2 // g, sign * (d1 // g)
+        nums = {s: n * a for s, n in self._nums.items()} if a != 1 else dict(self._nums)
+        for s, n in other._nums.items():
+            nums[s] = nums.get(s, 0) + n * b
+        return ClosedForm._over(d1 * a, nums.items())
 
     def __add__(self, other: "ClosedForm") -> "ClosedForm":
-        merged = dict(self._terms)
-        for sym, coeff in other._terms.items():
-            merged[sym] = merged.get(sym, Fraction(0)) + coeff
-        return ClosedForm(merged)
+        return self._combine(other, 1)
 
     def __sub__(self, other: "ClosedForm") -> "ClosedForm":
-        return self + other.scale(-1)
+        return self._combine(other, -1)
 
     def scale(self, c) -> "ClosedForm":
-        c = Fraction(c)
-        return ClosedForm({s: c * v for s, v in self._terms.items()})
+        if type(c) is not int:
+            c = Fraction(c)
+            num, den = c.numerator, c.denominator
+        else:
+            num, den = c, 1
+        return ClosedForm._over(self._den * den, [(s, n * num) for s, n in self._nums.items()])
 
     def __mul__(self, c) -> "ClosedForm":
         return self.scale(c)
@@ -297,7 +359,7 @@ class ClosedForm:
         """Render in display style: derivative ratios ascending, then the
         rational constant, then ln pi, then ln 2, then the zeta and beta value
         ratios ascending."""
-        if not self._terms:
+        if not self._nums:
             return "0"
         parts: list[str] = []
         for sym, coeff in self.items():
@@ -369,11 +431,11 @@ def _ln_pi_row(odd: bool, n: int) -> list[Fraction]:
     return [Fraction(_sign(q + n + 1) * _dot(v, _cosh_moments(q, n)), den * 4**q) for q in range(n)]
 
 
-def _weighted_sum(weights: list[Fraction], terms: list[int]) -> Fraction:
-    """sum_p weights[p] terms[p], one integer sum over the lcm of the weights'
-    denominators."""
+def _weighted_sum(weights: list[Fraction], terms: list[int]) -> tuple[int, int]:
+    """(num, lcm) with sum_p weights[p] terms[p] = num / lcm: one integer sum
+    over the lcm of the weights' denominators."""
     lcm = math.lcm(*(f.denominator for f in weights))
-    return Fraction(sum(lcm // f.denominator * f.numerator * x for f, x in zip(weights, terms)), lcm)
+    return sum(lcm // f.denominator * f.numerator * x for f, x in zip(weights, terms)), lcm
 
 
 @lru_cache(maxsize=256)
@@ -384,16 +446,19 @@ def log_integral_odd_cosh(q: int, n: int) -> ClosedForm:
     keeping the 256 most recent forms.
     """
     den, w, j_coeff = _log_residues(True, q, n)
-    pairs = [
-        (zeta_prime_ratio(p),
-         Fraction(_sign(q + n + p) * 2 * math.factorial(2 * p + 1) * (4 ** (p + 1) - 1) * x, den))
+    tw = [_signed_tangent(p) * x for p, x in enumerate(w)]
+    k_num, k_den = _weighted_sum([Fraction(1, 4 ** (p + 1) - 1) for p in range(n)], tw)
+    i_num, i_den = _weighted_sum([harmonic(2 * p + 1) for p in range(n)], tw)
+    # every coefficient over den * m
+    m = math.lcm(k_den, i_den)
+    j = j_coeff.numerator * (den // j_coeff.denominator) * m
+    sign = _sign(q + n)
+    nums = [
+        (zeta_prime_ratio(p), _sign(q + n + p) * 2 * math.factorial(2 * p + 1) * (4 ** (p + 1) - 1) * x * m)
         for p, x in enumerate(w)
     ]
-    tw = [_signed_tangent(p) * x for p, x in enumerate(w)]
-    k_coeff = _sign(q + n) * _weighted_sum([Fraction(1, 4 ** (p + 1) - 1) for p in range(n)], tw) / den
-    i_coeff = _sign(q + n) * _weighted_sum([harmonic(2 * p + 1) for p in range(n)], tw) / den
-    pairs += [(ONE, i_coeff), (LNPI, j_coeff), (LN2, k_coeff - j_coeff)]
-    return ClosedForm(pairs)
+    nums += [(ONE, sign * i_num * (m // i_den)), (LNPI, j), (LN2, sign * k_num * (m // k_den) - j)]
+    return ClosedForm._over(den * m, nums)
 
 
 @lru_cache(maxsize=256)
@@ -404,14 +469,16 @@ def log_integral_even_cosh(q: int, n: int) -> ClosedForm:
     keeping the 256 most recent forms.
     """
     den, w, n_coeff = _log_residues(False, q, n)
-    pairs = [
-        (beta_prime_ratio(p), Fraction(_sign(q + n + p) * 2 ** (2 * p + 2) * math.factorial(2 * p) * x, den))
+    ew = [euler_number(2 * p) * x for p, x in enumerate(w)]
+    m_num, m = _weighted_sum([harmonic(2 * p) for p in range(n)], ew)
+    # every coefficient over den * m
+    ln_pi = n_coeff.numerator * (den // n_coeff.denominator) * m
+    nums = [
+        (beta_prime_ratio(p), _sign(q + n + p) * 2 ** (2 * p + 2) * math.factorial(2 * p) * x * m)
         for p, x in enumerate(w)
     ]
-    ew = [euler_number(2 * p) * x for p, x in enumerate(w)]
-    m_coeff = _sign(q + n) * _weighted_sum([harmonic(2 * p) for p in range(n)], ew) / den
-    pairs += [(ONE, m_coeff), (LNPI, n_coeff), (LN2, -n_coeff)]
-    return ClosedForm(pairs)
+    nums += [(ONE, _sign(q + n) * m_num), (LNPI, ln_pi), (LN2, -ln_pi)]
+    return ClosedForm._over(den * m, nums)
 
 
 @lru_cache(maxsize=256)
@@ -456,6 +523,24 @@ def _root_product_sum(weights: list[int], roots: list[int]) -> list[int]:
     return poly
 
 
+def _odd_value_numerators(which: int, n: int) -> tuple[int, list[int]]:
+    """(den, c) with c[i] / den the coefficient of eta'(-2i-1) (which = 1)
+    or beta'(-2i) (which = 2), i = 0..n, in Phi_which(2n+1): den is (2n+1)!
+    resp. (2n)!, and c is the integer polynomial of ``_root_product_sum``
+    (see :func:`eta_prime_neg_coeffs` and :func:`beta_prime_neg_coeffs`)."""
+    if which == 1:
+        den = math.factorial(2 * n + 1)
+        weights = [
+            binomial(n, k) * 2 ** (2 * k + 2) * (den // math.factorial(2 * k + 1)) for k in range(n + 1)
+        ]
+        roots = [j * j for j in range(1, n + 1)]
+    else:
+        den = math.factorial(2 * n)
+        weights = [binomial(n, k) * 2 * (den // math.factorial(2 * k)) for k in range(n + 1)]
+        roots = [(2 * j - 1) ** 2 for j in range(1, n + 1)]
+    return den, _root_product_sum(weights, roots)
+
+
 def eta_prime_neg_coeffs(n: int) -> tuple[Fraction, ...]:
     """Coefficients of eta'(-2i-1), i = 0..n, in the odd Mellin value of
     the 1/arctanh transform at s = 2n+1:
@@ -469,13 +554,8 @@ def eta_prime_neg_coeffs(n: int) -> tuple[Fraction, ...]:
     """
     if n < 1:
         raise DomainError("odd Mellin values require n >= 1 (s = 1 is a pole)")
-    denom = math.factorial(2 * n + 1)
-    weights = [
-        binomial(n, k) * 2 ** (2 * k + 2) * (denom // math.factorial(2 * k + 1))
-        for k in range(n + 1)
-    ]
-    poly = _root_product_sum(weights, [j * j for j in range(1, n + 1)])
-    return tuple(Fraction(c, denom) for c in poly)
+    den, poly = _odd_value_numerators(1, n)
+    return tuple(Fraction(c, den) for c in poly)
 
 
 def beta_prime_neg_coeffs(n: int) -> tuple[Fraction, ...]:
@@ -490,24 +570,22 @@ def beta_prime_neg_coeffs(n: int) -> tuple[Fraction, ...]:
     """
     if n < 1:
         raise DomainError("odd Mellin values require n >= 1 (s = 1 is a pole)")
-    denom = math.factorial(2 * n)
-    weights = [binomial(n, k) * 2 * (denom // math.factorial(2 * k)) for k in range(n + 1)]
-    poly = _root_product_sum(weights, [(2 * j - 1) ** 2 for j in range(1, n + 1)])
-    return tuple(Fraction(c, denom) for c in poly)
+    den, poly = _odd_value_numerators(2, n)
+    return tuple(Fraction(c, den) for c in poly)
 
 
 def phi_odd_closed_form(which: int, n: int) -> ClosedForm:
     """Odd-argument Mellin value Phi_which(2n+1) over the negative-argument
-    derivative basis (eta'(-2i-1) for which=1, beta'(-2i) for which=2)."""
+    derivative basis (eta'(-2i-1) for which=1, beta'(-2i) for which=2), on
+    the integer numerators of ``_odd_value_numerators`` over their one
+    factorial."""
     if which not in (1, 2):
         raise DomainError(f"which must be 1 or 2, got {which}")
     if n < 1:
         raise DomainError("n must be >= 1: the transforms have a pole at s = 1")
-    if which == 1:
-        coeffs = eta_prime_neg_coeffs(n)
-        return ClosedForm((eta_prime_neg_symbol(i), c) for i, c in enumerate(coeffs))
-    coeffs = beta_prime_neg_coeffs(n)
-    return ClosedForm((beta_prime_neg_symbol(i), c) for i, c in enumerate(coeffs))
+    symbol = eta_prime_neg_symbol if which == 1 else beta_prime_neg_symbol
+    den, poly = _odd_value_numerators(which, n)
+    return ClosedForm._over(den, [(symbol(i), c) for i, c in enumerate(poly)])
 
 
 def phi_even_closed_form(which: int, m: int) -> ClosedForm:

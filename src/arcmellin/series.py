@@ -16,16 +16,20 @@ its own recurrence in integer and rational arithmetic:
   digits.  Every product of such a row with another even exponential
   series is then a binomial convolution sum_i C(2j, 2i) row[j-i] u[i] of
   integers (``_egf_convolution``, the dot product of the moments with the
-  weights ``_egf_weights``), divided once at the end.  Memoised per
+  weights ``_egf_weights``), divided once at the end.  Every such dot
+  product, here and in the identity suites, is ``_dot``: one exact integer
+  ``sum(map(operator.mul, ...))``, whose loop runs in C.  Memoised per
   (e, K) and unbounded, like ``x_over_sinh_coeffs``.
 * ``root_product_tables(n)`` -- integer coefficient triangles of the
   polynomials x * prod_{i<=n} (x^2 - i^2)  and  prod_{i<=n} (y^2 - (2i-1)^2),
   generated by the two-term recurrences
       g[k][n] = g[k-1][n-1] - n^2 g[k][n-1],
       h[k][n] = h[k-1][n-1] - (2n-1)^2 h[k][n-1].
-  Demo 02 and the tests read them; they are not on the closed-form path,
-  where ``closedform.eta_prime_neg_coeffs`` and ``beta_prime_neg_coeffs``
-  sum against the same products by Horner's rule.
+  The rows are kept at module level, and ``RootProductTables`` is a named
+  tuple of their extent with the two lookups.  Demo 02 and the tests read
+  them; they are not on the closed-form path, where
+  ``closedform._odd_value_numerators`` sums against the same products by
+  Horner's rule.
 * ``_cosh_moments(q, count)`` -- the integer power sums
   sum_{k=0}^{q} C(2q+1, k) (2q+1-2k)^{2i} for i < count, the moments
   (2i)! [x^{2i}] of 4^q cosh^{2q+1}(x).  Each moment sums the terms of the
@@ -49,10 +53,11 @@ its own recurrence in integer and rational arithmetic:
 from __future__ import annotations
 
 import math
+import operator
 import threading
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from typing import NamedTuple
 
 from .exact import DomainError
 
@@ -92,7 +97,7 @@ def _egf_weights(row, j: int) -> list[int]:
 
 
 def _dot(weights, moments) -> int:
-    return sum(w * m for w, m in zip(weights, moments))
+    return sum(map(operator.mul, weights, moments))
 
 
 def _egf_convolution(row, moments, j: int) -> int:
@@ -141,8 +146,7 @@ def _grow_rows(rows: list[list[int]], n: int, step_factor) -> None:
         rows.append(row)
 
 
-@dataclass(frozen=True)
-class RootProductTables:
+class RootProductTables(NamedTuple):
     """Coefficient triangles of the two root-product polynomial families.
 
     ``integer_root(k, n)`` is the x^{2k+1} coefficient of

@@ -14,10 +14,11 @@ draws them from a row source that yields the cells of one n at a time), and
 one builder, ``_build``, turns a source into a :class:`VerifyReport`: it
 refuses a numeric suite's precision below :data:`MIN_PREC` before any cell
 runs, then draws the cells under one timer.  Every suite is named by one
-:class:`IdentityFamily` member and dispatched through :data:`SUITES`, which
-maps it to a runner ``(n_range, prec)``; :func:`run_identity` looks one up
-and :func:`all_suites` runs them all in registry order, the reference tables
-last.  Cells are ordered by parameter tuple, so reports are deterministic
+:class:`IdentityFamily` member (from :mod:`arcmellin.suites`, which the
+CLI parser reads without loading this module) and dispatched through
+:data:`SUITES`, which maps it to a runner ``(n_range, prec)``;
+:func:`run_identity` looks one up and :func:`all_suites` runs them all in
+registry order, the reference tables last.  Cells are ordered by parameter tuple, so reports are deterministic
 for fixed inputs; wall-clock timing is carried on the object but excluded
 from the canonical JSON.
 """
@@ -26,11 +27,11 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 import time
 from collections.abc import Callable, Iterable
-from dataclasses import dataclass, field
-from enum import Enum
 from fractions import Fraction
+from typing import NamedTuple
 
 from mpmath import mp, mpf
 
@@ -52,42 +53,48 @@ from .exact import DomainError, bernoulli, binomial, eulerian
 from .lfuncs import _working, eval_closed_form, mellin_bound_gamma_ratio, phi1_bounds
 from .quadrature import quad_c_constant, quad_phi, quad_phi_many
 from .series import _cosh_moments, _dot, _egf_weights, _kernel_coeff, _x_over_sinh_row
+from .suites import IdentityFamily
 
 
-class IdentityFamily(str, Enum):
-    ALT_BINOM_ODD = "alt-binom-odd"
-    ALT_BINOM_EVEN = "alt-binom-even"
-    C_ODD_POWER = "c-odd-power"
-    EULERIAN_A_SUM = "eulerian-a"
-    EULERIAN_B_SUM = "eulerian-b"
-    BINOM_COSH_SUM = "binom-cosh"
-    VANISHING = "vanishing"
-    ETA_COEFF = "eta-coeff"
-    ZETA2_COEFF = "zeta2-coeff"
-    D_IDENTITY = "d-identity"
-    EULER_BERNOULLI = "euler-bernoulli"
-    BOUNDS = "bounds"
-    COUPLED_SERIES = "coupled"
-    ASYMPTOTIC = "asymptotic"
-    CROSS_REP = "cross-rep"
-    EVEN_RELATIONS = "even-relations"
-    REFERENCE_TABLES = "reference-tables"
-
-
-@dataclass(frozen=True)
-class CellResult:
+class CellResult(NamedTuple):
     params: tuple
     ok: bool
     detail: str = ""
 
 
-@dataclass
 class VerifyReport:
-    family: str
-    cells: list[CellResult] = field(default_factory=list)
-    precision: int | None = None
-    tolerance: str | None = None
-    elapsed_seconds: float = 0.0
+    """One suite's cells, with its working precision and tolerance; the
+    wall-clock ``elapsed_seconds`` is kept off the canonical JSON."""
+
+    __slots__ = ("family", "cells", "precision", "tolerance", "elapsed_seconds")
+
+    def __init__(
+        self,
+        family: str,
+        cells: list[CellResult] | None = None,
+        precision: int | None = None,
+        tolerance: str | None = None,
+        elapsed_seconds: float = 0.0,
+    ) -> None:
+        self.family = family
+        self.cells = [] if cells is None else cells
+        self.precision = precision
+        self.tolerance = tolerance
+        self.elapsed_seconds = elapsed_seconds
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self.__slots__, self._fields()))
+        return f"VerifyReport({fields})"
 
     @property
     def passed(self) -> bool:
@@ -176,7 +183,7 @@ def _even_moments(terms, count: int) -> list[int]:
     moments = []
     for _ in range(count):
         moments.append(sum(weights))
-        weights = [w * s for w, s in zip(weights, squares)]
+        weights = list(map(operator.mul, weights, squares))
     return moments
 
 

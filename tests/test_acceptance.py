@@ -277,6 +277,16 @@ class TestLazyPublicNames:
         )
         assert out.strip() == "['arcmellin.closedform', 'arcmellin.exact', 'arcmellin.series']"
 
+    def test_layers_import_no_dataclasses_inspect_or_argparse(self):
+        # every layer and the CLI module; argparse waits for a command line
+        out = _fresh_python(
+            "import sys\n"
+            "before = set(sys.modules)\n"
+            "from arcmellin import cli, verify, catalog, closedform, lfuncs, quadrature\n"
+            "print(sorted({'dataclasses', 'inspect', 'argparse'} & (set(sys.modules) - before)))\n"
+        )
+        assert out.strip() == "[]"
+
     def test_layer_name_imports_its_layer(self):
         # arcmellin.verify was an attribute of the package after a bare import
         out = _fresh_python(

@@ -248,6 +248,35 @@ class TestModuleEntryPoint:
         assert proc.returncode in (0, 141), err
 
 
+class TestExactCommandsLoadNoNumerics:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["closed-form", "log-odd", "--q", "0", "--n", "1"],
+            ["closed-form", "sinh-over-z", "--q", "1", "--n", "4", "--latex"],
+            ["phi-odd", "2", "--n", "3", "--json"],
+        ],
+    )
+    def test_no_mpmath_and_no_numeric_layer(self, argv):
+        # in a fresh process, an exact command prints its form and leaves
+        # mpmath and the numeric layers unimported
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        code = (
+            "import sys\n"
+            "from arcmellin.cli import cli_main\n"
+            f"assert cli_main({argv!r}) == 0\n"
+            "numeric = ('mpmath', 'arcmellin.lfuncs', 'arcmellin.quadrature', 'arcmellin.verify',"
+            " 'arcmellin.catalog')\n"
+            "print(sorted(m for m in sys.modules if m.startswith(numeric)))\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "[]"
+
+
 class TestPrecisionFloor:
     @pytest.mark.parametrize(
         "argv",

@@ -1,6 +1,9 @@
 """Closed-form assembly: worked values, preconditions, serialization."""
 
+import copy
 import math
+import pickle
+import re
 from fractions import Fraction
 
 import pytest
@@ -61,6 +64,192 @@ class TestBasisSymbol:
             zeta_prime_ratio(0), zeta_prime_ratio(1), beta_prime_ratio(0),
             eta_prime_neg_symbol(0), beta_prime_neg_symbol(2), ONE, LNPI, LN2,
         ]
+
+
+KINDS = (
+    "zeta_prime_ratio", "beta_prime_ratio", "eta_prime_neg", "beta_prime_neg",
+    "one", "lnpi", "ln2", "zeta_odd_ratio", "beta_even_ratio",
+)
+INDEXED_KINDS = [k for k in KINDS if k not in ("one", "lnpi", "ln2")]
+
+symbols = st.one_of(
+    st.sampled_from([ONE, LNPI, LN2]),
+    st.builds(BasisSymbol, st.sampled_from(INDEXED_KINDS), st.integers(0, 40)),
+)
+# zero, small, and numerators and denominators of up to 60 digits
+coefficients = st.one_of(
+    st.just(Fraction(0)),
+    st.fractions(max_denominator=10**6),
+    st.builds(Fraction, st.integers(-10**60, 10**60), st.integers(1, 10**60)),
+)
+scalars = st.one_of(st.just(0), st.integers(-10**30, 10**30), coefficients)
+term_lists = st.lists(st.tuples(symbols, coefficients), max_size=10)
+
+
+def oracle(pairs):
+    """The form as a dict of nonzero Fractions, summed term by term."""
+    acc = {}
+    for sym, c in pairs:
+        acc[sym] = acc.get(sym, Fraction(0)) + Fraction(c)
+    return {s: c for s, c in acc.items() if c}
+
+
+def oracle_latex(terms):
+    if not terms:
+        return "0"
+    out = ""
+    for k, (sym, c) in enumerate(sorted(terms.items(), key=lambda kv: kv[0].sort_key())):
+        mag = abs(c)
+        body = str(mag.numerator) if mag.denominator == 1 else rf"\frac{{{mag.numerator}}}{{{mag.denominator}}}"
+        symtex = sym.latex()
+        term = (symtex if mag == 1 else rf"{body}\,{symtex}") if symtex else body
+        sign = "-" if c < 0 else "+"
+        out += (("-" if sign == "-" else "") if k == 0 else f" {sign} ") + term
+    return out
+
+
+def oracle_repr(terms):
+    ordered = sorted(terms.items(), key=lambda kv: kv[0].sort_key())
+    inner = ", ".join(
+        f"{s.kind}[{s.index}]: {c}" if s.index is not None else f"{s.kind}: {c}" for s, c in ordered
+    )
+    return f"ClosedForm({{{inner}}})"
+
+
+def assert_reduced(form):
+    # one positive denominator, nonzero integer numerators, gcd 1 over all
+    den, nums = form._den, form._nums
+    assert type(den) is int and den > 0
+    assert all(type(n) is int and n != 0 for n in nums.values())
+    assert math.gcd(den, *nums.values()) == 1
+
+
+def assert_matches(form, terms):
+    """``form`` is reduced and reads back as the oracle ``terms``."""
+    assert_reduced(form)
+    items = form.items()
+    assert [s for s, _ in items] == sorted(terms, key=BasisSymbol.sort_key) == form.symbols()
+    assert all(type(c) is Fraction for _, c in items)
+    assert dict(items) == terms and list(form) == items
+    for sym in (*terms, ONE, LN2, zeta_prime_ratio(41)):
+        assert form.coefficient(sym) == terms.get(sym, 0)
+    assert len(form) == len(terms) and bool(form) == bool(terms)
+    assert form.latex() == oracle_latex(terms)
+    assert repr(form) == oracle_repr(terms)
+    again = ClosedForm.from_json(form.to_json())
+    assert again == form and again.to_json() == form.to_json()
+    assert_reduced(again)
+    # the same form built another way: one dict, its terms reversed
+    for other in (ClosedForm(terms), ClosedForm(list(terms.items())[::-1])):
+        assert other == form and hash(other) == hash(form)
+        assert_reduced(other)
+
+
+class TestIntegerRepresentation:
+    """``ClosedForm`` on one reduced denominator against a dict of Fractions."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(term_lists)
+    def test_construction(self, pairs):
+        assert_matches(ClosedForm(pairs), oracle(pairs))
+
+    @settings(max_examples=150, deadline=None)
+    @given(term_lists, term_lists)
+    def test_add_and_subtract(self, a, b):
+        x, y = ClosedForm(a), ClosedForm(b)
+        assert_matches(x + y, oracle(a + b))
+        assert_matches(x - y, oracle(a + [(s, -c) for s, c in b]))
+        assert_matches(x - x, {})
+        assert (x + y) - y == x
+
+    @settings(max_examples=150, deadline=None)
+    @given(term_lists, scalars)
+    def test_scale(self, pairs, c):
+        form = ClosedForm(pairs)
+        expected = {s: v * c for s, v in oracle(pairs).items() if v * c}
+        for scaled in (form.scale(c), form * c, c * form):
+            assert_matches(scaled, expected)
+
+    @settings(max_examples=100, deadline=None)
+    @given(term_lists, st.fractions().filter(bool))
+    def test_equal_forms_hash_equal_across_builds(self, pairs, c):
+        form = ClosedForm(pairs)
+        rebuilt = form.scale(c).scale(1 / c)
+        summed = sum((ClosedForm([(s, v)]) for s, v in pairs), ClosedForm())
+        for other in (rebuilt, summed):
+            assert other == form and hash(other) == hash(form)
+            assert_reduced(other)
+
+    def test_empty_form(self):
+        for empty in (ClosedForm(), cf([(ONE, 0)]), cf([(LN2, "1/3"), (LN2, "-1/3")]), cf([(ONE, 5)]).scale(0)):
+            assert_matches(empty, {})
+            assert empty.latex() == "0" and repr(empty) == "ClosedForm({})"
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_builders_are_reduced(self, n):
+        forms = [phi_odd_closed_form(w, n) for w in (1, 2)] + [phi_even_closed_form(w, n) for w in (1, 2)]
+        forms += [log_integral_odd_cosh(q, n) for q in range(n)] + [log_integral_even_cosh(q, n) for q in range(n)]
+        forms += [sinh_over_z_integral(q, 2 * n + 1) for q in range(1, n + 1)]
+        for form in forms:
+            assert_matches(form, dict(form.items()))
+
+    def test_catalog_forms_are_reduced(self):
+        for table in (catalog.LOG_ODD_COSH, catalog.LOG_EVEN_COSH, catalog.SINH_OVER_Z, catalog.PHI_ODD):
+            for form in table.values():
+                assert_reduced(form)
+
+
+class TestBasisSymbolTuple:
+    """``BasisSymbol`` is an immutable (kind, index) tuple."""
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (("zeta_prime_ratio",), "zeta_prime_ratio requires an integer index >= 0"),
+            (("beta_prime_neg", -1), "beta_prime_neg requires an integer index >= 0"),
+            (("eta_prime_neg", True), "eta_prime_neg requires an integer index >= 0"),
+            (("zeta_odd_ratio", 1.0), "zeta_odd_ratio requires an integer index >= 0"),
+            (("beta_even_ratio", "2"), "beta_even_ratio requires an integer index >= 0"),
+            (("ln2", 1), "ln2 takes no index"),
+            (("one", 0), "one takes no index"),
+            (("zeta", 1), "unknown basis symbol kind 'zeta'"),
+            ((None,), "unknown basis symbol kind None"),
+        ],
+    )
+    def test_domain_errors(self, args, message):
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            BasisSymbol(*args)
+
+    @settings(max_examples=100)
+    @given(st.lists(symbols, max_size=12))
+    def test_order_is_rank_then_index(self, syms):
+        ranked = sorted(syms, key=lambda s: (KINDS.index(s.kind), s.index or 0))
+        assert sorted(syms) == ranked
+        for a, b in zip(ranked, ranked[1:]):
+            assert (a < b) == (b > a) == (a.sort_key() < b.sort_key())
+            assert a <= b and b >= a
+
+    @given(symbols)
+    def test_equal_symbols_hash_equal(self, sym):
+        twin = BasisSymbol(sym.kind, sym.index)
+        assert twin == sym and hash(twin) == hash(sym) and twin is not sym
+        assert {sym: 1}[twin] == 1
+        assert pickle.loads(pickle.dumps(sym)) == sym
+        assert copy.deepcopy(sym) == sym
+
+    def test_fields_and_repr(self):
+        sym = BasisSymbol("beta_prime_ratio", 2)
+        assert (sym.kind, sym.index) == ("beta_prime_ratio", 2) == tuple(sym)
+        assert ONE.index is None
+        assert repr(sym) == "BasisSymbol(kind='beta_prime_ratio', index=2)"
+        assert repr(LN2) == "BasisSymbol(kind='ln2', index=None)"
+
+    def test_immutable(self):
+        sym = zeta_prime_ratio(1)
+        for name in ("kind", "index", "other"):
+            with pytest.raises(AttributeError):
+                setattr(sym, name, 0)
+        assert sym == zeta_prime_ratio(1)
 
 
 class TestClosedFormAlgebra:

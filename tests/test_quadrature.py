@@ -354,6 +354,25 @@ class TestStoppingRule:
             assert error <= mpf(10) ** -prec * reference
             assert error <= result.error_estimate
 
+    def test_no_estimate_above_the_request_at_large_s(self):
+        # level 10 met the change target with an estimate of 2.97e-99
+        # relative at 100 digits; one more level brings it under 1e-100
+        result = quad_phi(1, 10**15, 100)
+        with mp.workdps(110):
+            assert result.error_estimate <= mpf(10) ** -100 * result.value
+
+    @pytest.mark.parametrize(
+        "which, s", [(1, 32), (1, 34), (1, 36), (1, 38), (2, 34), (2, 36), (2, 38), (2, 40)]
+    )
+    def test_no_estimate_above_the_request_in_coupled(self, which, s):
+        # integrals of verify coupled at 100 digits that stopped at level 6
+        # with estimates of 1.6e-100 to 4.1e-95 relative
+        result = quad_phi(which, s, 100)
+        exact = eval_closed_form(phi_even_closed_form(which, s // 2), 120)
+        with mp.workdps(130):
+            assert result.error_estimate <= mpf(10) ** -100 * exact
+            assert abs(result.value - exact) <= result.error_estimate
+
 
 @functools.cache
 def _phi1_at_40_digits(k: int) -> mpf:

@@ -7,6 +7,7 @@ import threading
 from fractions import Fraction
 
 import pytest
+from mpmath import mpf
 
 from arcmellin import (
     DomainError,
@@ -34,6 +35,8 @@ from arcmellin.closedform import ONE, ClosedForm
 from arcmellin.verify import (
     MIN_PREC,
     SUITES,
+    CellResult,
+    VerifyReport,
     _alt_binom_even_row,
     _alt_binom_odd_row,
     _binom_cosh_row,
@@ -277,6 +280,47 @@ class TestExactSuites:
 
 
 NUMERIC_SUITES = ("bounds", "coupled", "asymptotic", "cross-rep", "reference-tables")
+
+
+class TestRecords:
+    """The records keep the fields, defaults, equality and repr they had as
+    dataclasses."""
+
+    def test_cell_result(self):
+        cell = CellResult((1, 2), True)
+        assert (cell.params, cell.ok, cell.detail) == ((1, 2), True, "")
+        assert repr(cell) == "CellResult(params=(1, 2), ok=True, detail='')"
+        assert cell == CellResult((1, 2), True, "") != CellResult((1, 2), False)
+        with pytest.raises(AttributeError):
+            cell.ok = False
+
+    def test_verify_report(self):
+        report = VerifyReport("x")
+        assert (report.family, report.cells, report.precision, report.tolerance, report.elapsed_seconds) == (
+            "x", [], None, None, 0.0,
+        )
+        assert report.cells is not VerifyReport("y").cells
+        assert repr(VerifyReport("x", [CellResult((1,), True)], 30, "1e-25", 0.5)) == (
+            "VerifyReport(family='x', cells=[CellResult(params=(1,), ok=True, detail='')], "
+            "precision=30, tolerance='1e-25', elapsed_seconds=0.5)"
+        )
+        assert VerifyReport("x", [], 30) == VerifyReport("x", [], 30)
+        assert VerifyReport("x", [], 30) != VerifyReport("x", [], 30, elapsed_seconds=1.0)
+        with pytest.raises(TypeError):
+            hash(report)
+        report.elapsed_seconds = 2.0
+        assert report.elapsed_seconds == 2.0
+        with pytest.raises(AttributeError):
+            report.extra = 1
+
+    def test_quad_result(self):
+        result = quadrature.QuadResult(mpf(1), mpf("1e-40"), 7, 3)
+        assert result._fields == ("value", "error_estimate", "nodes_used", "levels")
+        assert float(result) == 1.0
+        assert repr(result) == (
+            f"QuadResult(value={result.value!r}, error_estimate={result.error_estimate!r}, "
+            "nodes_used=7, levels=3)"
+        )
 
 
 class TestRegistry:
