@@ -52,12 +52,19 @@ def _load_config(path: str | None) -> dict[str, str]:
     if not path:
         return {}
     config = {}
-    for line in Path(path).read_text().splitlines():
+    for number, line in enumerate(Path(path).read_text().splitlines(), 1):
         line = line.strip()
-        if not line or line.startswith("#") or "=" not in line:
+        if not line or line.startswith("#"):
             continue
-        key, _, value = line.partition("=")
-        config[key.strip()] = value.strip()
+        key, sep, value = line.partition("=")
+        key = key.strip()
+        if not sep:
+            raise ValueError(f"line {number} is not key=value: {line!r}")
+        if key not in ("prec", "range"):
+            raise ValueError(f"line {number}: unknown key {key!r} (keys: prec, range)")
+        if key in config:
+            raise ValueError(f"line {number}: {key!r} is set twice")
+        config[key] = value.strip()
     return config
 
 

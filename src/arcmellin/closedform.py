@@ -21,8 +21,8 @@ Taylor coefficient of one kernel,
 
     K_{N,q}(w) = (w / sinh w)^N * cosh^{2q+1}(w),
 
-which ``series._kernel_coeff`` gives one coefficient at a time for the even
-Mellin values, and ``_log_residues`` as integer numerators for the log forms.
+which ``_log_residues`` gives as integer numerators over one denominator,
+for the log forms and the even Mellin values alike.
 
 The integral families and their coefficient pipelines:
 
@@ -49,14 +49,14 @@ The integral families and their coefficient pipelines:
   resp. U[p] as integer numerators w[p] over one denominator: with
   T = 2n resp. 2n-1, w[p] = C(T, 2j) conv_j for j = n-1-p, the binomial
   convolution of the integer (x/sinh x)^{T+1} row with the integer moments
-  of 4^q cosh^{2q+1}, over D 4^q T!.  J and N are then one integer sum
-  each, with the tangent resp. Euler numbers as weights; K, I0 and M are
-  one integer sum each over the lcm of their weights' denominators, and
-  the form is every coefficient's integer numerator over D 4^q T! times
-  that lcm, reduced once.  J and N are the beta integrals
+  of 4^q cosh^{2q+1}, over D 4^q T!.  Each form multiplies w[p] by its
+  tangent resp. Euler weight once; J and N are the sum of those products,
+  K, I0 and M one integer sum each over the lcm of their weights'
+  denominators, and the form is every coefficient's integer numerator over
+  D 4^q T! times that lcm, reduced once.  J and N are the beta integrals
   int_0^oo sinh^{2q+1} / cosh^{2n+1 or 2n} dz times (-1)^{q+n+1}; the
-  ``euler-bernoulli`` suite reads them from the same helper and checks them
-  against their closed values.
+  ``euler-bernoulli`` suite reads them for every q at once from
+  ``_ln_pi_row`` and checks them against their closed values.
 
 * ``sinh_over_z_integral(q, N)``:
       int_0^oo sinh^{2q}(z) / (z cosh^N(z)) dz
@@ -76,7 +76,9 @@ The integral families and their coefficient pipelines:
 
 * ``phi_even_closed_form(which, m)``: the same transforms at s = 2m, expanded
   over zeta(2p+3)/pi^{2p+2} resp. beta(2p+2)/pi^{2p+1} by closing the contour
-  over the poles of 1/cosh^N, with weights [w^j] K_{N,m-1}(w).
+  over the poles of 1/cosh^N, with weights [w^j] K_{N,m-1}(w): the
+  ``_log_residues`` numerators of the log integral with (q, n) = (m-1, m),
+  over that integral's denominator.
 """
 
 from __future__ import annotations
@@ -94,7 +96,6 @@ from .series import (
     _dot,
     _egf_convolution,
     _egf_weights,
-    _kernel_coeff,
     _x_over_sinh_row,
 )
 
@@ -391,9 +392,10 @@ def _sign(e: int) -> int:
     return -1 if e % 2 else 1
 
 
-def _log_residues(odd: bool, q: int, n: int) -> tuple[int, list[int], Fraction]:
-    """(den, w, lnpi) of the log integral over cosh^{2n+1} (``odd``) or cosh^{2n}:
-    S[p] resp. U[p] is w[p] / den, and lnpi is J resp. N (module docstring)."""
+def _log_residues(odd: bool, q: int, n: int) -> tuple[int, list[int]]:
+    """(den, w) of the log integral over cosh^{2n+1} (``odd``) or cosh^{2n}:
+    S[p] resp. U[p] is w[p] / den (module docstring).  With (q, n) =
+    (m-1, m) they are the weights of Phi_1(2m) resp. Phi_2(2m)."""
     if n < 1 or q < 0 or q > n - 1:
         raise DomainError(
             f"convergence requires 2q+1 < {'2n+1' if odd else '2n'} with q >= 0, n >= 1; "
@@ -403,15 +405,13 @@ def _log_residues(odd: bool, q: int, n: int) -> tuple[int, list[int], Fraction]:
     denom, row = _x_over_sinh_row(top + 1, 2 * n)
     moments = _cosh_moments(q, n)
     den = denom * 4**q * math.factorial(top)
-    w = [math.comb(top, 2 * j) * _egf_convolution(row, moments, j) for j in range(n - 1, -1, -1)]
-    weight = _signed_tangent if odd else (lambda p: euler_number(2 * p))
-    lnpi = Fraction(_sign(q + n + 1) * sum(weight(p) * x for p, x in enumerate(w)), den)
-    return den, w, lnpi
+    return den, [math.comb(top, 2 * j) * _egf_convolution(row, moments, j) for j in range(n - 1, -1, -1)]
 
 
 def _ln_pi_row(odd: bool, n: int) -> list[Fraction]:
-    """[``_log_residues(odd, q, n)[2]`` for q = 0..n-1], the ln(pi)
-    coefficients of every log integral over one cosh power.
+    """The ln(pi) coefficients J resp. N of ``log_integral_odd_cosh(q, n)``
+    (``odd``) or ``log_integral_even_cosh(q, n)`` for q = 0..n-1, every log
+    integral over one cosh power.
 
     Each is sign sum_p weight(p) C(top, 2j) sum_i C(2j, 2i) row[j-i] m_q[i]
     over den, with j = n-1-p, the moments m_q of 4^q cosh^{2q+1} and den
@@ -445,14 +445,14 @@ def log_integral_odd_cosh(q: int, n: int) -> ClosedForm:
     Requires 2q+1 < 2n+1 (i.e. 0 <= q <= n-1) for convergence.  Memoised,
     keeping the 256 most recent forms.
     """
-    den, w, j_coeff = _log_residues(True, q, n)
+    den, w = _log_residues(True, q, n)
     tw = [_signed_tangent(p) * x for p, x in enumerate(w)]
     k_num, k_den = _weighted_sum([Fraction(1, 4 ** (p + 1) - 1) for p in range(n)], tw)
     i_num, i_den = _weighted_sum([harmonic(2 * p + 1) for p in range(n)], tw)
     # every coefficient over den * m
     m = math.lcm(k_den, i_den)
-    j = j_coeff.numerator * (den // j_coeff.denominator) * m
     sign = _sign(q + n)
+    j = -sign * sum(tw) * m
     nums = [
         (zeta_prime_ratio(p), _sign(q + n + p) * 2 * math.factorial(2 * p + 1) * (4 ** (p + 1) - 1) * x * m)
         for p, x in enumerate(w)
@@ -468,11 +468,11 @@ def log_integral_even_cosh(q: int, n: int) -> ClosedForm:
     Requires 2q+1 < 2n (i.e. 0 <= q <= n-1) for convergence.  Memoised,
     keeping the 256 most recent forms.
     """
-    den, w, n_coeff = _log_residues(False, q, n)
+    den, w = _log_residues(False, q, n)
     ew = [euler_number(2 * p) * x for p, x in enumerate(w)]
     m_num, m = _weighted_sum([harmonic(2 * p) for p in range(n)], ew)
     # every coefficient over den * m
-    ln_pi = n_coeff.numerator * (den // n_coeff.denominator) * m
+    ln_pi = _sign(q + n + 1) * sum(ew) * m
     nums = [
         (beta_prime_ratio(p), _sign(q + n + p) * 2 ** (2 * p + 2) * math.factorial(2 * p) * x * m)
         for p, x in enumerate(w)
@@ -599,25 +599,24 @@ def phi_even_closed_form(which: int, m: int) -> ClosedForm:
         sum_{j even, k = N-j >= 2} (-1)^{m-1-j/2} 2^k d_j L(k) / pi^{k-1},
 
     with d_j = [w^j] K_{N,m-1}(w) = [w^j] cosh^{2m-1}(w) (w/sinh w)^N, and
-    L(k) = (1-2^{-k}) zeta(k) for odd N, beta(k) for even N.  The k = 1
-    coefficient must vanish because the integrand decays; it is checked here
-    rather than assumed.
+    L(k) = (1-2^{-k}) zeta(k) for odd N, beta(k) for even N.  With
+    j = 2(m-1-p), d_j = (k-1)! w[p] / den for the ``_log_residues`` of the
+    log integral over cosh^N with (q, n) = (m-1, m), and k = 2p+3 resp.
+    2p+2.  The k = 1 coefficient (j = 2m, odd N only) must vanish because
+    the integrand decays; it is checked here rather than assumed.
     """
     if which not in (1, 2):
         raise DomainError(f"which must be 1 or 2, got {which}")
     if m < 1:
         raise DomainError("m must be >= 1: the transforms converge only for s > 1")
-    N = 2 * m + 1 if which == 1 else 2 * m
-    moments = _cosh_moments(m - 1, m + 1)
-    pairs: list[tuple[BasisSymbol, Fraction]] = []
-    for j in range(0, N, 2):
-        d = _kernel_coeff(N, moments, j // 2, 4 ** (m - 1))
-        k = N - j
-        if k == 1:
-            if d != 0:
-                raise AssertionError(f"lambda(1) coefficient failed to vanish for m={m}: {d}")
-        elif which == 1:  # 2^k lambda(k) = (2^k - 1) zeta(k)
-            pairs.append((zeta_odd_ratio((k - 3) // 2), _sign(m - 1 - j // 2) * (2**k - 1) * d))
-        else:
-            pairs.append((beta_even_ratio((k - 2) // 2), _sign(m - 1 - j // 2) * 2**k * d))
-    return ClosedForm(pairs)
+    odd = which == 1
+    if odd and _egf_convolution(_x_over_sinh_row(2 * m + 1, 2 * m)[1], _cosh_moments(m - 1, m + 1), m):
+        raise AssertionError(f"lambda(1) coefficient failed to vanish for m={m}")
+    den, w = _log_residues(odd, m - 1, m)
+    symbol = zeta_odd_ratio if odd else beta_even_ratio
+    nums = []
+    for p, x in enumerate(w):
+        k = 2 * p + 3 if odd else 2 * p + 2
+        # 2^k lambda(k) = (2^k - 1) zeta(k) for which = 1
+        nums.append((symbol(p), _sign(p) * (2**k - 1 if odd else 2**k) * math.factorial(k - 1) * x))
+    return ClosedForm._over(den, nums)

@@ -287,7 +287,7 @@ class _Run:
         self.d1 = 0.0
 
 
-def _de_halfline(kernels: list[_Kernel], prec: int, max_level: int = MAX_LEVEL) -> list[QuadResult]:
+def _de_halfline(kernels: list[_Kernel], prec: int) -> list[QuadResult]:
     """Integrate each kernel over (0, oo) with the z = exp(t - exp(-t)) node
     map, in one lockstep sweep of the nodes; returns one result per kernel.
 
@@ -308,13 +308,12 @@ def _de_halfline(kernels: list[_Kernel], prec: int, max_level: int = MAX_LEVEL) 
     result is the one a sweep of that kernel alone gives; its node count and
     sum of w + z are the side's running totals when its wing ends.  Each
     level's sum is the exact integer sum of every term so far, rounded to
-    mp.prec once.  ``max_level`` may not exceed ``MAX_LEVEL``.  A kernel
-    stops at the first level j >= 2 whose predicted digits reach
-    ``mp.dps + 10``, or the first level j >= 3 whose level-to-level change
-    is below 10^-(prec+2) min(max(1, |I_j|), |I_j| + 2 h |sum of the
-    negative terms|), unless its error estimate there is above
-    10^-prec |I_j|.  Raises :class:`PrecisionError`, for the whole sweep,
-    when a kernel reaches ``max_level`` first, or when level 0 finds no term
+    mp.prec once.  A kernel stops at the first level j >= 2 whose predicted
+    digits reach ``mp.dps + 10``, or the first level j >= 3 whose
+    level-to-level change is below 10^-(prec+2) min(max(1, |I_j|), |I_j| +
+    2 h |sum of the negative terms|), unless its error estimate there is
+    above 10^-prec |I_j|.  Raises :class:`PrecisionError`, for the whole sweep,
+    when a kernel reaches ``MAX_LEVEL`` first, or when level 0 finds no term
     of a kernel above the negligibility cutoff.
 
     Must be called inside ``lfuncs._working``, whose lock also guards the
@@ -449,7 +448,7 @@ def _de_halfline(kernels: list[_Kernel], prec: int, max_level: int = MAX_LEVEL) 
             )
         run.change = abs(fixed(run.total, 0))
     running = runs
-    for level in range(1, max_level + 1):
+    for level in range(1, MAX_LEVEL + 1):
         # S_j: the exact sum of every term through level j, I_j = S_j 2^-(F+j)
         previous = [run.total for run in running]
         wing(running, level, 1, 2)
@@ -486,7 +485,7 @@ def _de_halfline(kernels: list[_Kernel], prec: int, max_level: int = MAX_LEVEL) 
     else:
         raise PrecisionError(
             f"double-exponential quadrature missed its target 1e-{prec + 2} "
-            f"after {max_level} levels (last change {mp.nstr(running[0].change, 3)})"
+            f"after {MAX_LEVEL} levels (last change {mp.nstr(running[0].change, 3)})"
         )
     return [run.result for run in runs]
 

@@ -39,15 +39,14 @@ its own recurrence in integer and rational arithmetic:
 * ``binomial_power_sum(q, p)`` -- 4^{-q} sum_{k=0}^{q} C(2q+1,k) (2q+1-2k)^{2p},
   the normalized even-order derivative of sinh^{2q+1} at its imaginary poles:
   one moment of ``_cosh_moments`` over 4^q.
-* ``_kernel_coeff(e, moments, j, divisor)`` -- the x^{2j} coefficient of
-  (x / sinh x)^e * sum_i moments[i] x^{2i} / (2i)!, divided by ``divisor``:
-  the residue kernel of 1 / cosh^e against an even series with integer
-  moments, one binomial convolution of the scaled row and one ``Fraction``.
-  With the moments of 4^q cosh^{2q+1}(x) (``_cosh_moments``) and divisor
-  4^q it is the x^{2j} coefficient of (x / sinh x)^e * cosh^{2q+1}(x),
-  which ``closedform.phi_even_closed_form`` reads; the identity suites pass
-  their own moments.  The log-integral forms read the same convolutions as
-  integers, without the division (``closedform._log_residues``).
+* ``_kernel_coeff(e, moments, j)`` -- the x^{2j} coefficient of
+  (x / sinh x)^e * sum_i moments[i] x^{2i} / (2i)!: the residue kernel of
+  1 / cosh^e against an even series with integer moments, one binomial
+  convolution of the scaled row and one ``Fraction``, for the identity
+  suites' own moments.  With the moments of 4^q cosh^{2q+1}(x)
+  (``_cosh_moments``) the same convolutions are the residue weights of the
+  log-integral forms and the even Mellin values, which read them as
+  integers over one denominator (``closedform._log_residues``).
 """
 
 from __future__ import annotations
@@ -218,13 +217,13 @@ def binomial_power_sum(q: int, p: int) -> Fraction:
     return Fraction(_cosh_moments(q, p + 1)[p], 4**q)
 
 
-def _kernel_coeff(power: int, moments, j: int, divisor: int = 1) -> Fraction:
-    """[x^{2j}] (x / sinh x)^power * sum_i moments[i] x^{2i} / (2i)!, over ``divisor``.
+def _kernel_coeff(power: int, moments, j: int) -> Fraction:
+    """[x^{2j}] (x / sinh x)^power * sum_i moments[i] x^{2i} / (2i)!.
 
     ``moments`` are integers; the row is ``_x_over_sinh_row(power,
     2 len(moments) - 2)``, so a caller whose moments run to the same length
     as a log form's shares that form's cached row.  The convolution is
-    summed in integers and divided once by divisor D (2j)!.
+    summed in integers and divided once by D (2j)!.
     """
     denom, row = _x_over_sinh_row(power, 2 * len(moments) - 2)
-    return Fraction(_egf_convolution(row, moments, j), divisor * denom * math.factorial(2 * j))
+    return Fraction(_egf_convolution(row, moments, j), denom * math.factorial(2 * j))

@@ -174,7 +174,9 @@ def _build(
 # ``_kernel_coeff(e, moments, j)``.  At j = n its convolution weights
 # C(2n, 2i) row[n-i] are built once per n (``_kernel_weights``) and dotted
 # with each cell's moments, one Fraction per cell; the Eulerian rows read one
-# moments list per n at every j.
+# moments list per n at every j.  These rows are the only readers of
+# ``_kernel_coeff``: the closed forms take the same convolutions, with the
+# cosh moments, as integer numerators from ``closedform._log_residues``.
 
 def _even_moments(terms, count: int) -> list[int]:
     """[sum_k w_k x_k^{2r} for r < count] for ``terms`` = [(w_k, x_k)]."""
@@ -301,7 +303,7 @@ def _d_identity_row(n: int):
 def _euler_bernoulli_row(n: int):
     # Both beta-integral evaluations of int_0^oo sinh^{2q+1}/cosh^N dz for
     # q = 0..n-1: it is (-1)^{q+n+1} times the ln(pi) coefficient of the log
-    # integral over the same cosh^N, the value the production forms read
+    # integral over the same cosh^N, the value the production forms emit
     # (tangent numbers for N = 2n+1, Euler numbers for N = 2n), here for
     # every q of the row from one weight vector per N, with no form built.
     odd_lines, even_lines = _ln_pi_row(True, n), _ln_pi_row(False, n)

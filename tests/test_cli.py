@@ -197,6 +197,20 @@ class TestConfigFile:
         assert code == 2
         assert "bad config" in err
 
+    @pytest.mark.parametrize(
+        "text, line",
+        [("precision = 50\nrange 1..3\n", 3), ("prec 50\n", 3), ("range = 1..5\nrange = 1..3\n", 4)],
+    )
+    def test_unusable_line_exit_2(self, capsys, tmp_path, text, line):
+        # an unknown key, a line without "=" or a repeated key would leave a
+        # setting silently unused
+        cfg = tmp_path / "arcmellin.cfg"
+        cfg.write_text("# defaults\n\n" + text)
+        code, out, err = run(capsys, "--config", str(cfg), "verify", "alt-binom-odd")
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: bad config: line {line}")
+
 
 class TestReproduceCommand:
     def test_reproduce_all_tables(self, capsys):

@@ -502,9 +502,8 @@ class TestLogResidues:
     @pytest.mark.parametrize("n", range(1, 21))
     def test_lnpi_value_is_the_form_coefficient(self, n):
         for q in range(n):
-            for odd, form in ((True, log_integral_odd_cosh), (False, log_integral_even_cosh)):
-                den, w, lnpi = _log_residues(odd, q, n)
-                assert lnpi == form(q, n).coefficient(LNPI)
+            for odd in (True, False):
+                den, w = _log_residues(odd, q, n)
                 # w[p] / den is the kernel value S[p] resp. U[p]
                 top = 2 * n if odd else 2 * n - 1
                 kernel = cosh_kernel_coeffs(top + 1, q, 2 * n)
@@ -514,9 +513,10 @@ class TestLogResidues:
 
     @pytest.mark.parametrize("n", [1, 2, 3, 7, 15, 30])
     def test_ln_pi_row_is_each_residue_lnpi(self, n):
-        # one weight vector per cosh power, dotted with each q's moments
-        for odd in (True, False):
-            assert _ln_pi_row(odd, n) == [_log_residues(odd, q, n)[2] for q in range(n)]
+        # one weight vector per cosh power, dotted with each q's moments,
+        # gives the ln(pi) coefficient each log form emits
+        for odd, form in ((True, log_integral_odd_cosh), (False, log_integral_even_cosh)):
+            assert _ln_pi_row(odd, n) == [form(q, n).coefficient(LNPI) for q in range(n)]
 
     def test_tangent_weights_are_integers(self):
         # 2^{2p+1} (2^{2p+2} - 1) B_{2p+2} / (p+1) = (-1)^p T_{2p+1}
@@ -690,14 +690,14 @@ class TestPhiEvenClosedForm:
             assert phi_even_closed_form(which, m) == _table_phi_even(which, m)
 
     def test_lambda1_guard(self, monkeypatch):
-        # a nonzero kernel coefficient at k = 1 (j = m, only for which = 1)
-        # must stop the assembly
-        real = closedform._kernel_coeff
+        # a nonzero kernel coefficient at k = 1 (j = m, the last entry of the
+        # (x/sinh x)^{2m+1} row, only for which = 1) must stop the assembly
+        real = closedform._egf_convolution
 
-        def skewed(power, moments, j, divisor=1):
-            return real(power, moments, j, divisor) + (j == len(moments) - 1)
+        def skewed(row, moments, j):
+            return real(row, moments, j) + (j == len(row) - 1)
 
-        monkeypatch.setattr(closedform, "_kernel_coeff", skewed)
+        monkeypatch.setattr(closedform, "_egf_convolution", skewed)
         with pytest.raises(AssertionError, match=r"lambda\(1\) coefficient failed to vanish for m=3"):
             phi_even_closed_form(1, 3)
         assert phi_even_closed_form(2, 3) == _table_phi_even(2, 3)

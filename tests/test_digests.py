@@ -2,7 +2,9 @@
 
 SHA-256 digests of the canonical JSON of every exact suite and of the closed
 forms, recorded before the suites moved to per-n rows, the cosh moments to
-their recurrence and the odd-value coefficients to Horner's rule; and of the
+their recurrence and the odd-value coefficients to Horner's rule (the
+250-term even-argument forms: before they moved to the log forms' integer
+residues); and of the
 output of ``arcmellin verify all --json`` at four precisions, recorded before
 the numeric suites moved to one lockstep quadrature sweep per suite.  A
 change of arithmetic that keeps every value must keep every byte.
@@ -67,6 +69,7 @@ FORM_GROUPS = {
     "phi-odd": lambda: (phi_odd_closed_form(w, n) for w in (1, 2) for n in range(1, 61)),
     "phi-odd-250": lambda: (phi_odd_closed_form(w, 250) for w in (1, 2)),
     "phi-even": lambda: (phi_even_closed_form(w, m) for w in (1, 2) for m in range(1, 41)),
+    "phi-even-250": lambda: (phi_even_closed_form(w, 250) for w in (1, 2)),
     "log-odd": lambda: (log_integral_odd_cosh(q, n) for n in range(1, 21) for q in range(n)),
     "log-even": lambda: (log_integral_even_cosh(q, n) for n in range(1, 21) for q in range(n)),
     "sinh-over-z": lambda: (
@@ -78,6 +81,7 @@ FORM_DIGESTS = {
     "phi-odd": "b3e7e69decb698aa4a1e2cf81c5c24957962a5c9e4215784a8c5388c564d26d8",
     "phi-odd-250": "ea93975d0d1c4e0c3585d9cb68ada0fae6fe21a9e410c4a8c48109434bd25e2c",
     "phi-even": "5b9e779429281686317da41c8c9df78739bcfe386b9f7733cae22bb6ff9c58a0",
+    "phi-even-250": "a66bcd59356a4463ae3372bd639ead807ab59c383c006ef2a7d4686ec825411a",
     "log-odd": "dfb7d860f8747e4983ccc69f7f65f4f7c6087bf3de5e08284e28dba8f9768d52",
     "log-even": "acefed7a0d56c7c4d63390a3db1dfa2dd5a910adb134a59ec4688c1aff69a8da",
     "sinh-over-z": "6c46f91158028c2f6906f4b657c94cff33f9b2abb965bd1cdd5c941aa6c815bd",

@@ -287,11 +287,18 @@ class TestConvergenceBehaviour:
             prev = cur
 
     def test_unmet_target_raises(self):
-        # one level halving cannot reach 102 digits; the answer must not
-        # come back silently
-        with quadrature._working(100):
-            with pytest.raises(PrecisionError):
-                quadrature._de_halfline([quadrature._monomial(2, 2)], 100, max_level=1)
+        # the indicator of z < 1: its jump keeps each level-to-level change
+        # near 2e-4, so no level meets 12 digits and the sweep must say so
+        # at the level cap rather than return
+        with quadrature._working(12):
+            bits, _ = quadrature._scale()
+            one = 1 << bits
+
+            def term(entry, scratch):
+                return entry[1] * entry[4] >> bits if entry[4] < one else 0
+
+            with pytest.raises(PrecisionError, match="after 12 levels"):
+                quadrature._de_halfline([quadrature._Kernel(term, 2)], 12)
 
     def test_nodes_are_counted(self):
         result = quad_phi(2, 5, 25)
