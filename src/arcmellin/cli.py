@@ -138,11 +138,8 @@ def _emit_form(form: ClosedForm, args) -> None:
 def _run_suite(suite: str, n_range, prec: int, as_json: bool) -> int:
     from . import verify
 
-    if suite == "all":
-        verify._check_range(suite, n_range)
-        reports = verify.all_suites(prec=prec)
-    else:
-        reports = [verify.run_identity(suite, n_range=n_range, prec=prec)]
+    names = verify.SUITES if suite == "all" else [suite]
+    reports = [verify.run_identity(name, n_range=n_range, prec=prec) for name in names]
     failed = False
     for report in reports:
         if as_json:
@@ -195,7 +192,12 @@ def cli_main(argv: list[str] | None = None) -> int:
             from .lfuncs import eval_closed_form
 
             prec = args.prec if args.prec is not None else default_prec
-            form = ClosedForm.from_json(Path(args.json_file).read_text())
+            try:
+                text = Path(args.json_file).read_text()
+            except OSError as exc:
+                print(f"error: {exc}", file=sys.stderr)
+                return 2
+            form = ClosedForm.from_json(text)
             value = eval_closed_form(form, prec)
             print(mp.nstr(value, prec))
             return 0
@@ -230,9 +232,6 @@ def cli_main(argv: list[str] | None = None) -> int:
             return 0 if report.passed else 1
 
     except (DomainError, PrecisionError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (ValueError, KeyError) as exc:  # malformed JSON / config input

@@ -25,10 +25,10 @@ the module lock at ``digits + GUARD_DIGITS``, and :mod:`arcmellin.quadrature`
 and :mod:`arcmellin.verify` enter it too.  All entry points of these modules
 are therefore safe to call from multiple threads.
 
-The kernel, ``_basis_sweep``, takes one family (eta, eta', beta or beta')
-and a list of exponents s, and returns each sum_k c_k L(m) / m^s / d, with
-L(m) = ln m for the derivative families and 1 otherwise, as one exact
-Python-integer sum rounded once.  Its numerators are fixed-point integers,
+The kernel, ``_basis_value``, takes one family (eta, eta', beta or beta')
+and one exponent s, and returns sum_k c_k L(m) / m^s / d, with L(m) = ln m
+for the derivative families and 1 otherwise, as one exact Python-integer
+sum rounded once.  Its numerators are fixed-point integers,
 T_k = floor(c_k L(m) 2^P) with P = mp.prec + bitlength(n) + 3 -
 bitlength(d), so P depends only on the precision.  With m0 the first m
 with L(m) != 0, the sum at s is m0^-s 2^-P / d times sum_k T_k (m0/m)^s:
@@ -41,14 +41,14 @@ when the integer sum has fewer than mp.prec + bitlength(n) + 2 bits (as at
 small s, where 2^s eta'(s) is smallest) it is taken again with P raised by
 the shortfall.  The result is the exact quotient by the integer d, rounded
 once, and negated for the derivative families.  Each value depends only on
-(family, s, precision), never on which other exponents shared the sweep.
+(family, s, precision).
 The integer-argument sums behind the basis symbols, eta'(2p+2) (for
 zeta'(2p+2)), beta'(2p+1), eta(2p+3) (for zeta(2p+3)) and beta(2p+2), pass
-int exponents; ``eval_closed_form`` fills every missing sum of a form with
-one sweep per family.  The real-s sums ``eta_value``, ``eta_prime``,
-``beta_value`` and ``beta_prime_value`` pass one mpf exponent, so no
-m^s of a huge s is ever an integer; the two derivative sums refuse
-s > 10^10000 with a ``PrecisionError``.
+an int exponent and are cached per (family, p, precision); ``eval_closed_form``
+reads each symbol of a form through that cache.  The real-s sums
+``eta_value``, ``eta_prime``, ``beta_value`` and ``beta_prime_value`` pass
+an mpf exponent, so no m^s of a huge s is ever an integer; the two
+derivative sums refuse s > 10^10000 with a ``PrecisionError``.
 
 The kernel reads three tables, all on Python integers, each keyed by the
 binary precision ``mp.prec`` and holding one precision at a time: the
@@ -227,15 +227,6 @@ _FAMILIES = {
     "eta": (False, False, 3),  # eta(2p+3), for zeta(2p+3)
     "beta": (True, False, 2),  # beta(2p+2)
 }
-# The family each integer-argument symbol reads.
-_SYMBOL_FAMILY = {
-    "zeta_prime_ratio": "eta_prime",
-    "eta_prime_neg": "eta_prime",
-    "beta_prime_ratio": "beta_prime",
-    "beta_prime_neg": "beta_prime",
-    "zeta_odd_ratio": "eta",
-    "beta_even_ratio": "beta",
-}
 
 
 def _atanh_inverse(q: int, bits: int) -> int:
@@ -386,9 +377,9 @@ def _accumulate(numerators, ms, factor) -> int:
     return total
 
 
-def _basis_sweep(family: str, exponents) -> list[mpf]:
-    """The family's sum at every s in ``exponents`` (ints or mpfs), each one
-    exact integer sum rounded once.
+def _basis_value(family: str, s) -> mpf:
+    """The family's sum at one s (an int or an mpf), one exact integer sum
+    rounded once.
 
     With m0 the first m with L(m) != 0, the sum at s is
     m0^-s 2^-P / d * sum_k T_k (m0/m)^s, each term floored.  Every T_k from
@@ -396,9 +387,8 @@ def _basis_sweep(family: str, exponents) -> list[mpf]:
     is off by at most about one unit per term.  When its bit length is
     short of mp.prec + bitlength(n) + 2, P is raised by the shortfall and
     the sum taken again.  The sum is divided once by m0^s times the exact
-    integer d and rounded to mp.prec.  Each value depends only on (family,
-    s, precision), never on the other exponents.  Must be called inside
-    ``_working``.
+    integer d and rounded to mp.prec, so the value depends only on (family,
+    s, precision).  Must be called inside ``_working``.
     """
     odd, with_log, _ = _FAMILIES[family]
     m0 = (3 if odd else 2) if with_log else 1
@@ -406,49 +396,27 @@ def _basis_sweep(family: str, exponents) -> list[mpf]:
     n = _term_count()
     needed = mp.prec + n.bit_length() + 2
     _, d = _chebyshev_weights(n)
-    sums = []
-    for s in exponents:
-        extra = 0
-        while True:
-            shift, top, numerators = _numerators(family, extra)
-            scale, frac, factor = _power_factors(s, m0, top)
-            total = _accumulate(numerators, range(m0, m0 + step * len(numerators), step), factor)
-            short = needed - (abs(total).bit_length() - frac)
-            if short <= 0:
-                break
-            extra += short
-        if with_log:  # d/ds m^-s = -ln m m^-s
-            total = -total
-        denominator = mpf_mul(scale, from_int(d))  # m0^s d, exact
-        value = mpf_div(from_man_exp(total, -shift - frac), denominator, mp.prec, round_nearest)
-        sums.append(mp.make_mpf(value))
-    return sums
+    extra = 0
+    while True:
+        shift, top, numerators = _numerators(family, extra)
+        scale, frac, factor = _power_factors(s, m0, top)
+        total = _accumulate(numerators, range(m0, m0 + step * len(numerators), step), factor)
+        short = needed - (abs(total).bit_length() - frac)
+        if short <= 0:
+            break
+        extra += short
+    if with_log:  # d/ds m^-s = -ln m m^-s
+        total = -total
+    denominator = mpf_mul(scale, from_int(d))  # m0^s d, exact
+    value = mpf_div(from_man_exp(total, -shift - frac), denominator, mp.prec, round_nearest)
+    return mp.make_mpf(value)
 
 
 def _basis_sum(family: str, p: int, prec: int) -> mpf:
-    """The family's sum of index p, cached per (family, p, prec); a miss
-    sweeps for p alone, which gives the same value as a shared sweep."""
+    """The family's sum of index p, at s = s0 + 2p, cached per
+    (family, p, prec)."""
     s = _FAMILIES[family][2] + 2 * p
-    return _cached((family, p, prec), prec, lambda: _basis_sweep(family, [s])[0])
-
-
-def _fill_basis_sums(symbols, prec: int) -> None:
-    """Cache every family sum the integer-argument ``symbols`` read at
-    ``prec``: one sweep per family for all its missing indices."""
-    missing: dict[str, set[int]] = {}
-    with _cache_lock:
-        for sym in symbols:
-            family = _SYMBOL_FAMILY.get(sym.kind)
-            if family is not None and (family, sym.index, prec) not in _constant_cache:
-                missing.setdefault(family, set()).add(sym.index)
-    for family, indices in missing.items():
-        ps = sorted(indices)
-        s0 = _FAMILIES[family][2]
-        with _working(prec):
-            values = _basis_sweep(family, [s0 + 2 * p for p in ps])
-        with _cache_lock:
-            for p, value in zip(ps, values):
-                _constant_cache.setdefault((family, p, prec), value)
+    return _cached((family, p, prec), prec, lambda: _basis_value(family, s))
 
 
 def _real_s_sum(family: str, s, prec: int) -> mpf:
@@ -471,7 +439,7 @@ def _real_s_sum(family: str, s, prec: int) -> mpf:
             raise PrecisionError(
                 f"{family} needs s <= 10^10000, where m^-s at mag(s) extra bits stays cheap; got s={s}"
             )
-        return _basis_sweep(family, [sv])[0]
+        return _basis_value(family, sv)
 
 
 def eta_value(s, prec: int) -> mpf:
@@ -704,9 +672,7 @@ def symbol_value(kind: str, index: int | None, prec: int) -> mpf:
 def _combine(form: ClosedForm, prec: int) -> tuple[mpf, float]:
     """sum c*v over the form at ``prec``, and the digits lost to cancellation
     in it, log10(sum |c*v| / |sum c*v|), a float taken at 53 bits."""
-    items = form.items()
-    _fill_basis_sums([sym for sym, _ in items], prec)
-    values = [(coeff, symbol_value(sym.kind, sym.index, prec)) for sym, coeff in items]
+    values = [(coeff, symbol_value(sym.kind, sym.index, prec)) for sym, coeff in form.items()]
     with _working(prec):
         total = scale = mpf(0)
         for coeff, value in values:

@@ -97,6 +97,21 @@ class TestVerifyCommand:
             value = cell["detail"].split(" < ")[1]
             assert len(value.lstrip("-").replace(".", "").lstrip("0")) >= 50, cell
 
+    def test_all_runs_every_suite_over_the_range(self, capsys):
+        code, out, _ = run(capsys, "verify", "all", "--range", "1..2", "--prec", "12", "--json")
+        assert code == 0
+        decoder, reports, pos = json.JSONDecoder(), [], 0
+        while out[pos:].strip():
+            pos += len(out[pos:]) - len(out[pos:].lstrip())
+            report, pos = decoder.raw_decode(out, pos)
+            reports.append(report)
+        assert len(reports) == 17
+        # the exact suites: no precision, and n first in every cell
+        exact = [r for r in reports if r["precision"] is None and isinstance(r["cells"][0]["params"][0], int)]
+        assert len(exact) == 11
+        for report in exact:
+            assert all(cell["params"][0] <= 2 for cell in report["cells"]), report["family"]
+
     def test_bad_range_exit_2(self, capsys):
         code, _, _ = run(capsys, "verify", "alt-binom-odd", "--range", "oops")
         assert code == 2
@@ -139,6 +154,13 @@ class TestEvalCommand:
     def test_missing_file_exit_2(self, capsys):
         code, _, _ = run(capsys, "eval", "--json-file", "/nonexistent.json")
         assert code == 2
+
+    def test_directory_exit_2(self, capsys, tmp_path):
+        # exit 1 would read as a verification mismatch
+        code, out, err = run(capsys, "eval", "--json-file", str(tmp_path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
 
     def test_malformed_json_exit_2(self, capsys, tmp_path):
         path = tmp_path / "bad.json"

@@ -510,26 +510,32 @@ def kernel_exponents(family: str) -> list:
 
 class TestFixedPointKernel:
     @pytest.mark.parametrize("prec", [30, 100, 500])
-    def test_sum_does_not_depend_on_the_sweep(self, prec):
-        with lfuncs._working(prec):
-            for family in lfuncs._FAMILIES:
-                exponents = kernel_exponents(family)
-                shared = lfuncs._basis_sweep(family, exponents)
-                backward = lfuncs._basis_sweep(family, exponents[::-1])[::-1]
-                alone = [lfuncs._basis_sweep(family, [s])[0] for s in exponents]
-                bits = [v._mpf_ for v in alone]
-                assert [v._mpf_ for v in shared] == bits, family
-                assert [v._mpf_ for v in backward] == bits, family
-
-    @pytest.mark.parametrize("prec", [30, 100, 500])
     def test_agrees_with_the_mpf_accumulation(self, prec):
         bound = mpf(10) ** -(prec + GUARD_DIGITS - 1)
         with lfuncs._working(prec):
             for family in lfuncs._FAMILIES:
                 exponents = kernel_exponents(family)
-                fixed = lfuncs._basis_sweep(family, exponents)
-                for s, new, old in zip(exponents, fixed, mpf_accumulation(family, exponents)):
+                for s, old in zip(exponents, mpf_accumulation(family, exponents)):
+                    new = lfuncs._basis_value(family, s)
                     assert abs(new - old) <= bound * abs(old), (family, s)
+
+    def test_one_sum_per_basis_value(self, monkeypatch):
+        # the form reads every family at every index p <= 12; each distinct
+        # (family, s) is summed once, and every later read hits the cache
+        calls = []
+        value = lfuncs._basis_value
+
+        def spy(family, s):
+            calls.append((family, s))
+            return value(family, s)
+
+        monkeypatch.setattr(lfuncs, "_basis_value", spy)
+        clear_basis_caches()
+        eval_closed_form(basis_form(12), 100)
+        assert len(calls) == len(set(calls)) == 52
+        assert set(calls) == {
+            (family, lfuncs._FAMILIES[family][2] + 2 * p) for family in lfuncs._FAMILIES for p in range(13)
+        }
 
     @pytest.mark.parametrize("s, prec", [(1, 5), (1, 100), (2, 10)])
     def test_short_sum_is_taken_again(self, monkeypatch, s, prec):
