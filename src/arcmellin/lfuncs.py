@@ -243,8 +243,8 @@ def _atanh_inverse(q: int, bits: int) -> int:
     return total
 
 
-def _sweep_logs(top: int, bits: int) -> dict[int, int]:
-    """ln m 2^bits as integers, for m = 2 ... top.
+def _sum_log_table(top: int, bits: int) -> dict[int, int]:
+    """The log table of one sum: ln m 2^bits as integers, for m = 2 ... top.
 
     A prime p is ln(p-1) + 2 atanh(1/(2p-1)) (ln 2 = 2 atanh(1/3)), its
     atanh from ``_atanh_inverse``, and is kept in ``_log_tables``; a
@@ -291,7 +291,7 @@ def _numerators(family: str, extra: int = 0) -> tuple[int, int, tuple[int, ...]]
     The numerators are T_k = floor(c_k L(m) 2^P) for every m with L(m) != 0,
     in increasing m, formed on integers by shifts alone: c_k 2^P from the
     exact ``_chebyshev_weights``, and c_k ln m 2^P as c_k l_m 2^(P-G) with
-    l_m = ln m 2^G from ``_sweep_logs`` at G = P + bitlength(d) +
+    l_m = ln m 2^G from ``_sum_log_table`` at G = P + bitlength(d) +
     ``_LOG_GUARD_BITS`` + ``_LOG_SPARE_BITS`` - ``extra``, or at
     G = P + bitlength(d) + ``_LOG_GUARD_BITS`` for an ``extra`` past the
     spare bits.  So every sum at one precision with ``extra`` up to
@@ -312,7 +312,7 @@ def _numerators(family: str, extra: int = 0) -> tuple[int, int, tuple[int, ...]]
     shift = mp.prec + n.bit_length() + 3 - d.bit_length() + extra
     if with_log:  # ln 1 = 0 drops m = 1, the first term
         bits = shift + d.bit_length() + _LOG_GUARD_BITS + max(_LOG_SPARE_BITS - extra, 0)
-        logs = _sweep_logs(2 * n - 1 if odd else n, bits)
+        logs = _sum_log_table(2 * n - 1 if odd else n, bits)
         ms = range(3, 2 * n, 2) if odd else range(2, n + 1)
         products = [c * logs[m] for c, m in zip(cs[1:], ms)]
     else:

@@ -57,7 +57,9 @@ upper bound: the same prediction with the growth capped at 1.5 instead of 2,
 min(d1^2/d2, 1.5 d1) digits, plus a relative rounding floor of nodes
 2^-wprec times the sum of |terms|, plus the absolute floor of the
 fixed-point terms (below), plus a bound on the dropped tails, whose terms
-are each below the cutoff.
+are each below the cutoff.  Below 5 requested digits, a level-3 stop also
+estimates at least its own change: after a level 0 that saw almost none of
+the peak the digits there grew by only 1.3 times (Phi_1(219) at 1 digit).
 
 The sums run on Python integers at the scale 2^F, F = wprec +
 ``_GUARD_BITS``.  Every node is t = k 2^-level, so every integrand samples
@@ -67,13 +69,17 @@ at each node, keyed by the integer t 2^MAX_LEVEL: ln z, w = 1 + exp(-t),
 tanh z, sech z and z as integers at scale 2^F, a slot for ln tanh z, and
 w + z and ln z w z, the node's weight in the absolute error floor and the
 factor of the log family, from the integers before them.  A node is filled
-at F + ``_FILL_BITS`` bits, with tanh z = sinh z / cosh z and
-sech z = 1/cosh z from one ``mpf_cosh_sinh``: one exp(z) and exp(-z), with
-the bits that sinh z would lose below z = 1 added to its precision (an
-expm1).  Its sixth slot, ln tanh z, is filled on first use, for the kernels
-that need it: ln(tanh z) below z = 1 and log1p(-x) - log1p(x),
-x = exp(-2z), above, so it keeps its relative digits where tanh z is close
-to 1.
+on integers at W = F + ``_FILL_BITS`` + ``_FILL_GUARD`` bits: exp(-t) is a
+product of the factors exp(-+2^(j-MAX_LEVEL)) over the binary digits j of
+|t| 2^MAX_LEVEL, kept in a factor table per precision beside the node
+table, ln z = t - exp(-t) is exact from there, and z and x = exp(-z) are
+the node's two exponentials, mpmath's fixed-point series after a reduction
+by ln 2; tanh z = (1 - x^2)/(1 + x^2) and sech z = 2x/(1 + x^2) are one
+integer division each.  A z or an x below 2^-(W+2) skips the exponentials
+whose floors are then known.  Its sixth slot, ln tanh z, is filled on first
+use, for the kernels that need it: ln(tanh z) below z = 1 and
+log1p(-x) - log1p(x), x = exp(-2z), above, so it keeps its relative digits
+where tanh z is close to 1.
 
 Each integrand is a kernel: a term function of one table entry that
 returns f(z) dz/dt at scale 2^F, as products of the entry's integers, each
@@ -127,9 +133,10 @@ from typing import Callable, NamedTuple
 
 from mpmath import mp, mpf
 from mpmath.libmp import (
-    fone, from_int, from_man_exp, from_rational, mpf_cosh_sinh, mpf_div, mpf_exp, mpf_log,
-    mpf_lt, mpf_mul, mpf_neg, mpf_shift, mpf_sub, round_nearest,
+    fone, from_int, from_man_exp, from_rational, mpf_cosh_sinh, mpf_exp, mpf_log, mpf_lt,
+    mpf_mul, mpf_neg, mpf_shift, mpf_sub, round_nearest,
 )
+from mpmath.libmp.libelefun import exp_basecase, ln2_fixed
 
 from .exact import DomainError, PrecisionError
 from .lfuncs import _exact, _fixed, _precision_table, _working
@@ -146,8 +153,13 @@ _PHI_S_LIMIT = 10**19
 #: floor sums to about 2^-(mp.prec+48), keeps mp.prec - 19 relative bits,
 #: about 31 bits more than the requested digits need.
 _GUARD_BITS = 64
-#: Bits past F at which a node table entry and ln tanh z are computed.
+#: Bits past F at which ln tanh z and exp(a ln tanh z) are computed; each
+#: value v of a node table entry, filled on integers ``_FILL_GUARD`` bits
+#: further on, is within 1 + 2^(8 - _FILL_BITS) max(1, |v|) units of 2^-F.
 _FILL_BITS = 16
+#: Bits past F + ``_FILL_BITS`` of the integers a node table entry is
+#: filled on.
+_FILL_GUARD = 12
 #: An integer power of tanh z below this is a ladder of at most 24 integer
 #: products, within 3a < 2^14 units; from here on it is exp(a ln tanh z),
 #: within a few units whatever a is, at the cost of an exp per term.
@@ -162,6 +174,9 @@ _quad_cache: dict[tuple, "QuadResult"] = {}
 # holding one precision at a time; filled and read by _de_halfline and the
 # kernels.
 _node_tables: dict[int, dict[int, list]] = {}
+# {mp.prec: {sign: [e^(-sign 2^(j - MAX_LEVEL)) at the fill's scale, j = 0,
+# 1, ...]}}, holding the precision of the node table; read by _fill.
+_factor_tables: dict[int, dict[int, list[int]]] = {}
 
 
 class QuadResult(NamedTuple):
@@ -212,35 +227,83 @@ def _atanh(x: tuple, wp: int) -> tuple:
     return from_man_exp(total, -scale)
 
 
+def _exp_factors(sign: int, count: int, wide: int) -> list[int]:
+    """The first ``count`` (at least) of e^(-sign 2^(j - MAX_LEVEL)),
+    j = 0, 1, ..., at scale 2^wide, from this precision's factor table.
+
+    Each factor is exp at wide + 16 bits, floored, so within one unit plus
+    a relative 2^-(wide+16), a pure function of (sign, j, the precision)
+    whichever key asked first.  Must be called inside ``lfuncs._working``.
+    """
+    factors = _precision_table(_factor_tables).setdefault(sign, [])
+    while len(factors) < count:
+        x = from_man_exp(-sign, len(factors) - MAX_LEVEL)
+        factors.append(_fixed(mpf_exp(x, wide + 16, round_nearest), wide))
+    return factors
+
+
+def _exp_fixed(x: int, ln2: int, wide: int) -> int:
+    """exp(x 2^-wide) at scale 2^wide, for ln2 = ln 2 at that scale: x is
+    reduced to n ln 2 + r with 0 <= r < ln 2, and exp r from mpmath's
+    fixed-point series is shifted by n.  Off by a relative (|n| + 4)
+    2^-wide, since ln2 is short by less than a unit, plus one unit for a
+    shift down."""
+    n, r = divmod(x, ln2)
+    y = exp_basecase(r, wide)
+    return y << n if n >= 0 else y >> -n
+
+
 def _fill(key: int, bits: int, wp: int) -> list:
     """The node table entry at t = key 2^-MAX_LEVEL: ln z, w, tanh z, sech z
     and z as integers at scale 2^bits, an empty slot for ln tanh z, then
     w + z and ln z w z (two floored products) from those integers.
 
-    tanh z and sech z come from one cosh and sinh, which ``mpf_cosh_sinh``
-    takes from one exp(z) and exp(-z), with the bits that sinh z loses
-    below z = 1 added to its precision.  Each value is the floor of its
-    value at wp bits, so within one unit of the true value plus a relative
-    2^(bits-wp+8) (ln z and w grow as e^-t on the left wing, and sech z
-    carries the relative error of z times z).
+    Every value is computed on integers at scale 2^W, W = wp +
+    ``_FILL_GUARD``, and floored to scale 2^bits.  u = e^-t is the product
+    of the factors e^(-+2^(j-MAX_LEVEL)) of ``_exp_factors`` over the binary
+    digits j of |key|, in increasing j: for t > 0 every factor is below 1
+    and u is within 2 units per factor; for t < 0 every factor is at least
+    1 and u is within a relative 2^(6-W), since the wing limit keeps |key|
+    below 2^32.
+    ln z = t - u is exact from there.  z = exp(ln z) and x = e^-z are the
+    node's two exponentials (``_exp_fixed``), so z is off by a relative
+    (u + W) 2^(7-W) and x by z times that; sech z = 2x / (1 + x^2) and
+    tanh z = (1 - x^2) / (1 + x^2), one integer division each, are then off
+    by at most (u + W) 2^(7-W), since 2 z e^-z < 3/4.  A z below 2^-(W+2)
+    is stored as 0, with tanh z 0 and sech z 1, and an x below 2^-(W+2) as
+    tanh z 1 and sech z 0: each the floor of its value, to within one unit.
+    Where z is computed, u + W < 2W < 2^13 for every W up to the 1000-digit
+    cap, so each of the first five values is within one unit plus
+    2^(bits-wp+8) max(1, |v|) units of its true value v, that is 2^(20-W)
+    max(1, |v|) in absolute terms (ln z and w grow as e^-t on the left wing,
+    and z as e^t on the right).
     """
-    rnd = round_nearest
-    t = from_man_exp(key, -MAX_LEVEL)
-    u = mpf_exp(mpf_neg(t), wp, rnd)
-    ln_z = mpf_sub(t, u, wp, rnd)
-    z = mpf_exp(ln_z, wp, rnd)
-    cosh, sinh = mpf_cosh_sinh(z, wp, rnd)
-    fixed_ln_z, w, fixed_z = _fixed(ln_z, bits), (1 << bits) + _fixed(u, bits), _fixed(z, bits)
-    return [
-        fixed_ln_z,
-        w,
-        _fixed(mpf_div(sinh, cosh, wp, rnd), bits),
-        _fixed(mpf_div(fone, cosh, wp, rnd), bits),
-        fixed_z,
-        None,
-        w + fixed_z,
-        (fixed_ln_z * w >> bits) * fixed_z >> bits,
-    ]
+    wide = wp + _FILL_GUARD
+    down = wide - bits
+    one = 1 << wide
+    ln2 = ln2_fixed(wide)
+    digits = abs(key)
+    factors = _exp_factors(1 if key > 0 else -1, digits.bit_length(), wide)
+    u = one
+    for j in range(digits.bit_length()):
+        if digits >> j & 1:
+            u = u * factors[j] >> wide
+    ln_z = (key << (wide - MAX_LEVEL)) - u
+    if ln_z < -(wide + 2) * ln2:  # z < 2^-(W+2)
+        tanh, sech, z = 0, 1 << bits, 0
+    else:
+        z = _exp_fixed(ln_z, ln2, wide)
+        if z > (wide + 2) * ln2:  # e^-z < 2^-(W+2)
+            tanh, sech = 1 << bits, 0
+        else:
+            x = _exp_fixed(-z, ln2, wide)
+            square = x * x >> wide
+            tanh = ((one - square) << bits) // (one + square)
+            sech = (x << (bits + 1)) // (one + square)
+        z >>= down
+    ln_z >>= down
+    w = (1 << bits) + (u >> down)
+    return [ln_z, w, tanh, sech, z, None, w + z, (ln_z * w >> bits) * z >> bits]
 
 
 def _ln_tanh(entry: list, bits: int, wp: int) -> tuple:
@@ -410,6 +473,12 @@ def _de_halfline(kernels: list[_Kernel], prec: int) -> list[QuadResult]:
         # The same prediction with the growth capped at 1.5 instead of 2: at
         # early levels the digits can grow by as little as 1.56 times.
         remainder = abs(value) * mpf(10) ** -min(d1 * d1 / d2, 1.5 * d1) if d2 > 0 else run.change
+        if level == 3 and prec < 5:
+            # A level-3 stop below 5 digits can follow a level 0 that saw
+            # almost none of the peak, after which the digits grew by only
+            # 1.3 times: Phi_1(219) at 1 digit predicted 2.0e-9 against a
+            # true error of 1.1e-8.  Its own change bounds it instead.
+            remainder = max(remainder, run.change)
         # Relative rounding: nodes 2^-wprec h sum |f|, the recursive-sum bound
         # of a floating-point sum, which also covers the relative errors inside
         # each term and the one rounding of the value; h sum |f| is at most

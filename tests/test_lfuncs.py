@@ -433,7 +433,7 @@ class TestBasisKernelOracles:
 
 class TestBasisKernelInvariants:
     @pytest.mark.parametrize("prec", [100, 500])
-    def test_value_does_not_depend_on_the_sweep(self, prec):
+    def test_value_does_not_depend_on_the_evaluation_order(self, prec):
         clear_basis_caches()
         alone = {}
         for family in lfuncs._FAMILIES:
@@ -451,8 +451,9 @@ class TestBasisKernelInvariants:
             assert kernel_values(prec) == alone, order
 
     def test_two_precisions_in_two_threads(self):
-        # every 30-digit form adds one index per family, so its sweeps keep
-        # replacing the tables that the 500-digit sweeps fill
+        # each 30-digit form evaluates its basis sums at 30 digits, so it
+        # keeps replacing the per-precision tables that the 500-digit sums
+        # fill
         forms = [basis_form(n) for n in range(1, 13)]
         clear_basis_caches()
         expected_high = eval_closed_form(forms[-1], 500)
@@ -487,7 +488,7 @@ def mpf_accumulation(family: str, exponents) -> list[mpf]:
     odd, with_log, _ = lfuncs._FAMILIES[family]
     cs, d = lfuncs._chebyshev_weights(lfuncs._term_count())
     bits = mp.prec + 64
-    logs = lfuncs._sweep_logs(2 * len(cs) - 1 if odd else len(cs), bits) if with_log else {}
+    logs = lfuncs._sum_log_table(2 * len(cs) - 1 if odd else len(cs), bits) if with_log else {}
     sums = [mpf(0)] * len(exponents)
     for k, c in enumerate(cs):
         m = 2 * k + 1 if odd else k + 1
@@ -567,11 +568,11 @@ class TestOneLogTable:
         # first, and leave every numerator and value as before the shared
         # table (the digests were recorded then)
         builds, atanh, results = [], [], []
-        sweep, inverse, numerators = lfuncs._sweep_logs, lfuncs._atanh_inverse, lfuncs._numerators
+        logs, inverse, numerators = lfuncs._sum_log_table, lfuncs._atanh_inverse, lfuncs._numerators
 
-        def spy_sweep(top, bits):
+        def spy_logs(top, bits):
             builds.append((mp.prec, bits))
-            return sweep(top, bits)
+            return logs(top, bits)
 
         def spy_inverse(q, bits):
             atanh.append((mp.prec, q))
@@ -582,7 +583,7 @@ class TestOneLogTable:
             results.append((mp.prec, family, extra, entry))
             return entry
 
-        monkeypatch.setattr(lfuncs, "_sweep_logs", spy_sweep)
+        monkeypatch.setattr(lfuncs, "_sum_log_table", spy_logs)
         monkeypatch.setattr(lfuncs, "_atanh_inverse", spy_inverse)
         monkeypatch.setattr(lfuncs, "_numerators", spy_numerators)
         clear_basis_caches()

@@ -348,6 +348,19 @@ class TestStoppingRule:
         with mp.workdps(40):
             assert abs(value - exact) <= mpf(10) ** -prec * abs(exact)
 
+    @pytest.mark.parametrize("which, s, prec", [(1, 219, 1), (1, 220, 1), (2, 175, 1), (2, 175, 2)])
+    def test_estimate_bounds_a_level_3_stop_below_5_digits(self, which, s, prec):
+        # these stop at level 3 on the change target after a level 0 that
+        # saw almost none of the peak; the prediction with the growth capped
+        # at 1.5 estimated 1.4e-6 to 6.8e-6 relative against true errors of
+        # 7.2e-7 to 8.1e-6
+        result = quad_phi(which, s, prec)
+        exact = eval_closed_form(_exact_phi(which, s), 30)
+        assert result.levels == 3
+        with mp.workdps(40):
+            assert abs(result.value - exact) <= result.error_estimate
+            assert result.error_estimate <= mpf(10) ** -prec * exact
+
     @pytest.mark.parametrize("prec", [12, 15, 20])
     @pytest.mark.parametrize("k", range(10, 18))
     def test_change_target_is_relative_below_one(self, k, prec):
@@ -892,6 +905,122 @@ class TestTanhPowerMemo:
             # every prefix it kept, 511, 1023 and 2047 of 4095 too
             assert all(value == _straight_ladder(entry[2], n, bits) for n, value in scratch.items())
             assert set(scratch) == set(self.EXPONENTS[1:]) | {511, 1023, 2047}
+
+
+def _fill_reference(key: int, bits: int, wp: int) -> list:
+    """ln z, w, tanh z, sech z and z at t = key 2^-MAX_LEVEL, as mpf at
+    twice the fill precision: the values a node table entry approximates."""
+    with mp.workprec(2 * wp):
+        t = mp.ldexp(key, -quadrature.MAX_LEVEL)
+        u = mp.exp(-t)
+        z = mp.exp(t - u)
+        return [t - u, 1 + u, mp.tanh(z), mp.sech(z), z]
+
+
+def _fill_misses(entry: list, reference: list, bits: int, wp: int) -> list[int]:
+    """The slots of a node table entry outside the documented bound, one
+    unit plus 2^(bits-wp+8) max(1, |v|) units of the value v, and the two
+    slots formed from them that differ from their integer expressions."""
+    misses = []
+    with mp.workprec(2 * wp):
+        for slot, value in enumerate(reference):
+            bound = 1 + mp.ldexp(max(1, abs(value)), bits - wp + 8)
+            if abs(entry[slot] - mp.ldexp(value, bits)) > bound:
+                misses.append(slot)
+    ln_z, w, _, _, z = entry[:5]
+    if entry[6] != w + z:
+        misses.append(6)
+    if entry[7] != (ln_z * w >> bits) * z >> bits:
+        misses.append(7)
+    return misses
+
+
+class TestFill:
+    """``_fill`` on integers: every slot within its documented bound of an
+    mpf reference, and every entry a pure function of (key, precision)."""
+
+    # t from -22 to +10, a few hundred keys with every low binary digit set
+    # somewhere, and the keys next to t = 0
+    KEYS = list(range(-22 * 4096, 10 * 4096 + 1, 331)) + [-1, 0, 1]
+
+    @pytest.mark.parametrize("prec", [1, 12, 30, 60, 100])
+    def test_every_slot_within_its_bound(self, prec):
+        floored_z = floored_e = 0
+        with quadrature._working(prec):
+            bits, wp = quadrature._scale()
+            for key in self.KEYS:
+                entry = quadrature._fill(key, bits, wp)
+                assert _fill_misses(entry, _fill_reference(key, bits, wp), bits, wp) == [], key
+                assert entry[5] is None
+                floored_z += entry[4] == 0 and entry[3] == 1 << bits
+                floored_e += entry[3] == 0 and entry[2] == 1 << bits
+        # the far left, where z floors to 0, and the far right, where e^-z does
+        assert floored_z > 100 and floored_e > 30
+
+    @staticmethod
+    def _fill_table(keys, prec):
+        """A node table filled for ``keys`` in their order, each entry on a
+        miss inside ``_working(prec)``, as ``_de_halfline`` fills it."""
+        for key in keys:
+            with quadrature._working(prec):
+                bits, wp = quadrature._scale()
+                table = lfuncs._precision_table(quadrature._node_tables)
+                if key not in table:
+                    table[key] = quadrature._fill(key, bits, wp)
+        with quadrature._working(prec):
+            return dict(lfuncs._precision_table(quadrature._node_tables))
+
+    @staticmethod
+    def _clear():
+        with lfuncs._MP_LOCK:
+            quadrature._node_tables.clear()
+            quadrature._factor_tables.clear()
+
+    @pytest.mark.parametrize("prec", [12, 100])
+    def test_shuffled_and_threaded_fills_agree(self, prec):
+        keys = list(range(-9 * 4096, 7 * 4096, 97))
+        self._clear()
+        in_order = self._fill_table(keys, prec)
+        # so the factor tables grow in another order too
+        shuffled = list(keys)
+        random.Random(prec).shuffle(shuffled)
+        self._clear()
+        assert self._fill_table(shuffled, prec) == in_order
+        # two threads, each over every key in its own order, filling
+        # whichever entries the other has not
+        self._clear()
+        orders = [shuffled, keys]
+        threads = [threading.Thread(target=self._fill_table, args=(order, prec)) for order in orders]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        with quadrature._working(prec):
+            assert lfuncs._precision_table(quadrature._node_tables) == in_order
+
+    def test_one_factor_table_after_a_precision_switch(self):
+        self._clear()
+        for prec in (30, 60, 30):
+            quadrature._quad_cache.clear()
+            quad_phi(1, 3, prec)
+            with quadrature._working(prec):
+                assert list(quadrature._factor_tables) == [mp.prec]
+                assert list(quadrature._node_tables) == [mp.prec]
+                factors = quadrature._factor_tables[mp.prec]
+                assert set(factors) == {-1, 1}
+        # the factors after the switch back are the ones a fresh table holds
+        kept = {sign: list(values) for sign, values in factors.items()}
+        self._clear()
+        quadrature._quad_cache.clear()
+        quad_phi(1, 3, 30)
+        with quadrature._working(30):
+            assert quadrature._factor_tables[mp.prec] == kept
 
 
 class TestAgainstMpf:
