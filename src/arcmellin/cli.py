@@ -43,6 +43,13 @@ from .closedform import (
 from .exact import DomainError, PrecisionError
 from .suites import IdentityFamily
 
+#: The closed-form command's families, in the order the parser lists them.
+_FAMILIES = {
+    "log-odd": log_integral_odd_cosh,
+    "log-even": log_integral_even_cosh,
+    "sinh-over-z": sinh_over_z_integral,
+}
+
 # argparse and the numeric layers (mpmath, lfuncs, quadrature, verify, and
 # catalog, which builds its forms at import) are imported by the functions
 # that use them, so an exact command such as closed-form loads none of them.
@@ -89,7 +96,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_cf = sub.add_parser("closed-form", help="print one exact closed form")
-    p_cf.add_argument("family", choices=["log-odd", "log-even", "sinh-over-z"])
+    p_cf.add_argument("family", choices=list(_FAMILIES))
     p_cf.add_argument("--q", type=int, required=True)
     p_cf.add_argument("--n", type=int, required=True)
     out = p_cf.add_mutually_exclusive_group()
@@ -160,7 +167,10 @@ def cli_main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         config = _load_config(args.config)
-        default_prec = int(config.get("prec", 30))
+        # --prec, where the command has one, over the config's prec
+        prec = int(config.get("prec", 30))
+        if getattr(args, "prec", None) is not None:
+            prec = args.prec
         default_range = _parse_range(config["range"]) if "range" in config else None
     except (OSError, ValueError, argparse.ArgumentTypeError) as exc:
         print(f"error: bad config: {exc}", file=sys.stderr)
@@ -168,13 +178,7 @@ def cli_main(argv: list[str] | None = None) -> int:
 
     try:
         if args.command == "closed-form":
-            if args.family == "log-odd":
-                form = log_integral_odd_cosh(args.q, args.n)
-            elif args.family == "log-even":
-                form = log_integral_even_cosh(args.q, args.n)
-            else:
-                form = sinh_over_z_integral(args.q, args.n)
-            _emit_form(form, args)
+            _emit_form(_FAMILIES[args.family](args.q, args.n), args)
             return 0
 
         if args.command == "phi-odd":
@@ -182,7 +186,6 @@ def cli_main(argv: list[str] | None = None) -> int:
             return 0
 
         if args.command == "verify":
-            prec = args.prec if args.prec is not None else default_prec
             n_range = args.n_range if args.n_range is not None else default_range
             return _run_suite(args.suite, n_range, prec, args.json)
 
@@ -191,7 +194,6 @@ def cli_main(argv: list[str] | None = None) -> int:
 
             from .lfuncs import eval_closed_form
 
-            prec = args.prec if args.prec is not None else default_prec
             try:
                 text = Path(args.json_file).read_text()
             except OSError as exc:
@@ -209,7 +211,6 @@ def cli_main(argv: list[str] | None = None) -> int:
             from .lfuncs import eval_closed_form, euler_gamma, ln2, ln_pi
             from .quadrature import MAX_PREC, quad_c_constant
 
-            prec = args.prec if args.prec is not None else default_prec
             print(f"ln 2   = {mp.nstr(ln2(prec), prec)}")
             print(f"ln pi  = {mp.nstr(ln_pi(prec), prec)}")
             print(f"gamma  = {mp.nstr(euler_gamma(prec), prec)}")
@@ -223,7 +224,6 @@ def cli_main(argv: list[str] | None = None) -> int:
         if args.command == "reproduce-paper":
             from . import verify
 
-            prec = args.prec if args.prec is not None else default_prec
             report = verify.reproduce_reference_tables(prec=prec)
             for cell in report.cells:
                 status = "ok " if cell.ok else "FAIL"

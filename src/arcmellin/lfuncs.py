@@ -116,9 +116,11 @@ _LOG_GUARD_BITS = 48
 _LOG_SPARE_BITS = 16
 
 
-def _check_prec(prec: int) -> None:
-    if not 1 <= prec <= _MAX_PREC:
-        raise DomainError(f"precision must be in [1, {_MAX_PREC}] digits, got {prec}")
+def _check_prec(prec: int, cap: int = _MAX_PREC) -> None:
+    """Refuse a ``prec`` that is not an int in [1, ``cap``] digits; a bool
+    is refused too, though Python counts it as an int."""
+    if isinstance(prec, bool) or not isinstance(prec, int) or not 1 <= prec <= cap:
+        raise DomainError(f"precision must be an int in [1, {cap}] digits, got {prec!r}")
 
 
 def _as_mpf(x) -> mpf:

@@ -111,10 +111,10 @@ prefix another kernel left makes every product its own ladder would make,
 in whatever order the kernels come, and the terms are unchanged bit for
 bit; a fractional or large a is one exp(a ln tanh z) per node, and
 sech^b z a short ladder inside each term.  ``quad_phi_many`` sweeps every
-uncached Phi of a request list at once, in request order (the numeric
-suites of :mod:`arcmellin.verify` request their whole grid before their
-first cell); ``quad_phi`` is that batch of one, and ``quad_c_constant``
-sweeps the two constants together.
+uncached Phi of a request list at once, in request order (each numeric
+suite of :mod:`arcmellin.verify` sends its whole grid as one batch, and
+its cells read the results that batch returned); ``quad_phi`` is that
+batch of one, and ``quad_c_constant`` sweeps the two constants together.
 
 Results are cached per (family, parameters, precision), Phi under its exact
 s, so 3, "3.0" and Fraction(3) share one entry; cached replies are
@@ -139,7 +139,7 @@ from mpmath.libmp import (
 from mpmath.libmp.libelefun import exp_basecase, ln2_fixed
 
 from .exact import DomainError, PrecisionError
-from .lfuncs import _exact, _fixed, _precision_table, _working
+from .lfuncs import _check_prec, _exact, _fixed, _precision_table, _working
 
 DEFAULT_PREC = 30
 MAX_PREC = 100
@@ -199,11 +199,6 @@ class _Kernel(NamedTuple):
 
     term: Callable[[list, dict], int]
     units: int
-
-
-def _check_prec(prec: int) -> None:
-    if not 1 <= prec <= MAX_PREC:
-        raise DomainError(f"quadrature precision must be in [1, {MAX_PREC}], got {prec}")
 
 
 def _scale() -> tuple[int, int]:
@@ -756,7 +751,7 @@ def quad_phi_many(requests, prec: int = DEFAULT_PREC) -> list[QuadResult]:
     bit-identical to the one a sweep of that integral alone gives, whatever
     the order of the requests.
     """
-    _check_prec(prec)
+    _check_prec(prec, MAX_PREC)
     with _working(prec):
         keys = [_phi_key(which, s, prec) for which, s in requests]
         found = _cached(keys, prec, _phi_kernels)
@@ -775,7 +770,7 @@ def quad_phi(which: int, s, prec: int = DEFAULT_PREC) -> QuadResult:
 
 def quad_log_family(q: int, n_exponent: int, prec: int = DEFAULT_PREC) -> QuadResult:
     """int_0^oo sinh^{2q+1}(z) ln(z) / cosh^N(z) dz with N = n_exponent > 2q+1."""
-    _check_prec(prec)
+    _check_prec(prec, MAX_PREC)
     if q < 0 or 2 * q + 1 >= n_exponent:
         raise DomainError(
             f"convergence requires 2q+1 < N with q >= 0; got q={q}, N={n_exponent}"
@@ -791,7 +786,7 @@ def quad_log_family(q: int, n_exponent: int, prec: int = DEFAULT_PREC) -> QuadRe
 
 def quad_sinh_over_z(q: int, n_exponent: int, prec: int = DEFAULT_PREC) -> QuadResult:
     """int_0^oo sinh^{2q}(z) / (z cosh^N(z)) dz with 0 < 2q < N = n_exponent."""
-    _check_prec(prec)
+    _check_prec(prec, MAX_PREC)
     if not 0 < 2 * q < n_exponent:
         raise DomainError(
             f"convergence requires 0 < 2q < N; got q={q}, N={n_exponent}"
@@ -818,7 +813,7 @@ def quad_c_constant(which: int, prec: int = DEFAULT_PREC) -> QuadResult:
     at every node, so a miss computes whichever of the two is not cached in
     one sweep.
     """
-    _check_prec(prec)
+    _check_prec(prec, MAX_PREC)
     if which not in (1, 2):
         raise DomainError(f"which must be 1 or 2, got {which}")
     keys = [("c_constant", 1, prec), ("c_constant", 2, prec)]

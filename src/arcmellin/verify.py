@@ -7,7 +7,11 @@ coupled series, asymptotic constants, cross representation, reference
 tables) declare a working precision and tolerance in their reports, refuse
 a precision below :data:`MIN_PREC`, and set the mpmath precision only
 through ``lfuncs._working``: the one lock on the global context, at
-``lfuncs.GUARD_DIGITS`` digits above the suite's precision.
+``lfuncs.GUARD_DIGITS`` digits above the suite's precision.  A numeric
+suite that integrates Phi states its grid once and sends it to
+``quad_phi_many`` as one batch; its cells read the results that batch
+returned by (which, s), and what they share (the coupled series' weights
+and tail bounds, the parsed bounds grid) is computed once per suite.
 
 Every suite is a lazy source of :class:`CellResult` values (an exact suite
 draws them from a row source that yields the cells of one n at a time), and
@@ -18,9 +22,9 @@ runs, then draws the cells under one timer.  Every suite is named by one
 CLI parser reads without loading this module) and dispatched through
 :data:`SUITES`, which maps it to a runner ``(n_range, prec)``;
 :func:`run_identity` looks one up and :func:`all_suites` runs them all in
-registry order, the reference tables last.  Cells are ordered by parameter tuple, so reports are deterministic
-for fixed inputs; wall-clock timing is carried on the object but excluded
-from the canonical JSON.
+registry order, the reference tables last.  Cells are ordered by
+parameter tuple, so reports are deterministic for fixed inputs; wall-clock
+timing is carried on the object but excluded from the canonical JSON.
 """
 
 from __future__ import annotations
@@ -51,7 +55,7 @@ from .closedform import (
 )
 from .exact import DomainError, bernoulli, binomial, eulerian
 from .lfuncs import _working, eval_closed_form, mellin_bound_gamma_ratio, phi1_bounds
-from .quadrature import quad_c_constant, quad_phi, quad_phi_many
+from .quadrature import quad_c_constant, quad_phi_many
 from .series import _cosh_moments, _dot, _egf_weights, _kernel_coeff, _x_over_sinh_row
 from .suites import IdentityFamily
 
@@ -362,6 +366,13 @@ def check_even_argument_relations() -> VerifyReport:
 DEFAULT_BOUNDS_GRID = ("1.01", "1.1", "1.5", "2", "3", "5", "10", "25")
 
 
+def _phi_batch(requests: list[tuple], prec: int) -> dict:
+    """{(which, s): QuadResult} for the Phi ``requests``, from one
+    ``quad_phi_many`` batch; a numeric suite's cells read this, so a cell
+    its grid misses raises :class:`KeyError`."""
+    return dict(zip(requests, quad_phi_many(requests, prec)))
+
+
 def check_bounds(s_grid=DEFAULT_BOUNDS_GRID, prec: int = 30) -> VerifyReport:
     """Strict two-sided bounds for both transforms on a grid of s > 1.
 
@@ -373,16 +384,16 @@ def check_bounds(s_grid=DEFAULT_BOUNDS_GRID, prec: int = 30) -> VerifyReport:
 
     def cells():
         margin = mpf(10) ** (-(prec - 10))
-        quad_phi_many([(which, Fraction(str(s))) for s in s_grid for which in (1, 2)], prec)
-        for s in s_grid:
-            sf = Fraction(str(s))
+        grid = [(str(s), Fraction(str(s))) for s in s_grid]
+        phi = _phi_batch([(which, sf) for _, sf in grid for which in (1, 2)], prec)
+        for s, sf in grid:
             for which, bounds in ((1, phi1_bounds), (2, mellin_bound_gamma_ratio)):
                 lo, hi = bounds(sf, prec)
-                v = quad_phi(which, sf, prec).value
+                v = phi[which, sf].value
                 ok = (v - lo) > margin and (hi - v) > margin
                 with _working(prec):
                     detail = " < ".join(mp.nstr(x, prec) for x in (lo, v, hi))
-                yield CellResult((str(s), f"phi{which}"), ok, detail)
+                yield CellResult((s, f"phi{which}"), ok, detail)
 
     tolerance = f"strict with margin 1e-{prec - 10}"
     return _build(IdentityFamily.BOUNDS.value, cells(), tolerance, prec)
@@ -426,23 +437,21 @@ def _coupled(svals, truncation: int, prec: int) -> VerifyReport:
         for s, sf in zip(svals, grid):
             if not sf > 1:
                 raise DomainError(f"coupled series require s > 1, got {s}")
-        quad_phi_many(
+        phi = _phi_batch(
             [(which, sf + 2 * n) for sf in grid for n in range(truncation) for which in (1, 2)], prec
         )
+        with _working(prec):
+            weights = [mpf(binomial(2 * n, n)) / mpf(4) ** n for n in range(truncation)]
+            bound2 = coupled_tail_bound(2, truncation)
+            bound1 = coupled_tail_bound(1, truncation)
         for s, sf in zip(svals, grid):
             with _working(prec):
-                phi1_s = quad_phi(1, sf, prec).value
-                phi2_s = quad_phi(2, sf, prec).value
-                acc2 = mpf(0)
-                acc1 = mpf(0)
-                for n in range(truncation):
-                    weight = mpf(binomial(2 * n, n)) / mpf(4) ** n
-                    acc2 += weight * quad_phi(1, sf + 2 * n, prec).value
-                    acc1 -= weight / (2 * n - 1) * quad_phi(2, sf + 2 * n, prec).value
-                residual2 = abs(phi2_s - acc2)
-                residual1 = abs(phi1_s - acc1)
-                bound2 = coupled_tail_bound(2, truncation)
-                bound1 = coupled_tail_bound(1, truncation)
+                acc2 = acc1 = mpf(0)
+                for n, weight in enumerate(weights):
+                    acc2 += weight * phi[1, sf + 2 * n].value
+                    acc1 -= weight / (2 * n - 1) * phi[2, sf + 2 * n].value
+                residual2 = abs(phi[2, sf].value - acc2)
+                residual1 = abs(phi[1, sf].value - acc1)
             for name, residual, bound in (
                 ("phi2-from-phi1", residual2, bound2),
                 ("phi1-from-phi2", residual1, bound1),
@@ -489,7 +498,8 @@ def check_asymptotic_constants(prec: int = 30) -> VerifyReport:
 
     def cells():
         tol = mpf(10) ** (-(prec - 5))
-        quad_phi_many([(which, 1 + Fraction(1, 10**k)) for which in (1, 2) for k in range(1, 7)], prec)
+        eps = [Fraction(1, 10**k) for k in range(1, 7)]
+        phi = _phi_batch([(which, 1 + e) for which in (1, 2) for e in eps], prec)
         for which, quad_val, closed_val, printed in _constants(prec):
             yield CellResult(
                 (f"C{which}", "closed-vs-quad"),
@@ -502,12 +512,10 @@ def check_asymptotic_constants(prec: int = 30) -> VerifyReport:
                 f"printed={printed}",
             )
             with _working(prec):
-                errors = []
-                for k in range(1, 7):
-                    eps = Fraction(1, 10**k)
-                    phi = quad_phi(which, 1 + eps, prec).value
-                    diff = phi - mpf(10) ** k
-                    errors.append(abs(diff - closed_val))
+                errors = [
+                    abs(phi[which, 1 + e].value - mpf(10) ** k - closed_val)
+                    for k, e in enumerate(eps, 1)
+                ]
                 trend_ok = all(errors[i + 1] < errors[i] for i in range(len(errors) - 1))
                 rate_ok = all(
                     errors[k - 1] <= mpf(10) ** -k for k in range(1, min(6, (prec - 1) // 2) + 1)
@@ -540,13 +548,13 @@ def check_cross_representation(n_max: int = 6, prec: int = 30) -> VerifyReport:
             raise DomainError(f"cross-rep needs n_max >= 1, got {n_max}")
         tol = mpf(10) ** (-(prec - 5))
         svals = [s for n in range(1, n_max + 1) for s in (2 * n + 1, 2 * n)]
-        quad_phi_many([(which, s) for s in svals for which in (1, 2)], prec)
+        phi = _phi_batch([(which, s) for s in svals for which in (1, 2)], prec)
         for n in range(1, n_max + 1):
             for which in (1, 2):
                 neg_form = eval_closed_form(phi_odd_closed_form(which, n), prec)
                 q, big_n = catalog.phi_odd_as_sinh_over_z(which, n)
                 pos_form = eval_closed_form(sinh_over_z_integral(q, big_n), prec)
-                quad_val = quad_phi(which, 2 * n + 1, prec).value
+                quad_val = phi[which, 2 * n + 1].value
                 spread = max(
                     abs(neg_form - pos_form),
                     abs(neg_form - quad_val),
@@ -556,7 +564,7 @@ def check_cross_representation(n_max: int = 6, prec: int = 30) -> VerifyReport:
         for m in range(1, n_max + 1):
             for which in (1, 2):
                 exact = eval_closed_form(phi_even_closed_form(which, m), prec)
-                gap = abs(exact - quad_phi(which, 2 * m, prec).value)
+                gap = abs(exact - phi[which, 2 * m].value)
                 yield CellResult(("phi-even", which, m), gap < tol, f"gap={mp.nstr(gap, 3)}")
 
     return _build(IdentityFamily.CROSS_REP.value, cells(), f"1e-{prec - 5}", prec)
@@ -620,16 +628,10 @@ def _exact_suite(
     return family, lambda n_range, prec: _build(family.value, cells(n_range))
 
 
-def _cross_rep(n_range: tuple[int, int] | None, prec: int) -> VerifyReport:
-    """cross-rep up to the largest n of ``n_range`` (6 without one)."""
-    if n_range is None:
-        return check_cross_representation(prec=prec)
-    return check_cross_representation(n_max=n_range[1], prec=prec)
-
-
 #: The one suite registry, in ``verify all`` order.  Exact families take an
 #: inclusive n-range (default sized to stay inside desk scale); the numeric
-#: suites use their own grids, except that cross-rep reads n_max from it.
+#: suites use their own grids, except that cross-rep reads n_max from it
+#: (6 without one).
 SUITES: dict[IdentityFamily, _Runner] = dict(
     [
         _exact_suite(IdentityFamily.ALT_BINOM_ODD, _alt_binom_odd_row, 1, (1, 25)),
@@ -646,7 +648,10 @@ SUITES: dict[IdentityFamily, _Runner] = dict(
         (IdentityFamily.BOUNDS, lambda n_range, prec: check_bounds(prec=prec)),
         (IdentityFamily.COUPLED_SERIES, lambda n_range, prec: _coupled((2, 4, 6), 30, prec)),
         (IdentityFamily.ASYMPTOTIC, lambda n_range, prec: check_asymptotic_constants(prec)),
-        (IdentityFamily.CROSS_REP, _cross_rep),
+        (
+            IdentityFamily.CROSS_REP,
+            lambda n_range, prec: check_cross_representation(n_range[1] if n_range else 6, prec),
+        ),
         (IdentityFamily.EVEN_RELATIONS, lambda n_range, prec: check_even_argument_relations()),
         (IdentityFamily.REFERENCE_TABLES, lambda n_range, prec: reproduce_reference_tables(prec)),
     ]

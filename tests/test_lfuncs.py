@@ -780,6 +780,30 @@ class TestPrecisionContract:
         assert abs(fn(prec) - fn(prec + 20)) < mpf(10) ** -prec
 
 
+class TestPrecisionArgument:
+    """``prec`` is an int number of digits in [1, 1000]; a float or a bool
+    is refused rather than read as a precision (True as 1 digit)."""
+
+    ENTRIES = [
+        lambda p: eval_closed_form(ClosedForm([(LN2, Fraction(3, 4))]), p),
+        lambda p: zeta_prime_even(0, p),
+        lambda p: symbol_value("lnpi", None, p),
+    ]
+
+    @pytest.mark.parametrize("entry", ENTRIES)
+    @pytest.mark.parametrize("prec", [30.0, 30.5, 1.0, True, False, 0, 1001])
+    def test_refused(self, entry, prec):
+        with pytest.raises(DomainError, match=r"\[1, 1000\] digits"):
+            entry(prec)
+
+    @pytest.mark.parametrize("entry", ENTRIES)
+    @pytest.mark.parametrize("prec", [1, 100, 1000])
+    def test_the_ends_are_accepted(self, entry, prec):
+        value = entry(prec)
+        with mp.workdps(prec + 10):
+            assert abs(value - entry(min(prec + 10, 1000))) <= mpf(10) ** -prec * abs(value)
+
+
 class TestBounds:
     def test_phi2_upper_at_3_is_one(self):
         lower, upper = mellin_bound_gamma_ratio(3, 30)

@@ -76,6 +76,31 @@ class TestQuadPhi:
         assert a is b
 
 
+class TestPrecisionArgument:
+    """Every entry point takes ``prec`` as an int number of digits in
+    [1, 100]; a float or a bool is refused rather than cached under it."""
+
+    ENTRIES = [
+        lambda p: quad_phi(1, 3, p),
+        lambda p: quadrature.quad_phi_many([(2, 3)], p)[0],
+        lambda p: quad_log_family(0, 3, p),
+        lambda p: quad_sinh_over_z(1, 3, p),
+        lambda p: quad_c_constant(1, p),
+    ]
+
+    @pytest.mark.parametrize("entry", ENTRIES)
+    @pytest.mark.parametrize("prec", [30.0, 30.5, 1.0, True, False, 0, 101])
+    def test_refused(self, entry, prec):
+        with pytest.raises(DomainError, match=r"\[1, 100\] digits"):
+            entry(prec)
+
+    @pytest.mark.parametrize("entry", ENTRIES)
+    @pytest.mark.parametrize("prec", [1, 100])
+    def test_the_ends_are_accepted(self, entry, prec):
+        result = entry(prec)
+        assert result.levels >= 1 and result.error_estimate < mpf(10) ** -prec * abs(result.value)
+
+
 class TestNextToThePole:
     """Phi_which(1 + eps) = 1/eps + C_which + O(eps): at eps = 10^-k the
     value is 10^k + C to the requested relative precision, which needs the

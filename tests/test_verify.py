@@ -30,7 +30,7 @@ from arcmellin import (
     run_identity,
     x_over_sinh_coeffs,
 )
-from arcmellin import catalog, quadrature
+from arcmellin import catalog, quadrature, verify
 from arcmellin.closedform import ONE, ClosedForm
 from arcmellin.verify import (
     MIN_PREC,
@@ -469,6 +469,29 @@ class TestNumericSuites:
         monkeypatch.setattr(catalog, "EVEN_ARGUMENT_RELATIONS", tuple(relations))
         report = check_even_argument_relations()
         assert [cell.ok for cell in report.cells] == [i != index for i in range(len(relations))]
+
+
+class TestOneBatchPerSuite:
+    @pytest.mark.parametrize("prec", [30, 100])
+    def test_each_numeric_suite_asks_for_its_grid_once(self, monkeypatch, prec):
+        # bounds, coupled, asymptotic and cross-rep each send their whole Phi
+        # grid as one batch, and their cells read the QuadResults it returned
+        batches, singles = [], []
+        batch, single = verify.quad_phi_many, quadrature.quad_phi
+
+        def counted_batch(requests, prec):
+            batches.append(requests)
+            return batch(requests, prec)
+
+        def counted_single(*args, **kwargs):
+            singles.append(args)
+            return single(*args, **kwargs)
+
+        monkeypatch.setattr(verify, "quad_phi_many", counted_batch)
+        monkeypatch.setattr(quadrature, "quad_phi", counted_single)
+        monkeypatch.setattr(verify, "quad_phi", counted_single, raising=False)
+        assert all(report.passed for report in all_suites(prec))
+        assert (len(batches), singles) == (4, [])
 
 
 class TestPrecisionFloor:
