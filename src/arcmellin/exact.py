@@ -10,13 +10,27 @@ Python ints and ``fractions.Fraction``.  Conventions fixed here:
   so E_0 = 1, E_2 = -1, E_4 = 5, and all odd-index values vanish.
 * Harmonic numbers with H_0 = 0.
 * Signed tangent numbers (-1)^k T_{2k+1}, tan x = sum T_n x^n / n!, so
-  1, -2, 16, -272, ...: the integers 2^{2k+1} (2^{2k+2} - 1) B_{2k+2} / (k+1)
-  (Knuth and Buckholtz, Math. Comp. 21, 1967).
+  1, -2, 16, -272, ...
 * Eulerian numbers of type A (descents of permutations, row sums n!) and
   type B (descents of signed permutations, row sums 2^n n!).
 
-Tables are append-only caches guarded by a lock; published entries are
-immutable, so concurrent reads are safe.
+The Bernoulli, Euler and tangent numbers are read from one table, the zigzag
+numbers A_n of sec x + tan x = sum A_n x^n / n! (1, 1, 1, 2, 5, 16, 61, 272,
+...), whose even entries are |E_n| and odd entries T_n:
+
+    E_{2k}   = (-1)^k A_{2k},
+    T_{2k+1} = A_{2k+1},
+    B_{2k}   = (-1)^{k-1} 2k A_{2k-1} / (4^k (4^k - 1))   for k >= 1,
+
+the last from T_{2k-1} = (-1)^{k-1} 4^k (4^k - 1) B_{2k} / (2k) (Knuth and
+Buckholtz, Math. Comp. 21, 1967).  The table grows by Seidel's boustrophedon
+(Millar, Sloane and Young, J. Combin. Theory A 76, 1996): row m is the
+running sums, from 0, of row m-1 read backwards, and A_m is its last entry,
+so A_m costs m integer additions and only the last row is kept.
+
+Every table of this layer, and the root-product rows of ``series``, is an
+append-only list grown by ``_grow`` under the one lock ``_lock``; published
+entries are immutable, so concurrent reads are safe.
 """
 
 from __future__ import annotations
@@ -24,6 +38,7 @@ from __future__ import annotations
 import math
 import threading
 from fractions import Fraction
+from itertools import accumulate
 
 
 class DomainError(ValueError):
@@ -36,12 +51,32 @@ class PrecisionError(ArithmeticError):
 
 _lock = threading.RLock()
 
-_bernoulli_cache: list[Fraction] = [Fraction(1)]
-_euler_cache: list[int] = [1]  # E_0, E_2, E_4, ... (even indices only)
-_tangent_cache: list[int] = [1]  # T_1, -T_3, T_5, ...
-_harmonic_cache: list[Fraction] = [Fraction(0)]
-_eulerian_a_rows: list[list[int]] = [[1]]
-_eulerian_b_rows: list[list[int]] = [[1]]
+_zigzag: list[int] = [1]  # A_0, A_1, A_2, ...
+_seidel_row: list[int] = [1]  # the boustrophedon row that ends in _zigzag[-1]
+_harmonic: list[Fraction] = [Fraction(0)]
+
+
+def _grow(table: list, n: int, step) -> list:
+    """``table`` with index n filled: under ``_lock``, each missing entry m
+    is ``step(table[m - 1], m)``, appended."""
+    with _lock:
+        while len(table) <= n:
+            table.append(step(table[-1], len(table)))
+    return table
+
+
+def _seidel_step(_last: int, _m: int) -> int:
+    _seidel_row[:] = list(accumulate(reversed(_seidel_row), initial=0))
+    return _seidel_row[-1]
+
+
+def _zigzag_number(n: int) -> int:
+    return _grow(_zigzag, n, _seidel_step)[n]
+
+
+def _neighbours(row: list[int]):
+    """(row[k-1], row[k]) for k = 0..len(row), with 0 outside the row."""
+    return zip([0, *row], [*row, 0])
 
 
 def binomial(n: int, k: int) -> int:
@@ -55,86 +90,45 @@ def bernoulli(n: int) -> Fraction:
     """Exact Bernoulli number B_n (B_1 = -1/2 convention)."""
     if n < 0:
         raise DomainError(f"bernoulli index must be >= 0, got {n}")
-    with _lock:
-        while len(_bernoulli_cache) <= n:
-            m = len(_bernoulli_cache)
-            if m > 1 and m % 2:
-                _bernoulli_cache.append(Fraction(0))
-                continue
-            # sum_{k=0}^{m} C(m+1,k) B_k = 0 for m >= 1; the odd B_k past B_1 vanish
-            acc = sum(
-                math.comb(m + 1, k) * _bernoulli_cache[k]
-                for k in range(m)
-                if k < 2 or k % 2 == 0
-            )
-            _bernoulli_cache.append(-acc / (m + 1))
-    return _bernoulli_cache[n]
+    if n < 2:
+        return (Fraction(1), Fraction(-1, 2))[n]
+    if n % 2:
+        return Fraction(0)
+    k = n // 2
+    return Fraction((-1) ** (k - 1) * n * _zigzag_number(n - 1), 4**k * (4**k - 1))
 
 
 def euler_number(n: int) -> int:
     """Exact Euler number E_n (secant convention); 0 for odd n."""
     if n < 0:
         raise DomainError(f"euler_number index must be >= 0, got {n}")
-    if n % 2:
-        return 0
-    m = n // 2
-    with _lock:
-        while len(_euler_cache) <= m:
-            j = len(_euler_cache)
-            # cosh * sech = 1  =>  sum_{k=0}^{j} C(2j,2k) E_{2k} = 0 for j >= 1
-            acc = sum(
-                math.comb(2 * j, 2 * k) * _euler_cache[k] for k in range(j)
-            )
-            _euler_cache.append(-acc)
-    return _euler_cache[m]
+    return 0 if n % 2 else (-1) ** (n // 2) * _zigzag_number(n)
 
 
 def _signed_tangent(k: int) -> int:
     """(-1)^k T_{2k+1}, the signed tangent number; k >= 0."""
-    with _lock:
-        while len(_tangent_cache) <= k:
-            j = len(_tangent_cache)
-            # sin = tan * cos  =>  sum_{i=0}^{j} C(2j+1, 2i+1) (-1)^i T_{2i+1} = 1
-            acc = sum(math.comb(2 * j + 1, 2 * i + 1) * _tangent_cache[i] for i in range(j))
-            _tangent_cache.append(1 - acc)
-    return _tangent_cache[k]
+    return (-1) ** k * _zigzag_number(2 * k + 1)
 
 
 def harmonic(n: int) -> Fraction:
     """Exact harmonic number H_n = sum_{k=1}^{n} 1/k, with H_0 = 0."""
     if n < 0:
         raise DomainError(f"harmonic index must be >= 0, got {n}")
-    with _lock:
-        while len(_harmonic_cache) <= n:
-            m = len(_harmonic_cache)
-            _harmonic_cache.append(_harmonic_cache[m - 1] + Fraction(1, m))
-    return _harmonic_cache[n]
+    return _grow(_harmonic, n, lambda h, m: h + Fraction(1, m))[n]
 
 
-def _extend_eulerian_a(n: int) -> None:
-    while len(_eulerian_a_rows) <= n:
-        m = len(_eulerian_a_rows)
-        prev = _eulerian_a_rows[m - 1]
-
-        def a(k: int) -> int:
-            return prev[k] if 0 <= k < len(prev) else 0
-
-        # row m has entries k = 0 .. m-1 for m >= 1
-        row = [(k + 1) * a(k) + (m - k) * a(k - 1) for k in range(m)]
-        _eulerian_a_rows.append(row)
-
-
-def _extend_eulerian_b(n: int) -> None:
-    while len(_eulerian_b_rows) <= n:
-        m = len(_eulerian_b_rows)
-        prev = _eulerian_b_rows[m - 1]
-
-        def b(k: int) -> int:
-            return prev[k] if 0 <= k < len(prev) else 0
-
-        # row m has entries k = 0 .. m
-        row = [(2 * k + 1) * b(k) + (2 * m - 2 * k + 1) * b(k - 1) for k in range(m + 1)]
-        _eulerian_b_rows.append(row)
+#: kind -> (rows, the rule that builds row m from row m - 1)
+_EULERIAN = {
+    # A(m, k) = (k+1) A(m-1, k) + (m-k) A(m-1, k-1); row m >= 1 spans
+    # k = 0..m-1, one entry fewer than row 0 = [1] gives, so row 1 is seeded
+    "A": ([[1], [1]], lambda row, m: [
+        (k + 1) * b + (m - k) * a for k, (a, b) in enumerate(_neighbours(row))
+    ]),
+    # B(m, k) = (2k+1) B(m-1, k) + (2m-2k+1) B(m-1, k-1); row m spans k = 0..m
+    "B": ([[1]], lambda row, m: [
+        (2 * k + 1) * b + (2 * m - 2 * k + 1) * a for k, (a, b) in enumerate(_neighbours(row))
+    ]),
+}
 
 
 def eulerian(kind: str, n: int, k: int) -> int:
@@ -142,20 +136,13 @@ def eulerian(kind: str, n: int, k: int) -> int:
 
     ``kind`` is "A" for the classical triangle (row n spans k = 0..n-1,
     row sum n!) or "B" for the signed-permutation triangle (row n spans
-    k = 0..n, row sum 2^n n!).
+    k = 0..n, row sum 2^n n!), in either case; any other kind raises
+    ``DomainError``.
     """
+    if not isinstance(kind, str) or kind.upper() not in _EULERIAN:
+        raise DomainError(f"eulerian kind must be 'A' or 'B', got {kind!r}")
     if n < 0:
         raise DomainError(f"eulerian row must be >= 0, got {n}")
-    kind = kind.upper()
-    if kind == "A":
-        with _lock:
-            _extend_eulerian_a(n)
-            row = _eulerian_a_rows[n]
-        return row[k] if 0 <= k < len(row) else 0
-    if kind == "B":
-        with _lock:
-            _extend_eulerian_b(n)
-            row = _eulerian_b_rows[n]
-        return row[k] if 0 <= k < len(row) else 0
-    raise DomainError(f"eulerian kind must be 'A' or 'B', got {kind!r}")
-
+    rows, rule = _EULERIAN[kind.upper()]
+    row = _grow(rows, n, rule)[n]
+    return row[k] if 0 <= k < len(row) else 0

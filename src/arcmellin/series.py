@@ -25,8 +25,10 @@ its own recurrence in integer and rational arithmetic:
   generated by the two-term recurrences
       g[k][n] = g[k-1][n-1] - n^2 g[k][n-1],
       h[k][n] = h[k-1][n-1] - (2n-1)^2 h[k][n-1].
-  The rows are kept at module level, and ``RootProductTables`` is a named
-  tuple of their extent with the two lookups.  Demo 02 and the tests read
+  The rows are append-only lists at module level, grown like every table
+  of ``exact`` by ``exact._grow`` under the exact layer's one lock, and
+  ``RootProductTables`` is a named tuple of their extent whose two lookups
+  share one bounds check.  Demo 02 and the tests read
   them; they are not on the closed-form path, where
   ``closedform._odd_value_numerators`` sums against the same products by
   Horner's rule.
@@ -58,7 +60,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple
 
-from .exact import DomainError
+from .exact import DomainError, _grow, _neighbours
 
 
 @lru_cache(maxsize=None)
@@ -128,21 +130,8 @@ def x_over_sinh_coeffs(power: int, order: int) -> tuple[Fraction, ...]:
     return tuple(coeffs)
 
 
-_tables_lock = threading.RLock()
 _int_root_rows: list[list[int]] = [[1]]   # rows n, entries k = 0..n
 _odd_root_rows: list[list[int]] = [[1]]
-
-
-def _grow_rows(rows: list[list[int]], n: int, step_factor) -> None:
-    while len(rows) <= n:
-        m = len(rows)
-        prev = rows[m - 1]
-        f = step_factor(m)
-        row = [
-            (prev[k - 1] if k >= 1 else 0) - f * (prev[k] if k < len(prev) else 0)
-            for k in range(m + 1)
-        ]
-        rows.append(row)
 
 
 class RootProductTables(NamedTuple):
@@ -157,28 +146,27 @@ class RootProductTables(NamedTuple):
 
     max_n: int
 
-    def integer_root(self, k: int, n: int) -> int:
+    def _entry(self, rows: list[list[int]], k: int, n: int) -> int:
         if k < 0 or n < 0 or k > n:
             return 0
         if n > self.max_n:
             raise DomainError(f"table built to n={self.max_n}, requested n={n}")
-        return _int_root_rows[n][k]
+        return rows[n][k]
+
+    def integer_root(self, k: int, n: int) -> int:
+        return self._entry(_int_root_rows, k, n)
 
     def odd_root(self, k: int, n: int) -> int:
-        if k < 0 or n < 0 or k > n:
-            return 0
-        if n > self.max_n:
-            raise DomainError(f"table built to n={self.max_n}, requested n={n}")
-        return _odd_root_rows[n][k]
+        return self._entry(_odd_root_rows, k, n)
 
 
 def root_product_tables(n_max: int) -> RootProductTables:
-    """Build (or reuse) both triangles up to row ``n_max``."""
-    if n_max < 0:
-        raise DomainError("n_max must be >= 0")
-    with _tables_lock:
-        _grow_rows(_int_root_rows, n_max, lambda m: m * m)
-        _grow_rows(_odd_root_rows, n_max, lambda m: (2 * m - 1) ** 2)
+    """Build (or reuse) both triangles up to row ``n_max``, an int >= 0."""
+    if not isinstance(n_max, int) or isinstance(n_max, bool) or n_max < 0:
+        raise DomainError(f"n_max must be an int >= 0, got {n_max!r}")
+    # row m is row m - 1 times (x^2 - r^2), r = m or 2m - 1
+    _grow(_int_root_rows, n_max, lambda row, m: [a - m * m * b for a, b in _neighbours(row)])
+    _grow(_odd_root_rows, n_max, lambda row, m: [a - (2 * m - 1) ** 2 * b for a, b in _neighbours(row)])
     return RootProductTables(n_max)
 
 

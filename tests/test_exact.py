@@ -2,6 +2,7 @@
 
 import math
 import random
+import sys
 import threading
 from fractions import Fraction
 
@@ -16,7 +17,10 @@ from arcmellin import (
     euler_number,
     eulerian,
     harmonic,
+    root_product_tables,
 )
+from arcmellin import exact, series
+from arcmellin.exact import _signed_tangent
 from _series_oracles import cosh_series
 
 
@@ -46,11 +50,11 @@ class TestBernoulli:
     def test_odd_vanish(self):
         assert all(bernoulli(2 * k + 1) == 0 for k in range(1, 20))
 
-    def test_recurrence_oracle_to_60(self):
-        oracle = bernoulli_oracle(60)
-        for n in range(61):
+    def test_recurrence_oracle_to_200(self):
+        oracle = bernoulli_oracle(200)
+        for n in range(201):
             assert bernoulli(n) == oracle[n]
-        for n in range(1, 61):
+        for n in range(1, 201):
             assert sum(Fraction(math.comb(n + 1, k)) * bernoulli(k) for k in range(n + 1)) == 0
 
 
@@ -69,11 +73,24 @@ class TestEulerNumbers:
         for k in range(1, 20):
             assert euler_number(2 * k) * euler_number(2 * k + 2) < 0
 
+    def test_cosh_sech_recurrence_to_200(self):
+        # cosh * sech = 1: sum_{k=0}^{j} C(2j, 2k) E_{2k} = 0 for j >= 1
+        assert euler_number(0) == 1
+        for j in range(1, 101):
+            assert sum(math.comb(2 * j, 2 * k) * euler_number(2 * k) for k in range(j + 1)) == 0
+
     def test_sech_series_oracle_to_60(self):
         # cross-module: Taylor coefficients of 1/cosh reproduce E_n / n!
         sech = cosh_series(60).reciprocal()
         for n in range(61):
             assert sech.coefficient(n) == Fraction(euler_number(n), math.factorial(n))
+
+
+class TestSignedTangent:
+    def test_sin_tan_cos_recurrence_to_200(self):
+        # sin = tan * cos: sum_{i=0}^{j} C(2j+1, 2i+1) t_i = 1, t_i = (-1)^i T_{2i+1}
+        for j in range(201):
+            assert sum(math.comb(2 * j + 1, 2 * i + 1) * _signed_tangent(i) for i in range(j + 1)) == 1
 
 
 class TestBinomial:
@@ -162,6 +179,15 @@ class TestEulerian:
         with pytest.raises(DomainError):
             eulerian("C", 1, 0)
 
+    @pytest.mark.parametrize("kind", [1, None, b"A", ["A"], "AB", ""])
+    def test_kind_that_names_no_triangle(self, kind):
+        with pytest.raises(DomainError, match="eulerian kind"):
+            eulerian(kind, 3, 1)
+
+    def test_kind_in_either_case(self):
+        assert eulerian("a", 3, 1) == eulerian("A", 3, 1) == 4
+        assert eulerian("b", 2, 1) == eulerian("B", 2, 1) == 6
+
 
 def test_rational_addition_against_manual_gcd():
     # 10^4 random pairs: Fraction arithmetic vs an independent gcd reduction
@@ -174,22 +200,55 @@ def test_rational_addition_against_manual_gcd():
         assert Fraction(a, b) + Fraction(c, d) == Fraction(num // g, den // g)
 
 
-def test_concurrent_table_growth():
-    errors = []
+def _table_reads(offset):
+    """Every table of the exact layer, and the root-product rows, read at
+    the indices offset, offset + 7, ... below 90."""
+    out = []
+    for n in range(offset, 90, 7):
+        tables = root_product_tables(n)
+        out.append((
+            bernoulli(n), euler_number(n), _signed_tangent(n), harmonic(n),
+            eulerian("A", min(n, 20), 3), eulerian("B", n, n // 2),
+            tables.integer_root(n // 2, n), tables.odd_root(n // 3, n),
+        ))
+    return out
+
+
+def test_concurrent_table_growth(monkeypatch):
+    # eight threads grow every table from its first entries at interleaved
+    # indices, switching every 10 microseconds; each must read what a
+    # serial run reads
+    serial = [_table_reads(offset) for offset in range(8)]
+    monkeypatch.setattr(exact, "_zigzag", [1])
+    monkeypatch.setattr(exact, "_seidel_row", [1])
+    monkeypatch.setattr(exact, "_harmonic", exact._harmonic[:1])
+    for kind, (rows, rule) in exact._EULERIAN.items():
+        monkeypatch.setitem(exact._EULERIAN, kind, (rows[:2], rule))
+    monkeypatch.setattr(series, "_int_root_rows", [[1]])
+    monkeypatch.setattr(series, "_odd_root_rows", [[1]])
+    barrier = threading.Barrier(8, timeout=60)
+    results, errors = [None] * 8, []
 
     def worker(offset):
         try:
-            for n in range(offset, 90, 7):
-                bernoulli(n)
-                euler_number(n)
-                eulerian("A", min(n, 20), 3)
+            barrier.wait()
+            results[offset] = _table_reads(offset)
         except Exception as exc:  # pragma: no cover
             errors.append(exc)
 
     threads = [threading.Thread(target=worker, args=(i,)) for i in range(8)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
     assert not errors
+    assert results == serial
+    # the threads grew the cold table to A_179, which t_89 reads
+    assert len(exact._zigzag) == 180
     assert bernoulli(88) == bernoulli_oracle(88)[88]

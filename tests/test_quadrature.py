@@ -95,8 +95,9 @@ class TestPrecisionArgument:
             entry(prec)
 
     @pytest.mark.parametrize("entry", ENTRIES)
-    @pytest.mark.parametrize("prec", [1, 100])
+    @pytest.mark.parametrize("prec", [1, 30, 100])
     def test_the_ends_are_accepted(self, entry, prec):
+        # the two ends of the range, and 30, the default precision
         result = entry(prec)
         assert result.levels >= 1 and result.error_estimate < mpf(10) ** -prec * abs(result.value)
 
@@ -198,8 +199,10 @@ class TestQuadCConstant:
         quadrature._quad_cache.clear()
         expected = quad_c_constant(1, 30)
         quadrature._quad_cache.clear()
-        # B_2 = 1/5 instead of 1/6
-        monkeypatch.setattr(exact, "_bernoulli_cache", [Fraction(1), Fraction(-1, 2), Fraction(1, 5)])
+        # a zigzag table with A_1 = 2 instead of 1, so B_2 = 1/3 instead of
+        # 1/6, and every later A_n, read or grown, twice its value
+        monkeypatch.setattr(exact, "_zigzag", [1, 2])
+        monkeypatch.setattr(exact, "_seidel_row", [0, 2])
         try:
             assert quad_c_constant(1, 30) == expected
         finally:

@@ -162,6 +162,18 @@ class TestRootProductTables:
         assert tables.integer_root(5, 4) == 0
         assert tables.odd_root(-1, 2) == 0
 
+    @pytest.mark.parametrize("n_max", [2.0, True, "2", None, -1])
+    def test_n_max_that_is_no_row(self, n_max):
+        with pytest.raises(DomainError, match="n_max"):
+            root_product_tables(n_max)
+
+    def test_row_past_the_extent_raises(self):
+        tables = root_product_tables(3)
+        with pytest.raises(DomainError, match="built to n=3"):
+            tables.integer_root(1, 4)
+        with pytest.raises(DomainError, match="built to n=3"):
+            tables.odd_root(1, 4)
+
     @staticmethod
     def _poly_mul(a, b):
         out = [0] * (len(a) + len(b) - 1)
