@@ -73,27 +73,42 @@ on integers at W = F + ``_FILL_BITS`` + ``_FILL_GUARD`` bits: exp(-t) is a
 product of the factors exp(-+2^(j-MAX_LEVEL)) over the binary digits j of
 |t| 2^MAX_LEVEL, kept in a factor table per precision beside the node
 table, ln z = t - exp(-t) is exact from there, and z and x = exp(-z) are
-the node's two exponentials, mpmath's fixed-point series after a reduction
-by ln 2; tanh z = (1 - x^2)/(1 + x^2) and sech z = 2x/(1 + x^2) are one
-integer division each.  A z or an x below 2^-(W+2) skips the exponentials
+the node's two exponentials (``_exp_parts``: a reduction by ln 2, then a
+Taylor series that skips more squarings the smaller the remainder is);
+tanh z = (1 - x^2)/(1 + x^2) and sech z = 2x/(1 + x^2) are one integer
+division each.  A z or an x below 2^-(W+2) skips the exponentials
 whose floors are then known.  Its sixth slot, ln tanh z, is filled on first
-use, for the kernels that need it: ln(tanh z) below z = 1 and
-log1p(-x) - log1p(x), x = exp(-2z), above, so it keeps its relative digits
-where tanh z is close to 1.
+use, for the kernels with a fractional or large power of tanh z, on integers
+from the entry's ln z and z (``_ln_tanh``): ln z itself below z = 2^-(F +
+``_FILL_BITS`` + 1); ln z - 2 atanh((C - S)/(C + S)) below z = 1, with
+S = sinh z / z and C = cosh z short series in z^2; and -2 atanh(e^-2z)
+from z = 1 on, with e^-2z a mantissa and a power of 2, so it keeps its
+relative digits where tanh z is close to 1.
 
 Each integrand is a kernel: a term function of one table entry that
 returns f(z) dz/dt at scale 2^F, as products of the entry's integers, each
 shifted down by F.  ``_monomial`` writes the Mellin and sinh/z families as
 tanh^a z sech^b z w and the log family as tanh^a z sech^b z (ln z w z); an
 integer power below ``_LADDER_LIMIT`` is a left-to-right binary ladder of
-such products, and a larger or fractional a of tanh z is exp(a ln tanh z),
-whose argument near the peak of a large s is O(1), so its error stays a few
-units whatever s is.  ``_c_constant_term`` writes the two constants as
-sech^{3-which} z (1 - z/X) w, X = tanh z or sinh z, with the bracket formed
-once in ``mpf`` from z/tanh z = exp(ln z - ln tanh z), which keeps its
-relative digits at small z.  Each kernel carries ``units``, a bound c on
-its term's error in units of 2^-F times 1 + w + z at the node; the level
-sums are exact integers, so the absolute floor of the estimate is
+such products, and a larger or fractional a of tanh z is exp(a ln tanh z):
+the exact product of the mantissas of a and ln tanh z, shifted once, then
+the same integer exponential.  Its argument near the peak of a large s is
+O(1), so its error stays a few units whatever s is.
+``_c_constant_term`` writes the two constants as
+sech^{3-which} z (1 - z/X) w, X = tanh z or sinh z, with the bracket from
+the series S and C below z = 1, where none of their terms cancel, so it
+keeps its relative digits at small z, and from the entry's tanh z, sech z
+and z above, one integer division.  No ``mpf`` operation runs at a node:
+``mpf`` is left to the set-up of each sweep, its level sums and the factor
+table.  On a 2-core Intel Xeon (Python 3.11.7, mpmath 1.3.0 on its
+pure-Python backend) the ln tanh z slot takes about 0.4, 6 and 7 us a node
+by route at 30 digits and 0.5, 13 and 17 at 100 (7, 23 and 17 us, and 15,
+49 and 34, by the earlier ``mpf`` routes, which recomputed z from ln z),
+exp(a ln tanh z) 4 and 9 us (7 and 13), the brackets of both constants 3
+and 7 us (10 and 19), and a node fill 12 and 23 us (12 and 26 with
+mpmath's ``exp_basecase``).  Each kernel carries ``units``, a bound
+c on its term's error in units of 2^-F times 1 + w + z at the node; the
+level sums are exact integers, so the absolute floor of the estimate is
 c h 2^-F sum (1 + w + z) over every node summed.
 
 ``_de_halfline`` integrates a list of kernels in one lockstep sweep: on
@@ -102,8 +117,8 @@ whose wing has not ended adds its term.  Each kernel keeps its own wing
 ends, level-0 guard, stop rule, level cap and error estimate, so its result
 is the one a sweep of that kernel alone gives.  At each node the kernels
 share a scratch dict, dropped after the node, where ``_tanh_power`` keeps
-tanh^a z under the key a, beside the z/tanh z of the two constants.  An
-integer a is the square of the power a >> 1, times tanh z when a is odd:
+tanh^a z under the key a, beside the series S and C of the two constants.
+An integer a is the square of the power a >> 1, times tanh z when a is odd:
 the left-to-right binary ladder as a recursion, which keeps every binary
 prefix of a, and the power after a prefix is the same chain of floored
 products whichever power it is on the way to.  So a kernel that reads a
@@ -132,11 +147,8 @@ from fractions import Fraction
 from typing import Callable, NamedTuple
 
 from mpmath import mp, mpf
-from mpmath.libmp import (
-    fone, from_int, from_man_exp, from_rational, mpf_cosh_sinh, mpf_exp, mpf_log, mpf_lt,
-    mpf_mul, mpf_neg, mpf_shift, mpf_sub, round_nearest,
-)
-from mpmath.libmp.libelefun import exp_basecase, ln2_fixed
+from mpmath.libmp import from_man_exp, mpf_exp, round_nearest
+from mpmath.libmp.libelefun import ln2_fixed
 
 from .exact import DomainError, PrecisionError
 from .lfuncs import _check_prec, _exact, _fixed, _precision_table, _working
@@ -170,7 +182,8 @@ _WING_LIMIT = 600_000
 _cache_lock = threading.Lock()
 _quad_cache: dict[tuple, "QuadResult"] = {}
 # {mp.prec: {t * 2^MAX_LEVEL: [ln z, w = 1 + exp(-t), tanh z, sech z, z as
-# integers at scale 2^F, ln tanh z as a raw mpf or None, w + z, ln z w z]}},
+# integers at scale 2^F, ln tanh z as (m, e) for m 2^e or None, w + z,
+# ln z w z]}},
 # holding one precision at a time; filled and read by _de_halfline and the
 # kernels.
 _node_tables: dict[int, dict[int, list]] = {}
@@ -207,19 +220,36 @@ def _scale() -> tuple[int, int]:
     return bits, bits + _FILL_BITS
 
 
-def _atanh(x: tuple, wp: int) -> tuple:
-    """atanh(x) for a raw mpf 0 < x <= e^-2, to about wp relative bits: the
-    series x + x^3/3 + x^5/5 ... on integers at the scale 2^s where x 2^s
-    has wp bits, each term gaining at least 5.7 bits."""
-    scale = wp - (x[2] + x[3])
-    power = total = _fixed(x, scale)
-    square = power * power >> scale
+def _atanh(x: int, scale: int) -> int:
+    """atanh(x 2^-scale) at scale 2^scale, for 0 <= x 2^-scale <= e^-2: the
+    series x + x^3/3 + x^5/5 ... on integers, each term gaining at least
+    5.7 bits and floored, so within one unit per term."""
+    power = total = x
+    square = x * x >> scale
     j = 1
     while power:
         power = power * square >> scale
         j += 2
         total += power // j
-    return from_man_exp(total, -scale)
+    return total
+
+
+def _sinhc_cosh(z: int, bits: int, wp: int) -> tuple[int, int]:
+    """(sinh z / z - 1, cosh z - 1) at scale 2^wp for z < 1 at scale 2^bits:
+    the series of z^2k / (2k+1)! and z^2k / (2k)! from k = 1, whose terms
+    are positive and at most 1/12 of the one before.  Each term is floored
+    from the one before it, so both are within two units per term of their
+    values at the given z."""
+    square = z * z >> 2 * bits - wp
+    term = square >> 1  # z^2k / (2k)! at k = 1
+    sinhc = cosh = 0
+    k = 1
+    while term:
+        cosh += term
+        sinhc += term // (2 * k + 1)
+        term = (term * square >> wp) // ((2 * k + 1) * (2 * k + 2))
+        k += 1
+    return sinhc, cosh
 
 
 def _exp_factors(sign: int, count: int, wide: int) -> list[int]:
@@ -237,15 +267,45 @@ def _exp_factors(sign: int, count: int, wide: int) -> list[int]:
     return factors
 
 
+def _exp_parts(x: int, ln2: int, wide: int) -> tuple[int, int]:
+    """(m, n) with exp(x 2^-wide) = m 2^(n - wide), for ln2 = ln 2 at scale
+    2^wide: x is reduced to n ln 2 + r with |r| <= ln 2 / 2, and m = exp r
+    at scale 2^wide is the Taylor series of exp(r 2^-j), its even and odd
+    terms apart, squared j times, as in mpmath's ``exp_basecase``, at j + 8
+    bits past wide, so its floors stay below a unit.  ``exp_basecase``
+    squares about sqrt(wide) times whatever r is; here j is sqrt(wide) -
+    log2(1/|r|), and 0 for |r| below 2^-sqrt(wide), so a small r, as in
+    exp(a ln tanh z) for a small a, takes a few terms and no squaring.  m
+    is off by a relative (|n| + 4) 2^-wide, since ln2 is short by less than
+    a unit."""
+    half = ln2 >> 1
+    n, r = divmod(x + half, ln2)
+    r -= half
+    j = max(0, math.isqrt(wide) + abs(r).bit_length() - wide)
+    # r 2^-j at scale 2^bits
+    bits = wide + j + 8
+    r <<= 8
+    square = r * r >> bits
+    even = odd = 1 << bits
+    term, k = square, 2
+    while term:
+        term //= k
+        even += term
+        term //= k + 1
+        odd += term
+        term = term * square >> bits
+        k += 2
+    m = even + (odd * r >> bits)
+    for _ in range(j):
+        m = m * m >> bits
+    return m >> j + 8, n
+
+
 def _exp_fixed(x: int, ln2: int, wide: int) -> int:
-    """exp(x 2^-wide) at scale 2^wide, for ln2 = ln 2 at that scale: x is
-    reduced to n ln 2 + r with 0 <= r < ln 2, and exp r from mpmath's
-    fixed-point series is shifted by n.  Off by a relative (|n| + 4)
-    2^-wide, since ln2 is short by less than a unit, plus one unit for a
-    shift down."""
-    n, r = divmod(x, ln2)
-    y = exp_basecase(r, wide)
-    return y << n if n >= 0 else y >> -n
+    """exp(x 2^-wide) at scale 2^wide from ``_exp_parts``: off by a
+    relative (|n| + 4) 2^-wide plus one unit for a shift down."""
+    m, n = _exp_parts(x, ln2, wide)
+    return m << n if n >= 0 else m >> -n
 
 
 def _fill(key: int, bits: int, wp: int) -> list:
@@ -301,27 +361,41 @@ def _fill(key: int, bits: int, wp: int) -> list:
     return [ln_z, w, tanh, sech, z, None, w + z, (ln_z * w >> bits) * z >> bits]
 
 
-def _ln_tanh(entry: list, bits: int, wp: int) -> tuple:
-    """ln tanh z of a node table entry as a raw mpf, filled on first use.
+def _ln_tanh(entry: list, bits: int, wp: int) -> tuple[int, int]:
+    """ln tanh z of a node table entry as (m, e), the value m 2^e with about
+    wp bits in m, filled into the entry on first use by one of three
+    integer routes, chosen by the entry's ln z:
 
-    z is exp of the entry's ln z, so z carries a relative error of about
-    2^-bits.  Below z = 1, ln tanh z is the log of tanh z from
-    ``mpf_cosh_sinh``, which keeps its relative digits at small z, or ln z
-    itself where z < 2^-wp; from z = 1 on it is
-    log1p(-x) - log1p(x) = -2 atanh(x) with x = exp(-2z), so its relative
-    error is about 2z 2^-bits.
+    - z < 2^-(wp+1): ln z itself, (ln z, -bits) from the entry, since
+      tanh z = z (1 - z^2/3 ...);
+    - z < 1: ln z + ln(tanh z / z), and tanh z / z = S/C for S = sinh z / z
+      and C = cosh z from ``_sinhc_cosh``, so ln(tanh z / z) is
+      -2 atanh((C - S)/(C + S)) with (C - S)/(C + S) <= e^-2, at scale 2^wp;
+      at 30 digits the two series take up to about 25 and 40 terms at z = 1
+      and a handful where z is small;
+    - z >= 1: -2 atanh(q) with q = e^-2z as a mantissa of wp bits and a
+      power of 2, from the entry's z by ``_exp_parts``, so it keeps its
+      relative digits however close to 1 tanh z is; the series gains 5.8 z
+      bits a term.
+
+    The entry's ln z and z are within 1 + 2^-8 max(1, |v|) units of 2^-bits
+    of their values v, and ln tanh z moves by at most 0.45 dz below z = 1
+    (beside d ln z) and by at most 2.03 |ln tanh z| dz above, so the slot
+    is within a relative (6 + z/64) 2^-bits of ln tanh z.
     """
     ln_tanh = entry[5]
     if ln_tanh is None:
-        rnd = round_nearest
-        ln_z = from_man_exp(entry[0], -bits)
-        z = mpf_exp(ln_z, wp, rnd)
-        if -(z[2] + z[3]) > wp:  # tanh z = z (1 - z^2/3 ...)
-            ln_tanh = ln_z
-        elif mpf_lt(z, fone):
-            ln_tanh = mpf_log(mpf_cosh_sinh(z, wp, rnd, tanh=1), wp, rnd)
+        ln_z = entry[0]
+        if ln_z < -(wp + 1) * ln2_fixed(bits):
+            ln_tanh = ln_z, -bits
+        elif ln_z < 0:
+            sinhc, cosh = _sinhc_cosh(entry[4], bits, wp)
+            ratio = ((cosh - sinhc) << wp) // ((2 << wp) + cosh + sinhc)
+            ln_tanh = (ln_z << wp - bits) - 2 * _atanh(ratio, wp), -wp
         else:
-            ln_tanh = mpf_neg(mpf_shift(_atanh(mpf_exp(mpf_neg(mpf_shift(z, 1)), wp, rnd), wp), 1))
+            # q = e^-2z = m 2^(n - wp), so m is q at scale 2^(wp - n)
+            m, n = _exp_parts(-entry[4] << wp - bits + 1, ln2_fixed(wp), wp)
+            ln_tanh = -_atanh(m, wp - n), 1 + n - wp
         entry[5] = ln_tanh
     return ln_tanh
 
@@ -585,12 +659,22 @@ def _tanh_power(bits: int, wp: int) -> Callable[[list, dict, object], int]:
     a e + a - 1 units.  The power after each binary prefix m of a is the
     same integer whichever power it is on the way to, so every prefix a
     kernel reaches is kept, and a later kernel of the sweep that passes m
-    reads it in any order.  A raw mpf a is exp(a ln tanh z), computed at
-    ``wp`` bits and floored, 0 where it is below 2^-(bits+2).
+    reads it in any order.  Any other a is a pair (m, e) of ``_exponent``,
+    and tanh^a z is exp(y) for y = a ln tanh z: the product of the two
+    mantissas, exact, shifted once to the scale 2^wp, then ``_exp_fixed``
+    at wp bits, floored to ``bits``, and 0 where y < -(bits + 2) ln 2.  So
+    a and ln tanh z each keep their relative digits: a fixed-point a would
+    lose the digits of a = 10^-60, and a fixed-point ln tanh z those of a
+    large a at the node where tanh^a z is about 1/2, where ln tanh z is
+    about -1/a.  ln tanh z is within a relative (6 + z/64) 2^-bits
+    (``_ln_tanh``), and |y| e^y is at most 1/e, and below 2^-20 from z = 32
+    on for a < 2^64 (every Phi); so y moves the result by at most 2.4
+    units, and with the exponential within a relative (bits + 6) 2^-wp and
+    the floor, the result is within 4 units.
     """
-    rnd = round_nearest
-    # exp(y) < 2^-(F+2) floors to 0
-    negligible = mpf_neg(mpf_mul(from_int(bits + 2), mp.ln2._mpf_, wp, rnd))
+    ln2 = ln2_fixed(wp)
+    # exp(y) < 2^-(bits+2) floors to 0
+    negligible = -(bits + 2) * ln2
 
     def power(entry: list, scratch: dict, a) -> int:
         if a == 1:
@@ -603,8 +687,11 @@ def _tanh_power(bits: int, wp: int) -> Callable[[list, dict, object], int]:
                 if a & 1:
                     result = result * entry[2] >> bits
             else:
-                y = mpf_mul(a, _ln_tanh(entry, bits, wp), wp, rnd)
-                result = 0 if mpf_lt(y, negligible) else _fixed(mpf_exp(y, wp, rnd), bits)
+                man, exp = entry[5] or _ln_tanh(entry, bits, wp)
+                shift = a[1] + exp + wp
+                y = a[0] * man
+                y = y << shift if shift >= 0 else y >> -shift
+                result = 0 if y < negligible else _exp_fixed(y, ln2, wp) >> wp - bits
             scratch[a] = result
         return result
 
@@ -613,13 +700,16 @@ def _tanh_power(bits: int, wp: int) -> Callable[[list, dict, object], int]:
 
 def _exponent(tanh_power, wp: int):
     """The power a of tanh z as a kernel takes it: an int below
-    ``_LADDER_LIMIT``, a binary ladder, and otherwise a raw mpf at ``wp``
-    bits, the exponent of exp(a ln tanh z)."""
+    ``_LADDER_LIMIT``, a binary ladder, and otherwise the pair (m, e) of
+    a = m 2^e, exact for an int and with m = floor(a 2^-e) of wp bits for
+    a Fraction, the exponent of exp(a ln tanh z)."""
     if isinstance(tanh_power, Fraction):
         if tanh_power.denominator != 1:
-            return from_rational(tanh_power.numerator, tanh_power.denominator, wp, round_nearest)
+            num, den = tanh_power.numerator, tanh_power.denominator
+            shift = wp + den.bit_length() - num.bit_length()
+            return (num << shift) // den, -shift
         tanh_power = tanh_power.numerator
-    return tanh_power if tanh_power < _LADDER_LIMIT else from_int(tanh_power)
+    return tanh_power if tanh_power < _LADDER_LIMIT else (tanh_power, 0)
 
 
 def _monomial(tanh_power, sech_power: int, log_z: bool = False, share: bool = False) -> _Kernel:
@@ -630,10 +720,9 @@ def _monomial(tanh_power, sech_power: int, log_z: bool = False, share: bool = Fa
     int >= 1.  The node values are within 1 + 2^-8 units, so an int a
     below ``_LADDER_LIMIT`` is a binary ladder within 3a units, and
     sech^b z, always a ladder inside the term, within 3b; any other a is
-    exp(a ln tanh z) at F + ``_FILL_BITS`` bits, floored to 0 below
-    2^-(F+2), within 3 + z units (ln tanh z is off by about 2z 2^-F
-    relative and |y| e^y <= 1/e for y = a ln tanh z), which times sech^b z
-    is under 4.  The product of the two powers is within e_pq = e_a + 3b + 1
+    exp(a ln tanh z) at F + ``_FILL_BITS`` bits on integers, floored to 0
+    below 2^-(F+2), within 4 units (``_tanh_power``).  The product of the
+    two powers is within e_pq = e_a + 3b + 1
     units, since each is at most 1; w multiplies it by at most w, and
     ln z w z, whose own error is a few units times 1 + w + z, by at most
     6 (1 + w + z) on every node where sech^b z is above a unit (z below
@@ -683,30 +772,51 @@ def _c_constant_term(which: int) -> _Kernel:
     X = tanh z for which = 1 and X = tanh z / sech z = sinh z for which = 2,
     as a kernel on the node table.
 
-    The bracket is formed in ``mpf`` and converted once: z/tanh z is
-    exp(ln z - ln tanh z), so near z = 0, where the bracket is about -z^2/3
-    or -z^2/6, it is off by a few units of 2^-F rather than by 2^-F/z, and
-    above z = 1 by about z units.  Times sech^2 z or sech z (within 6
-    units) and w, the term is within 32 (1 + w + z) units.  z/tanh z is
-    left in the node's scratch for the other constant of the sweep.  Must
-    be called inside ``lfuncs._working``.
+    The bracket is formed on integers.  Below z = 1 it is (S - C)/S or
+    (S - 1)/S for S = sinh z / z and C = cosh z, from the series of
+    ``_sinhc_cosh`` at F + ``_FILL_BITS`` bits, whose terms all have the
+    bracket's sign: near z = 0, where it is about -z^2/3 or z^2/6, nothing
+    cancels, so it keeps its relative digits rather than losing 2 log2(1/z)
+    bits as 1 - z/X would, and it is within two units of 2^-F, the floor
+    and the entry's z.  The two series are left in the node's scratch for
+    the other constant of the sweep.  From z = 1 on it is (tanh z - z) /
+    tanh z or (tanh z - z sech z) / tanh z, one integer division from the
+    entry, within 3 + 2z units, which sech^2 z or sech z (within 6 units)
+    brings below 4.  Times w, the term is within 32 (1 + w + z) units.
+    Must be called inside ``lfuncs._working``.
     """
     bits, wp = _scale()
-    rnd = round_nearest
 
     def term(entry, scratch):
-        ln_z, w, _, sech_z = entry[:4]
-        ratio = scratch.get("z/tanh z")
-        if ratio is None:
-            ln_ratio = mpf_sub(from_man_exp(ln_z, -bits), _ln_tanh(entry, bits, wp), wp, rnd)
-            ratio = scratch["z/tanh z"] = mpf_exp(ln_ratio, wp, rnd)
-        if which == 2:
-            ratio = mpf_mul(ratio, from_man_exp(sech_z, -bits), wp, rnd)
-        bracket = _fixed(mpf_sub(fone, ratio, wp, rnd), bits)
+        ln_z, w, tanh_z, sech_z, z = entry[:5]
+        if ln_z < 0:
+            series = scratch.get("sinh z / z, cosh z")
+            if series is None:
+                series = scratch["sinh z / z, cosh z"] = _sinhc_cosh(z, bits, wp)
+            sinhc, cosh = series
+            bracket = ((sinhc - cosh if which == 1 else sinhc) << bits) // ((1 << wp) + sinhc)
+        else:
+            bracket = ((tanh_z - (z if which == 1 else z * sech_z >> bits)) << bits) // tanh_z
         sech = sech_z * sech_z >> bits if which == 1 else sech_z
         return (bracket * sech >> bits) * w >> bits
 
     return _Kernel(term, 32)
+
+
+def _check_ints(**values) -> None:
+    """Refuse, as ``DomainError``, a value that is not an int or is a bool,
+    which Python counts as an int: each names an integral, so 2.0 or True
+    must not reach a kernel or a cache key."""
+    for name, value in values.items():
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise DomainError(f"{name} must be an int, got {value!r}")
+
+
+def _check_which(which) -> None:
+    """Refuse a ``which`` that is not the int 1 or 2."""
+    _check_ints(which=which)
+    if which not in (1, 2):
+        raise DomainError(f"which must be 1 or 2, got {which}")
 
 
 def _phi_key(which: int, s, prec: int) -> tuple:
@@ -714,8 +824,7 @@ def _phi_key(which: int, s, prec: int) -> tuple:
     Fraction it is (a finite mpf is a dyadic rational); raises for a
     ``which`` or an s that ``quad_phi`` refuses.  Must be called inside
     ``lfuncs._working``."""
-    if which not in (1, 2):
-        raise DomainError(f"which must be 1 or 2, got {which}")
+    _check_which(which)
     sx = _exact(s)
     if not sx > 1:
         raise DomainError(f"Phi_{which} converges only for s > 1, got s={s}")
@@ -771,6 +880,7 @@ def quad_phi(which: int, s, prec: int = DEFAULT_PREC) -> QuadResult:
 def quad_log_family(q: int, n_exponent: int, prec: int = DEFAULT_PREC) -> QuadResult:
     """int_0^oo sinh^{2q+1}(z) ln(z) / cosh^N(z) dz with N = n_exponent > 2q+1."""
     _check_prec(prec, MAX_PREC)
+    _check_ints(q=q, N=n_exponent)
     if q < 0 or 2 * q + 1 >= n_exponent:
         raise DomainError(
             f"convergence requires 2q+1 < N with q >= 0; got q={q}, N={n_exponent}"
@@ -787,6 +897,7 @@ def quad_log_family(q: int, n_exponent: int, prec: int = DEFAULT_PREC) -> QuadRe
 def quad_sinh_over_z(q: int, n_exponent: int, prec: int = DEFAULT_PREC) -> QuadResult:
     """int_0^oo sinh^{2q}(z) / (z cosh^N(z)) dz with 0 < 2q < N = n_exponent."""
     _check_prec(prec, MAX_PREC)
+    _check_ints(q=q, N=n_exponent)
     if not 0 < 2 * q < n_exponent:
         raise DomainError(
             f"convergence requires 0 < 2q < N; got q={q}, N={n_exponent}"
@@ -806,16 +917,16 @@ def quad_c_constant(which: int, prec: int = DEFAULT_PREC) -> QuadResult:
     both evaluated on (0, oo) through x = tanh(z), as
     int sech^2 z (1 - z coth z) dz / z and int sech z (1 - z / sinh z) dz / z.
 
-    The brackets are formed from z/tanh z = exp(ln z - ln tanh z), which
-    keeps its relative digits near z = 0, where the brackets are about
-    -z^2/3 and -z^2/6, so a term is off by a few units of 2^-F, far below
-    the rounding floor of the error estimate.  Both constants read that exp
-    at every node, so a miss computes whichever of the two is not cached in
-    one sweep.
+    The brackets are formed on integers, below z = 1 from the series of
+    sinh z / z - 1 and cosh z - 1 in z^2, whose terms do not cancel, so
+    they keep their relative digits near z = 0, where the brackets are about
+    -z^2/3 and z^2/6, and a term is off by a few units of 2^-F, far below
+    the rounding floor of the error estimate.  Both constants read those
+    series at every node, so a miss computes whichever of the two is not
+    cached in one sweep.
     """
     _check_prec(prec, MAX_PREC)
-    if which not in (1, 2):
-        raise DomainError(f"which must be 1 or 2, got {which}")
+    _check_which(which)
     keys = [("c_constant", 1, prec), ("c_constant", 2, prec)]
     with _working(prec):
         found = _cached(keys, prec, lambda todo: [_c_constant_term(key[1]) for key in todo])

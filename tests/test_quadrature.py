@@ -13,6 +13,7 @@ from pathlib import Path
 
 import pytest
 from mpmath import mp, mpf
+from mpmath.libmp import libelefun
 
 from arcmellin import (
     DomainError,
@@ -100,6 +101,33 @@ class TestPrecisionArgument:
         # the two ends of the range, and 30, the default precision
         result = entry(prec)
         assert result.levels >= 1 and result.error_estimate < mpf(10) ** -prec * abs(result.value)
+
+
+class TestIntegerArguments:
+    """``which``, ``q`` and ``N`` name an integral: a value that is not an
+    int, or is a bool, is refused as a domain error rather than failing
+    inside a kernel or being cached under it."""
+
+    @pytest.mark.parametrize("call", [
+        lambda: quad_phi(2.0, 3, 12),
+        lambda: quad_phi(True, 3, 12),
+        lambda: quadrature.quad_phi_many([(2.0, 3)], 12),
+        lambda: quadrature.quad_phi_many([(1, 3), (True, 5)], 12),
+        lambda: quad_c_constant(2.0, 12),
+        lambda: quad_c_constant(True, 12),
+        lambda: quad_log_family(1.0, 5, 12),
+        lambda: quad_log_family(0, "3", 12),
+        lambda: quad_log_family(True, 5, 12),
+        lambda: quad_log_family(1, 5.0, 12),
+        lambda: quad_sinh_over_z(1, 5.0, 12),
+        lambda: quad_sinh_over_z(True, 5, 12),
+        lambda: quad_sinh_over_z(1.0, 5, 12),
+    ])
+    def test_refused(self, call):
+        quadrature._quad_cache.clear()
+        with pytest.raises(DomainError, match="must be an int"):
+            call()
+        assert not quadrature._quad_cache
 
 
 class TestNextToThePole:
@@ -675,10 +703,24 @@ def _integer_power(x: int, n: int, bits: int) -> int:
     return _floor_product(square, x, bits) if n % 2 else square
 
 
+def _mpf_ln_tanh(z):
+    """ln tanh z in mpf at the context precision: the log of tanh z below
+    z = 1, and its equal -2 atanh(e^-2z) from there on, which keeps the
+    relative digits that the log of a tanh z next to 1 loses."""
+    return mp.log(mp.tanh(z)) if z < 1 else -2 * mp.atanh(mp.exp(-2 * z))
+
+
+def _entry_ln_tanh(entry: list, bits: int, wp: int) -> mpf:
+    """ln tanh z in mpf at 2 wp bits for the z of a node table entry's
+    ln z, not read from the node table's sixth slot."""
+    with mp.workprec(2 * wp):
+        return _mpf_ln_tanh(mp.exp(mp.ldexp(entry[0], -bits)))
+
+
 def _exp_power(exponent, entry: list, bits: int, wp: int) -> int:
     """floor(exp(a ln tanh z) 2^bits) in mpf operators at wp bits, with
-    ln tanh z read from the node table's sixth slot."""
-    ln_tanh = mp.make_mpf(quadrature._ln_tanh(entry, bits, wp))
+    ln tanh z from ``_entry_ln_tanh``."""
+    ln_tanh = _entry_ln_tanh(entry, bits, wp)
     with mp.workprec(wp):
         a = mpf(exponent.numerator) / exponent.denominator
         return int(mp.floor(mp.ldexp(mp.exp(a * ln_tanh), bits)))
@@ -687,8 +729,10 @@ def _exp_power(exponent, entry: list, bits: int, wp: int) -> int:
 def _integer_monomial(exponent, sech_power: int, log_z: bool = False):
     """The monomial integrand written on the node table's integers,
     tanh^a z sech^b z w or tanh^a z sech^b z (ln z w z): the oracle whose
-    terms ``quadrature._monomial`` must match exactly.  An int a is an
-    integer power, a Fraction a an exp of a ln tanh z.  Its error bound is
+    integral ``quadrature._monomial`` must match exactly.  An int a is an
+    integer power, whose terms match bit for bit, and a Fraction a an exp of
+    a ln tanh z in mpf, whose terms can differ from the kernel's integer
+    exp by a unit or so at a node but not in the rounded sums.  Its error bound is
     the documented one: 3a units for an integer power and 4 for the exp,
     3b + 1 more for the product with sech^b z, then 2 more times 1 + w + z,
     or 4 more and 8 times that with ln z w z."""
@@ -714,14 +758,15 @@ def _integer_c_constant(which: int):
     """The integrand of ``quad_c_constant`` on the node table's integers,
     sech^(3 - which) z (1 - z/X) w with X = tanh z or sinh z, the bracket
     formed in mpf operators from z/tanh z = exp(ln z - ln tanh z) at the
-    fill precision: the oracle whose terms ``quadrature._c_constant_term``
-    must match exactly, with its documented bound of 32 (1 + w + z) units."""
+    fill precision, with ln tanh z from ``_entry_ln_tanh``: the oracle whose
+    integral ``quadrature._c_constant_term`` must match exactly, with its
+    documented bound of 32 (1 + w + z) units."""
     bits = mp.prec + quadrature._GUARD_BITS
     wp = bits + quadrature._FILL_BITS
 
     def term(entry, scratch):
         ln_z, w, _, sech_z, _ = entry[:5]
-        ln_tanh = mp.make_mpf(quadrature._ln_tanh(entry, bits, wp))
+        ln_tanh = _entry_ln_tanh(entry, bits, wp)
         with mp.workprec(wp):
             ratio = mp.exp(mp.ldexp(ln_z, -bits) - ln_tanh)
             if which == 2:
@@ -839,7 +884,7 @@ def fingerprint(*values) -> str:
 # estimate, the node count and the level.  Every entry was recorded when the
 # sums moved from mpf operations to integers at the scale 2^F; the nodes and
 # levels stayed those of the mpf sums except for c(1) and c(2), which take 3
-# or 4 more nodes: their brackets near z = 0 are now about -z^2/3 and -z^2/6
+# or 4 more nodes: their brackets near z = 0 are now about -z^2/3 and z^2/6
 # rather than exactly 0, so the left wings end a little further out.
 RECORDED = {
     ("phi(1, 3)", 30): ("a2ff2e5d5a33f8fb", 295, 5),
@@ -877,7 +922,9 @@ class TestBitIdentity:
     @pytest.mark.parametrize("name, prec", sorted(RECORDED))
     def test_kernel_matches_mpf_expression(self, name, prec):
         # the oracle is the test-local integer integrand, with its mpf steps
-        # (the exp of a ln tanh z and the C brackets) as mpf expressions
+        # (ln tanh z, the exp of a ln tanh z and the C brackets) as mpf
+        # expressions; their terms are within a few units of the kernels'
+        # integer ones, far below the rounding of each level's sum
         quadrature._quad_cache.clear()
         assert RECORDED_INTEGRALS[name][0](prec) == oracle(name, prec)
 
@@ -963,6 +1010,31 @@ def _fill_misses(entry: list, reference: list, bits: int, wp: int) -> list[int]:
     return misses
 
 
+def _ln_tanh_excess(entry: list, key: int, bits: int, wp: int) -> mpf:
+    """The error of the entry's ln tanh z slot, filled here, over its
+    documented bound, a relative (6 + z/64) 2^-bits, against ln tanh z at
+    twice the fill precision: at most 1 where the bound holds."""
+    man, exp = quadrature._ln_tanh(entry, bits, wp)
+    with mp.workprec(2 * wp):
+        z = _fill_reference(key, bits, wp)[4]
+        ln_tanh = _mpf_ln_tanh(z)
+        return abs(mp.ldexp(man, exp) - ln_tanh) / (abs(ln_tanh) * mp.ldexp(6 + z / 64, -bits))
+
+
+def _last_key_below(ln_z: mpf, wp: int) -> int:
+    """The largest key whose node has t - e^-t below ``ln_z``."""
+    lo, hi = -200 << quadrature.MAX_LEVEL, 20 << quadrature.MAX_LEVEL
+    with mp.workprec(2 * wp):
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            t = mp.ldexp(mid, -quadrature.MAX_LEVEL)
+            if t - mp.exp(-t) < ln_z:
+                lo = mid
+            else:
+                hi = mid
+    return lo
+
+
 class TestFill:
     """``_fill`` on integers: every slot within its documented bound of an
     mpf reference, and every entry a pure function of (key, precision)."""
@@ -976,10 +1048,18 @@ class TestFill:
         floored_z = floored_e = 0
         with quadrature._working(prec):
             bits, wp = quadrature._scale()
-            for key in self.KEYS:
+            # ln tanh z is ln z itself below z = 2^-(wp+1), a series in z^2
+            # below z = 1 and an atanh of e^-2z above: three keys on each
+            # side of both ends too
+            with mp.workprec(2 * wp):
+                ends = [_last_key_below(-(wp + 1) * mp.ln2, wp), _last_key_below(mpf(0), wp)]
+            for key in self.KEYS + [key for end in ends for key in range(end - 2, end + 4)]:
                 entry = quadrature._fill(key, bits, wp)
                 assert _fill_misses(entry, _fill_reference(key, bits, wp), bits, wp) == [], key
+                # the sixth slot is filled on first use
                 assert entry[5] is None
+                assert _ln_tanh_excess(entry, key, bits, wp) <= 1, key
+                assert entry[5] == quadrature._ln_tanh(entry, bits, wp)
                 floored_z += entry[4] == 0 and entry[3] == 1 << bits
                 floored_e += entry[3] == 0 and entry[2] == 1 << bits
         # the far left, where z floors to 0, and the far right, where e^-z does
@@ -1049,6 +1129,127 @@ class TestFill:
         quad_phi(1, 3, 30)
         with quadrature._working(30):
             assert quadrature._factor_tables[mp.prec] == kept
+
+
+class TestExpParts:
+    """``_exp_parts``, the one exponential of the fill and the kernels,
+    within its documented relative (|n| + 4) 2^-wide of exp at three times
+    the precision: for arguments from -200 to 10, for small ones that take
+    no squaring, and at the scales of 1 to 100 digits."""
+
+    @pytest.mark.parametrize("wide", [60, 120, 245, 477])
+    def test_within_its_bound(self, wide):
+        rng = random.Random(wide)
+        ln2 = libelefun.ln2_fixed(wide)
+        xs = [rng.randrange(-200 << wide, 10 << wide) for _ in range(100)]
+        xs += [rng.randrange(-1 << wide, 1 << wide) >> rng.randrange(wide) for _ in range(100)]
+        xs += [0, 1, -1, ln2, -ln2, ln2 >> 1, -(ln2 >> 1)]
+        misses = []
+        for x in xs:
+            m, n = quadrature._exp_parts(x, ln2, wide)
+            with mp.workprec(3 * wide):
+                exact = mp.exp(mp.ldexp(x, -wide))
+                if abs(mp.ldexp(m, n - wide) - exact) > exact * mp.ldexp(abs(n) + 4, -wide):
+                    misses.append(x)
+        assert misses == []
+
+
+class TestTanhPowerExtremes:
+    """tanh^a z for a fractional or large a, exp(a ln tanh z) on integers,
+    within its declared 4 units of the mpf value at twice the fill
+    precision, for a from 10^-60 to 10^18 - 1, at every node from t = -150,
+    where Phi at s = 1 + 10^-60 peaks, to t = 10.  a and ln tanh z must
+    both keep their relative digits: a fixed-point a would lose those of
+    10^-60, and a fixed-point ln tanh z those of 10^18 - 1 near z = 21,
+    where tanh^a z falls from 1 to 0."""
+
+    EXPONENTS = [
+        Fraction(1, 10**60), Fraction(1, 10**6), Fraction(1, 100), Fraction(1, 2),
+        Fraction(5, 2), Fraction(4096), Fraction(10**18 - 1),
+    ]
+    KEYS = list(range(-150 << 12, 10 << 12, 997)) + list(range(10240, 14746, 61))
+
+    @pytest.mark.parametrize("prec", [1, 12, 30, 60, 100])
+    def test_within_its_units(self, prec):
+        misses = []
+        seen = dict.fromkeys(self.EXPONENTS, 0)
+        with quadrature._working(prec):
+            bits, wp = quadrature._scale()
+            power = quadrature._tanh_power(bits, wp)
+            exponents = [quadrature._exponent(a, wp) for a in self.EXPONENTS]
+            assert not any(isinstance(exponent, int) for exponent in exponents)
+            for key in self.KEYS:
+                entry = quadrature._fill(key, bits, wp)
+                with mp.workprec(2 * wp):
+                    ln_tanh = _mpf_ln_tanh(_fill_reference(key, bits, wp)[4])
+                    for a, exponent in zip(self.EXPONENTS, exponents):
+                        value = power(entry, {}, exponent)
+                        exact = mp.ldexp(mp.exp(a.numerator * ln_tanh / a.denominator), bits)
+                        if abs(value - exact) > 4:
+                            misses.append((a, key, float(value - exact)))
+                        seen[a] += 4 < value < 2**bits - 4
+        assert misses == []
+        # every a falls from 1 to 0 over the nodes
+        assert min(seen.values()) >= 3
+
+
+class TestCConstantTerm:
+    """The two C kernels, their brackets on integers, within their declared
+    units (1 + w + z) of the mpf term at twice the fill precision at every
+    node from t = -22 to 10, on both sides of z = 1, where the bracket
+    changes from the series in z^2 to the entry's tanh z."""
+
+    @pytest.mark.parametrize("prec", [1, 12, 30, 100])
+    @pytest.mark.parametrize("which", [1, 2])
+    def test_within_its_units(self, which, prec):
+        misses = []
+        with quadrature._working(prec):
+            bits, wp = quadrature._scale()
+            kernel = quadrature._c_constant_term(which)
+            last = _last_key_below(mpf(0), wp)
+            for key in TestFill.KEYS + list(range(last - 2, last + 4)):
+                entry = quadrature._fill(key, bits, wp)
+                with mp.workprec(2 * wp):
+                    t = mp.ldexp(key, -quadrature.MAX_LEVEL)
+                    exact = mp.ldexp(_mpf_c_constant(t, which), bits)
+                    weight = 1 + mp.ldexp(entry[6], -bits)
+                    if abs(kernel.term(entry, {}) - exact) > kernel.units * weight:
+                        misses.append(key)
+        assert misses == []
+
+
+class TestNoMpfPerNode:
+    """The kernels and the node fill run on integers: a sweep calls mpmath's
+    mpf exp, log and cosh/sinh only in its set-up, for the factor table (at
+    most 20 factors a sign) and for two mpf powers in each kernel's error
+    estimate, however many nodes it fills and sums."""
+
+    CODES = {libelefun.mpf_exp.__code__, libelefun.mpf_log.__code__, libelefun.mpf_cosh_sinh.__code__}
+
+    @pytest.mark.parametrize("prec", [30, 100])
+    @pytest.mark.parametrize("sweep, kernels", [
+        (lambda p: quadrature.quad_phi_many([(1, Fraction(11, 10)), (2, Fraction(3, 2)), (1, 1 + Fraction(1, 10**6))], p), 3),
+        (lambda p: [quad_c_constant(1, p), quad_c_constant(2, p)], 2),
+    ])
+    def test_a_fixed_number_per_sweep(self, sweep, kernels, prec):
+        calls = []
+
+        def count(frame, event, arg):
+            if event == "call" and frame.f_code in self.CODES:
+                calls.append(frame.f_code.co_name)
+
+        with lfuncs._MP_LOCK:
+            quadrature._quad_cache.clear()
+            quadrature._node_tables.clear()
+            quadrature._factor_tables.clear()
+        previous = sys.getprofile()
+        sys.setprofile(count)
+        try:
+            results = sweep(prec)
+        finally:
+            sys.setprofile(previous)
+        nodes = sum(result.nodes_used for result in results)
+        assert len(calls) <= 2 * 20 + 4 * kernels < nodes / 10
 
 
 class TestAgainstMpf:
