@@ -26,6 +26,7 @@ from .closedform import (
     eta_prime_neg_symbol,
     zeta_prime_ratio,
 )
+from .exact import _check_int
 
 
 def _cf(zeta=None, beta=None, eta_neg=None, beta_neg=None, one=None, lnpi=None, ln2=None) -> ClosedForm:
@@ -111,11 +112,8 @@ C2_DECIMAL = "0.2059731205121406923"
 #: The sinh/z instances that equal odd Mellin values: Phi_1(2n+1) is the
 #: (q, N) = (n, 2n+2) instance and Phi_2(2n+1) the (n, 2n+1) instance.
 def phi_odd_as_sinh_over_z(which: int, n: int) -> tuple[int, int]:
-    if which == 1:
-        return (n, 2 * n + 2)
-    if which == 2:
-        return (n, 2 * n + 1)
-    raise ValueError(f"which must be 1 or 2, got {which}")
+    _check_int("which", which, 1, 2)
+    return (n, 2 * n + 3 - which)
 
 
 #: Published even-argument relations.  Each states

@@ -15,7 +15,8 @@ verify <suite> [--range A..B] [--prec P]
 eval --json-file F [--prec P]
     Evaluate a JSON-encoded closed form numerically.
 constants [--prec P]
-    Print the basis constants and the two asymptotic constants.
+    Print the basis constants and the two asymptotic constants, each also
+    by quadrature, whose lines have at most 100 digits.
 reproduce-paper [--prec P]
     Re-derive the full catalog of published closed forms and the printed
     19-digit constants; exit 0 only if everything matches.
@@ -214,11 +215,13 @@ def cli_main(argv: list[str] | None = None) -> int:
             print(f"ln 2   = {mp.nstr(ln2(prec), prec)}")
             print(f"ln pi  = {mp.nstr(ln_pi(prec), prec)}")
             print(f"gamma  = {mp.nstr(euler_gamma(prec), prec)}")
+            # quadrature stops at MAX_PREC digits, so its lines print no more
+            quad_prec = min(prec, MAX_PREC)
             for which, form in ((1, catalog.C1_CLOSED_FORM), (2, catalog.C2_CLOSED_FORM)):
                 closed = eval_closed_form(form, prec)
-                quad = quad_c_constant(which, min(prec, MAX_PREC)).value
+                quad = quad_c_constant(which, quad_prec).value
                 print(f"C{which} (closed forms) = {mp.nstr(closed, prec)}")
-                print(f"C{which} (quadrature)   = {mp.nstr(quad, prec)}")
+                print(f"C{which} (quadrature)   = {mp.nstr(quad, quad_prec)}")
             return 0
 
         if args.command == "reproduce-paper":

@@ -90,7 +90,7 @@ from functools import lru_cache
 from operator import itemgetter
 from typing import Iterable, Iterator, Mapping
 
-from .exact import DomainError, _signed_tangent, binomial, euler_number, harmonic
+from .exact import DomainError, _check_int, _signed_tangent, binomial, euler_number, harmonic
 from .series import (
     _cosh_moments,
     _dot,
@@ -132,8 +132,7 @@ class BasisSymbol(tuple):
         if kind not in _RANK:
             raise DomainError(f"unknown basis symbol kind {kind!r}")
         if kind in _INDEXED:
-            if not isinstance(index, int) or isinstance(index, bool) or index < 0:
-                raise DomainError(f"{kind} requires an integer index >= 0")
+            _check_int(f"{kind} index", index)
         elif index is not None:
             raise DomainError(f"{kind} takes no index")
         return tuple.__new__(cls, (kind, index))
@@ -395,7 +394,10 @@ def _sign(e: int) -> int:
 def _log_residues(odd: bool, q: int, n: int) -> tuple[int, list[int]]:
     """(den, w) of the log integral over cosh^{2n+1} (``odd``) or cosh^{2n}:
     S[p] resp. U[p] is w[p] / den (module docstring).  With (q, n) =
-    (m-1, m) they are the weights of Phi_1(2m) resp. Phi_2(2m)."""
+    (m-1, m) they are the weights of Phi_1(2m) resp. Phi_2(2m).  Checks q
+    and n for both log families: ints, in the convergence region."""
+    _check_int("q", q, None)
+    _check_int("n", n, None)
     if n < 1 or q < 0 or q > n - 1:
         raise DomainError(
             f"convergence requires 2q+1 < {'2n+1' if odd else '2n'} with q >= 0, n >= 1; "
@@ -438,12 +440,13 @@ def _weighted_sum(weights: list[Fraction], terms: list[int]) -> tuple[int, int]:
     return sum(lcm // f.denominator * f.numerator * x for f, x in zip(weights, terms)), lcm
 
 
-@lru_cache(maxsize=256)
+@lru_cache(maxsize=256, typed=True)
 def log_integral_odd_cosh(q: int, n: int) -> ClosedForm:
     """Closed form of int_0^oo sinh^{2q+1}(z) ln(z) / cosh^{2n+1}(z) dz.
 
     Requires 2q+1 < 2n+1 (i.e. 0 <= q <= n-1) for convergence.  Memoised,
-    keeping the 256 most recent forms.
+    keeping the 256 most recent forms, by argument type too, so a float or
+    a bool misses the cache and is refused however the cache is filled.
     """
     den, w = _log_residues(True, q, n)
     tw = [_signed_tangent(p) * x for p, x in enumerate(w)]
@@ -461,12 +464,12 @@ def log_integral_odd_cosh(q: int, n: int) -> ClosedForm:
     return ClosedForm._over(den * m, nums)
 
 
-@lru_cache(maxsize=256)
+@lru_cache(maxsize=256, typed=True)
 def log_integral_even_cosh(q: int, n: int) -> ClosedForm:
     """Closed form of int_0^oo sinh^{2q+1}(z) ln(z) / cosh^{2n}(z) dz.
 
-    Requires 2q+1 < 2n (i.e. 0 <= q <= n-1) for convergence.  Memoised,
-    keeping the 256 most recent forms.
+    Requires 2q+1 < 2n (i.e. 0 <= q <= n-1) for convergence.  Memoised by
+    argument type like ``log_integral_odd_cosh``.
     """
     den, w = _log_residues(False, q, n)
     ew = [euler_number(2 * p) * x for p, x in enumerate(w)]
@@ -481,15 +484,17 @@ def log_integral_even_cosh(q: int, n: int) -> ClosedForm:
     return ClosedForm._over(den * m, nums)
 
 
-@lru_cache(maxsize=256)
+@lru_cache(maxsize=256, typed=True)
 def sinh_over_z_integral(q: int, n_exponent: int) -> ClosedForm:
     """Closed form of int_0^oo sinh^{2q}(z) / (z cosh^N(z)) dz, N = n_exponent.
 
     Requires 0 < 2q < N.  Built from the two neighbouring log-integral closed
     forms; the resulting ln(pi) coefficient must cancel to exactly zero and is
-    verified here rather than assumed.  Memoised, keeping the 256 most recent
-    forms.
+    verified here rather than assumed.  Memoised by argument type like
+    ``log_integral_odd_cosh``.
     """
+    _check_int("q", q, None)
+    _check_int("N", n_exponent, None)
     N = n_exponent
     if not 0 < 2 * q < N:
         raise DomainError(f"convergence requires 0 < 2q < N; got q={q}, N={N}")
@@ -527,7 +532,11 @@ def _odd_value_numerators(which: int, n: int) -> tuple[int, list[int]]:
     """(den, c) with c[i] / den the coefficient of eta'(-2i-1) (which = 1)
     or beta'(-2i) (which = 2), i = 0..n, in Phi_which(2n+1): den is (2n+1)!
     resp. (2n)!, and c is the integer polynomial of ``_root_product_sum``
-    (see :func:`eta_prime_neg_coeffs` and :func:`beta_prime_neg_coeffs`)."""
+    (see :func:`eta_prime_neg_coeffs` and :func:`beta_prime_neg_coeffs`).
+    Checks n for all three callers: an int >= 1, since s = 1 is a pole."""
+    _check_int("n", n, None)
+    if n < 1:
+        raise DomainError(f"odd Mellin values require n >= 1 (s = 1 is a pole), got n={n}")
     if which == 1:
         den = math.factorial(2 * n + 1)
         weights = [
@@ -552,8 +561,6 @@ def eta_prime_neg_coeffs(n: int) -> tuple[Fraction, ...]:
     Horner's rule in y on integer numerators over (2n+1)!, one ``Fraction``
     per coefficient.
     """
-    if n < 1:
-        raise DomainError("odd Mellin values require n >= 1 (s = 1 is a pole)")
     den, poly = _odd_value_numerators(1, n)
     return tuple(Fraction(c, den) for c in poly)
 
@@ -568,8 +575,6 @@ def beta_prime_neg_coeffs(n: int) -> tuple[Fraction, ...]:
     (``series.root_product_tables``), evaluated by Horner's rule in y as in
     :func:`eta_prime_neg_coeffs`, over (2n)!.
     """
-    if n < 1:
-        raise DomainError("odd Mellin values require n >= 1 (s = 1 is a pole)")
     den, poly = _odd_value_numerators(2, n)
     return tuple(Fraction(c, den) for c in poly)
 
@@ -579,10 +584,7 @@ def phi_odd_closed_form(which: int, n: int) -> ClosedForm:
     derivative basis (eta'(-2i-1) for which=1, beta'(-2i) for which=2), on
     the integer numerators of ``_odd_value_numerators`` over their one
     factorial."""
-    if which not in (1, 2):
-        raise DomainError(f"which must be 1 or 2, got {which}")
-    if n < 1:
-        raise DomainError("n must be >= 1: the transforms have a pole at s = 1")
+    _check_int("which", which, 1, 2)
     symbol = eta_prime_neg_symbol if which == 1 else beta_prime_neg_symbol
     den, poly = _odd_value_numerators(which, n)
     return ClosedForm._over(den, [(symbol(i), c) for i, c in enumerate(poly)])
@@ -605,8 +607,8 @@ def phi_even_closed_form(which: int, m: int) -> ClosedForm:
     2p+2.  The k = 1 coefficient (j = 2m, odd N only) must vanish because
     the integrand decays; it is checked here rather than assumed.
     """
-    if which not in (1, 2):
-        raise DomainError(f"which must be 1 or 2, got {which}")
+    _check_int("which", which, 1, 2)
+    _check_int("m", m, None)
     if m < 1:
         raise DomainError("m must be >= 1: the transforms converge only for s > 1")
     odd = which == 1

@@ -31,6 +31,13 @@ so A_m costs m integer additions and only the last row is kept.
 Every table of this layer, and the root-product rows of ``series``, is an
 append-only list grown by ``_grow`` under the one lock ``_lock``; published
 entries are immutable, so concurrent reads are safe.
+
+Every int argument of the package's public entry points, in every layer (an
+index, a row, ``q``, ``n``, ``which``, a truncation, a precision in digits),
+is checked by one helper, ``_check_int``, before any cache sees it: a value
+that is not an int, a bool, or an int outside the entry point's range raises
+``DomainError``.  A range that says more than "an int", such as an integral's
+convergence region or the pole at s = 1, is checked where it is stated.
 """
 
 from __future__ import annotations
@@ -47,6 +54,16 @@ class DomainError(ValueError):
 
 class PrecisionError(ArithmeticError):
     """A numeric target precision that cannot be reached within limits."""
+
+
+def _check_int(name: str, value, low: int | None = 0, high: int | None = None) -> None:
+    """Refuse ``value`` as ``DomainError`` unless it is an int in [low, high];
+    ``low=None`` leaves the range open, ``high=None`` its top.  A bool is
+    refused too, though Python counts it as an int: ``True`` is no index."""
+    is_int = isinstance(value, int) and not isinstance(value, bool)
+    if not (is_int and (low is None or value >= low) and (high is None or value <= high)):
+        bound = "" if low is None else f" >= {low}" if high is None else f" in [{low}, {high}]"
+        raise DomainError(f"{name} must be an int{bound}, got {value!r}")
 
 
 _lock = threading.RLock()
@@ -81,6 +98,8 @@ def _neighbours(row: list[int]):
 
 def binomial(n: int, k: int) -> int:
     """C(n, k), with the convention that out-of-range values are 0."""
+    _check_int("n", n, None)
+    _check_int("k", k, None)
     if n < 0 or k < 0 or k > n:
         return 0
     return math.comb(n, k)
@@ -88,8 +107,7 @@ def binomial(n: int, k: int) -> int:
 
 def bernoulli(n: int) -> Fraction:
     """Exact Bernoulli number B_n (B_1 = -1/2 convention)."""
-    if n < 0:
-        raise DomainError(f"bernoulli index must be >= 0, got {n}")
+    _check_int("n", n)
     if n < 2:
         return (Fraction(1), Fraction(-1, 2))[n]
     if n % 2:
@@ -100,8 +118,7 @@ def bernoulli(n: int) -> Fraction:
 
 def euler_number(n: int) -> int:
     """Exact Euler number E_n (secant convention); 0 for odd n."""
-    if n < 0:
-        raise DomainError(f"euler_number index must be >= 0, got {n}")
+    _check_int("n", n)
     return 0 if n % 2 else (-1) ** (n // 2) * _zigzag_number(n)
 
 
@@ -112,8 +129,7 @@ def _signed_tangent(k: int) -> int:
 
 def harmonic(n: int) -> Fraction:
     """Exact harmonic number H_n = sum_{k=1}^{n} 1/k, with H_0 = 0."""
-    if n < 0:
-        raise DomainError(f"harmonic index must be >= 0, got {n}")
+    _check_int("n", n)
     return _grow(_harmonic, n, lambda h, m: h + Fraction(1, m))[n]
 
 
@@ -141,8 +157,8 @@ def eulerian(kind: str, n: int, k: int) -> int:
     """
     if not isinstance(kind, str) or kind.upper() not in _EULERIAN:
         raise DomainError(f"eulerian kind must be 'A' or 'B', got {kind!r}")
-    if n < 0:
-        raise DomainError(f"eulerian row must be >= 0, got {n}")
+    _check_int("n", n)
+    _check_int("k", k, None)
     rows, rule = _EULERIAN[kind.upper()]
     row = _grow(rows, n, rule)[n]
     return row[k] if 0 <= k < len(row) else 0

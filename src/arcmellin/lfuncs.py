@@ -82,8 +82,8 @@ from mpmath.libmp import (
     from_int, from_man_exp, mpf_div, mpf_exp, mpf_log, mpf_mul, mpf_pow, round_nearest,
 )
 
-from .closedform import ClosedForm
-from .exact import DomainError, PrecisionError, bernoulli, euler_number, harmonic
+from .closedform import BasisSymbol, ClosedForm
+from .exact import DomainError, PrecisionError, _check_int, bernoulli, euler_number, harmonic
 
 GUARD_DIGITS = 15
 #: Guard digits that cancellation in ``eval_closed_form`` may use up before
@@ -114,13 +114,6 @@ _LOG_GUARD_BITS = 48
 #: Bits by which the log table is wider still at P's default, so that a sum
 #: taken again with P raised by up to this many bits reads the same table.
 _LOG_SPARE_BITS = 16
-
-
-def _check_prec(prec: int, cap: int = _MAX_PREC) -> None:
-    """Refuse a ``prec`` that is not an int in [1, ``cap``] digits; a bool
-    is refused too, though Python counts it as an int."""
-    if isinstance(prec, bool) or not isinstance(prec, int) or not 1 <= prec <= cap:
-        raise DomainError(f"precision must be an int in [1, {cap}] digits, got {prec!r}")
 
 
 def _as_mpf(x) -> mpf:
@@ -430,7 +423,7 @@ def _real_s_sum(family: str, s, prec: int) -> mpf:
     exp(s ln m0) at mag(s) bits more than the sum's, and its cost grows
     faster than mag(s).
     """
-    _check_prec(prec)
+    _check_int("prec", prec, 1, _MAX_PREC)
     with _working(prec):
         sv = _as_mpf(s)
         if not sv >= 1:
@@ -470,9 +463,8 @@ def beta_prime_value(s, prec: int) -> mpf:
 
 def zeta_even_value(k: int, prec: int) -> mpf:
     """zeta(2k) = (-1)^{k+1} B_{2k} (2 pi)^{2k} / (2 (2k)!), k >= 1."""
-    _check_prec(prec)
-    if k < 1:
-        raise DomainError("zeta_even_value requires k >= 1")
+    _check_int("prec", prec, 1, _MAX_PREC)
+    _check_int("k", k, 1)
     def build():
         b = bernoulli(2 * k)
         sign = 1 if k % 2 else -1
@@ -482,24 +474,23 @@ def zeta_even_value(k: int, prec: int) -> mpf:
 
 def beta_at_negative_even(i: int) -> Fraction:
     """Exact rational beta(-2i) = E_{2i} / 2."""
-    if i < 0:
-        raise DomainError("index must be >= 0")
+    _check_int("i", i)
     return Fraction(euler_number(2 * i), 2)
 
 
 def ln2(prec: int) -> mpf:
-    _check_prec(prec)
+    _check_int("prec", prec, 1, _MAX_PREC)
     return _cached(("ln2", prec), prec, lambda: mp.log(2))
 
 
 def ln_pi(prec: int) -> mpf:
-    _check_prec(prec)
+    _check_int("prec", prec, 1, _MAX_PREC)
     return _cached(("lnpi", prec), prec, lambda: mp.log(mp.pi))
 
 
 def euler_gamma(prec: int) -> mpf:
     """Euler-Mascheroni constant, cached alongside the basis constants."""
-    _check_prec(prec)
+    _check_int("prec", prec, 1, _MAX_PREC)
     return _cached(("gamma", prec), prec, lambda: +mp.euler)
 
 
@@ -509,9 +500,8 @@ def euler_gamma(prec: int) -> mpf:
 
 def zeta_prime_even(p: int, prec: int) -> mpf:
     """zeta'(2p+2), from eta'(s) = 2^{1-s} ln2 zeta(s) + (1-2^{1-s}) zeta'(s)."""
-    _check_prec(prec)
-    if p < 0:
-        raise DomainError("zeta_prime_even requires p >= 0")
+    _check_int("prec", prec, 1, _MAX_PREC)
+    _check_int("p", p)
     def build():
         ep = _basis_sum("eta_prime", p, prec)
         two = mpf(2) ** (-2 * p - 1)
@@ -521,9 +511,8 @@ def zeta_prime_even(p: int, prec: int) -> mpf:
 
 def beta_prime_odd(p: int, prec: int) -> mpf:
     """beta'(2p+1), the basis kernel's sum."""
-    _check_prec(prec)
-    if p < 0:
-        raise DomainError("beta_prime_odd requires p >= 0")
+    _check_int("prec", prec, 1, _MAX_PREC)
+    _check_int("p", p)
     return _basis_sum("beta_prime", p, prec)
 
 
@@ -549,9 +538,8 @@ def eta_prime_neg(i: int, prec: int, via: str = "zeta") -> mpf:
     The two arrangements agree to working precision and serve as mutual
     checks of the reflection algebra; both read the one summation kernel.
     """
-    _check_prec(prec)
-    if i < 0:
-        raise DomainError("eta_prime_neg requires i >= 0")
+    _check_int("prec", prec, 1, _MAX_PREC)
+    _check_int("i", i)
     if via == "zeta":
         def build():
             zp_neg = _zeta_prime_at_negative_odd(i + 1, prec)
@@ -594,9 +582,8 @@ def beta_prime_neg(i: int, prec: int, via: str = "odd") -> mpf:
     directly, consuming beta(2i+1), beta'(2i+1) and digamma, so the two
     check the reflection algebra against each other.
     """
-    _check_prec(prec)
-    if i < 0:
-        raise DomainError("beta_prime_neg requires i >= 0")
+    _check_int("prec", prec, 1, _MAX_PREC)
+    _check_int("i", i)
     if via == "odd":
         def build():
             bp = beta_prime_odd(i, prec)
@@ -630,8 +617,10 @@ def beta_prime_neg(i: int, prec: int, via: str = "odd") -> mpf:
 # ---------------------------------------------------------------------------
 
 def symbol_value(kind: str, index: int | None, prec: int) -> mpf:
-    """Numeric value of one basis symbol at the requested precision."""
-    _check_prec(prec)
+    """Numeric value of one basis symbol at the requested precision; a kind
+    and index that are no :class:`BasisSymbol` raise :class:`DomainError`."""
+    BasisSymbol(kind, index)
+    _check_int("prec", prec, 1, _MAX_PREC)
     if kind == "one":
         return mpf(1)
     if kind == "ln2":
@@ -662,13 +651,12 @@ def symbol_value(kind: str, index: int | None, prec: int) -> mpf:
             lambda: _basis_sum("eta", index, prec)
             / ((1 - mpf(2) ** (-2 * index - 2)) * mp.pi ** (2 * index + 2)),
         )
-    if kind == "beta_even_ratio":
-        return _cached(
-            ("beta_even_ratio", index, prec),
-            prec,
-            lambda: _basis_sum("beta", index, prec) / mp.pi ** (2 * index + 1),
-        )
-    raise DomainError(f"unsupported basis symbol {kind!r}")
+    # beta_even_ratio, the last kind BasisSymbol admits
+    return _cached(
+        ("beta_even_ratio", index, prec),
+        prec,
+        lambda: _basis_sum("beta", index, prec) / mp.pi ** (2 * index + 1),
+    )
 
 
 def _combine(form: ClosedForm, prec: int) -> tuple[mpf, float]:
@@ -697,7 +685,7 @@ def eval_closed_form(form: ClosedForm, prec: int) -> mpf:
     added to the precision, so the result stays correct to ``prec`` digits.
     Raises :class:`PrecisionError` when that would pass the 1000-digit cap.
     """
-    _check_prec(prec)
+    _check_int("prec", prec, 1, _MAX_PREC)
     work = prec
     while True:
         total, lost = _combine(form, work)
@@ -718,7 +706,7 @@ def eval_closed_form(form: ClosedForm, prec: int) -> mpf:
 
 def phi1_bounds(s, prec: int) -> tuple[mpf, mpf]:
     """Strict enclosure 2/(s^2-1) < Phi_1(s) < 1/(s-1) for s > 1."""
-    _check_prec(prec)
+    _check_int("prec", prec, 1, _MAX_PREC)
     with _working(prec):
         sx = _exact(s)
         if not sx > 1:
@@ -731,7 +719,7 @@ def mellin_bound_gamma_ratio(s, prec: int) -> tuple[mpf, mpf]:
 
     sqrt(pi)/(2s) * G < Phi_2(s) < sqrt(pi)/2 * G,  G = Gamma((s-1)/2)/Gamma(s/2).
     """
-    _check_prec(prec)
+    _check_int("prec", prec, 1, _MAX_PREC)
     with _working(prec):
         sx = _exact(s)
         if not sx > 1:

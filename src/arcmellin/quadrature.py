@@ -150,8 +150,8 @@ from mpmath import mp, mpf
 from mpmath.libmp import from_man_exp, mpf_exp, round_nearest
 from mpmath.libmp.libelefun import ln2_fixed
 
-from .exact import DomainError, PrecisionError
-from .lfuncs import _check_prec, _exact, _fixed, _precision_table, _working
+from .exact import DomainError, PrecisionError, _check_int
+from .lfuncs import _exact, _fixed, _precision_table, _working
 
 DEFAULT_PREC = 30
 MAX_PREC = 100
@@ -803,28 +803,12 @@ def _c_constant_term(which: int) -> _Kernel:
     return _Kernel(term, 32)
 
 
-def _check_ints(**values) -> None:
-    """Refuse, as ``DomainError``, a value that is not an int or is a bool,
-    which Python counts as an int: each names an integral, so 2.0 or True
-    must not reach a kernel or a cache key."""
-    for name, value in values.items():
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise DomainError(f"{name} must be an int, got {value!r}")
-
-
-def _check_which(which) -> None:
-    """Refuse a ``which`` that is not the int 1 or 2."""
-    _check_ints(which=which)
-    if which not in (1, 2):
-        raise DomainError(f"which must be 1 or 2, got {which}")
-
-
 def _phi_key(which: int, s, prec: int) -> tuple:
     """The cache key of Phi_which(s) at ``prec``, with s as the exact
     Fraction it is (a finite mpf is a dyadic rational); raises for a
     ``which`` or an s that ``quad_phi`` refuses.  Must be called inside
     ``lfuncs._working``."""
-    _check_which(which)
+    _check_int("which", which, 1, 2)
     sx = _exact(s)
     if not sx > 1:
         raise DomainError(f"Phi_{which} converges only for s > 1, got s={s}")
@@ -860,7 +844,7 @@ def quad_phi_many(requests, prec: int = DEFAULT_PREC) -> list[QuadResult]:
     bit-identical to the one a sweep of that integral alone gives, whatever
     the order of the requests.
     """
-    _check_prec(prec, MAX_PREC)
+    _check_int("prec", prec, 1, MAX_PREC)
     with _working(prec):
         keys = [_phi_key(which, s, prec) for which, s in requests]
         found = _cached(keys, prec, _phi_kernels)
@@ -879,8 +863,9 @@ def quad_phi(which: int, s, prec: int = DEFAULT_PREC) -> QuadResult:
 
 def quad_log_family(q: int, n_exponent: int, prec: int = DEFAULT_PREC) -> QuadResult:
     """int_0^oo sinh^{2q+1}(z) ln(z) / cosh^N(z) dz with N = n_exponent > 2q+1."""
-    _check_prec(prec, MAX_PREC)
-    _check_ints(q=q, N=n_exponent)
+    _check_int("prec", prec, 1, MAX_PREC)
+    _check_int("q", q, None)
+    _check_int("N", n_exponent, None)
     if q < 0 or 2 * q + 1 >= n_exponent:
         raise DomainError(
             f"convergence requires 2q+1 < N with q >= 0; got q={q}, N={n_exponent}"
@@ -896,8 +881,9 @@ def quad_log_family(q: int, n_exponent: int, prec: int = DEFAULT_PREC) -> QuadRe
 
 def quad_sinh_over_z(q: int, n_exponent: int, prec: int = DEFAULT_PREC) -> QuadResult:
     """int_0^oo sinh^{2q}(z) / (z cosh^N(z)) dz with 0 < 2q < N = n_exponent."""
-    _check_prec(prec, MAX_PREC)
-    _check_ints(q=q, N=n_exponent)
+    _check_int("prec", prec, 1, MAX_PREC)
+    _check_int("q", q, None)
+    _check_int("N", n_exponent, None)
     if not 0 < 2 * q < n_exponent:
         raise DomainError(
             f"convergence requires 0 < 2q < N; got q={q}, N={n_exponent}"
@@ -925,8 +911,8 @@ def quad_c_constant(which: int, prec: int = DEFAULT_PREC) -> QuadResult:
     series at every node, so a miss computes whichever of the two is not
     cached in one sweep.
     """
-    _check_prec(prec, MAX_PREC)
-    _check_which(which)
+    _check_int("prec", prec, 1, MAX_PREC)
+    _check_int("which", which, 1, 2)
     keys = [("c_constant", 1, prec), ("c_constant", 2, prec)]
     with _working(prec):
         found = _cached(keys, prec, lambda todo: [_c_constant_term(key[1]) for key in todo])

@@ -60,7 +60,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple
 
-from .exact import DomainError, _grow, _neighbours
+from .exact import DomainError, _check_int, _grow, _neighbours
 
 
 @lru_cache(maxsize=None)
@@ -110,7 +110,7 @@ def _egf_convolution(row, moments, j: int) -> int:
     return _dot(_egf_weights(row, j), moments)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def x_over_sinh_coeffs(power: int, order: int) -> tuple[Fraction, ...]:
     """Taylor coefficients 0..order of (x / sinh x)^power.
 
@@ -120,10 +120,11 @@ def x_over_sinh_coeffs(power: int, order: int) -> tuple[Fraction, ...]:
         b_m = (1/m) sum_{j=1}^{m} ((1 - power) j - m) a_j b_{m-j},
     where b_m is the x^{2m} coefficient, run on the integer row
     (2m)! D b_m of ``_x_over_sinh_row``.  Odd-index coefficients are
-    identically zero (the function is even).
+    identically zero (the function is even).  Memoised by argument type
+    too, so a float or a bool misses the cache and is refused.
     """
-    if power < 0 or order < 0:
-        raise DomainError("x_over_sinh_coeffs requires power >= 0 and order >= 0")
+    _check_int("power", power)
+    _check_int("order", order)
     denom, row = _x_over_sinh_row(power, order)
     coeffs = [Fraction(0)] * (order + 1)
     coeffs[::2] = [Fraction(r, denom * math.factorial(2 * m)) for m, r in enumerate(row)]
@@ -147,6 +148,8 @@ class RootProductTables(NamedTuple):
     max_n: int
 
     def _entry(self, rows: list[list[int]], k: int, n: int) -> int:
+        _check_int("k", k, None)
+        _check_int("n", n, None)
         if k < 0 or n < 0 or k > n:
             return 0
         if n > self.max_n:
@@ -162,8 +165,7 @@ class RootProductTables(NamedTuple):
 
 def root_product_tables(n_max: int) -> RootProductTables:
     """Build (or reuse) both triangles up to row ``n_max``, an int >= 0."""
-    if not isinstance(n_max, int) or isinstance(n_max, bool) or n_max < 0:
-        raise DomainError(f"n_max must be an int >= 0, got {n_max!r}")
+    _check_int("n_max", n_max)
     # row m is row m - 1 times (x^2 - r^2), r = m or 2m - 1
     _grow(_int_root_rows, n_max, lambda row, m: [a - m * m * b for a, b in _neighbours(row)])
     _grow(_odd_root_rows, n_max, lambda row, m: [a - (2 * m - 1) ** 2 * b for a, b in _neighbours(row)])
@@ -200,8 +202,8 @@ def _cosh_moments(q: int, count: int) -> list[int]:
 
 def binomial_power_sum(q: int, p: int) -> Fraction:
     """4^{-q} sum_{k=0}^{q} C(2q+1, k) (2q+1-2k)^{2p}, exactly."""
-    if q < 0 or p < 0:
-        raise DomainError("binomial_power_sum requires q >= 0 and p >= 0")
+    _check_int("q", q)
+    _check_int("p", p)
     return Fraction(_cosh_moments(q, p + 1)[p], 4**q)
 
 

@@ -53,7 +53,7 @@ from .closedform import (
     zeta_odd_ratio,
     zeta_prime_ratio,
 )
-from .exact import DomainError, bernoulli, binomial, eulerian
+from .exact import DomainError, _check_int, bernoulli, binomial, eulerian
 from .lfuncs import _working, eval_closed_form, mellin_bound_gamma_ratio, phi1_bounds
 from .quadrature import quad_c_constant, quad_phi_many
 from .series import _cosh_moments, _dot, _egf_weights, _kernel_coeff, _x_over_sinh_row
@@ -150,19 +150,24 @@ MIN_PREC = 12
 
 
 def _build(
-    family: str, cells: Iterable[CellResult], tolerance: str | None = None, prec: int | None = None
+    family: str,
+    cells: Iterable[CellResult],
+    tolerance: Callable[[], str] | None = None,
+    prec: int | None = None,
 ) -> VerifyReport:
     """The one report builder.  A numeric suite passes its ``prec``, which
-    is refused below :data:`MIN_PREC` before any cell runs; the lazy
-    ``cells`` are then drawn under one timer, and a suite that yields none
-    raises :class:`DomainError` rather than passing."""
-    if prec is not None and prec < MIN_PREC:
-        raise DomainError(f"numeric suites need prec >= {MIN_PREC}, got {prec}")
+    is refused unless an int >= :data:`MIN_PREC` before any cell runs; a
+    ``tolerance`` is a function that states the report's tolerance, called
+    only once ``prec`` is checked.  The lazy ``cells`` are then drawn under
+    one timer, and a suite that yields none raises :class:`DomainError`
+    rather than passing."""
+    if prec is not None:
+        _check_int("prec", prec, MIN_PREC)
     started = time.perf_counter()
     cells = list(cells)
     if not cells:
         raise DomainError(f"{family}: the inputs give no cells")
-    return VerifyReport(family, cells, prec, tolerance, time.perf_counter() - started)
+    return VerifyReport(family, cells, prec, tolerance and tolerance(), time.perf_counter() - started)
 
 
 # ---------------------------------------------------------------------------
@@ -355,7 +360,7 @@ def check_even_argument_relations() -> VerifyReport:
     return _build(
         IdentityFamily.EVEN_RELATIONS.value,
         map(_even_relation_cell, catalog.EVEN_ARGUMENT_RELATIONS),
-        "exact rational equality",
+        lambda: "exact rational equality",
     )
 
 
@@ -395,8 +400,9 @@ def check_bounds(s_grid=DEFAULT_BOUNDS_GRID, prec: int = 30) -> VerifyReport:
                     detail = " < ".join(mp.nstr(x, prec) for x in (lo, v, hi))
                 yield CellResult((s, f"phi{which}"), ok, detail)
 
-    tolerance = f"strict with margin 1e-{prec - 10}"
-    return _build(IdentityFamily.BOUNDS.value, cells(), tolerance, prec)
+    return _build(
+        IdentityFamily.BOUNDS.value, cells(), lambda: f"strict with margin 1e-{prec - 10}", prec
+    )
 
 
 def coupled_tail_bound(direction: int, truncation: int) -> mpf:
@@ -407,12 +413,12 @@ def coupled_tail_bound(direction: int, truncation: int) -> mpf:
     direction=1 bounds the Phi_2 tail, additionally using Gautschi's
     inequality Gamma((o-1)/2)/Gamma(o/2) < sqrt(2/(o-2)).
     """
+    _check_int("direction", direction, 1, 2)
+    _check_int("truncation", truncation, 1)
     t = mpf(truncation)
     if direction == 2:
         return (t ** mpf("-1.5") + 2 / mp.sqrt(t)) / (2 * mp.sqrt(mp.pi))
-    if direction == 1:
-        return (1 / (t * t) + 1 / t) / mp.sqrt(2)
-    raise DomainError("direction must be 1 or 2")
+    return (1 / (t * t) + 1 / t) / mp.sqrt(2)
 
 
 def check_coupled(s, truncation: int = 30, prec: int = 30) -> VerifyReport:
@@ -422,7 +428,7 @@ def check_coupled(s, truncation: int = 30, prec: int = 30) -> VerifyReport:
     Phi_1(s) = -sum_{n<T} C(2n,n)/(4^n (2n-1)) Phi_2(s+2n) + tail (the n=0
     term of the second identity enters with +Phi_2(s) since 2n-1 = -1),
     requiring each residual to fall below its tail bound.  A truncation
-    below 1 raises :class:`DomainError` before any integral.
+    that is not an int >= 1 raises :class:`DomainError` before any integral.
     """
     return _coupled((s,), truncation, prec)
 
@@ -431,8 +437,7 @@ def _coupled(svals, truncation: int, prec: int) -> VerifyReport:
     """The coupled-series cells of each s in ``svals``, in turn, as one report."""
 
     def cells():
-        if truncation < 1:
-            raise DomainError(f"coupled series need truncation >= 1, got {truncation}")
+        _check_int("truncation", truncation, 1)
         grid = [Fraction(str(s)) for s in svals]
         for s, sf in zip(svals, grid):
             if not sf > 1:
@@ -463,7 +468,7 @@ def _coupled(svals, truncation: int, prec: int) -> VerifyReport:
                 )
 
     tolerance = "residual below analytic tail bound"
-    return _build(IdentityFamily.COUPLED_SERIES.value, cells(), tolerance, prec)
+    return _build(IdentityFamily.COUPLED_SERIES.value, cells(), lambda: tolerance, prec)
 
 
 def _prefix_matches(printed: str, *values: mpf) -> bool:
@@ -527,8 +532,9 @@ def check_asymptotic_constants(prec: int = 30) -> VerifyReport:
                 "errors=" + ", ".join(mp.nstr(e, 3) for e in errors),
             )
 
-    tolerance = f"1e-{prec - 5}; printed prefix to 19 decimals"
-    return _build("asymptotic-constants", cells(), tolerance, prec)
+    return _build(
+        "asymptotic-constants", cells(), lambda: f"1e-{prec - 5}; printed prefix to 19 decimals", prec
+    )
 
 
 def check_cross_representation(n_max: int = 6, prec: int = 30) -> VerifyReport:
@@ -540,12 +546,11 @@ def check_cross_representation(n_max: int = 6, prec: int = 30) -> VerifyReport:
     Agreement validates the differentiated reflection formulas numerically.
     Then, in cells ("phi-even", which, m) for m = 1..n_max, the exact
     even-argument form must agree with quadrature to the same tolerance.
-    Raises :class:`DomainError` for ``n_max < 1``, which holds no n.
+    Raises :class:`DomainError` for an ``n_max`` that is not an int >= 1.
     """
 
     def cells():
-        if n_max < 1:
-            raise DomainError(f"cross-rep needs n_max >= 1, got {n_max}")
+        _check_int("n_max", n_max, 1)
         tol = mpf(10) ** (-(prec - 5))
         svals = [s for n in range(1, n_max + 1) for s in (2 * n + 1, 2 * n)]
         phi = _phi_batch([(which, s) for s in svals for which in (1, 2)], prec)
@@ -567,7 +572,7 @@ def check_cross_representation(n_max: int = 6, prec: int = 30) -> VerifyReport:
                 gap = abs(exact - phi[which, 2 * m].value)
                 yield CellResult(("phi-even", which, m), gap < tol, f"gap={mp.nstr(gap, 3)}")
 
-    return _build(IdentityFamily.CROSS_REP.value, cells(), f"1e-{prec - 5}", prec)
+    return _build(IdentityFamily.CROSS_REP.value, cells(), lambda: f"1e-{prec - 5}", prec)
 
 
 # ---------------------------------------------------------------------------
@@ -593,7 +598,7 @@ def reproduce_reference_tables(prec: int = 30) -> VerifyReport:
             yield CellResult((f"C{which}", "decimals"), ok, printed)
 
     tolerance = "exact rational equality; constants to 19 decimals"
-    return _build(IdentityFamily.REFERENCE_TABLES.value, cells(), tolerance, prec)
+    return _build(IdentityFamily.REFERENCE_TABLES.value, cells(), lambda: tolerance, prec)
 
 
 # ---------------------------------------------------------------------------
@@ -665,18 +670,20 @@ def run_identity(
 ) -> VerifyReport:
     """Run one registered suite; a non-empty ``n_range`` is ignored by suites
     without one, and an empty one raises :class:`DomainError` for every
-    suite, before any cell."""
+    suite, before any cell.  So do bounds of the range that are not ints
+    and a ``prec`` that is not an int >= 1 (an exact suite reads no
+    ``prec``; a numeric one needs :data:`MIN_PREC`)."""
     family = IdentityFamily(family)
-    _check_range(family.value, n_range)
+    _check_int("prec", prec, 1)
+    for end in n_range or ():
+        _check_int("n_range bound", end, None)
+    if n_range is not None and n_range[0] > n_range[1]:
+        raise DomainError(f"{family.value}: range {n_range[0]}..{n_range[1]} holds no n")
     return SUITES[family](n_range, prec)
 
 
-def _check_range(name: str, n_range: tuple[int, int] | None) -> None:
-    """Raise :class:`DomainError` when the inclusive ``n_range`` holds no n."""
-    if n_range is not None and n_range[0] > n_range[1]:
-        raise DomainError(f"{name}: range {n_range[0]}..{n_range[1]} holds no n")
-
-
 def all_suites(prec: int = 30) -> list[VerifyReport]:
-    """Every registered suite at its default range, in registry order."""
+    """Every registered suite at its default range, in registry order; a
+    ``prec`` that some suite refuses is refused before any suite runs."""
+    _check_int("prec", prec, MIN_PREC)
     return [run_identity(family, prec=prec) for family in SUITES]

@@ -194,6 +194,20 @@ class TestConstantsCommand:
         assert "0.205973120512140692" in out
         assert "gamma" in out
 
+    def test_quadrature_lines_stop_at_the_digits_computed(self, capsys):
+        # quadrature runs at most at 100 digits, so above that its lines
+        # print those 100, each the closed-form line rounded to them
+        from mpmath import mp, mpf
+
+        code, out, _ = run(capsys, "constants", "--prec", "150")
+        assert code == 0
+        lines = dict(line.split(" = ") for line in out.splitlines())
+        for c in ("C1", "C2"):
+            closed, quad = lines[f"{c} (closed forms)"], lines[f"{c} (quadrature)  "]
+            assert len(closed.lstrip("-0.").replace(".", "")) == 150
+            with mp.workdps(160):
+                assert quad == mp.nstr(mpf(closed), 100)
+
 
 class TestConfigFile:
     def test_config_supplies_default_prec(self, capsys, tmp_path):
@@ -328,7 +342,7 @@ class TestPrecisionFloor:
         code, out, err = run(capsys, *argv)
         assert code == 2
         assert out == ""
-        assert "prec >= 12" in err
+        assert "prec must be an int >= 12" in err
 
     def test_all_passes_at_the_floor(self, capsys):
         code, out, _ = run(capsys, "verify", "all", "--prec", "12")

@@ -205,11 +205,26 @@ class TestBasisSymbolTuple:
     @pytest.mark.parametrize(
         "args, message",
         [
-            (("zeta_prime_ratio",), "zeta_prime_ratio requires an integer index >= 0"),
-            (("beta_prime_neg", -1), "beta_prime_neg requires an integer index >= 0"),
-            (("eta_prime_neg", True), "eta_prime_neg requires an integer index >= 0"),
-            (("zeta_odd_ratio", 1.0), "zeta_odd_ratio requires an integer index >= 0"),
-            (("beta_even_ratio", "2"), "beta_even_ratio requires an integer index >= 0"),
+            pytest.param(
+                ("zeta_prime_ratio",), "zeta_prime_ratio index must be an int >= 0, got None",
+                id="args0-zeta_prime_ratio requires an integer index >= 0",
+            ),
+            pytest.param(
+                ("beta_prime_neg", -1), "beta_prime_neg index must be an int >= 0, got -1",
+                id="args1-beta_prime_neg requires an integer index >= 0",
+            ),
+            pytest.param(
+                ("eta_prime_neg", True), "eta_prime_neg index must be an int >= 0, got True",
+                id="args2-eta_prime_neg requires an integer index >= 0",
+            ),
+            pytest.param(
+                ("zeta_odd_ratio", 1.0), "zeta_odd_ratio index must be an int >= 0, got 1.0",
+                id="args3-zeta_odd_ratio requires an integer index >= 0",
+            ),
+            pytest.param(
+                ("beta_even_ratio", "2"), "beta_even_ratio index must be an int >= 0, got '2'",
+                id="args4-beta_even_ratio requires an integer index >= 0",
+            ),
             (("ln2", 1), "ln2 takes no index"),
             (("one", 0), "one takes no index"),
             (("zeta", 1), "unknown basis symbol kind 'zeta'"),

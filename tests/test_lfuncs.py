@@ -5,6 +5,7 @@ import functools
 import hashlib
 import math
 import os
+import re
 import subprocess
 import sys
 import threading
@@ -761,6 +762,21 @@ class TestEvalClosedForm:
         second = symbol_value("beta_prime_ratio", 1, 30)
         assert first == second and first is second
 
+    @pytest.mark.parametrize(
+        "kind, index, message",
+        [
+            ("one", 5, "one takes no index"),
+            ("ln2", 0, "ln2 takes no index"),
+            ("zeta", 1, "unknown basis symbol kind 'zeta'"),
+            ("beta_even_ratio", None, "beta_even_ratio index must be an int >= 0, got None"),
+        ],
+    )
+    def test_a_pair_that_is_no_basis_symbol_is_refused(self, kind, index, message):
+        # symbol_value reads its kind and index as a BasisSymbol would, so
+        # an index where the kind takes none is not ignored
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            symbol_value(kind, index, 30)
+
 
 class TestPrecisionContract:
     @pytest.mark.parametrize(
@@ -793,7 +809,7 @@ class TestPrecisionArgument:
     @pytest.mark.parametrize("entry", ENTRIES)
     @pytest.mark.parametrize("prec", [30.0, 30.5, 1.0, True, False, 0, 1001])
     def test_refused(self, entry, prec):
-        with pytest.raises(DomainError, match=r"\[1, 1000\] digits"):
+        with pytest.raises(DomainError, match=r"prec must be an int in \[1, 1000\], got"):
             entry(prec)
 
     @pytest.mark.parametrize("entry", ENTRIES)

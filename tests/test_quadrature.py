@@ -92,7 +92,7 @@ class TestPrecisionArgument:
     @pytest.mark.parametrize("entry", ENTRIES)
     @pytest.mark.parametrize("prec", [30.0, 30.5, 1.0, True, False, 0, 101])
     def test_refused(self, entry, prec):
-        with pytest.raises(DomainError, match=r"\[1, 100\] digits"):
+        with pytest.raises(DomainError, match=r"prec must be an int in \[1, 100\], got"):
             entry(prec)
 
     @pytest.mark.parametrize("entry", ENTRIES)

@@ -369,7 +369,7 @@ class TestNumericSuites:
     @pytest.mark.parametrize("truncation", [0, -1])
     def test_coupled_refuses_a_truncation_below_one(self, truncation):
         quadrature._quad_cache.clear()
-        with pytest.raises(DomainError, match="truncation >= 1"):
+        with pytest.raises(DomainError, match="truncation must be an int >= 1"):
             check_coupled(4, truncation=truncation, prec=20)
         assert not quadrature._quad_cache
 
@@ -506,12 +506,12 @@ class TestPrecisionFloor:
         ],
     )
     def test_below_the_floor_is_a_domain_error(self, suite):
-        with pytest.raises(DomainError, match=f"prec >= {MIN_PREC}"):
+        with pytest.raises(DomainError, match=f"prec must be an int >= {MIN_PREC}"):
             suite(MIN_PREC - 1)
 
     @pytest.mark.parametrize("name", NUMERIC_SUITES)
     def test_below_the_floor_by_name(self, name):
-        with pytest.raises(DomainError, match=f"prec >= {MIN_PREC}"):
+        with pytest.raises(DomainError, match=f"prec must be an int >= {MIN_PREC}"):
             run_identity(name, prec=MIN_PREC - 1)
 
     def test_every_numeric_suite_passes_at_the_floor(self):
