@@ -36,15 +36,12 @@ _EXPORTS = {
         "DomainError", "PrecisionError", "bernoulli", "binomial", "euler_number", "eulerian",
         "harmonic",
     ),
-    "series": (
-        "RootProductTables", "binomial_power_sum", "root_product_tables", "x_over_sinh_coeffs",
-    ),
+    "series": ("x_over_sinh_coeffs",),
     "closedform": (
-        "LN2", "LNPI", "ONE", "BasisSymbol", "ClosedForm", "beta_prime_neg_coeffs",
-        "beta_prime_neg_symbol", "beta_even_ratio", "beta_prime_ratio", "eta_prime_neg_coeffs",
-        "eta_prime_neg_symbol", "log_integral_even_cosh", "log_integral_odd_cosh",
-        "phi_even_closed_form", "phi_odd_closed_form", "sinh_over_z_integral", "zeta_odd_ratio",
-        "zeta_prime_ratio",
+        "LN2", "LNPI", "ONE", "BasisSymbol", "ClosedForm", "beta_prime_neg_symbol",
+        "beta_even_ratio", "beta_prime_ratio", "eta_prime_neg_symbol", "log_integral_even_cosh",
+        "log_integral_odd_cosh", "phi_even_closed_form", "phi_odd_closed_form",
+        "sinh_over_z_integral", "zeta_odd_ratio", "zeta_prime_ratio",
     ),
     "lfuncs": (
         "beta_at_negative_even", "beta_prime_neg", "beta_prime_odd", "beta_prime_value",

@@ -113,6 +113,7 @@ C2_DECIMAL = "0.2059731205121406923"
 #: (q, N) = (n, 2n+2) instance and Phi_2(2n+1) the (n, 2n+1) instance.
 def phi_odd_as_sinh_over_z(which: int, n: int) -> tuple[int, int]:
     _check_int("which", which, 1, 2)
+    _check_int("n", n, 1)
     return (n, 2 * n + 3 - which)
 
 

@@ -146,8 +146,10 @@ def _emit_form(form: ClosedForm, args) -> None:
 def _run_suite(suite: str, n_range, prec: int, as_json: bool) -> int:
     from . import verify
 
-    names = verify.SUITES if suite == "all" else [suite]
-    reports = [verify.run_identity(name, n_range=n_range, prec=prec) for name in names]
+    if suite == "all":  # one precision check before any suite runs
+        reports = verify.all_suites(prec, n_range)
+    else:
+        reports = [verify.run_identity(suite, n_range, prec)]
     failed = False
     for report in reports:
         if as_json:

@@ -70,9 +70,10 @@ The integral families and their coefficient pipelines:
       int_0^1 x^{2n} / arctanh(x) dx                  (which = 1),
       int_0^1 x^{2n} / (sqrt(1-x^2) arctanh(x)) dx    (which = 2),
   expanded over eta'(-2i-1) resp. beta'(-2i) with coefficients summed
-  against the root products prod_{i<=k} (y - r_i) of the triangles, by
-  Horner's rule on one integer polynomial over (2n+1)! resp. (2n)!
-  (``_odd_value_numerators``).
+  against the root products prod_{i<=k} (y - r_i), r_i = i^2 resp.
+  (2i-1)^2, by Horner's rule on one integer polynomial over (2n+1)!
+  resp. (2n)! (``_root_product_sum``).  The eta'(-1) coefficient is
+  4/(2n+1) for every n, which the ``eta-coeff`` suite checks.
 
 * ``phi_even_closed_form(which, m)``: the same transforms at s = 2m, expanded
   over zeta(2p+3)/pi^{2p+2} resp. beta(2p+2)/pi^{2p+1} by closing the contour
@@ -528,66 +529,32 @@ def _root_product_sum(weights: list[int], roots: list[int]) -> list[int]:
     return poly
 
 
-def _odd_value_numerators(which: int, n: int) -> tuple[int, list[int]]:
-    """(den, c) with c[i] / den the coefficient of eta'(-2i-1) (which = 1)
-    or beta'(-2i) (which = 2), i = 0..n, in Phi_which(2n+1): den is (2n+1)!
-    resp. (2n)!, and c is the integer polynomial of ``_root_product_sum``
-    (see :func:`eta_prime_neg_coeffs` and :func:`beta_prime_neg_coeffs`).
-    Checks n for all three callers: an int >= 1, since s = 1 is a pole."""
+def phi_odd_closed_form(which: int, n: int) -> ClosedForm:
+    """Odd-argument Mellin value Phi_which(2n+1) over the negative-argument
+    derivative basis, n an int >= 1 (s = 1 is a pole).  The coefficients of
+    eta'(-2i-1) (which=1) resp. beta'(-2i) (which=2), i = 0..n, are
+
+        sum_{k=i}^{n} C(n, k) 2^{2k+2} / (2k+1)! * [y^i] prod_{j<=k} (y - j^2),
+        sum_{k=i}^{n} 2 C(n, k) / (2k)! * [y^i] prod_{j<=k} (y - (2j-1)^2),
+
+    summed over k by Horner's rule in y (``_root_product_sum``) on integer
+    numerators over one factorial, (2n+1)! resp. (2n)!.
+    """
+    _check_int("which", which, 1, 2)
     _check_int("n", n, None)
     if n < 1:
         raise DomainError(f"odd Mellin values require n >= 1 (s = 1 is a pole), got n={n}")
     if which == 1:
-        den = math.factorial(2 * n + 1)
+        symbol, den = eta_prime_neg_symbol, math.factorial(2 * n + 1)
         weights = [
             binomial(n, k) * 2 ** (2 * k + 2) * (den // math.factorial(2 * k + 1)) for k in range(n + 1)
         ]
         roots = [j * j for j in range(1, n + 1)]
     else:
-        den = math.factorial(2 * n)
+        symbol, den = beta_prime_neg_symbol, math.factorial(2 * n)
         weights = [binomial(n, k) * 2 * (den // math.factorial(2 * k)) for k in range(n + 1)]
         roots = [(2 * j - 1) ** 2 for j in range(1, n + 1)]
-    return den, _root_product_sum(weights, roots)
-
-
-def eta_prime_neg_coeffs(n: int) -> tuple[Fraction, ...]:
-    """Coefficients of eta'(-2i-1), i = 0..n, in the odd Mellin value of
-    the 1/arctanh transform at s = 2n+1:
-
-        c_i = sum_{k=i}^{n} C(n, k) 2^{2k+2} / (2k+1)! * integer_root(i, k),
-
-    with integer_root(i, k) the y^i coefficient of prod_{j<=k} (y - j^2)
-    (``series.root_product_tables``).  The sum over k is evaluated by
-    Horner's rule in y on integer numerators over (2n+1)!, one ``Fraction``
-    per coefficient.
-    """
-    den, poly = _odd_value_numerators(1, n)
-    return tuple(Fraction(c, den) for c in poly)
-
-
-def beta_prime_neg_coeffs(n: int) -> tuple[Fraction, ...]:
-    """Coefficients of beta'(-2i), i = 0..n, in the odd Mellin value of the
-    1/(sqrt(1-x^2) arctanh) transform at s = 2n+1:
-
-        c_i = sum_{k=i}^{n} 2 C(n, k) / (2k)! * odd_root(i, k),
-
-    with odd_root(i, k) the y^i coefficient of prod_{j<=k} (y - (2j-1)^2)
-    (``series.root_product_tables``), evaluated by Horner's rule in y as in
-    :func:`eta_prime_neg_coeffs`, over (2n)!.
-    """
-    den, poly = _odd_value_numerators(2, n)
-    return tuple(Fraction(c, den) for c in poly)
-
-
-def phi_odd_closed_form(which: int, n: int) -> ClosedForm:
-    """Odd-argument Mellin value Phi_which(2n+1) over the negative-argument
-    derivative basis (eta'(-2i-1) for which=1, beta'(-2i) for which=2), on
-    the integer numerators of ``_odd_value_numerators`` over their one
-    factorial."""
-    _check_int("which", which, 1, 2)
-    symbol = eta_prime_neg_symbol if which == 1 else beta_prime_neg_symbol
-    den, poly = _odd_value_numerators(which, n)
-    return ClosedForm._over(den, [(symbol(i), c) for i, c in enumerate(poly)])
+    return ClosedForm._over(den, [(symbol(i), c) for i, c in enumerate(_root_product_sum(weights, roots))])
 
 
 def phi_even_closed_form(which: int, m: int) -> ClosedForm:

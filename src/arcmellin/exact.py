@@ -28,9 +28,9 @@ Buckholtz, Math. Comp. 21, 1967).  The table grows by Seidel's boustrophedon
 running sums, from 0, of row m-1 read backwards, and A_m is its last entry,
 so A_m costs m integer additions and only the last row is kept.
 
-Every table of this layer, and the root-product rows of ``series``, is an
-append-only list grown by ``_grow`` under the one lock ``_lock``; published
-entries are immutable, so concurrent reads are safe.
+Every table of this layer is an append-only list grown by ``_grow`` under
+the one lock ``_lock``; published entries are immutable, so concurrent
+reads are safe.
 
 Every int argument of the package's public entry points, in every layer (an
 index, a row, ``q``, ``n``, ``which``, a truncation, a precision in digits),

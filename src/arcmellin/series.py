@@ -20,27 +20,14 @@ its own recurrence in integer and rational arithmetic:
   product, here and in the identity suites, is ``_dot``: one exact integer
   ``sum(map(operator.mul, ...))``, whose loop runs in C.  Memoised per
   (e, K) and unbounded, like ``x_over_sinh_coeffs``.
-* ``root_product_tables(n)`` -- integer coefficient triangles of the
-  polynomials x * prod_{i<=n} (x^2 - i^2)  and  prod_{i<=n} (y^2 - (2i-1)^2),
-  generated by the two-term recurrences
-      g[k][n] = g[k-1][n-1] - n^2 g[k][n-1],
-      h[k][n] = h[k-1][n-1] - (2n-1)^2 h[k][n-1].
-  The rows are append-only lists at module level, grown like every table
-  of ``exact`` by ``exact._grow`` under the exact layer's one lock, and
-  ``RootProductTables`` is a named tuple of their extent whose two lookups
-  share one bounds check.  Demo 02 and the tests read
-  them; they are not on the closed-form path, where
-  ``closedform._odd_value_numerators`` sums against the same products by
-  Horner's rule.
 * ``_cosh_moments(q, count)`` -- the integer power sums
   sum_{k=0}^{q} C(2q+1, k) (2q+1-2k)^{2i} for i < count, the moments
-  (2i)! [x^{2i}] of 4^q cosh^{2q+1}(x).  Each moment sums the terms of the
-  previous one multiplied by their squares (2q+1-2k)^2, so there is no
-  ``Fraction`` and no power per moment; each q keeps its row and last terms,
-  and a longer request extends the row instead of rebuilding it.
-* ``binomial_power_sum(q, p)`` -- 4^{-q} sum_{k=0}^{q} C(2q+1,k) (2q+1-2k)^{2p},
-  the normalized even-order derivative of sinh^{2q+1} at its imaginary poles:
-  one moment of ``_cosh_moments`` over 4^q.
+  (2i)! [x^{2i}] of 4^q cosh^{2q+1}(x); over 4^q, the i-th is the
+  normalized 2i-th derivative of sinh^{2q+1} at its imaginary poles.  Each
+  moment sums the terms of the previous one multiplied by their squares
+  (2q+1-2k)^2, so there is no ``Fraction`` and no power per moment; each q
+  keeps its row and last terms, and a longer request extends the row
+  instead of rebuilding it.
 * ``_kernel_coeff(e, moments, j)`` -- the x^{2j} coefficient of
   (x / sinh x)^e * sum_i moments[i] x^{2i} / (2i)!: the residue kernel of
   1 / cosh^e against an even series with integer moments, one binomial
@@ -58,9 +45,8 @@ import operator
 import threading
 from fractions import Fraction
 from functools import lru_cache
-from typing import NamedTuple
 
-from .exact import DomainError, _check_int, _grow, _neighbours
+from .exact import _check_int
 
 
 @lru_cache(maxsize=None)
@@ -131,47 +117,6 @@ def x_over_sinh_coeffs(power: int, order: int) -> tuple[Fraction, ...]:
     return tuple(coeffs)
 
 
-_int_root_rows: list[list[int]] = [[1]]   # rows n, entries k = 0..n
-_odd_root_rows: list[list[int]] = [[1]]
-
-
-class RootProductTables(NamedTuple):
-    """Coefficient triangles of the two root-product polynomial families.
-
-    ``integer_root(k, n)`` is the x^{2k+1} coefficient of
-    x * prod_{i=1}^{n} (x^2 - i^2), whose roots are 0, +-1, ..., +-n.
-    ``odd_root(k, n)`` is the y^{2k} coefficient of
-    prod_{i=1}^{n} (y^2 - (2i-1)^2), whose roots are +-1, +-3, ..., +-(2n-1).
-    Both are 0 outside 0 <= k <= n.
-    """
-
-    max_n: int
-
-    def _entry(self, rows: list[list[int]], k: int, n: int) -> int:
-        _check_int("k", k, None)
-        _check_int("n", n, None)
-        if k < 0 or n < 0 or k > n:
-            return 0
-        if n > self.max_n:
-            raise DomainError(f"table built to n={self.max_n}, requested n={n}")
-        return rows[n][k]
-
-    def integer_root(self, k: int, n: int) -> int:
-        return self._entry(_int_root_rows, k, n)
-
-    def odd_root(self, k: int, n: int) -> int:
-        return self._entry(_odd_root_rows, k, n)
-
-
-def root_product_tables(n_max: int) -> RootProductTables:
-    """Build (or reuse) both triangles up to row ``n_max``, an int >= 0."""
-    _check_int("n_max", n_max)
-    # row m is row m - 1 times (x^2 - r^2), r = m or 2m - 1
-    _grow(_int_root_rows, n_max, lambda row, m: [a - m * m * b for a, b in _neighbours(row)])
-    _grow(_odd_root_rows, n_max, lambda row, m: [a - (2 * m - 1) ** 2 * b for a, b in _neighbours(row)])
-    return RootProductTables(n_max)
-
-
 _moments_lock = threading.Lock()
 #: q -> (terms, row): row[i] = sum_k C(2q+1, k) (2q+1-2k)^{2i} for the moments
 #: computed so far, and terms[k] = C(2q+1, k) (2q+1-2k)^{2i} for the last of them.
@@ -198,13 +143,6 @@ def _cosh_moments(q: int, count: int) -> list[int]:
                 terms[:] = [t * s for t, s in zip(terms, squares)]
                 row.append(sum(terms))
         return row[:count]
-
-
-def binomial_power_sum(q: int, p: int) -> Fraction:
-    """4^{-q} sum_{k=0}^{q} C(2q+1, k) (2q+1-2k)^{2p}, exactly."""
-    _check_int("q", q)
-    _check_int("p", p)
-    return Fraction(_cosh_moments(q, p + 1)[p], 4**q)
 
 
 def _kernel_coeff(power: int, moments, j: int) -> Fraction:

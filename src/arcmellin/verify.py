@@ -44,7 +44,7 @@ from .closedform import (
     ClosedForm,
     _ln_pi_row,
     beta_even_ratio,
-    eta_prime_neg_coeffs,
+    eta_prime_neg_symbol,
     log_integral_even_cosh,
     log_integral_odd_cosh,
     phi_even_closed_form,
@@ -275,7 +275,7 @@ def _eulerian_b_row(n: int):
 
 
 def _binom_cosh_row(n: int):
-    # sum_m c[2n-2m] / (2m)! 4^q W(q, m),  c = (x/sinh x)^{2n+1}, W = binomial_power_sum,
+    # sum_m c[2n-2m] / (2m)! M(q, m),  c = (x/sinh x)^{2n+1}, M = _cosh_moments,
     # for q = 0..n
     weights, den = _kernel_weights(2 * n + 1, n)
     for q in range(n + 1):
@@ -293,7 +293,7 @@ def _vanishing_row(n: int):
 
 
 def _eta_coeff_row(n: int):
-    lead = eta_prime_neg_coeffs(n)[0]
+    lead = phi_odd_closed_form(1, n).coefficient(eta_prime_neg_symbol(0))
     yield CellResult((n,), lead == Fraction(4, 2 * n + 1), f"coeff={lead}")
 
 
@@ -682,8 +682,11 @@ def run_identity(
     return SUITES[family](n_range, prec)
 
 
-def all_suites(prec: int = 30) -> list[VerifyReport]:
-    """Every registered suite at its default range, in registry order; a
-    ``prec`` that some suite refuses is refused before any suite runs."""
+def all_suites(prec: int = 30, n_range: tuple[int, int] | None = None) -> list[VerifyReport]:
+    """Every registered suite in registry order, each run by
+    :func:`run_identity` over ``n_range`` (its default range without one).
+    A ``prec`` that some suite refuses is refused before any suite runs,
+    and so is a range whose start is past its end, by the first suite's
+    check."""
     _check_int("prec", prec, MIN_PREC)
-    return [run_identity(family, prec=prec) for family in SUITES]
+    return [run_identity(family, n_range, prec) for family in SUITES]

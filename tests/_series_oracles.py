@@ -4,8 +4,8 @@ kernels against.
 ``binomial_power_sum_direct`` is the cosh moment sum with one power per
 term, against the recurrence of ``series._cosh_moments``, and
 ``odd_value_coeffs_by_triangle`` sums the odd-value coefficients over the
-rows of ``root_product_tables``, against the Horner evaluation of
-``closedform.eta_prime_neg_coeffs`` and ``beta_prime_neg_coeffs``.
+rows of the root-product triangles (``root_product_tables``), against the
+Horner evaluation in ``closedform.phi_odd_closed_form``.
 
 ``cosh_kernel_coeffs`` tabulates the residue kernel (x / sinh x)^e *
 cosh^{2q+1}(x) as one whole ``Fraction`` table; the package reads the same
@@ -22,8 +22,10 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from typing import NamedTuple
 
-from arcmellin import DomainError, root_product_tables
+from arcmellin import DomainError
+from arcmellin.exact import _grow, _neighbours
 from arcmellin.series import _cosh_moments, _egf_convolution, _x_over_sinh_row
 
 
@@ -124,6 +126,49 @@ def binomial_power_sum_direct(q: int, p: int) -> Fraction:
     return Fraction(
         sum(math.comb(2 * q + 1, k) * (2 * q + 1 - 2 * k) ** (2 * p) for k in range(q + 1)), 4**q
     )
+
+
+_int_root_rows: list[list[int]] = [[1]]  # rows n, entries k = 0..n
+_odd_root_rows: list[list[int]] = [[1]]
+
+
+class RootProductTables(NamedTuple):
+    """Coefficient triangles of the two root-product polynomial families.
+
+    ``integer_root(k, n)`` is the x^{2k+1} coefficient of
+    x * prod_{i=1}^{n} (x^2 - i^2), whose roots are 0, +-1, ..., +-n.
+    ``odd_root(k, n)`` is the y^{2k} coefficient of
+    prod_{i=1}^{n} (y^2 - (2i-1)^2), whose roots are +-1, +-3, ..., +-(2n-1).
+    Both are 0 outside 0 <= k <= n.
+    """
+
+    max_n: int
+
+    def _entry(self, rows: list[list[int]], k: int, n: int) -> int:
+        if k < 0 or n < 0 or k > n:
+            return 0
+        if n > self.max_n:
+            raise DomainError(f"table built to n={self.max_n}, requested n={n}")
+        return rows[n][k]
+
+    def integer_root(self, k: int, n: int) -> int:
+        return self._entry(_int_root_rows, k, n)
+
+    def odd_root(self, k: int, n: int) -> int:
+        return self._entry(_odd_root_rows, k, n)
+
+
+def root_product_tables(n_max: int) -> RootProductTables:
+    """Both triangles up to row ``n_max``, by the two-term recurrences
+
+        g[k][n] = g[k-1][n-1] - n^2 g[k][n-1],
+        h[k][n] = h[k-1][n-1] - (2n-1)^2 h[k][n-1],
+
+    on append-only rows grown like the tables of ``exact``, by
+    ``exact._grow`` under its one lock."""
+    _grow(_int_root_rows, n_max, lambda row, m: [a - m * m * b for a, b in _neighbours(row)])
+    _grow(_odd_root_rows, n_max, lambda row, m: [a - (2 * m - 1) ** 2 * b for a, b in _neighbours(row)])
+    return RootProductTables(n_max)
 
 
 def odd_value_coeffs_by_triangle(n: int) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]]:

@@ -17,7 +17,6 @@ from arcmellin import catalog, closedform, exact, lfuncs, quadrature, series, ve
 from arcmellin.exact import DomainError
 
 FORM = closedform.ClosedForm([(closedform.LN2, Fraction(3, 4))])
-TABLES = series.root_product_tables(2)
 
 #: (entry point, its call with the checked int v, a valid int, an int below
 #: the range or None where every int is in it)
@@ -33,11 +32,6 @@ ROWS = [
     # series
     ("x_over_sinh_coeffs(power, order) power", lambda v: series.x_over_sinh_coeffs(v, 2), 1, -1),
     ("x_over_sinh_coeffs(power, order) order", lambda v: series.x_over_sinh_coeffs(1, v), 1, -1),
-    ("binomial_power_sum(q, p) q", lambda v: series.binomial_power_sum(v, 1), 1, -1),
-    ("binomial_power_sum(q, p) p", lambda v: series.binomial_power_sum(1, v), 1, -1),
-    ("root_product_tables(n_max)", lambda v: series.root_product_tables(v), 1, -1),
-    ("RootProductTables.integer_root(k, n) k", lambda v: TABLES.integer_root(v, 2), 1, None),
-    ("RootProductTables.odd_root(k, n) n", lambda v: TABLES.odd_root(1, v), 1, None),
     # closedform
     ("BasisSymbol(kind, index)", lambda v: closedform.BasisSymbol("zeta_odd_ratio", v), 1, -1),
     ("zeta_prime_ratio(p)", lambda v: closedform.zeta_prime_ratio(v), 1, -1),
@@ -52,13 +46,12 @@ ROWS = [
     ("log_integral_even_cosh(q, n) n", lambda v: closedform.log_integral_even_cosh(0, v), 1, 0),
     ("sinh_over_z_integral(q, N) q", lambda v: closedform.sinh_over_z_integral(v, 4), 1, 0),
     ("sinh_over_z_integral(q, N) N", lambda v: closedform.sinh_over_z_integral(1, v), 3, 2),
-    ("eta_prime_neg_coeffs(n)", lambda v: closedform.eta_prime_neg_coeffs(v), 1, 0),
-    ("beta_prime_neg_coeffs(n)", lambda v: closedform.beta_prime_neg_coeffs(v), 1, 0),
     ("phi_odd_closed_form(which, n) which", lambda v: closedform.phi_odd_closed_form(v, 2), 1, 0),
     ("phi_odd_closed_form(which, n) n", lambda v: closedform.phi_odd_closed_form(2, v), 1, 0),
     ("phi_even_closed_form(which, m) which", lambda v: closedform.phi_even_closed_form(v, 2), 1, 0),
     ("phi_even_closed_form(which, m) m", lambda v: closedform.phi_even_closed_form(1, v), 1, 0),
     ("catalog.phi_odd_as_sinh_over_z(which, n)", lambda v: catalog.phi_odd_as_sinh_over_z(v, 1), 1, 0),
+    ("catalog.phi_odd_as_sinh_over_z(which, n) n", lambda v: catalog.phi_odd_as_sinh_over_z(1, v), 1, 0),
     # lfuncs
     ("zeta_even_value(k, prec) k", lambda v: lfuncs.zeta_even_value(v, 30), 1, 0),
     ("zeta_even_value(k, prec) prec", lambda v: lfuncs.zeta_even_value(1, v), 1, 0),
@@ -116,6 +109,8 @@ ROWS = [
      lambda v: verify.check_cross_representation(1, v), 12, 11),
     ("reproduce_reference_tables(prec)", lambda v: verify.reproduce_reference_tables(v), 12, 11),
     ("all_suites(prec)", lambda v: verify.all_suites(v), 12, 11),
+    ("all_suites(prec, n_range) range start", lambda v: verify.all_suites(12, (v, 2)), 1, None),
+    ("all_suites(prec, n_range) range end", lambda v: verify.all_suites(12, (1, v)), 2, 0),
     ("run_identity(family, n_range, prec) range start",
      lambda v: verify.run_identity("eta-coeff", n_range=(v, 3)), 1, None),
     ("run_identity(family, n_range, prec) range end",

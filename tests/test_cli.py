@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from arcmellin import ClosedForm, log_integral_odd_cosh
+from arcmellin import ClosedForm, log_integral_odd_cosh, series
 from arcmellin.cli import cli_main
 
 
@@ -343,6 +343,16 @@ class TestPrecisionFloor:
         assert code == 2
         assert out == ""
         assert "prec must be an int >= 12" in err
+
+    @pytest.mark.parametrize("argv", [["verify", "all", "--prec", "11"], ["verify", "all", "--range", "5..3"]])
+    def test_all_refuses_before_any_suite_runs(self, capsys, argv):
+        # the exact suites fill the (x/sinh x)^e rows, so a refusal that came
+        # after them would find the cache filled
+        series._x_over_sinh_row.cache_clear()
+        code, out, _ = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert series._x_over_sinh_row.cache_info().currsize == 0
 
     def test_all_passes_at_the_floor(self, capsys):
         code, out, _ = run(capsys, "verify", "all", "--prec", "12")

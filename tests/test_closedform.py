@@ -18,14 +18,11 @@ from arcmellin import (
     ClosedForm,
     DomainError,
     beta_even_ratio,
-    beta_prime_neg_coeffs,
     beta_prime_ratio,
-    eta_prime_neg_coeffs,
     eta_prime_neg_symbol,
     beta_prime_neg_symbol,
     bernoulli,
     binomial,
-    binomial_power_sum,
     euler_number,
     harmonic,
     log_integral_even_cosh,
@@ -40,7 +37,7 @@ from arcmellin import (
 from arcmellin import catalog, closedform
 from arcmellin.closedform import _ln_pi_row, _log_residues
 from arcmellin.exact import _signed_tangent
-from _series_oracles import cosh_kernel_coeffs, odd_value_coeffs_by_triangle
+from _series_oracles import binomial_power_sum_direct, cosh_kernel_coeffs, odd_value_coeffs_by_triangle
 
 
 def cf(pairs):
@@ -431,7 +428,7 @@ class TestLogIntegralEvenCosh:
         d = x_over_sinh_coeffs(2 * n, 2 * n)
 
         def inner(m, p):
-            return binomial(2 * m + 1, 2 * m - 2 * p) * binomial_power_sum(q, m - p)
+            return binomial(2 * m + 1, 2 * m - 2 * p) * binomial_power_sum_direct(q, m - p)
 
         pairs = [
             (
@@ -647,14 +644,16 @@ class TestPhiOddClosedForm:
 
     def test_leading_coefficient_law(self):
         for n in range(1, 51):
-            assert eta_prime_neg_coeffs(n)[0] == Fraction(4, 2 * n + 1)
+            assert phi_odd_closed_form(1, n).coefficient(eta_prime_neg_symbol(0)) == Fraction(4, 2 * n + 1)
 
     @pytest.mark.parametrize("n", range(1, 61))
     def test_coefficients_equal_docstring_sums(self, n):
-        # the triangle sums over root_product_tables, against Horner's rule
+        # the sums over the root-product triangles, against Horner's rule
         eta, beta = odd_value_coeffs_by_triangle(n)
-        assert eta_prime_neg_coeffs(n) == eta
-        assert beta_prime_neg_coeffs(n) == beta
+        for which, symbol, coeffs in ((1, eta_prime_neg_symbol, eta), (2, beta_prime_neg_symbol, beta)):
+            form = phi_odd_closed_form(which, n)
+            assert tuple(form.coefficient(symbol(i)) for i in range(n + 1)) == coeffs
+            assert len(form) == n + 1
 
 
 class TestPhiEvenClosedForm:

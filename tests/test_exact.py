@@ -17,11 +17,11 @@ from arcmellin import (
     euler_number,
     eulerian,
     harmonic,
-    root_product_tables,
 )
-from arcmellin import exact, series
+from arcmellin import exact
 from arcmellin.exact import _signed_tangent
-from _series_oracles import cosh_series
+import _series_oracles
+from _series_oracles import cosh_series, root_product_tables
 
 
 def bernoulli_oracle(n_max):
@@ -201,8 +201,9 @@ def test_rational_addition_against_manual_gcd():
 
 
 def _table_reads(offset):
-    """Every table of the exact layer, and the root-product rows, read at
-    the indices offset, offset + 7, ... below 90."""
+    """Every table of the exact layer, and the root-product rows of the
+    test oracles (grown by the same ``exact._grow``), read at the indices
+    offset, offset + 7, ... below 90."""
     out = []
     for n in range(offset, 90, 7):
         tables = root_product_tables(n)
@@ -224,8 +225,8 @@ def test_concurrent_table_growth(monkeypatch):
     monkeypatch.setattr(exact, "_harmonic", exact._harmonic[:1])
     for kind, (rows, rule) in exact._EULERIAN.items():
         monkeypatch.setitem(exact._EULERIAN, kind, (rows[:2], rule))
-    monkeypatch.setattr(series, "_int_root_rows", [[1]])
-    monkeypatch.setattr(series, "_odd_root_rows", [[1]])
+    monkeypatch.setattr(_series_oracles, "_int_root_rows", [[1]])
+    monkeypatch.setattr(_series_oracles, "_odd_root_rows", [[1]])
     barrier = threading.Barrier(8, timeout=60)
     results, errors = [None] * 8, []
 

@@ -9,14 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from arcmellin import (
-    DomainError,
-    bernoulli,
-    binomial,
-    binomial_power_sum,
-    root_product_tables,
-    x_over_sinh_coeffs,
-)
+from arcmellin import DomainError, bernoulli, binomial, x_over_sinh_coeffs
 from arcmellin import series
 from arcmellin.series import _cosh_moments, _x_over_sinh_row
 from _series_oracles import (
@@ -24,6 +17,7 @@ from _series_oracles import (
     binomial_power_sum_direct,
     cosh_kernel_coeffs,
     cosh_series,
+    root_product_tables,
     sinh_x_over_x_series,
 )
 
@@ -46,7 +40,7 @@ def _fraction_miller(power, order):
 def _fraction_kernel(power, q, order):
     # the Fraction convolution of the kernel as it ran before the integer row
     b = _fraction_miller(power, order)[::2]
-    cosh = [binomial_power_sum(q, i) / math.factorial(2 * i) for i in range(len(b))]
+    cosh = [binomial_power_sum_direct(q, i) / math.factorial(2 * i) for i in range(len(b))]
     coeffs = [Fraction(0)] * (order + 1)
     coeffs[::2] = [sum(cosh[i] * b[j - i] for i in range(j + 1)) for j in range(len(b))]
     return tuple(coeffs)
@@ -162,11 +156,6 @@ class TestRootProductTables:
         assert tables.integer_root(5, 4) == 0
         assert tables.odd_root(-1, 2) == 0
 
-    @pytest.mark.parametrize("n_max", [2.0, True, "2", None, -1])
-    def test_n_max_that_is_no_row(self, n_max):
-        with pytest.raises(DomainError, match="n_max"):
-            root_product_tables(n_max)
-
     def test_row_past_the_extent_raises(self):
         tables = root_product_tables(3)
         with pytest.raises(DomainError, match="built to n=3"):
@@ -213,22 +202,17 @@ class TestRootProductTables:
 
 
 class TestBinomialPowerSum:
+    # the binomial power sums 4^{-q} sum_{k<=q} C(2q+1, k) (2q+1-2k)^{2p}
+    # are the cosh moments over 4^q
     def test_zeroth_power_row(self):
         # half-row binomial sum: sum_{k<=q} C(2q+1,k) = 4^q
-        assert all(binomial_power_sum(q, 0) == 1 for q in range(10))
+        assert all(_cosh_moments(q, 1) == [4**q] for q in range(10))
 
     def test_q_zero_column(self):
-        assert all(binomial_power_sum(0, p) == 1 for p in range(10))
-
-    def test_negative_argument_raises_after_cache_hit(self):
-        assert binomial_power_sum(2, 3) == binomial_power_sum(2, 3)
-        with pytest.raises(DomainError):
-            binomial_power_sum(-1, 3)
-        with pytest.raises(DomainError):
-            binomial_power_sum(2, -3)
+        assert _cosh_moments(0, 10) == [1] * 10
 
     def test_1_1_direct(self):
-        assert binomial_power_sum(1, 1) == Fraction(binomial(3, 0) * 9 + binomial(3, 1), 4) == 3
+        assert _cosh_moments(1, 2)[1] == binomial(3, 0) * 9 + binomial(3, 1) == 4 * 3
 
     @pytest.mark.parametrize("q", range(7))
     @pytest.mark.parametrize("p", range(7))
@@ -236,7 +220,8 @@ class TestBinomialPowerSum:
         # the sum is the normalized 2p-th derivative of sinh^{2q+1} at an
         # imaginary pole, i.e. (2p)! [w^{2p}] cosh^{2q+1}(w)
         series = cosh_series(2 * p).pow(2 * q + 1)
-        assert binomial_power_sum(q, p) == math.factorial(2 * p) * series.coefficient(2 * p)
+        moment = Fraction(_cosh_moments(q, p + 1)[p], 4**q)
+        assert moment == math.factorial(2 * p) * series.coefficient(2 * p)
 
 
 class TestCoshMoments:
@@ -252,15 +237,6 @@ class TestCoshMoments:
             for count in self.COUNTS[order]:
                 expected = [4**q * binomial_power_sum_direct(q, p) for p in range(count)]
                 assert _cosh_moments(q, count) == expected
-
-    @pytest.mark.parametrize("order", sorted(COUNTS))
-    def test_binomial_power_sum_matches_direct_sum(self, monkeypatch, order):
-        monkeypatch.setattr(series, "_moment_rows", {})
-        for q in range(41):
-            for count in self.COUNTS[order]:
-                p = count - 1
-                assert binomial_power_sum(q, p) == binomial_power_sum_direct(q, p)
-
 
     @pytest.mark.parametrize("attempt", range(3))
     def test_threads_extending_shared_rows(self, monkeypatch, attempt):

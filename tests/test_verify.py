@@ -16,7 +16,6 @@ from arcmellin import (
     bernoulli,
     beta_prime_value,
     binomial,
-    binomial_power_sum,
     eulerian,
     check_asymptotic_constants,
     check_bounds,
@@ -48,6 +47,7 @@ from arcmellin.verify import (
     _vanishing_row,
     coupled_tail_bound,
 )
+from _series_oracles import binomial_power_sum_direct
 
 
 def _cell(row, params):
@@ -97,7 +97,7 @@ class TestSpotValues:
                 / math.factorial(2 * m)
                 * sum(
                     binomial(2 * m, 2 * m - 2 * p)
-                    * binomial_power_sum(q, m - p)
+                    * binomial_power_sum_direct(q, m - p)
                     * Fraction(2 ** (2 * p - 1) * (2 ** (2 * p) - 1), p)
                     * bernoulli(2 * p)
                     for p in range(1, m + 1)
@@ -109,7 +109,7 @@ class TestSpotValues:
                 / math.factorial(2 * m + 1)
                 * sum(
                     binomial(2 * m + 1, 2 * m - 2 * p)
-                    * binomial_power_sum(q, m - p)
+                    * binomial_power_sum_direct(q, m - p)
                     * euler_number(2 * p)
                     for p in range(m + 1)
                 )
@@ -121,8 +121,8 @@ class TestSpotValues:
 
 
 # The six integer-row cells against their sums as Fraction formulas, written
-# out over x_over_sinh_coeffs and binomial_power_sum: each (ok, detail) must
-# be the same, since the arithmetic is exact on both sides.
+# out over x_over_sinh_coeffs and binomial_power_sum_direct: each (ok,
+# detail) must be the same, since the arithmetic is exact on both sides.
 
 def _c_odd_power_fraction(n, k):
     c = x_over_sinh_coeffs(2 * n + 1, 2 * n)
@@ -166,7 +166,7 @@ def _eulerian_b_fraction(n, p):
 def _binom_cosh_fraction(n, q):
     c = x_over_sinh_coeffs(2 * n + 1, 2 * n)
     lhs = sum(
-        c[2 * n - 2 * m] / math.factorial(2 * m) * 4**q * binomial_power_sum(q, m)
+        c[2 * n - 2 * m] / math.factorial(2 * m) * 4**q * binomial_power_sum_direct(q, m)
         for m in range(n + 1)
     )
     return lhs == (4**n if q == n else 0), f"lhs={lhs}"
@@ -175,7 +175,7 @@ def _binom_cosh_fraction(n, q):
 def _vanishing_fraction(n, q):
     c = x_over_sinh_coeffs(2 * n + 1, 2 * n)
     lhs = sum(
-        c[2 * n - 2 * m] / math.factorial(2 * m) * binomial_power_sum(q, m)
+        c[2 * n - 2 * m] / math.factorial(2 * m) * binomial_power_sum_direct(q, m)
         for m in range(n + 1)
     )
     return lhs == 0, f"lhs={lhs}"
