@@ -1,5 +1,7 @@
 """Command-line surface: output formats, exit codes, config handling."""
 
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -10,6 +12,7 @@ import pytest
 
 from arcmellin import ClosedForm, log_integral_odd_cosh, series
 from arcmellin.cli import cli_main
+from arcmellin.verify import SUITES
 
 
 def run(capsys, *argv):
@@ -344,7 +347,17 @@ class TestPrecisionFloor:
         assert out == ""
         assert "prec must be an int >= 12" in err
 
-    @pytest.mark.parametrize("argv", [["verify", "all", "--prec", "11"], ["verify", "all", "--range", "5..3"]])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "all", "--prec", "11"],
+            ["verify", "all", "--range", "5..3"],
+            ["verify", "all", "--prec", "0"],
+            ["verify", "all", "--prec", "-30"],
+            ["verify", "all", "--range", "0..0"],
+            ["verify", "all", "--range", "2..1", "--prec", "60"],
+        ],
+    )
     def test_all_refuses_before_any_suite_runs(self, capsys, argv):
         # the exact suites fill the (x/sinh x)^e rows, so a refusal that came
         # after them would find the cache filled
@@ -354,6 +367,16 @@ class TestPrecisionFloor:
         assert out == ""
         assert series._x_over_sinh_row.cache_info().currsize == 0
 
+    def test_all_refuses_a_config_prec_below_the_floor(self, capsys, tmp_path):
+        cfg = tmp_path / "arcmellin.cfg"
+        cfg.write_text("prec = 11\n")
+        series._x_over_sinh_row.cache_clear()
+        code, out, err = run(capsys, "--config", str(cfg), "verify", "all")
+        assert code == 2
+        assert out == ""
+        assert "prec must be an int >= 12" in err
+        assert series._x_over_sinh_row.cache_info().currsize == 0
+
     def test_all_passes_at_the_floor(self, capsys):
         code, out, _ = run(capsys, "verify", "all", "--prec", "12")
         assert code == 0
@@ -361,6 +384,29 @@ class TestPrecisionFloor:
 
 
 class TestVerifyAll:
+    @pytest.fixture(scope="class")
+    def all_reports(self):
+        """The text of each report that ``verify all --json`` prints over a
+        short range, with its newline, in registry order."""
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert cli_main(["verify", "all", "--range", "2..3", "--prec", "12", "--json"]) == 0
+        text, decoder, reports, pos = out.getvalue(), json.JSONDecoder(), [], 0
+        while pos < len(text):
+            _, end = decoder.raw_decode(text, pos)
+            reports.append(text[pos : end + 1])
+            pos = end + 1
+        return reports
+
+    @pytest.mark.parametrize("index, family", enumerate(SUITES), ids=lambda v: getattr(v, "value", v))
+    def test_each_report_is_its_suite_run_alone(self, capsys, all_reports, index, family):
+        # verify all hands every suite the range and precision it was given,
+        # so its reports are byte for byte the single-suite runs, in order
+        code, out, _ = run(capsys, "verify", family.value, "--range", "2..3", "--prec", "12", "--json")
+        assert code == 0
+        assert len(all_reports) == len(SUITES)
+        assert all_reports[index] == out
+
     def test_every_suite_passes(self, capsys):
         code, out, _ = run(capsys, "verify", "all", "--prec", "25")
         assert code == 0

@@ -23,10 +23,13 @@ from arcmellin import (
     check_cross_representation,
     check_even_argument_relations,
     euler_number,
+    eval_closed_form,
     log_integral_even_cosh,
     log_integral_odd_cosh,
+    phi_odd_closed_form,
     reproduce_reference_tables,
     run_identity,
+    sinh_over_z_integral,
     x_over_sinh_coeffs,
 )
 from arcmellin import catalog, quadrature, verify
@@ -397,6 +400,20 @@ class TestNumericSuites:
         report = check_cross_representation(n_max=2, prec=25)
         assert report.passed
         assert report.tolerance == "1e-20"
+
+    @pytest.mark.parametrize("which", [1, 2])
+    @pytest.mark.parametrize("n", range(1, 16))
+    def test_sinh_over_z_bridge_without_quadrature(self, which, n):
+        # cross-rep's two closed-form routes to Phi_which(2n+1), checked
+        # against each other alone: Horner's rule over the root products on
+        # the negative-argument basis, and the (n, 2n+2) or (n, 2n+1) sinh/z
+        # instance on the positive-argument one
+        q, big_n = catalog.phi_odd_as_sinh_over_z(which, n)
+        assert (q, big_n) == (n, 2 * n + 2 if which == 1 else 2 * n + 1)
+        prec = 50
+        neg_form = eval_closed_form(phi_odd_closed_form(which, n), prec)
+        pos_form = eval_closed_form(sinh_over_z_integral(q, big_n), prec)
+        assert abs(neg_form - pos_form) < mpf(10) ** (-(prec - 5)) * abs(neg_form)
 
     def test_asymptotic_constants_suite(self):
         report = check_asymptotic_constants(prec=25)
